@@ -28,14 +28,9 @@ model, log = train_evidential(
 print(f"done after {len(log)} epochs")
 
 
-def predict_fn(matrix):
-    dec = model.predict(matrix)
-    return dec.mean, dec.total_sd
-
-
 print("\n=== permutation feature importance (10 shuffles) ===")
 names = ["driver", "noise_shaper", "bystander"]
-pfi = permutation_importance(predict_fn, x, y, feature_names=names, n_shuffles=10, seed=0)
+pfi = permutation_importance(model.mean_and_total_sd, x, y, feature_names=names, n_shuffles=10, seed=0)
 print(f"baseline RMSE {pfi.baseline_rmse:.3f}, baseline spread-skill R2 "
       f"{pfi.baseline_r2:.3f}")
 for f in pfi.ranked_by_rmse():
@@ -45,7 +40,7 @@ print("positive dRMSE: shuffling hurt prediction; positive dR2: it hurt calibrat
 
 print("\n=== partial dependence of prediction and uncertainty ===")
 for j, name in enumerate(names):
-    pdp = partial_dependence(predict_fn, x, j, feature_names=names, n_grid=100)
+    pdp = partial_dependence(model.mean_and_total_sd, x, j, feature_names=names, n_grid=100)
     swing_pred = pdp.pred_mean.max() - pdp.pred_mean.min()
     swing_unc = pdp.uncertainty_mean.max() - pdp.uncertainty_mean.min()
     print(f"{name:>13}: prediction swing {swing_pred:6.3f}   "

@@ -15,7 +15,6 @@ import dataclasses
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ COMMON_DEFAULTS = {
     "seed": 0,
     "levels": list(metrics.DEFAULT_CONFIDENCE_LEVELS),
     "mask_percentile": metrics.DEFAULT_MASK_PERCENTILE,
-    "threads": 1,
 }
 
 TRAIN_DEFAULTS = {
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", help="comma-separated confidence levels, e.g. 0.70,0.95")
         p.add_argument("--mask-percentile", type=float, dest="mask_percentile",
                        help="total-uncertainty percentile above which predictions are flagged")
-        p.add_argument("--threads", type=int, help="worker threads where parallelism applies")
 
     p = sub.add_parser("train", help="fit an evidential model on station data")
     common(p)
@@ -602,21 +599,10 @@ def cmd_explain(opts: dict) -> None:
     model = artifact.load_model(opts["model"])
     ds = data.load_station_csv(opts["data"], require_target=True)
     _check_feature_names(model, ds.feature_names)
-    if model.standardizer is not None:
-        x = model.standardizer.apply(ds.features)
-    else:
-        x = np.asarray(ds.features, dtype=float)
-
-    def predict_fn(matrix: np.ndarray):
-        from . import nncore
-
-        out_raw, _ = nncore.forward(model.mlp, matrix, train_mode=False)
-        dec = evidential.decompose(evidential.head_transform(out_raw))
-        return dec.mean, dec.total_sd
 
     pfi = xai.permutation_importance(
-        predict_fn,
-        x,
+        model.mean_and_total_sd,
+        ds.features,
         ds.gust,
         feature_names=ds.feature_names,
         n_shuffles=opts["n_shuffles"],
@@ -647,29 +633,21 @@ def cmd_explain(opts: dict) -> None:
         ],
     )
 
-    def pdp_for(j: int) -> xai.PDPResult:
-        return xai.partial_dependence(
-            predict_fn, x, j, feature_names=ds.feature_names, n_grid=opts["pdp_grid"]
-        )
-
-    n_features = x.shape[1]
-    if opts["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
-            curves = list(pool.map(pdp_for, range(n_features)))
-    else:
-        curves = [pdp_for(j) for j in range(n_features)]
-
     pdp_rows = []
-    for j, curve in enumerate(curves):
-        grid = curve.grid
-        if model.standardizer is not None:
-            grid = model.standardizer.inverse_column(j, grid)
-        for g in range(grid.size):
+    for j in range(ds.features.shape[1]):
+        curve = xai.partial_dependence(
+            model.mean_and_total_sd,
+            ds.features,
+            j,
+            feature_names=ds.feature_names,
+            n_grid=opts["pdp_grid"],
+        )
+        for g, value in enumerate(curve.grid):
             pdp_rows.append(
                 [
                     curve.feature,
                     g,
-                    fmt(grid[g]),
+                    fmt(value),
                     fmt(curve.pred_mean[g]),
                     fmt(curve.pred_sd[g]),
                     fmt(curve.uncertainty_mean[g]),

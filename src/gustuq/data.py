@@ -471,7 +471,9 @@ class Standardizer:
                 f"feature width {x.shape[1]} does not match fitted width "
                 f"{self.offset.shape[0]}"
             )
-        return (x - self.offset) / self.scale
+        out = np.subtract(x, self.offset)
+        out /= self.scale  # in place: one [B x D] temporary, not two
+        return out
 
     def inverse_column(self, column: int, values: np.ndarray) -> np.ndarray:
         self._require_fitted()

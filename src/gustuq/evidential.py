@@ -227,6 +227,12 @@ class EvidentialModel:
     def predict(self, features: np.ndarray) -> UncertaintyDecomposition:
         return decompose(self.predict_params(features))
 
+    def mean_and_total_sd(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted mean and total sd from raw features: the surface
+        :mod:`gustuq.xai` explains."""
+        dec = self.predict(features)
+        return dec.mean, dec.total_sd
+
 
 # Validation mean total sd above this multiple of the target sd triggers a
 # calibration warning (inflated-uncertainty guard); training continues.

@@ -5,7 +5,9 @@ hidden layers and a linear output layer (width 4 by default, feeding the
 evidential head). Training-time dropout uses inverted scaling so inference
 needs no rescaling. L1/L2 penalties apply to weight matrices only, never to
 biases. Everything is plain float64 numpy; training is single-threaded and
-deterministic for a fixed seed.
+deterministic for a fixed seed. The no-grad pass (``train_mode=False``) is
+the one inference kernel: it walks the batch in fixed-size row blocks and
+keeps no intermediates.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 LEAKY_SLOPE = 0.1
+
+# Rows per block of the no-grad forward pass. A constant, not an option, so
+# that identical runs stay byte-identical: BLAS results can depend on the
+# block shape in the last bits.
+INFERENCE_CHUNK_ROWS = 1024
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -74,6 +81,8 @@ class MLP:
             raise ConfigError("MLP needs at least one layer")
         if not 0.0 <= self.dropout <= 0.5:
             raise ConfigError(f"dropout must be in [0, 0.5], got {self.dropout}")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
         if self.l1 < 0 or self.l2 < 0:
             raise ConfigError("l1 and l2 penalties must be >= 0")
         for i, layer in enumerate(self.layers):
@@ -137,20 +146,19 @@ class ForwardCache:
     batch_size: int
 
 
-def leaky_relu(z: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(z > 0, z, slope * z)
-
-
 def forward(
     model: MLP,
     batch: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on ``batch`` [B x D] and cache intermediates.
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """Run the network on ``batch`` [B x D].
 
-    Dropout is applied to hidden activations only when ``train_mode`` is set,
-    drawing keep-masks from ``rng``.
+    With ``train_mode`` set, dropout is applied to hidden activations with
+    keep-masks drawn from ``rng``, and the intermediates :func:`backward`
+    needs are returned in a :class:`ForwardCache`. Otherwise this is the
+    no-grad inference pass: it returns ``(out, None)`` and keeps no
+    intermediates.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
@@ -159,30 +167,67 @@ def forward(
         raise DimensionError(
             f"batch width {batch.shape[1]} does not match model input width {model.input_dim}"
         )
-    use_dropout = train_mode and model.dropout > 0.0
+    if train_mode:
+        out, cache = _forward_train(model, batch, rng)
+    else:
+        out, cache = _forward_nograd(model, batch), None
+    if not np.all(np.isfinite(out)):
+        raise NumericError("forward pass produced non-finite outputs")
+    return out, cache
+
+
+def _forward_nograd(model: MLP, batch: np.ndarray) -> np.ndarray:
+    """Inference in blocks of INFERENCE_CHUNK_ROWS rows, activations in place.
+
+    A block's hidden activations stay in cache, where a full-batch pass
+    would stream [B x width] temporaries through memory. np.maximum(z,
+    slope*z) is leaky-ReLU because 0 < slope < 1 (checked by :class:`MLP`).
+    """
+    slope = model.leaky_slope
+    last = model.layers[-1]
+    out = np.empty((batch.shape[0], model.output_dim))
+    for start in range(0, batch.shape[0], INFERENCE_CHUNK_ROWS):
+        a = batch[start : start + INFERENCE_CHUNK_ROWS]
+        for layer in model.layers[:-1]:
+            z = a @ layer.weights
+            z += layer.bias
+            np.maximum(z, slope * z, out=z)
+            a = z
+        block = out[start : start + INFERENCE_CHUNK_ROWS]
+        np.matmul(a, last.weights, out=block)
+        block += last.bias
+    return out
+
+
+def _forward_train(
+    model: MLP, batch: np.ndarray, rng: np.random.Generator | None
+) -> tuple[np.ndarray, ForwardCache]:
+    use_dropout = model.dropout > 0.0
     if use_dropout and rng is None:
         raise UsageError("train_mode forward with dropout > 0 requires an rng")
 
+    slope = model.leaky_slope
     inputs: list[np.ndarray] = []
     pre_acts: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
     a = batch
     for layer in model.layers[:-1]:
         inputs.append(a)
-        z = a @ layer.weights + layer.bias
+        z = a @ layer.weights
+        z += layer.bias
         pre_acts.append(z)
-        a = leaky_relu(z, model.leaky_slope)
+        a = slope * z
+        np.maximum(z, a, out=a)
         if use_dropout:
             keep = rng.random(a.shape) >= model.dropout
             mask = keep / (1.0 - model.dropout)
-            a = a * mask
+            a *= mask
         else:
             mask = None
         masks.append(mask)
     inputs.append(a)
-    out = a @ model.layers[-1].weights + model.layers[-1].bias
-    if not np.all(np.isfinite(out)):
-        raise NumericError("forward pass produced non-finite outputs")
+    out = a @ model.layers[-1].weights
+    out += model.layers[-1].bias
     cache = ForwardCache(
         inputs=inputs,
         pre_activations=pre_acts,
@@ -231,18 +276,24 @@ def backward(model: MLP, cache: ForwardCache, grad_output: np.ndarray) -> ParamG
         a_in = cache.inputs[i]
         dw = a_in.T @ delta
         if model.l1 > 0:
-            dw = dw + model.l1 * np.sign(layer.weights)
+            dw += model.l1 * np.sign(layer.weights)
         if model.l2 > 0:
-            dw = dw + 2.0 * model.l2 * layer.weights
+            dw += 2.0 * model.l2 * layer.weights
         d_weights[i] = dw
         d_biases[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ layer.weights.T
             mask = cache.dropout_masks[i - 1]
             if mask is not None:
-                delta = delta * mask
-            z = cache.pre_activations[i - 1]
-            delta = delta * np.where(z > 0, 1.0, model.leaky_slope)
+                delta *= mask
+            # Leaky-ReLU derivative (z > 0) * (1 - slope) + slope, without the
+            # per-element branch of np.where (1.5-4x slower on random signs).
+            # It is exactly slope where z <= 0 and exactly 1.0 where z > 0:
+            # fl(1 - slope) is within 2**-54 of 1 - slope for 0 < slope < 1,
+            # so adding slope rounds back to 1.
+            factor = np.multiply(cache.pre_activations[i - 1] > 0, 1.0 - model.leaky_slope)
+            factor += model.leaky_slope
+            delta *= factor
     return ParamGrads(weights=d_weights, biases=d_biases)
 
 
@@ -265,19 +316,19 @@ class Adam:
             raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
         self.learning_rate = learning_rate
         self.step_count = 0
-        self._m_w: list[np.ndarray] | None = None
-        self._v_w: list[np.ndarray] | None = None
-        self._m_b: list[np.ndarray] | None = None
-        self._v_b: list[np.ndarray] | None = None
+        self._state: list[tuple[np.ndarray, ...]] | None = None
 
     def _init_state(self, model: MLP) -> None:
-        self._m_w = [np.zeros_like(l.weights) for l in model.layers]
-        self._v_w = [np.zeros_like(l.weights) for l in model.layers]
-        self._m_b = [np.zeros_like(l.bias) for l in model.layers]
-        self._v_b = [np.zeros_like(l.bias) for l in model.layers]
+        # Per parameter, in layer order (weights, bias): the first and second
+        # moments, then two scratch arrays the update is computed in.
+        self._state = [
+            tuple(np.zeros_like(param) for _ in range(4))
+            for layer in model.layers
+            for param in (layer.weights, layer.bias)
+        ]
 
     def step(self, model: MLP, grads: ParamGrads) -> None:
-        if self._m_w is None:
+        if self._state is None:
             self._init_state(model)
         if len(grads.weights) != len(model.layers):
             raise DimensionError("gradient layer count does not match model")
@@ -291,18 +342,24 @@ class Adam:
         t = self.step_count
         correct1 = 1.0 - ADAM_BETA1**t
         correct2 = 1.0 - ADAM_BETA2**t
+        lr = self.learning_rate
         for i, layer in enumerate(model.layers):
-            for param, grad, m, v in (
-                (layer.weights, grads.weights[i], self._m_w[i], self._v_w[i]),
-                (layer.bias, grads.biases[i], self._m_b[i], self._v_b[i]),
-            ):
+            pairs = ((layer.weights, grads.weights[i]), (layer.bias, grads.biases[i]))
+            for (param, grad), (m, v, update, denom) in zip(pairs, self._state[2 * i : 2 * i + 2]):
                 m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * grad
+                np.multiply(1.0 - ADAM_BETA1, grad, out=update)
+                m += update
                 v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * grad**2
-                update = (self.learning_rate * (m / correct1)) / (
-                    np.sqrt(v / correct2) + ADAM_EPS
-                )
+                np.square(grad, out=update)
+                np.multiply(1.0 - ADAM_BETA2, update, out=update)
+                v += update
+                # update = (lr * (m / correct1)) / (sqrt(v / correct2) + eps)
+                np.divide(m, correct1, out=update)
+                np.multiply(lr, update, out=update)
+                np.divide(v, correct2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                update /= denom
                 param -= update
             if not np.all(np.isfinite(layer.weights)) or not np.all(
                 np.isfinite(layer.bias)

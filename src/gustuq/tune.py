@@ -146,6 +146,8 @@ class SearchResult:
     n_failed: int
 
 
+# Every column is a deterministic function of the seed and the data, so two
+# identical searches write identical logs. Wall time stays on TrialResult.
 TRIALS_LOG_COLUMNS = [
     "trial_id",
     "learning_rate",
@@ -160,7 +162,6 @@ TRIALS_LOG_COLUMNS = [
     "val_r2_rmse_sigma_total",
     "val_pitd_skill",
     "n_epochs",
-    "wall_time_s",
     "status",
 ]
 
@@ -182,7 +183,6 @@ def _log_row(result: TrialResult) -> list:
         num(result.val_r2_rmse_sigma_total),
         num(result.val_pitd_skill),
         result.n_epochs,
-        repr(result.wall_time_s),
         result.status,
     ]
 
@@ -192,8 +192,11 @@ def load_trials_log(path) -> list[TrialResult]:
     results = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != TRIALS_LOG_COLUMNS:
-            raise UsageError(f"{path}: unexpected trials log header")
+        header = list(reader.fieldnames or [])
+        if header != TRIALS_LOG_COLUMNS:
+            extra = [c for c in header if c not in TRIALS_LOG_COLUMNS]
+            detail = f"; extra column(s) {', '.join(extra)}" if extra else ""
+            raise UsageError(f"{path}: unexpected trials log header{detail}")
         for row in reader:
             cfg = TrialConfig(
                 learning_rate=float(row["learning_rate"]),
@@ -214,7 +217,6 @@ def load_trials_log(path) -> list[TrialResult]:
                     val_r2_rmse_sigma_total=blank(row["val_r2_rmse_sigma_total"]),
                     val_pitd_skill=blank(row["val_pitd_skill"]),
                     n_epochs=int(row["n_epochs"]),
-                    wall_time_s=float(row["wall_time_s"]),
                     status=row["status"],
                 )
             )

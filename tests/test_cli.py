@@ -196,6 +196,21 @@ def test_predict_constant_grid_constant_mean_zero_gradient(pipeline, tmp_path):
     assert all(float(g["gradient"]) == 0.0 for g in grads)
 
 
+@pytest.mark.parametrize("slope", [1.5, -0.1, 0.0, 1.0])
+def test_predict_rejects_leaky_slope_outside_unit_interval(pipeline, tmp_path, capsys, slope):
+    # np.maximum(z, slope * z) is leaky-ReLU only for 0 < slope < 1
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    payload["network"]["leaky_slope"] = slope
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(payload))
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config-error: leaky_slope must be in (0, 1)")
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -282,17 +297,6 @@ def test_explain_outputs(pipeline, tmp_path):
     ws_rows = [r for r in pdp if r["feature"] == "WS_10m"]
     grid_values = np.array([float(r["grid_value"]) for r in ws_rows])
     assert np.all(np.diff(grid_values) > 0)
-
-
-def test_explain_threads_match_serial(pipeline, tmp_path):
-    out1 = tmp_path / "xai1"
-    out2 = tmp_path / "xai2"
-    args = ["explain", "--model", pipeline["model"], "--data", pipeline["station_csv"],
-            "--n-shuffles", "3", "--pdp-grid", "10", "--seed", "3"]
-    assert run(*args, "--out", out1, "--threads", "1") == 0
-    assert run(*args, "--out", out2, "--threads", "4") == 0
-    assert (out1 / "pdp.csv").read_bytes() == (out2 / "pdp.csv").read_bytes()
-    assert (out1 / "pfi.csv").read_bytes() == (out2 / "pfi.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +427,17 @@ def test_config_file_and_flag_precedence(pipeline, tmp_path):
     assert "lower_90" not in rows[0]
 
 
+def test_retired_threads_config_key_rejected(pipeline, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"threads": 2}))
+    code = run("explain", "--config", config, "--model", pipeline["model"],
+               "--data", pipeline["station_csv"], "--out", tmp_path / "o")
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error:")
+    assert "unknown keys threads" in err
+
+
 def test_unknown_config_key_rejected(pipeline, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"bogus_key": 1}))
@@ -457,11 +472,26 @@ def test_no_temp_files_left_behind(pipeline):
 
 
 def test_end_to_end_determinism(pipeline, tmp_path):
+    tune_config = tmp_path / "tune.json"
+    tune_config.write_text(json.dumps({
+        "space": {
+            "learning_rate": [1e-3, 1e-2],
+            "hidden_neurons": [4, 8],
+            "hidden_layers": [1, 2],
+            "batch_size": [16, 64],
+            "dropout": [0.0, 0.2],
+            "evidential_coef": [0.01, 0.5],
+        },
+        "trials": 2,
+        "max_epochs": 3,
+        "patience": 3,
+    }))
     outputs = []
     for tag in ("a", "b"):
-        t_out = tmp_path / f"train_{tag}"
-        p_out = tmp_path / f"pred_{tag}"
-        e_out = tmp_path / f"eval_{tag}"
+        t_out, p_out, e_out, g_out, s_out, x_out, u_out = (
+            tmp_path / f"{stage}_{tag}"
+            for stage in ("train", "pred", "eval", "grid", "spatial", "xai", "tune")
+        )
         assert run("train", "--data", pipeline["station_csv"], "--out", t_out,
                    "--split", "3,1,1", "--hidden-neurons", "8", "--max-epochs", "10",
                    "--patience", "10", "--seed", "21") == 0
@@ -469,9 +499,17 @@ def test_end_to_end_determinism(pipeline, tmp_path):
                    "--data", pipeline["station_csv"], "--out", p_out) == 0
         assert run("evaluate", "--pred", p_out / "predictions.csv",
                    "--data", pipeline["station_csv"], "--out", e_out) == 0
-        outputs.append((t_out, p_out, e_out))
-    (ta, pa, ea), (tb, pb, eb) = outputs
-    for da, db in ((ta, tb), (pa, pb), (ea, eb)):
+        assert run("predict", "--model", t_out / "model.json",
+                   "--data", pipeline["grid_csv"], "--out", g_out) == 0
+        assert run("spatial", "--pred", g_out / "grid_predictions.csv",
+                   "--data", pipeline["grid_csv"], "--out", s_out) == 0
+        assert run("explain", "--model", t_out / "model.json",
+                   "--data", pipeline["station_csv"], "--out", x_out,
+                   "--n-shuffles", "2", "--pdp-grid", "5", "--seed", "4") == 0
+        assert run("tune", "--config", tune_config, "--data", pipeline["station_csv"],
+                   "--out", u_out, "--split", "3,1,1", "--seed", "8") == 0
+        outputs.append((t_out, p_out, e_out, g_out, s_out, x_out, u_out))
+    for da, db in zip(*outputs):
         files_a = sorted(f.name for f in da.iterdir())
         files_b = sorted(f.name for f in db.iterdir())
         assert files_a == files_b

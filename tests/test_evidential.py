@@ -257,7 +257,7 @@ def test_loss_gradient_matches_finite_differences():
 
 
 def full_chain_loss(model, x, y, lam):
-    out, cache = nncore.forward(model, x, train_mode=False)
+    out, cache = nncore.forward(model, x, train_mode=True)
     loss, grad_raw = evidential.total_loss(model, out, y, lam)
     return loss, cache, grad_raw
 
@@ -274,7 +274,7 @@ def draw_smooth_case(rng, margin=1e-2):
         model = MLP.create(d, hidden, rng, l1=1e-4, l2=1e-4)
         x = rng.normal(size=(5, d))
         y = rng.normal(size=5)
-        out, cache = nncore.forward(model, x)
+        out, cache = nncore.forward(model, x, train_mode=True)
         z_margin = min(
             (float(np.abs(z).min()) for z in cache.pre_activations), default=np.inf
         )
@@ -321,7 +321,7 @@ def test_first_step_does_not_increase_loss_for_small_lr():
     model = MLP.create(2, [8], rng)
     x = rng.normal(size=(32, 2))
     y = rng.normal(size=32)
-    out, cache = nncore.forward(model, x)
+    out, cache = nncore.forward(model, x, train_mode=True)
     loss_before, grad_raw = evidential_loss(out, y, lam=0.0)
     grads = nncore.backward(model, cache, grad_raw)
     nncore.Adam(1e-4).step(model, grads)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gustuq import nncore
 from gustuq.errors import ConfigError, DimensionError, NumericError, UsageError
@@ -12,7 +16,7 @@ def small_model(rng, input_dim=3, hidden=(4,), dropout=0.0, l1=0.0, l2=0.0):
 
 def quadratic_loss(model, batch):
     """0.5 * mean(out^2) + penalties; analytic upstream grad is out / out.size."""
-    out, cache = nncore.forward(model, batch, train_mode=False)
+    out, cache = nncore.forward(model, batch, train_mode=True)
     loss = 0.5 * float(np.mean(out**2)) + nncore.penalty_loss(model)
     grad_out = out / out.size
     return loss, cache, grad_out
@@ -93,6 +97,148 @@ def test_dropout_rate_bounds():
         small_model(np.random.default_rng(0), dropout=0.6)
 
 
+CHUNK = nncore.INFERENCE_CHUNK_ROWS
+
+
+@given(
+    input_dim=st.integers(1, 12),
+    hidden=st.lists(st.integers(1, 70), min_size=0, max_size=3),
+    output_dim=st.integers(1, 5),
+    n_rows=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]),
+    slope=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_nograd_forward_matches_cached_path(input_dim, hidden, output_dim, n_rows, slope, seed):
+    rng = np.random.default_rng(seed)
+    model = MLP.create(input_dim, hidden, rng, output_dim=output_dim)
+    model = dataclasses.replace(model, leaky_slope=slope)
+    for layer in model.layers:
+        layer.bias[:] = rng.normal(size=layer.bias.shape)
+    batch = rng.normal(size=(n_rows, input_dim))
+    out, cache = nncore.forward(model, batch)
+    ref, ref_cache = nncore.forward(model, batch, train_mode=True)
+    assert cache is None
+    assert ref_cache is not None
+    assert out.shape == ref.shape == (n_rows, output_dim)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    with pytest.raises(UsageError):
+        nncore.backward(model, None, out)
+
+
+# ---------------------------------------------------------------------------
+# training step, bit for bit against the plain-expression reference
+
+
+def reference_forward(model, batch, rng):
+    """Train-mode forward written with np.where and out-of-place updates."""
+    inputs, pre_acts, masks = [], [], []
+    a = batch
+    for layer in model.layers[:-1]:
+        inputs.append(a)
+        z = a @ layer.weights + layer.bias
+        pre_acts.append(z)
+        a = np.where(z > 0, z, model.leaky_slope * z)
+        mask = None
+        if model.dropout > 0:
+            keep = rng.random(a.shape) >= model.dropout
+            mask = keep / (1.0 - model.dropout)
+            a = a * mask
+        masks.append(mask)
+    inputs.append(a)
+    out = a @ model.layers[-1].weights + model.layers[-1].bias
+    return out, inputs, pre_acts, masks
+
+
+def reference_backward(model, inputs, pre_acts, masks, grad_output):
+    d_weights, d_biases = [], []
+    delta = grad_output
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        dw = inputs[i].T @ delta
+        if model.l1 > 0:
+            dw = dw + model.l1 * np.sign(layer.weights)
+        if model.l2 > 0:
+            dw = dw + 2.0 * model.l2 * layer.weights
+        d_weights.insert(0, dw)
+        d_biases.insert(0, delta.sum(axis=0))
+        if i > 0:
+            delta = delta @ layer.weights.T
+            if masks[i - 1] is not None:
+                delta = delta * masks[i - 1]
+            z = pre_acts[i - 1]
+            delta = delta * np.where(z > 0, 1.0, model.leaky_slope)
+    return d_weights, d_biases
+
+
+def reference_adam(param, grad, m, v, t, lr):
+    b1, b2, eps = nncore.ADAM_BETA1, nncore.ADAM_BETA2, nncore.ADAM_EPS
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    m = m * b1 + (1.0 - b1) * grad
+    v = v * b2 + (1.0 - b2) * grad**2
+    return param - (lr * (m / c1)) / (np.sqrt(v / c2) + eps), m, v
+
+
+@given(
+    input_dim=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 12), min_size=0, max_size=3),
+    dropout=st.sampled_from([0.0, 0.2, 0.5]),
+    slope=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n_rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_training_step_bit_exact_against_reference(
+    input_dim, hidden, dropout, slope, n_rows, seed
+):
+    rng = np.random.default_rng(seed)
+    model = small_model(rng, input_dim, hidden, dropout=dropout, l1=1e-3, l2=2e-3)
+    model = dataclasses.replace(model, leaky_slope=slope)
+    ref = model.copy()
+    ref_m = [np.zeros_like(p) for l in ref.layers for p in (l.weights, l.bias)]
+    ref_v = [np.zeros_like(p) for p in ref_m]
+    lr = 3e-3
+    opt = Adam(lr)
+    for t in range(1, 4):
+        batch = rng.normal(size=(n_rows, input_dim))
+        batch[0] = 0.0  # zero pre-activations hit the z == 0 side of the kink
+        grad_out = rng.normal(size=(n_rows, model.output_dim)) / n_rows
+        mask_seed = int(rng.integers(2**31))
+
+        out, cache = nncore.forward(
+            model, batch, train_mode=True, rng=np.random.default_rng(mask_seed)
+        )
+        r_out, r_inputs, r_pre, r_masks = reference_forward(
+            ref, batch, np.random.default_rng(mask_seed)
+        )
+        assert np.array_equal(out, r_out)
+        for got, want in zip(cache.inputs, r_inputs):
+            assert np.array_equal(got, want)
+        for got, want in zip(cache.pre_activations, r_pre):
+            assert np.array_equal(got, want)
+        for got, want in zip(cache.dropout_masks, r_masks):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+        grads = nncore.backward(model, cache, grad_out)
+        r_dw, r_db = reference_backward(ref, r_inputs, r_pre, r_masks, grad_out)
+        for got, want in zip(grads.weights + grads.biases, r_dw + r_db):
+            assert np.array_equal(got, want)
+
+        opt.step(model, grads)
+        k = 0
+        for layer, dw, db in zip(ref.layers, r_dw, r_db):
+            layer.weights, ref_m[k], ref_v[k] = reference_adam(
+                layer.weights, dw, ref_m[k], ref_v[k], t, lr
+            )
+            layer.bias, ref_m[k + 1], ref_v[k + 1] = reference_adam(
+                layer.bias, db, ref_m[k + 1], ref_v[k + 1], t, lr
+            )
+            k += 2
+        for got, want in zip(model.layers, ref.layers):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -101,7 +247,7 @@ def test_backward_zero_upstream_zero_grads():
     rng = np.random.default_rng(5)
     model = small_model(rng)
     batch = rng.normal(size=(4, 3))
-    out, cache = nncore.forward(model, batch)
+    out, cache = nncore.forward(model, batch, train_mode=True)
     grads = nncore.backward(model, cache, np.zeros_like(out))
     for dw, db in zip(grads.weights, grads.biases):
         assert np.all(dw == 0.0)
@@ -112,7 +258,7 @@ def test_backward_l2_only_gradient_is_2_l2_w():
     rng = np.random.default_rng(6)
     model = small_model(rng, l2=0.01)
     batch = rng.normal(size=(4, 3))
-    out, cache = nncore.forward(model, batch)
+    out, cache = nncore.forward(model, batch, train_mode=True)
     grads = nncore.backward(model, cache, np.zeros_like(out))
     for layer, dw in zip(model.layers, grads.weights):
         assert np.allclose(dw, 2 * 0.01 * layer.weights)
@@ -135,7 +281,7 @@ def test_backward_stale_cache_is_usage_error():
     rng = np.random.default_rng(8)
     model = small_model(rng)
     batch = rng.normal(size=(4, 3))
-    out, cache = nncore.forward(model, batch)
+    out, cache = nncore.forward(model, batch, train_mode=True)
     grads = nncore.backward(model, cache, out / 4)
     Adam(1e-3).step(model, grads)  # bumps model.version
     with pytest.raises(UsageError):

@@ -196,6 +196,23 @@ def test_search_log_and_resume(tmp_path):
         assert before.val_mae == after.val_mae
 
 
+def test_search_refuses_log_with_wall_time_column(tmp_path):
+    # logs written before wall time left trials_log.csv carry an extra column
+    log = tmp_path / "trials.csv"
+    search(HyperSpace(), 3, synthetic_objective, seed=3, log_path=log)
+    lines = log.read_text().splitlines()
+    header = lines[0].split(",")
+    status_at = header.index("status")
+    old = [",".join([*row[:status_at], "0.25", *row[status_at:]])
+           for row in (line.split(",") for line in lines[1:])]
+    header.insert(status_at, "wall_time_s")
+    log.write_text("\n".join([",".join(header), *old]) + "\n")
+    with pytest.raises(UsageError, match="extra column\\(s\\) wall_time_s"):
+        load_trials_log(log)
+    with pytest.raises(UsageError, match="wall_time_s"):
+        search(HyperSpace(), 5, synthetic_objective, seed=3, log_path=log)
+
+
 def test_search_records_failures():
     def sometimes_fails(config, rng):
         if config.hidden_layers >= 3:
