@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Gridded post-processing: gradients, max tracking, and station sampling.
 
-A synthetic storm bump drifts across a small lat/lon raster. We track where
-the field peaks each hour, compare that track against a second field,
-compute the neighbor-based spatial gradient, and finally interpolate the
-grid down to a handful of stations.
+A synthetic storm bump drifts across a small lat/lon raster; its six hours
+form one [T, rows, cols] cube. We track where the field peaks each hour,
+compare that track against a second cube, compute the neighbor-based spatial
+gradient of every hour at once, and finally interpolate one hour down to a
+handful of stations.
 """
 
 import numpy as np
@@ -28,28 +29,32 @@ valid = np.ones((8, 10), dtype=bool)
 valid[:2, 7:] = False
 
 
-def bump_field(hour):
+def bump(hour):
     center_lat = 41.3 + 0.22 * hour
     center_lon = -73.8 + 0.3 * hour
-    values = 8.0 + 14.0 * np.exp(
+    return 8.0 + 14.0 * np.exp(
         -(((lat_grid - center_lat) / 0.4) ** 2 + ((lon_grid - center_lon) / 0.5) ** 2)
     )
-    return GridField(lats=lats, lons=lons, values=values, valid=valid)
 
 
-hours = [np.datetime64("2021-11-12T00:00:00") + np.timedelta64(h, "h") for h in range(6)]
-wind = [(t, bump_field(h)) for h, t in enumerate(hours)]
-# an uncertainty proxy field peaking one cell east of the wind bump
-uq = [(t, g.with_values(np.roll(g.values, 1, axis=1))) for t, g in wind]
+hours = np.datetime64("2021-11-12T00:00:00", "s") + np.arange(6) * np.timedelta64(1, "h")
+wind = GridField(
+    lats=lats,
+    lons=lons,
+    values=np.stack([bump(h) for h in range(len(hours))]),
+    valid=np.broadcast_to(valid, (len(hours), *valid.shape)),
+)
+# an uncertainty proxy cube peaking one cell east of the wind bump
+uq = wind.with_values(np.roll(wind.values, 1, axis=2))
 
 print("=== tracking the hourly spatial maximum ===")
-wind_track = track_spatial_max(wind)
+wind_track = track_spatial_max(hours, wind)
 for p in wind_track:
     print(f"{p.time}: max {p.value:5.1f} m/s at ({p.lat:.2f}, {p.lon:.2f}) "
           f"cell ({p.row}, {p.col})")
 
 print("\n=== alignment between the wind and uncertainty maxima ===")
-uq_track = track_spatial_max(uq)
+uq_track = track_spatial_max(hours, uq)
 for k in (0, 1, 2):
     frac = alignment_fraction(wind_track, uq_track, k)
     print(f"within {k} cells: {frac:.0%} of hours")
@@ -60,13 +65,13 @@ uq_norm = minmax_normalize(np.array([p.value for p in uq_track]))
 for t, a, b in zip(hours, wind_norm, uq_norm):
     print(f"{t}: wind {a:.2f}   uq {b:.2f}")
 
-print("\n=== spatial gradient of the first hour ===")
-grad = spatial_gradient(wind[0][1])
-r, c = np.unravel_index(np.nanargmax(np.where(grad.valid, grad.values, -np.inf)),
-                        grad.values.shape)
-print(f"steepest gradient {grad.values[r, c]:.1f} per degree at ({grad.lats[r]:.2f}, "
+print("\n=== spatial gradient, every hour at once; the first hour shown ===")
+grad = spatial_gradient(wind)
+first = np.where(grad.valid[0], grad.values[0], -np.inf)
+r, c = np.unravel_index(np.argmax(first), first.shape)
+print(f"steepest gradient {grad.values[0, r, c]:.1f} per degree at ({grad.lats[r]:.2f}, "
       f"{grad.lons[c]:.2f}) - the flank of the bump")
-print(f"gradient at the flat far corner: {grad.values[-1, 0]:.2f}")
+print(f"gradient at the flat far corner: {grad.values[0, -1, 0]:.2f}")
 
 print("\n=== bilinear interpolation to stations ===")
 stations = StationSet(
@@ -74,7 +79,8 @@ stations = StationSet(
     lats=np.array([42.3, 41.63, 41.1]),
     lons=np.array([-73.8, -73.9, -72.4]),
 )
-values, fallback = bilinear_to_stations(wind[0][1], stations)
+first_hour = wind.with_values(wind.values[0], valid=wind.valid[0])
+values, fallback = bilinear_to_stations(first_hour, stations)
 for sid, v, fb in zip(stations.ids, values, fallback):
     note = " (nearest valid cell: enclosing quad was masked)" if fb else ""
     print(f"{sid}: {v:5.1f} m/s{note}")

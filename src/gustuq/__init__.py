@@ -13,12 +13,12 @@ from .data import (
     Dataset,
     SplitSpec,
     Standardizer,
-    StormRecord,
     chronological_split,
     cross_validation_folds,
     day_of_year_cos,
     load_grid_csv,
     load_station_csv,
+    read_csv,
     wind_direction_components,
 )
 from .evidential import (
@@ -53,6 +53,7 @@ from .spatial import (
     bilinear_to_stations,
     minmax_normalize,
     spatial_gradient,
+    storm_cubes,
     track_spatial_max,
 )
 from .tune import HyperSpace, TrialConfig, TrialResult, pareto_front, sample, search
@@ -66,12 +67,12 @@ __all__ = [
     "Dataset",
     "SplitSpec",
     "Standardizer",
-    "StormRecord",
     "chronological_split",
     "cross_validation_folds",
     "day_of_year_cos",
     "load_grid_csv",
     "load_station_csv",
+    "read_csv",
     "wind_direction_components",
     "EvidentialModel",
     "NIGParams",
@@ -102,6 +103,7 @@ __all__ = [
     "bilinear_to_stations",
     "minmax_normalize",
     "spatial_gradient",
+    "storm_cubes",
     "track_spatial_max",
     "HyperSpace",
     "TrialConfig",

@@ -32,10 +32,35 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype=obj["dtype"]).reshape(obj["shape"])
+def _decode_array(parent, key: str, where: str) -> np.ndarray:
+    try:
+        obj = parent[key]
+        raw = base64.b64decode(obj["data"])
+        arr = np.frombuffer(raw, dtype=obj["dtype"]).reshape(obj["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"artifact field {where} is not an encoded array ({exc!r})") from None
     return arr.astype(float)  # writable copy in native order
+
+
+# JSON types an artifact field may hold; bool is never a number here
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: ((int,), "an integer"),
+    list: ((list,), "a list"),
+}
+
+
+def _field(payload: dict, where: str, kind):
+    """The value at dotted path ``where``, which must be of ``kind``."""
+    value = payload
+    for name in where.split("."):
+        if not isinstance(value, dict) or name not in value:
+            raise UsageError(f"artifact field {where} is missing")
+        value = value[name]
+    types, label = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise UsageError(f"artifact field {where} must be {label}, got {type(value).__name__}")
+    return value
 
 
 def save_model(model: EvidentialModel, path) -> None:
@@ -75,46 +100,57 @@ def save_model(model: EvidentialModel, path) -> None:
 
 
 def load_model(path) -> EvidentialModel:
+    """Read an artifact; a missing or mistyped field is a usage error that
+    names it."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FORMAT_NAME:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: artifact is not valid JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise UsageError(f"{path}: not a {FORMAT_NAME} artifact")
     if payload.get("version") != FORMAT_VERSION:
         raise UsageError(
             f"{path}: unsupported artifact version {payload.get('version')}"
         )
-    net = payload["network"]
-    layers = [
-        Layer(weights=_decode_array(l["weights"]), bias=_decode_array(l["bias"]))
-        for l in net["layers"]
-    ]
-    mlp = MLP(
-        layers=layers,
-        dropout=net["dropout"],
-        l1=net["l1"],
-        l2=net["l2"],
-        leaky_slope=net["leaky_slope"],
-    )
-    tc = payload["train_config"]
-    config = TrainConfig(
-        learning_rate=tc["learning_rate"],
-        batch_size=tc["batch_size"],
-        max_epochs=tc["max_epochs"],
-        patience=tc["patience"],
-        evidential_coef=tc["evidential_coef"],
-        seed=tc["seed"],
-    )
-    std = payload.get("standardizer")
-    standardizer = None
-    if std is not None:
-        standardizer = Standardizer(
-            offset=_decode_array(std["offset"]),
-            scale=_decode_array(std["scale"]),
-            passthrough=np.asarray(std["passthrough"], dtype=bool),
+    try:
+        layers = [
+            Layer(
+                weights=_decode_array(layer, "weights", f"network.layers[{i}].weights"),
+                bias=_decode_array(layer, "bias", f"network.layers[{i}].bias"),
+            )
+            for i, layer in enumerate(_field(payload, "network.layers", list))
+        ]
+        network = {
+            k: _field(payload, f"network.{k}", float)
+            for k in ("dropout", "l1", "l2", "leaky_slope")
+        }
+        config = TrainConfig(
+            **{k: _field(payload, f"train_config.{k}", float)
+               for k in ("learning_rate", "evidential_coef")},
+            **{k: _field(payload, f"train_config.{k}", int)
+               for k in ("batch_size", "max_epochs", "patience", "seed")},
         )
+        std = payload.get("standardizer")
+        standardizer = None
+        if std is not None:
+            standardizer = Standardizer(
+                offset=_decode_array(std, "offset", "standardizer.offset"),
+                scale=_decode_array(std, "scale", "standardizer.scale"),
+                passthrough=np.asarray(
+                    _field(payload, "standardizer.passthrough", list), dtype=bool
+                ),
+            )
+        names = payload.get("feature_names")
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+        ):
+            raise UsageError("artifact field feature_names must be a list of strings")
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     return EvidentialModel(
-        mlp=mlp,
+        mlp=MLP(layers=layers, **network),
         train_config=config,
-        feature_names=payload.get("feature_names"),
+        feature_names=names,
         standardizer=standardizer,
     )

@@ -10,8 +10,8 @@ produce identical outputs. Failures exit nonzero with a one-line
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import itertools
 import json
 import sys
 import warnings
@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import artifact, data, evidential, metrics, spatial, tune, xai
-from .errors import DegenerateInputWarning, GustUQError, IngestError, UsageError
-from .fileio import fmt, write_csv, write_json
+from .errors import DegenerateInputWarning, GustUQError, UsageError
+from .fileio import fmt, fmt_column, write_csv, write_json
 from .nncore import TrainConfig
 
 COMMON_DEFAULTS = {
@@ -194,16 +194,6 @@ def _split_counts(opts: dict, n_storms: int) -> tuple[int, int, int]:
     return train_n, val_n, test_n
 
 
-def _detect_schema(path) -> str:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-    if "station_id" in header:
-        return "station"
-    if "row" in header and "col" in header:
-        return "grid"
-    raise IngestError(f"{path}: header matches neither the station nor the grid schema")
-
-
 def _check_feature_names(model: evidential.EvidentialModel, names: list[str]) -> None:
     if model.feature_names is not None and list(model.feature_names) != list(names):
         raise UsageError(
@@ -211,17 +201,6 @@ def _check_feature_names(model: evidential.EvidentialModel, names: list[str]) ->
             f"artifact expects [{', '.join(model.feature_names)}], "
             f"data provides [{', '.join(names)}]"
         )
-
-
-def _read_csv_rows(path, required: list[str]) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: empty file without header")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise UsageError(f"{path}: missing columns {', '.join(missing)}")
-        return list(reader)
 
 
 # ---------------------------------------------------------------------------
@@ -322,138 +301,69 @@ def cmd_train(opts: dict) -> None:
 # predict
 
 
-def _prediction_rows(ds, pset: metrics.PredictionSet, levels, id_columns) -> tuple[list[str], list[list]]:
-    header = [*id_columns, "mean", "aleatoric_sd", "epistemic_sd", "total_sd"]
+def _prediction_rows(
+    ids: dict, pset: metrics.PredictionSet, levels
+) -> tuple[list[str], list[tuple]]:
+    """Header and rows of a predictions file: the ``ids`` text columns, then
+    the prediction columns."""
+    header = [*ids, "mean", "aleatoric_sd", "epistemic_sd", "total_sd"]
+    columns = [*ids.values()]
+    columns += map(fmt_column, (pset.mean, pset.aleatoric_sd, pset.epistemic_sd, pset.total_sd))
     for level in levels:
         label = _level_label(level)
         header += [f"lower_{label}", f"upper_{label}"]
+        columns += map(fmt_column, pset.interval(float(level)))
     header.append("highly_uncertain")
-    bounds = [pset.interval(float(level)) for level in levels]
-    rows = []
-    for i in range(len(pset)):
-        row = []
-        for col in id_columns:
-            if col == "storm_id":
-                row.append(ds.storm_ids[i])
-            elif col == "timestamp_utc":
-                row.append(data.format_timestamp(ds.timestamps[i]))
-            elif col == "station_id":
-                row.append(ds.station_ids[i])
-            elif col == "row":
-                row.append(int(ds.grid_rows[i]))
-            elif col == "col":
-                row.append(int(ds.grid_cols[i]))
-            elif col == "lat":
-                row.append(fmt(ds.lats[i]))
-            elif col == "lon":
-                row.append(fmt(ds.lons[i]))
-        row += [
-            fmt(pset.mean[i]),
-            fmt(pset.aleatoric_sd[i]),
-            fmt(pset.epistemic_sd[i]),
-            fmt(pset.total_sd[i]),
-        ]
-        for lower, upper in bounds:
-            row += [fmt(lower[i]), fmt(upper[i])]
-        row.append(int(pset.flagged[i]) if pset.flagged is not None else 0)
-        rows.append(row)
-    return header, rows
-
-
-def _grid_fields_by_storm(
-    storm_ids: np.ndarray,
-    timestamps: np.ndarray,
-    grid_rows: np.ndarray,
-    grid_cols: np.ndarray,
-    cell_lats: np.ndarray,
-    cell_lons: np.ndarray,
-    values: np.ndarray,
-):
-    """Reassemble long-format rows into per-storm, per-hour grid fields."""
-    result: dict[str, list] = {}
-    for storm in sorted(set(storm_ids.tolist())):
-        sel = np.flatnonzero(storm_ids == storm)
-        rows_idx = grid_rows[sel]
-        cols_idx = grid_cols[sel]
-        n_rows = int(rows_idx.max()) + 1
-        n_cols = int(cols_idx.max()) + 1
-        lats = np.full(n_rows, np.nan)
-        lons = np.full(n_cols, np.nan)
-        lats[rows_idx] = cell_lats[sel]
-        lons[cols_idx] = cell_lons[sel]
-        if np.any(np.isnan(lats)) or np.any(np.isnan(lons)):
-            raise IngestError(
-                f"storm {storm}: some grid row/col indices never appear, "
-                "cannot reconstruct the raster axes"
-            )
-        series = []
-        for ts in np.unique(timestamps[sel]):
-            at = sel[timestamps[sel] == ts]
-            grid_values = np.full((n_rows, n_cols), np.nan)
-            valid = np.zeros((n_rows, n_cols), dtype=bool)
-            grid_values[grid_rows[at], grid_cols[at]] = values[at]
-            valid[grid_rows[at], grid_cols[at]] = True
-            series.append(
-                (ts, spatial.GridField(lats=lats, lons=lons, values=grid_values, valid=valid))
-            )
-        result[storm] = series
-    return result
-
-
-def _dataset_fields_by_storm(ds, values: np.ndarray):
-    return _grid_fields_by_storm(
-        ds.storm_ids, ds.timestamps, ds.grid_rows, ds.grid_cols, ds.lats, ds.lons, values
-    )
+    flagged = np.zeros(len(pset), dtype=bool) if pset.flagged is None else pset.flagged
+    columns.append(flagged.astype(int).tolist())
+    return header, list(zip(*columns))
 
 
 def cmd_predict(opts: dict) -> None:
     _require(opts, "data", "model", "out")
     out = _out_dir(opts)
     model = artifact.load_model(opts["model"])
-    schema = _detect_schema(opts["data"])
+    ds = data.load_features_csv(opts["data"])
+    _check_feature_names(model, ds.feature_names)
     levels = opts["levels"]
+    pset = metrics.PredictionSet.from_decomposition(
+        model.predict(ds.features), levels, opts["mask_percentile"]
+    )
+    storms, times = ds.storm_ids.tolist(), data.format_timestamps(ds.timestamps)
+    lats, lons = fmt_column(ds.lats), fmt_column(ds.lons)
 
-    if schema == "station":
-        ds = data.load_station_csv(opts["data"], require_target=False)
-        _check_feature_names(model, ds.feature_names)
-        pset = metrics.PredictionSet.from_decomposition(
-            model.predict(ds.features), levels, opts["mask_percentile"]
-        )
+    if ds.station_ids is not None:
         header, rows = _prediction_rows(
-            ds, pset, levels, ["station_id", "timestamp_utc", "storm_id", "lat", "lon"]
+            {"station_id": ds.station_ids.tolist(), "timestamp_utc": times,
+             "storm_id": storms, "lat": lats, "lon": lons},
+            pset, levels,
         )
         write_csv(out / "predictions.csv", header, rows)
         print(f"wrote {out / 'predictions.csv'}")
         return
 
-    ds = data.load_grid_csv(opts["data"])
-    _check_feature_names(model, ds.feature_names)
-    pset = metrics.PredictionSet.from_decomposition(
-        model.predict(ds.features), levels, opts["mask_percentile"]
-    )
     header, rows = _prediction_rows(
-        ds, pset, levels, ["storm_id", "timestamp_utc", "row", "col", "lat", "lon"]
+        {"storm_id": storms, "timestamp_utc": times, "row": ds.grid_rows.tolist(),
+         "col": ds.grid_cols.tolist(), "lat": lats, "lon": lons},
+        pset, levels,
     )
     write_csv(out / "grid_predictions.csv", header, rows)
+    del storms, times, lats, lons, rows  # free the text before the cubes are built
 
-    # hourly spatial gradient of the mean prediction field
-    mean_fields = _dataset_fields_by_storm(ds, pset.mean)
+    # hourly spatial gradient of the mean prediction field; cells in (t, r, c) order
+    cells = (ds.storm_ids, ds.timestamps, ds.grid_rows, ds.grid_cols, ds.lats, ds.lons)
+    mean_cubes = spatial.storm_cubes(*cells, pset.mean)
     gradient_rows = []
-    for storm, series in mean_fields.items():
-        for ts, grid in series:
-            gradient = spatial.spatial_gradient(grid)
-            for r in range(gradient.shape[0]):
-                for c in range(gradient.shape[1]):
-                    if gradient.valid[r, c]:
-                        gradient_rows.append(
-                            [
-                                storm,
-                                data.format_timestamp(ts),
-                                fmt(gradient.lats[r]),
-                                fmt(gradient.lons[c]),
-                                fmt(gradient.values[r, c]),
-                            ]
-                        )
+    for storm, (hours, field) in mean_cubes.items():
+        gradient = spatial.spatial_gradient(field)
+        t, r, c = np.nonzero(gradient.valid)
+        gradient_rows += zip(
+            itertools.repeat(storm),
+            data.format_timestamps(hours[t]),
+            fmt_column(gradient.lats[r]),
+            fmt_column(gradient.lons[c]),
+            fmt_column(gradient.values[t, r, c]),
+        )
     write_csv(
         out / "gradient_mean.csv",
         ["storm_id", "time", "lat", "lon", "gradient"],
@@ -461,25 +371,22 @@ def cmd_predict(opts: dict) -> None:
     )
 
     # storm-duration cell averages of mean and total sd, min-max normalized
-    sd_fields = _dataset_fields_by_storm(ds, pset.total_sd)
+    sd_cubes = spatial.storm_cubes(*cells, pset.total_sd)
     norm_rows = []
-    for storm in mean_fields:
-        mean_avg = _average_fields([g for _, g in mean_fields[storm]])
-        sd_avg = _average_fields([g for _, g in sd_fields[storm]])
+    for storm, (_, field) in mean_cubes.items():
+        mean_avg = _average_fields(field)
+        sd_avg = _average_fields(sd_cubes[storm][1])
         norm_mean = _safe_normalize(mean_avg, f"storm {storm} mean field")
         norm_sd = _safe_normalize(sd_avg, f"storm {storm} total-sd field")
-        for r in range(mean_avg.shape[0]):
-            for c in range(mean_avg.shape[1]):
-                if mean_avg.valid[r, c]:
-                    norm_rows.append(
-                        [
-                            storm,
-                            fmt(mean_avg.lats[r]),
-                            fmt(mean_avg.lons[c]),
-                            "" if norm_mean is None else fmt(norm_mean.values[r, c]),
-                            "" if norm_sd is None else fmt(norm_sd.values[r, c]),
-                        ]
-                    )
+        r, c = np.nonzero(mean_avg.valid)
+        blank = itertools.repeat("")
+        norm_rows += zip(
+            itertools.repeat(storm),
+            fmt_column(mean_avg.lats[r]),
+            fmt_column(mean_avg.lons[c]),
+            blank if norm_mean is None else fmt_column(norm_mean.values[r, c]),
+            blank if norm_sd is None else fmt_column(norm_sd.values[r, c]),
+        )
     write_csv(
         out / "normalized_fields.csv",
         ["storm_id", "lat", "lon", "mean_norm", "total_sd_norm"],
@@ -488,21 +395,21 @@ def cmd_predict(opts: dict) -> None:
     print(f"wrote {out / 'grid_predictions.csv'}")
 
 
-def _average_fields(fields: list[spatial.GridField]) -> spatial.GridField:
-    """Cell-wise mean over hours; a cell is valid if valid in any hour."""
-    stack = np.stack([f.values for f in fields])
-    valid = np.stack([f.valid for f in fields])
-    count = valid.sum(axis=0)
-    total = np.where(valid, stack, 0.0).sum(axis=0)
+def _average_fields(field: spatial.GridField) -> spatial.GridField:
+    """Cell-wise mean over the hours of a cube; a cell is valid if valid in
+    any hour."""
+    count = field.valid.sum(axis=0)
+    total = np.where(field.valid, field.values, 0.0).sum(axis=0)
     out_valid = count > 0
-    values = np.full(fields[0].shape, np.nan)
+    values = np.full(out_valid.shape, np.nan)
     np.divide(total, count, out=values, where=out_valid)
-    return fields[0].with_values(values, valid=out_valid)
+    return field.with_values(values, valid=out_valid)
 
 
-def _safe_normalize(grid: spatial.GridField, what: str):
+def _safe_normalize(values, what: str):
+    """``minmax_normalize`` of a field or an array, or None with a warning."""
     try:
-        return spatial.minmax_normalize(grid)
+        return spatial.minmax_normalize(values)
     except UsageError:
         warnings.warn(f"{what} is constant; normalization skipped", DegenerateInputWarning)
         return None
@@ -516,38 +423,37 @@ def cmd_evaluate(opts: dict) -> None:
     _require(opts, "pred", "data", "out")
     out = _out_dir(opts)
     levels = opts["levels"]
-    pred_rows = _read_csv_rows(
+    pred = data.read_csv(
         opts["pred"],
-        ["station_id", "timestamp_utc", "mean", "aleatoric_sd", "epistemic_sd", "total_sd"],
+        {"station_id": data.id_column, "timestamp_utc": data.time_column,
+         **dict.fromkeys(["mean", "aleatoric_sd", "epistemic_sd", "total_sd"], data.float_column)},
+        key=("station_id", "timestamp_utc"),
+        exact=False,
     )
-    if not pred_rows:
+    if len(pred["mean"]) == 0:
         raise UsageError(f"{opts['pred']}: no prediction rows")
     obs_ds = data.load_station_csv(opts["data"], require_target=True)
-    obs_map = {
-        (str(obs_ds.station_ids[i]), data.format_timestamp(obs_ds.timestamps[i])): float(
-            obs_ds.gust[i]
+    obs_index = {
+        key: i
+        for i, key in enumerate(
+            zip(obs_ds.station_ids.tolist(), obs_ds.timestamps.view(np.int64).tolist())
         )
-        for i in range(len(obs_ds))
     }
-
-    joined = []
-    unmatched = []
-    for row in pred_rows:
-        key = (row["station_id"], row["timestamp_utc"])
-        if key in obs_map:
-            joined.append((row, obs_map[key]))
-        else:
-            unmatched.append(key)
-    if not joined:
-        sample = "; ".join(f"{sid}@{ts}" for sid, ts in unmatched[:10])
+    keys = zip(pred["station_id"].tolist(), pred["timestamp_utc"].view(np.int64).tolist())
+    match = np.fromiter((obs_index.get(k, -1) for k in keys), np.int64, len(pred["mean"]))
+    joined = match >= 0
+    if not np.any(joined):
+        sample = "; ".join(
+            f"{pred['station_id'][i]}@{data.format_timestamp(pred['timestamp_utc'][i])}"
+            for i in np.flatnonzero(~joined)[:10]
+        )
         raise UsageError(f"no predictions matched observations; first unmatched keys: {sample}")
 
-    mean = np.array([float(r["mean"]) for r, _ in joined])
-    alea = np.array([float(r["aleatoric_sd"]) for r, _ in joined])
-    epis = np.array([float(r["epistemic_sd"]) for r, _ in joined])
-    total = np.array([float(r["total_sd"]) for r, _ in joined])
-    obs = np.array([g for _, g in joined])
-    stations = np.array([r["station_id"] for r, _ in joined])
+    mean, alea, epis, total = (
+        pred[c][joined] for c in ("mean", "aleatoric_sd", "epistemic_sd", "total_sd")
+    )
+    obs = obs_ds.gust[match[joined]]
+    stations = pred["station_id"][joined]
 
     flagged, threshold = metrics.mask_highly_uncertain(total, opts["mask_percentile"])
     pset = metrics.PredictionSet(
@@ -677,27 +583,25 @@ def cmd_explain(opts: dict) -> None:
 def cmd_spatial(opts: dict) -> None:
     _require(opts, "pred", "data", "out")
     out = _out_dir(opts)
-    pred_rows = _read_csv_rows(
-        opts["pred"], ["storm_id", "timestamp_utc", "row", "col", "lat", "lon", "total_sd"]
+    kinds = {"storm_id": data.id_column, "timestamp_utc": data.time_column,
+             "row": data.index_column, "col": data.index_column,
+             **dict.fromkeys(["lat", "lon", "total_sd"], data.float_column)}
+    pred = data.read_csv(
+        opts["pred"], kinds, key=("storm_id", "timestamp_utc", "row", "col"), exact=False
     )
-    if not pred_rows:
+    if len(pred["total_sd"]) == 0:
         raise UsageError(f"{opts['pred']}: no prediction rows")
     feature_ds = data.load_grid_csv(opts["data"])
     ws_index = feature_ds.feature_names.index("WS_10m")
 
-    uq_fields = _grid_fields_by_storm(
-        np.array([r["storm_id"] for r in pred_rows]),
-        np.array([data.parse_timestamp(r["timestamp_utc"]) for r in pred_rows],
-                 dtype="datetime64[s]"),
-        np.array([int(r["row"]) for r in pred_rows]),
-        np.array([int(r["col"]) for r in pred_rows]),
-        np.array([float(r["lat"]) for r in pred_rows]),
-        np.array([float(r["lon"]) for r in pred_rows]),
-        np.array([float(r["total_sd"]) for r in pred_rows]),
+    uq_cubes = spatial.storm_cubes(*(pred[c] for c in kinds))
+    ws_cubes = spatial.storm_cubes(
+        feature_ds.storm_ids, feature_ds.timestamps, feature_ds.grid_rows,
+        feature_ds.grid_cols, feature_ds.lats, feature_ds.lons,
+        feature_ds.features[:, ws_index],
     )
-    ws_fields = _dataset_fields_by_storm(feature_ds, feature_ds.features[:, ws_index])
 
-    storms = sorted(set(uq_fields) & set(ws_fields))
+    storms = sorted(set(uq_cubes) & set(ws_cubes))
     if not storms:
         raise UsageError("prediction and feature files share no storms")
 
@@ -705,11 +609,15 @@ def cmd_spatial(opts: dict) -> None:
     series_rows = []
     alignment: dict[str, dict[str, float]] = {}
     for storm in storms:
-        ws_track = spatial.track_spatial_max(ws_fields[storm])
-        uq_track = spatial.track_spatial_max(uq_fields[storm])
+        ws_track = spatial.track_spatial_max(*ws_cubes[storm])
+        uq_track = spatial.track_spatial_max(*uq_cubes[storm])
         uq_index = {p.time: k for k, p in enumerate(uq_track)}
-        ws_norm = _normalize_or_none(np.array([p.value for p in ws_track]))
-        uq_norm = _normalize_or_none(np.array([p.value for p in uq_track]))
+        ws_norm = _safe_normalize(
+            np.array([p.value for p in ws_track]), f"storm {storm} wind max series"
+        )
+        uq_norm = _safe_normalize(
+            np.array([p.value for p in uq_track]), f"storm {storm} uq max series"
+        )
         for i, p in enumerate(ws_track):
             k = uq_index.get(p.time)
             q = uq_track[k] if k is not None else None
@@ -754,14 +662,6 @@ def cmd_spatial(opts: dict) -> None:
     )
     write_json(out / "alignment.json", alignment)
     print(f"wrote {out / 'alignment.json'}")
-
-
-def _normalize_or_none(values: np.ndarray):
-    try:
-        return spatial.minmax_normalize(values)
-    except UsageError:
-        warnings.warn("constant max series; normalization skipped", DegenerateInputWarning)
-        return None
 
 
 # ---------------------------------------------------------------------------

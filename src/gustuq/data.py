@@ -10,12 +10,14 @@ becomes a cosine-transformed day of year, cos(2*pi*(t-1)/365).
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputWarning, IngestError, UsageError
+from .fileio import fmt_column, write_csv
 
 # Derived feature vector, in model-input order.
 FEATURE_NAMES = [
@@ -53,20 +55,9 @@ GRID_COLUMNS = ["storm_id", "timestamp_utc", "row", "col", "lat", "lon",
 
 STORM_WINDOW_HOURS = 48
 
-MAX_REPORTED_ROW_ERRORS = 10
-
-
-@dataclass
-class StormRecord:
-    """One ingested row: identity, coordinates, derived features, target."""
-
-    storm_id: str
-    timestamp: np.datetime64
-    station_id: str | None
-    lat: float
-    lon: float
-    features: np.ndarray  # len(FEATURE_NAMES)
-    gust: float | None
+# Rows the reader converts per numpy call per column: large enough that the
+# per-block cost vanishes, small enough that a block's strings stay a few MB.
+BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -105,19 +96,6 @@ class Dataset:
             grid_cols=pick(self.grid_cols),
         )
 
-    def record(self, i: int) -> StormRecord:
-        return StormRecord(
-            storm_id=str(self.storm_ids[i]),
-            timestamp=self.timestamps[i],
-            station_id=None if self.station_ids is None else str(self.station_ids[i]),
-            lat=float(self.lats[i]),
-            lon=float(self.lons[i]),
-            features=self.features[i],
-            gust=None
-            if self.gust is None or not np.isfinite(self.gust[i])
-            else float(self.gust[i]),
-        )
-
     def storm_start_times(self) -> dict[str, np.datetime64]:
         starts: dict[str, np.datetime64] = {}
         for sid, ts in zip(self.storm_ids, self.timestamps):
@@ -141,6 +119,12 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 def format_timestamp(ts: np.datetime64) -> str:
     return str(np.datetime64(ts, "s")) + "Z"
+
+
+def format_timestamps(timestamps: np.ndarray) -> list[str]:
+    """``format_timestamp`` over a whole column."""
+    text = np.datetime_as_string(np.asarray(timestamps, dtype="datetime64[s]"), unit="s")
+    return np.char.add(text, "Z").tolist()
 
 
 def day_of_year_cos(timestamps: np.ndarray) -> np.ndarray:
@@ -185,15 +169,16 @@ def _derive_features(raw: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_header(header: list[str], required: list[str], optional: list[str]) -> None:
-    seen = set(header)
-    missing = [c for c in required if c not in seen]
+def _check_header(path, header: list[str], required: list[str], optional, exact: bool) -> None:
+    missing = [c for c in required if c not in header]
+    if missing and not exact:
+        raise UsageError(f"{path}: missing columns {', '.join(missing)}")
     if missing:
         raise IngestError(f"missing required columns: {', '.join(missing)}")
     unknown = [c for c in header if c not in required and c not in optional]
-    if unknown:
+    if exact and unknown:
         raise IngestError(f"unknown columns: {', '.join(unknown)}")
-    if len(seen) != len(header):
+    if exact and len(set(header)) != len(header):
         raise IngestError("duplicate column names in header")
 
 
@@ -207,51 +192,171 @@ def _check_storm_windows(storm_ids: np.ndarray, timestamps: np.ndarray) -> None:
             )
 
 
-def _load_csv(path, columns: list[str], optional: list[str], parse_row):
-    """Shared CSV loop: header check, row parsing, first-10 error reporting."""
-    row_errors: list[tuple[int, str]] = []
-    parsed = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: empty file without header")
-        _check_header(list(reader.fieldnames), columns, optional)
-        for line_no, row in enumerate(reader, start=2):
+# Column kinds of the reader: each turns one block of a column's strings into
+# an array and raises ValueError (TypeError or AttributeError for the None
+# that pads a short row) if any value of the block is bad.
+
+
+def id_column(texts) -> np.ndarray:
+    ids = [t.strip() for t in texts]
+    if not all(ids):
+        raise ValueError("empty id")
+    return np.asarray(ids, dtype=str)
+
+
+def time_column(texts) -> np.ndarray:
+    """Timestamps, each distinct string parsed once."""
+    seconds = {t: parse_timestamp(t).astype(np.int64) for t in set(texts)}
+    return np.fromiter(map(seconds.__getitem__, texts), np.int64, len(texts)).view(
+        "datetime64[s]"
+    )
+
+
+def float_column(texts) -> np.ndarray:
+    return np.fromiter(map(float, texts), float, len(texts))
+
+
+def index_column(texts) -> np.ndarray:
+    out = np.fromiter(map(int, texts), np.int64, len(texts))
+    if np.any(out < 0):
+        raise ValueError("negative grid index")
+    return out
+
+
+def _finite_column(texts) -> np.ndarray:
+    out = float_column(texts)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("non-finite feature value")
+    return out
+
+
+def _degrees_column(texts) -> np.ndarray:
+    out = _finite_column(texts)
+    if not np.all((out >= 0.0) & (out <= 360.0)):
+        raise ValueError("wind_dir_deg outside [0, 360]")
+    return out
+
+
+_FEATURE_KINDS = {c: _finite_column for c in RAW_FEATURE_COLUMNS}
+_FEATURE_KINDS["wind_dir_deg"] = _degrees_column
+
+
+def _row_error(parse_row, header: list[str], row: list) -> str | None:
+    try:
+        parse_row(dict(zip(header, row)))
+    except (TypeError, AttributeError):  # a None field of a short row
+        return "missing fields"
+    except (ValueError, KeyError) as exc:
+        return str(exc)
+    return None
+
+
+def _convert_each(columns: dict):
+    """Row-wise error reporter for a plain column spec."""
+
+    def parse_row(row):
+        for name, convert in columns.items():
             try:
-                parsed.append(parse_row(row))
-            except (ValueError, KeyError, TypeError) as exc:
-                # TypeError covers short rows, where DictReader fills None
-                message = "missing fields" if isinstance(exc, TypeError) else str(exc)
-                if len(row_errors) < MAX_REPORTED_ROW_ERRORS:
-                    row_errors.append((line_no, message))
-                else:
-                    row_errors.append((line_no, ""))
+                convert([row[name]])
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
+    return parse_row
+
+
+def _reject_duplicates(path, names, keys: list[np.ndarray]) -> None:
+    """Raise naming each row whose key columns repeat an earlier row."""
+    order = np.lexsort(keys[::-1])  # stable: equal keys stay in file order
+    same = np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in keys])
+    if not np.any(same):
+        return
+    n = len(order)
+    first = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(n), 0))
+    later = np.flatnonzero(np.r_[False, same])
+    pairs = sorted(zip(order[later].tolist(), order[first[later]].tolist()))
+    raise IngestError(
+        f"{path}: {len(pairs)} duplicate ({', '.join(names)}) rows",
+        [(i + 2, f"same key as line {j + 2}") for i, j in pairs],
+    )
+
+
+def read_csv(path, columns: dict, parse_row=None, *, optional=(), key=(), exact=True):
+    """The one CSV reader: the named columns of a delimited file as arrays.
+
+    ``columns`` maps each column to its kind (see ``id_column``); a column in
+    ``optional`` that the header lacks reads as empty strings. With ``exact``
+    the header holds exactly these columns, otherwise other columns may be
+    present and a missing one is a usage error. Rows are converted in blocks
+    of ``BLOCK_ROWS``, one numpy conversion per column per block. Only a block
+    that fails is passed row by row through ``parse_row`` (by default each
+    kind on its own value), which names the first 10 malformed lines. Rows
+    whose ``key`` columns repeat an earlier row are rejected the same way.
+    Blank lines are skipped and not counted.
+    """
+    if parse_row is None:
+        parse_row = _convert_each(columns)
+    required = [c for c in columns if c not in optional]
+    parts = {name: [convert([])] for name, convert in columns.items()}
+    row_errors: list[tuple[int, str]] = []
+    line = 2
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file without header")
+        _check_header(path, header, required, optional, exact)
+        where = {name: i for i, name in enumerate(header)}
+        width = len(header)
+        while chunk := list(itertools.islice(reader, BLOCK_ROWS)):
+            block = [r if len(r) >= width else r + [None] * (width - len(r)) for r in chunk if r]
+            if not block:
+                continue
+            texts = list(zip(*block))
+            absent = ("",) * len(block)
+            try:
+                for name, convert in columns.items():
+                    parts[name].append(convert(texts[where[name]] if name in where else absent))
+            except (ValueError, TypeError, AttributeError):
+                errors = [
+                    (line + k, msg)
+                    for k, row in enumerate(block)
+                    if (msg := _row_error(parse_row, header, row)) is not None
+                ]
+                if not errors:
+                    raise
+                row_errors += errors
+            line += len(block)
     if row_errors:
-        raise IngestError(
-            f"{path}: {len(row_errors)} malformed rows", row_errors
-        )
-    return parsed
+        raise IngestError(f"{path}: {len(row_errors)} malformed rows", row_errors)
+    table = {name: np.concatenate(arrays) for name, arrays in parts.items()}
+    if key:
+        _reject_duplicates(path, key, [table[k] for k in key])
+    return table
+
+
+def _parse_features(row) -> None:
+    """Row-wise checks of the coordinates and raw feature columns."""
+    float(row["lat"])
+    float(row["lon"])
+    raw = [float(row[c]) for c in RAW_FEATURE_COLUMNS]
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("non-finite feature value")
+    if not 0.0 <= raw[5] <= 360.0:
+        raise ValueError(f"wind_dir_deg {raw[5]} outside [0, 360]")
 
 
 def load_station_csv(path, require_target: bool = True) -> Dataset:
     """Load station records; rows without a gust target are rejected unless
-    ``require_target`` is off (inference mode)."""
+    ``require_target`` is off (inference mode). A repeated (station_id,
+    timestamp_utc) pair is an error."""
 
     def parse_row(row):
-        storm_id = row["storm_id"].strip()
-        if not storm_id:
+        if not row["storm_id"].strip():
             raise ValueError("empty storm_id")
-        ts = parse_timestamp(row["timestamp_utc"])
-        station = row["station_id"].strip()
-        if not station:
+        parse_timestamp(row["timestamp_utc"])
+        if not row["station_id"].strip():
             raise ValueError("empty station_id")
-        lat = float(row["lat"])
-        lon = float(row["lon"])
-        raw = [float(row[c]) for c in RAW_FEATURE_COLUMNS]
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("non-finite feature value")
-        if not 0.0 <= raw[5] <= 360.0:
-            raise ValueError(f"wind_dir_deg {raw[5]} outside [0, 360]")
+        _parse_features(row)
         gust_text = (row.get(TARGET_COLUMN) or "").strip()
         if gust_text:
             gust = float(gust_text)
@@ -259,80 +364,73 @@ def load_station_csv(path, require_target: bool = True) -> Dataset:
                 raise ValueError(f"gust_obs must be finite and >= 0, got {gust}")
         elif require_target:
             raise ValueError("missing gust_obs")
-        else:
-            gust = np.nan
-        return storm_id, ts, station, lat, lon, raw, gust
 
-    rows = _load_csv(path, STATION_COLUMNS, [TARGET_COLUMN], parse_row)
-    if not rows:
-        return Dataset(
-            storm_ids=np.empty(0, dtype="U1"),
-            timestamps=np.empty(0, dtype="datetime64[s]"),
-            lats=np.empty(0),
-            lons=np.empty(0),
-            features=np.empty((0, len(FEATURE_NAMES))),
-            gust=np.empty(0),
-            station_ids=np.empty(0, dtype="U1"),
-        )
-    storm_ids = np.asarray([r[0] for r in rows])
-    timestamps = np.asarray([r[1] for r in rows], dtype="datetime64[s]")
-    raw = np.asarray([r[5] for r in rows], dtype=float)
-    _check_storm_windows(storm_ids, timestamps)
-    return Dataset(
-        storm_ids=storm_ids,
-        timestamps=timestamps,
-        lats=np.asarray([r[3] for r in rows], dtype=float),
-        lons=np.asarray([r[4] for r in rows], dtype=float),
-        features=_derive_features(raw, timestamps),
-        gust=np.asarray([r[6] for r in rows], dtype=float),
-        station_ids=np.asarray([r[2] for r in rows]),
+    def gust_column(texts):
+        texts = [(t or "").strip() for t in texts]
+        present = np.fromiter(map(bool, texts), bool, len(texts))
+        gust = np.fromiter((float(t) if t else np.nan for t in texts), float, len(texts))
+        if require_target and not np.all(present):
+            raise ValueError("missing gust_obs")
+        if not np.all(np.isfinite(gust[present]) & (gust[present] >= 0)):
+            raise ValueError("gust_obs must be finite and >= 0")
+        return gust
+
+    table = read_csv(
+        path,
+        {"storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
+         "lat": float_column, "lon": float_column, **_FEATURE_KINDS, TARGET_COLUMN: gust_column},
+        parse_row,
+        optional=[TARGET_COLUMN],
+        key=("station_id", "timestamp_utc"),
     )
+    return _dataset(table, gust=table[TARGET_COLUMN], station_ids=table["station_id"])
 
 
 def load_grid_csv(path) -> Dataset:
-    """Load gridded feature rows (one row per cell per hour)."""
+    """Load gridded feature rows (one row per cell per hour); a repeated
+    (storm_id, timestamp_utc, row, col) cell is an error."""
 
     def parse_row(row):
-        storm_id = row["storm_id"].strip()
-        if not storm_id:
+        if not row["storm_id"].strip():
             raise ValueError("empty storm_id")
-        ts = parse_timestamp(row["timestamp_utc"])
-        r = int(row["row"])
-        c = int(row["col"])
-        if r < 0 or c < 0:
+        parse_timestamp(row["timestamp_utc"])
+        if min(int(row["row"]), int(row["col"])) < 0:
             raise ValueError("negative grid index")
-        lat = float(row["lat"])
-        lon = float(row["lon"])
-        raw = [float(row[c2]) for c2 in RAW_FEATURE_COLUMNS]
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("non-finite feature value")
-        if not 0.0 <= raw[5] <= 360.0:
-            raise ValueError(f"wind_dir_deg {raw[5]} outside [0, 360]")
-        return storm_id, ts, r, c, lat, lon, raw
+        _parse_features(row)
 
-    rows = _load_csv(path, GRID_COLUMNS, [], parse_row)
-    if not rows:
-        return Dataset(
-            storm_ids=np.empty(0, dtype="U1"),
-            timestamps=np.empty(0, dtype="datetime64[s]"),
-            lats=np.empty(0),
-            lons=np.empty(0),
-            features=np.empty((0, len(FEATURE_NAMES))),
-            grid_rows=np.empty(0, dtype=int),
-            grid_cols=np.empty(0, dtype=int),
-        )
-    storm_ids = np.asarray([r[0] for r in rows])
-    timestamps = np.asarray([r[1] for r in rows], dtype="datetime64[s]")
-    raw = np.asarray([r[6] for r in rows], dtype=float)
+    table = read_csv(
+        path,
+        {"storm_id": id_column, "timestamp_utc": time_column, "row": index_column,
+         "col": index_column, "lat": float_column, "lon": float_column, **_FEATURE_KINDS},
+        parse_row,
+        key=("storm_id", "timestamp_utc", "row", "col"),
+    )
+    return _dataset(table, grid_rows=table["row"], grid_cols=table["col"])
+
+
+def load_features_csv(path) -> Dataset:
+    """Station or grid rows, told apart by the header; station rows need no
+    gust target."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), [])
+    if "station_id" in header:
+        return load_station_csv(path, require_target=False)
+    if "row" in header and "col" in header:
+        return load_grid_csv(path)
+    raise IngestError(f"{path}: header matches neither the station nor the grid schema")
+
+
+def _dataset(table: dict, **extra) -> Dataset:
+    storm_ids, timestamps = table["storm_id"], table["timestamp_utc"]
     _check_storm_windows(storm_ids, timestamps)
+    raw = np.column_stack([table[c] for c in RAW_FEATURE_COLUMNS])
     return Dataset(
         storm_ids=storm_ids,
         timestamps=timestamps,
-        lats=np.asarray([r[4] for r in rows], dtype=float),
-        lons=np.asarray([r[5] for r in rows], dtype=float),
+        lats=table["lat"],
+        lons=table["lon"],
         features=_derive_features(raw, timestamps),
-        grid_rows=np.asarray([r[2] for r in rows], dtype=int),
-        grid_cols=np.asarray([r[3] for r in rows], dtype=int),
+        **extra,
     )
 
 
@@ -346,23 +444,17 @@ def write_station_csv(dataset: Dataset, path, raw_features: np.ndarray | None = 
         raise UsageError("write_station_csv needs a station dataset")
     if raw_features is None:
         raise UsageError("write_station_csv needs the raw feature columns")
-    header = [*STATION_COLUMNS, TARGET_COLUMN]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(dataset)):
-            gust = dataset.gust[i] if dataset.gust is not None else np.nan
-            writer.writerow(
-                [
-                    dataset.storm_ids[i],
-                    format_timestamp(dataset.timestamps[i]),
-                    dataset.station_ids[i],
-                    repr(float(dataset.lats[i])),
-                    repr(float(dataset.lons[i])),
-                    *[repr(float(v)) for v in raw_features[i]],
-                    "" if not np.isfinite(gust) else repr(float(gust)),
-                ]
-            )
+    gust = np.full(len(dataset), np.nan) if dataset.gust is None else dataset.gust
+    columns = [
+        dataset.storm_ids.tolist(),
+        format_timestamps(dataset.timestamps),
+        dataset.station_ids.tolist(),
+        fmt_column(dataset.lats),
+        fmt_column(dataset.lons),
+        *(fmt_column(raw_features[:, j]) for j in range(raw_features.shape[1])),
+        [repr(g) if np.isfinite(g) else "" for g in gust.tolist()],
+    ]
+    write_csv(path, [*STATION_COLUMNS, TARGET_COLUMN], list(zip(*columns)))
 
 
 @dataclass

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 
 @contextmanager
@@ -33,11 +34,6 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-def write_text(path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
-
-
 def write_json(path, payload) -> None:
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
@@ -53,7 +49,9 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def fmt(value) -> str:
     """Render a float for delimited output; round-trips exactly via repr."""
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
+    return repr(float(value))
+
+
+def fmt_column(values) -> list[str]:
+    """``fmt`` over a whole float column."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))

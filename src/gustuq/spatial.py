@@ -3,26 +3,26 @@ grid-to-station bilinear interpolation.
 
 Grids are regular lat/lon rasters with strictly monotone axes in degrees and
 an optional validity mask (ocean cells, for instance, are simply marked
-invalid). Gradient distances are computed in raw degrees, matching the
-neighbor formula used for the gust-gradient maps, so values depend on the
-grid convention rather than on geodesic distance.
+invalid). A storm's hourly fields are one [T, rows, cols] cube. Gradient
+distances are computed in raw degrees, matching the neighbor formula used
+for the gust-gradient maps, so values depend on the grid convention rather
+than on geodesic distance.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputWarning, DomainError, UsageError
-from .fileio import atomic_open, fmt
+from .errors import DegenerateInputWarning, DomainError, IngestError, UsageError
 
 
 @dataclass
 class GridField:
-    """One scalar per cell on a regular lat/lon raster.
+    """One scalar per cell on a regular lat/lon raster, or a [T, rows, cols]
+    cube of them, one raster per hour.
 
     ``valid`` is True where the cell participates in statistics; invalid
     cells are excluded from maxima, normalization, and interpolation.
@@ -30,7 +30,7 @@ class GridField:
 
     lats: np.ndarray  # [rows], strictly monotone, degrees
     lons: np.ndarray  # [cols], strictly monotone, degrees
-    values: np.ndarray  # [rows, cols]
+    values: np.ndarray  # [rows, cols] or [T, rows, cols]
     valid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -43,7 +43,9 @@ class GridField:
             steps = np.diff(axis)
             if axis.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
                 raise UsageError(f"{name} must be strictly monotone")
-        if self.values.shape != (self.lats.size, self.lons.size):
+        if self.values.ndim not in (2, 3) or self.values.shape[-2:] != (
+            self.lats.size, self.lons.size
+        ):
             raise UsageError(
                 f"values shape {self.values.shape} does not match axes "
                 f"({self.lats.size}, {self.lons.size})"
@@ -56,7 +58,7 @@ class GridField:
                 raise UsageError("validity mask shape does not match values")
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
     def with_values(self, values: np.ndarray, valid: np.ndarray | None = None) -> "GridField":
@@ -70,13 +72,14 @@ class GridField:
 
 def spatial_gradient(grid: GridField) -> GridField:
     """Mean absolute value difference to the four nearest neighbors, each
-    divided by the degree distance to that neighbor.
+    divided by the degree distance to that neighbor; a cube is done hour by
+    hour.
 
     Boundary cells average over their existing neighbors; invalid neighbors
     are skipped and a cell with no valid neighbor (or invalid itself) comes
     out masked.
     """
-    rows, cols = grid.shape
+    rows, cols = grid.shape[-2:]
     if rows < 2 or cols < 2:
         raise UsageError("spatial gradient needs a grid of at least 2x2 cells")
     v = grid.values
@@ -85,22 +88,22 @@ def spatial_gradient(grid: GridField) -> GridField:
     count = np.zeros_like(v)
 
     d_lat = np.abs(np.diff(grid.lats))[:, None]  # distance row i <-> i+1
-    pair = np.abs(v[1:, :] - v[:-1, :]) / d_lat
-    pair_ok = ok[1:, :] & ok[:-1, :]
+    pair = np.abs(v[..., 1:, :] - v[..., :-1, :]) / d_lat
+    pair_ok = ok[..., 1:, :] & ok[..., :-1, :]
     contrib = np.where(pair_ok, pair, 0.0)
-    total[:-1, :] += contrib
-    count[:-1, :] += pair_ok
-    total[1:, :] += contrib
-    count[1:, :] += pair_ok
+    total[..., :-1, :] += contrib
+    count[..., :-1, :] += pair_ok
+    total[..., 1:, :] += contrib
+    count[..., 1:, :] += pair_ok
 
     d_lon = np.abs(np.diff(grid.lons))[None, :]  # distance col j <-> j+1
-    pair = np.abs(v[:, 1:] - v[:, :-1]) / d_lon
-    pair_ok = ok[:, 1:] & ok[:, :-1]
+    pair = np.abs(v[..., 1:] - v[..., :-1]) / d_lon
+    pair_ok = ok[..., 1:] & ok[..., :-1]
     contrib = np.where(pair_ok, pair, 0.0)
-    total[:, :-1] += contrib
-    count[:, :-1] += pair_ok
-    total[:, 1:] += contrib
-    count[:, 1:] += pair_ok
+    total[..., :-1] += contrib
+    count[..., :-1] += pair_ok
+    total[..., 1:] += contrib
+    count[..., 1:] += pair_ok
 
     out_valid = ok & (count > 0)
     out = np.full_like(v, np.nan)
@@ -112,8 +115,8 @@ def minmax_normalize(values):
     """Affine rescale to [0, 1]: (V - Vmin) / (Vmax - Vmin).
 
     Accepts a plain array or a :class:`GridField`; for a field the extrema
-    come from valid cells only. A constant input has no well-defined scaling
-    and raises.
+    come from valid cells only (of every hour, for a cube). A constant input
+    has no well-defined scaling and raises.
     """
     if isinstance(values, GridField):
         masked = values.values[values.valid]
@@ -146,35 +149,65 @@ class TrackPoint:
     col: int
 
 
-def track_spatial_max(series) -> list[TrackPoint]:
+def track_spatial_max(times, field: GridField) -> list[TrackPoint]:
     """Per-hour maximum over unmasked cells, ties broken row-major first.
 
-    ``series`` is an iterable of ``(time, GridField)`` pairs; hours with no
-    valid cell are skipped with a warning.
+    ``field`` is a [T, rows, cols] cube and ``times`` its T hours; hours with
+    no valid cell are skipped with a warning.
     """
+    times = np.asarray(times, dtype="datetime64[s]")
+    if field.values.ndim != 3 or times.shape != field.shape[:1]:
+        raise UsageError("track_spatial_max needs T times and a [T, rows, cols] field")
+    if times.size == 0:
+        raise UsageError("track_spatial_max needs a nonempty series")
+    flat = np.where(field.valid, field.values, -np.inf).reshape(times.size, -1)
+    rows, cols = np.unravel_index(np.argmax(flat, axis=1), field.shape[1:])
     track: list[TrackPoint] = []
-    n_seen = 0
-    for time, grid in series:
-        n_seen += 1
-        if not np.any(grid.valid):
+    for k, (time, r, c) in enumerate(zip(times, rows.tolist(), cols.tolist())):
+        if not np.any(field.valid[k]):
             warnings.warn(f"hour {time}: all cells masked, skipped", DegenerateInputWarning)
             continue
-        masked = np.where(grid.valid, grid.values, -np.inf)
-        flat = int(np.argmax(masked))
-        r, c = np.unravel_index(flat, grid.shape)
         track.append(
             TrackPoint(
-                time=np.datetime64(time, "s"),
-                value=float(grid.values[r, c]),
-                lat=float(grid.lats[r]),
-                lon=float(grid.lons[c]),
-                row=int(r),
-                col=int(c),
+                time=time,
+                value=float(field.values[k, r, c]),
+                lat=float(field.lats[r]),
+                lon=float(field.lons[c]),
+                row=r,
+                col=c,
             )
         )
-    if n_seen == 0:
-        raise UsageError("track_spatial_max needs a nonempty series")
     return track
+
+
+def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
+    """Scatter long-format cell rows into one cube per storm.
+
+    Returns ``{storm: (times, field)}`` in storm order, with ``times`` the
+    storm's distinct hours in order and ``field`` the [T, rows, cols] cube
+    of ``values``; cells without a row stay masked. Each cell must appear at
+    most once per hour.
+    """
+    cubes = {}
+    for storm in sorted(set(storm_ids.tolist())):
+        sel = np.flatnonzero(storm_ids == storm)
+        r, c = rows[sel], cols[sel]
+        lat_axis = np.full(int(r.max()) + 1, np.nan)
+        lon_axis = np.full(int(c.max()) + 1, np.nan)
+        lat_axis[r] = lats[sel]
+        lon_axis[c] = lons[sel]
+        if np.any(np.isnan(lat_axis)) or np.any(np.isnan(lon_axis)):
+            raise IngestError(
+                f"storm {storm}: some grid row/col indices never appear, "
+                "cannot reconstruct the raster axes"
+            )
+        times, t = np.unique(timestamps[sel], return_inverse=True)
+        cube = np.full((times.size, lat_axis.size, lon_axis.size), np.nan)
+        valid = np.zeros(cube.shape, dtype=bool)
+        cube[t, r, c] = values[sel]
+        valid[t, r, c] = True
+        cubes[storm] = (times, GridField(lats=lat_axis, lons=lon_axis, values=cube, valid=valid))
+    return cubes
 
 
 def alignment_fraction(
@@ -241,6 +274,8 @@ def bilinear_to_stations(
     value was used instead. Stations outside the grid hull raise a domain
     error naming them.
     """
+    if grid.values.ndim != 2:
+        raise UsageError("bilinear interpolation needs a single [rows, cols] field")
     lats, lons, values, valid = _ascending(grid)
     if lats.size < 2 or lons.size < 2:
         raise UsageError("bilinear interpolation needs a grid of at least 2x2 cells")
@@ -276,73 +311,3 @@ def bilinear_to_stations(
             f"stations outside the grid hull: {', '.join(outside[:10])}"
         )
     return out, fallback
-
-
-def write_grid_series(path, series) -> None:
-    """Long-format grid output: one row per valid cell per hour."""
-    from .data import format_timestamp
-
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "lat", "lon", "value"])
-        for time, grid in series:
-            stamp = format_timestamp(np.datetime64(time, "s"))
-            for r in range(grid.shape[0]):
-                for c in range(grid.shape[1]):
-                    if grid.valid[r, c]:
-                        writer.writerow(
-                            [stamp, fmt(grid.lats[r]), fmt(grid.lons[c]), fmt(grid.values[r, c])]
-                        )
-
-
-def read_grid_series(path) -> list[tuple[np.datetime64, GridField]]:
-    """Rebuild a grid series from the long format; absent cells come back
-    masked."""
-    from .data import parse_timestamp
-
-    rows: list[tuple[np.datetime64, float, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"time", "lat", "lon", "value"}:
-            raise UsageError(f"{path}: expected columns time, lat, lon, value")
-        for row in reader:
-            rows.append(
-                (
-                    parse_timestamp(row["time"]),
-                    float(row["lat"]),
-                    float(row["lon"]),
-                    float(row["value"]),
-                )
-            )
-    if not rows:
-        raise UsageError(f"{path}: no grid rows")
-    lats = np.unique([r[1] for r in rows])
-    lons = np.unique([r[2] for r in rows])
-    lat_index = {v: i for i, v in enumerate(lats)}
-    lon_index = {v: j for j, v in enumerate(lons)}
-    series: dict[np.datetime64, GridField] = {}
-    for time, lat, lon, value in rows:
-        if time not in series:
-            series[time] = GridField(
-                lats=lats,
-                lons=lons,
-                values=np.full((lats.size, lons.size), np.nan),
-                valid=np.zeros((lats.size, lons.size), dtype=bool),
-            )
-        grid = series[time]
-        grid.values[lat_index[lat], lon_index[lon]] = value
-        grid.valid[lat_index[lat], lon_index[lon]] = True
-    return sorted(series.items(), key=lambda kv: kv[0])
-
-
-def write_station_values(path, rows) -> None:
-    """Station output rows: (station_id, time, value, fallback_flag)."""
-    from .data import format_timestamp
-
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "time", "value", "fallback"])
-        for station_id, time, value, flag in rows:
-            writer.writerow(
-                [station_id, format_timestamp(np.datetime64(time, "s")), fmt(value), int(flag)]
-            )

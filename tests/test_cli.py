@@ -211,6 +211,80 @@ def test_predict_rejects_leaky_slope_outside_unit_interval(pipeline, tmp_path, c
     assert err.startswith("config-error: leaky_slope must be in (0, 1)")
 
 
+def test_predict_artifact_missing_field_is_usage_error(pipeline, tmp_path, capsys):
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    del payload["network"]["dropout"]
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(payload))
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("usage-error:")
+    assert "artifact field network.dropout is missing" in err
+
+
+def test_predict_artifact_wrong_type_is_usage_error(pipeline, tmp_path, capsys):
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    payload["network"]["leaky_slope"] = "0.1"
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(payload))
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("usage-error:")
+    assert "artifact field network.leaky_slope must be a number, got str" in err
+
+
+@pytest.mark.parametrize("source", ["station_csv", "grid_csv"])
+@pytest.mark.parametrize("variant", ["quoted", "bom"])
+def test_predict_header_variants_give_identical_output(pipeline, tmp_path, source, variant):
+    plain = Path(pipeline[source])
+    header, body = plain.read_text().split("\n", 1)
+    if variant == "quoted":
+        header = ",".join(f'"{name}"' for name in header.split(","))
+    else:
+        header = "\ufeff" + header
+    edited = tmp_path / plain.name
+    edited.write_text(header + "\n" + body, encoding="utf-8")
+    outputs = []
+    for data_csv, tag in ((plain, "plain"), (edited, variant)):
+        out = tmp_path / tag
+        assert run("predict", "--model", pipeline["model"], "--data", data_csv,
+                   "--out", out) == 0
+        outputs.append(out)
+    names = sorted(f.name for f in outputs[0].iterdir())
+    assert names == sorted(f.name for f in outputs[1].iterdir())
+    for name in names:
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+
+def test_predict_unknown_schema_is_ingest_error(pipeline, tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n1,2\n")
+    code = run("predict", "--model", pipeline["model"], "--data", other,
+               "--out", tmp_path / "pred")
+    assert code == 2
+    assert "neither the station nor the grid schema" in capsys.readouterr().err
+
+
+def test_predict_duplicate_observation_row_is_ingest_error(pipeline, tmp_path, capsys):
+    rows = station_rows(n_storms=5, n_stations=3, n_hours=8, seed=14)
+    rows.append(list(rows[10]))  # 121 rows over 120 keys
+    dup = tmp_path / "dup.csv"
+    write_station_file(dup, rows=rows)
+    code = run("predict", "--model", pipeline["model"], "--data", dup,
+               "--out", tmp_path / "pred")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error:")
+    assert "line 122: same key as line 12" in err
+    assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -276,6 +350,32 @@ def test_evaluate_empty_join_lists_keys(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage-error:")
     assert "unmatched" in err
+
+
+def test_evaluate_rejects_duplicate_keys(pipeline, tmp_path, capsys):
+    pred_out = tmp_path / "pred"
+    assert run("predict", "--model", pipeline["model"], "--data",
+               pipeline["station_csv"], "--out", pred_out) == 0
+    # one duplicated observation row
+    obs_rows = station_rows(n_storms=5, n_stations=3, n_hours=8, seed=14)
+    obs_rows.append(list(obs_rows[10]))
+    dup_obs = tmp_path / "dup_obs.csv"
+    write_station_file(dup_obs, rows=obs_rows)
+    code = run("evaluate", "--pred", pred_out / "predictions.csv", "--data", dup_obs,
+               "--out", tmp_path / "eval")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error:") and "line 122: same key as line 12" in err
+    # one duplicated prediction row
+    lines = (pred_out / "predictions.csv").read_text().splitlines(keepends=True)
+    dup_pred = tmp_path / "dup_pred.csv"
+    dup_pred.write_text("".join(lines + [lines[3]]))
+    code = run("evaluate", "--pred", dup_pred, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "eval")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error:") and "line 122: same key as line 4" in err
+    assert not (tmp_path / "eval").exists() or not any((tmp_path / "eval").iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +469,32 @@ def test_spatial_missing_total_sd_is_usage_error(pipeline, tmp_path, capsys):
                "--out", tmp_path / "out")
     assert code != 0
     assert capsys.readouterr().err.startswith("usage-error:")
+
+
+def test_spatial_rejects_duplicate_cells(pipeline, tmp_path, capsys):
+    pred_csv = tmp_path / "gp.csv"
+    make_grid_predictions_csv(pred_csv, pipeline["grid_csv"])
+    # an injected 500 m/s duplicate cell in the feature file
+    rows = grid_rows(n_storms=1, n_rows=5, n_cols=6, n_hours=4, seed=2)
+    hot = list(rows[7])
+    hot[6] = "500.0"
+    rows.append(hot)
+    dup_grid = tmp_path / "dup_grid.csv"
+    write_grid_file(dup_grid, rows=rows)
+    code = run("spatial", "--pred", pred_csv, "--data", dup_grid, "--out", tmp_path / "s1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error:") and "line 122: same key as line 9" in err
+    assert not (tmp_path / "s1" / "max_tracks.csv").exists()
+    # and a duplicated cell in the predictions file
+    lines = pred_csv.read_text().splitlines(keepends=True)
+    dup_pred = tmp_path / "dup_pred.csv"
+    dup_pred.write_text("".join(lines + [lines[5]]))
+    code = run("spatial", "--pred", dup_pred, "--data", pipeline["grid_csv"],
+               "--out", tmp_path / "s2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error:") and "line 122: same key as line 6" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gustuq import data
 from gustuq.data import (
+    BLOCK_ROWS,
     FEATURE_NAMES,
+    Dataset,
     Standardizer,
     chronological_split,
     cross_validation_folds,
     day_of_year_cos,
     derive_hourly_gusts,
     filter_bounding_box,
+    load_grid_csv,
     load_station_csv,
     parse_timestamp,
     wind_direction_components,
@@ -17,7 +22,7 @@ from gustuq.data import (
 )
 from gustuq.errors import DegenerateInputWarning, IngestError, UsageError
 
-from synth import RAW_HEADER, station_rows, write_station_file
+from synth import RAW_HEADER, grid_rows, station_rows, write_grid_file, write_station_file
 
 
 @pytest.fixture
@@ -129,6 +134,106 @@ def test_round_trip_is_bitwise(tmp_path, station_file):
     assert np.array_equal(ds.timestamps, ds2.timestamps)
     assert ds.storm_ids.tolist() == ds2.storm_ids.tolist()
     assert ds.station_ids.tolist() == ds2.station_ids.tolist()
+
+
+def test_very_short_row_reported_as_ingest_error(tmp_path):
+    rows = station_rows(n_storms=1, n_stations=1, n_hours=3)
+    rows[2] = rows[2][:1]  # only storm_id left
+    path = tmp_path / "short.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError, match="line 4: missing fields"):
+        load_station_csv(path)
+
+
+def test_bad_rows_in_later_blocks_report_their_lines(tmp_path):
+    rows = station_rows(n_storms=10, n_stations=20, n_hours=24)  # 4,800 rows
+    assert BLOCK_ROWS + 200 < len(rows)
+    rows[5][-1] = "-2.0"
+    rows[BLOCK_ROWS + 100][10] = "400.0"
+    path = tmp_path / "bad.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError) as err:
+        load_station_csv(path)
+    assert err.value.row_errors == [
+        (7, "gust_obs must be finite and >= 0, got -2.0"),
+        (BLOCK_ROWS + 102, "wind_dir_deg 400.0 outside [0, 360]"),
+    ]
+
+
+def test_duplicate_station_key_rejected(tmp_path):
+    rows = station_rows(n_storms=5, n_stations=3, n_hours=8)  # 120 rows
+    rows.append(list(rows[10]))
+    path = tmp_path / "dup.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError, match="line 122: same key as line 12") as err:
+        load_station_csv(path)
+    assert "(station_id, timestamp_utc)" in str(err.value)
+    assert len(err.value.row_errors) == 1
+
+
+def test_duplicate_grid_cell_rejected(tmp_path):
+    rows = grid_rows(n_storms=1, n_rows=4, n_cols=5, n_hours=3)
+    hot = list(rows[7])
+    hot[6] = "500.0"  # a WS_10m that would become the storm maximum
+    rows.append(hot)
+    path = tmp_path / "dup.csv"
+    write_grid_file(path, rows=rows)
+    with pytest.raises(IngestError, match="line 62: same key as line 9"):
+        load_grid_csv(path)
+
+
+def test_every_duplicate_named_once(tmp_path):
+    rows = station_rows(n_storms=1, n_stations=2, n_hours=10)
+    rows += [list(r) for r in rows[:12]]  # lines 22-33 repeat lines 2-13
+    path = tmp_path / "dup.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError) as err:
+        load_station_csv(path)
+    assert err.value.row_errors == [(22 + k, f"same key as line {2 + k}") for k in range(12)]
+    assert str(err.value).count(": same key") == 10  # only the first 10 carry detail
+
+
+def synthetic_stations(n: int, seed: int) -> tuple[Dataset, np.ndarray]:
+    """n station rows, 50 stations per hour, storms of 24 hours, raw features
+    with full float precision and some missing gusts."""
+    rng = np.random.default_rng(seed)
+    hour = np.arange(n) // 50
+    timestamps = np.datetime64("2020-03-01T00:00:00", "s") + hour.astype("timedelta64[h]")
+    raw = rng.uniform(-5.0, 30.0, size=(n, len(data.RAW_FEATURE_COLUMNS)))
+    raw[:, 5] = rng.uniform(0.0, 360.0, size=n)
+    gust = np.where(rng.uniform(size=n) < 0.1, np.nan, rng.uniform(0.0, 40.0, size=n))
+    ds = Dataset(
+        storm_ids=np.array([f"S{h // 24:02d}" for h in hour], dtype=str),
+        timestamps=timestamps,
+        lats=rng.uniform(40.0, 43.0, size=n),
+        lons=rng.uniform(-75.0, -71.0, size=n),
+        features=data._derive_features(raw, timestamps),
+        gust=gust,
+        station_ids=np.array([f"ST{i % 50:02d}" for i in range(n)], dtype=str),
+    )
+    return ds, raw
+
+
+@given(
+    n=st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=10, deadline=None)
+def test_ingest_round_trip_across_block_sizes(tmp_path_factory, n, seed):
+    ds, raw = synthetic_stations(n, seed)
+    path = tmp_path_factory.mktemp("rt") / "stations.csv"
+    write_station_csv(ds, path, raw_features=raw)
+    back = load_station_csv(path, require_target=False)
+    assert len(back) == n
+    assert back.storm_ids.tolist() == ds.storm_ids.tolist()
+    assert back.station_ids.tolist() == ds.station_ids.tolist()
+    assert np.array_equal(back.timestamps, ds.timestamps)
+    assert np.array_equal(back.lats, ds.lats) and np.array_equal(back.lons, ds.lons)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.gust, ds.gust, equal_nan=True)
+    again = path.with_name("again.csv")
+    write_station_csv(back, again, raw_features=raw)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gustuq.errors import DegenerateInputWarning, DomainError, UsageError
+from gustuq.errors import DegenerateInputWarning, DomainError, IngestError, UsageError
 from gustuq.spatial import (
     GridField,
     StationSet,
     alignment_fraction,
     bilinear_to_stations,
     minmax_normalize,
-    read_grid_series,
     spatial_gradient,
+    storm_cubes,
     track_spatial_max,
-    write_grid_series,
 )
 
 
@@ -76,6 +77,18 @@ def test_gradient_masked_neighborhood():
     assert not grad.valid[0, 1]  # invalid cells stay invalid
 
 
+def test_gradient_of_cube_is_gradient_of_each_hour():
+    rng = np.random.default_rng(9)
+    lats, lons = lonlat_grid(4, 6)
+    values = rng.normal(size=(3, 4, 6))
+    valid = rng.uniform(size=(3, 4, 6)) > 0.2
+    cube = spatial_gradient(GridField(lats=lats, lons=lons, values=values, valid=valid))
+    for k in range(3):
+        hour_k = spatial_gradient(GridField(lats=lats, lons=lons, values=values[k], valid=valid[k]))
+        assert np.array_equal(cube.valid[k], hour_k.valid)
+        assert np.array_equal(cube.values[k], hour_k.values, equal_nan=True)
+
+
 def test_gradient_requires_2x2():
     with pytest.raises(UsageError):
         spatial_gradient(GridField(lats=np.array([1.0]), lons=np.array([1.0, 2.0]),
@@ -127,14 +140,15 @@ def hour(h):
     return np.datetime64("2021-03-01T00:00:00", "s") + np.timedelta64(h * 3600, "s")
 
 
+def hours(n):
+    return np.array([hour(h) for h in range(n)])
+
+
 def test_track_single_hot_cell():
     lats, lons = lonlat_grid(4, 4)
-    series = []
-    for h in range(3):
-        values = np.zeros((4, 4))
-        values[2, 1] = 5.0
-        series.append((hour(h), GridField(lats=lats, lons=lons, values=values)))
-    track = track_spatial_max(series)
+    values = np.zeros((3, 4, 4))
+    values[:, 2, 1] = 5.0
+    track = track_spatial_max(hours(3), GridField(lats=lats, lons=lons, values=values))
     assert len(track) == 3
     for p in track:
         assert (p.row, p.col) == (2, 1)
@@ -144,31 +158,38 @@ def test_track_single_hot_cell():
 
 def test_track_tie_breaks_row_major():
     lats, lons = lonlat_grid(3, 3)
-    values = np.zeros((3, 3))
-    values[1, 2] = 7.0
-    values[2, 0] = 7.0  # same max, later in row-major order
-    track = track_spatial_max([(hour(0), GridField(lats=lats, lons=lons, values=values))])
+    values = np.zeros((1, 3, 3))
+    values[0, 1, 2] = 7.0
+    values[0, 2, 0] = 7.0  # same max, later in row-major order
+    track = track_spatial_max(hours(1), GridField(lats=lats, lons=lons, values=values))
     assert (track[0].row, track[0].col) == (1, 2)
 
 
 def test_track_skips_masked_hours():
     lats, lons = lonlat_grid(2, 2)
-    good = GridField(lats=lats, lons=lons, values=np.ones((2, 2)))
-    bad = GridField(lats=lats, lons=lons, values=np.ones((2, 2)),
-                    valid=np.zeros((2, 2), dtype=bool))
+    valid = np.ones((3, 2, 2), dtype=bool)
+    valid[1] = False  # hour 1 fully masked
+    field = GridField(lats=lats, lons=lons, values=np.ones((3, 2, 2)), valid=valid)
     with pytest.warns(DegenerateInputWarning):
-        track = track_spatial_max([(hour(0), good), (hour(1), bad), (hour(2), good)])
+        track = track_spatial_max(hours(3), field)
     assert [p.time for p in track] == [hour(0), hour(2)]
+
+
+def test_track_needs_a_cube_and_its_hours():
+    lats, lons = lonlat_grid(2, 2)
+    with pytest.raises(UsageError):
+        track_spatial_max(hours(1), GridField(lats=lats, lons=lons, values=np.ones((2, 2))))
+    with pytest.raises(UsageError):
+        track_spatial_max(hours(2), GridField(lats=lats, lons=lons, values=np.ones((3, 2, 2))))
+    with pytest.raises(UsageError):
+        track_spatial_max(hours(0), GridField(lats=lats, lons=lons, values=np.ones((0, 2, 2))))
 
 
 def test_track_normalized_series_same_peak_hour():
     rng = np.random.default_rng(3)
     lats, lons = lonlat_grid(4, 5)
-    series = [
-        (hour(h), GridField(lats=lats, lons=lons, values=rng.normal(size=(4, 5))))
-        for h in range(8)
-    ]
-    track = track_spatial_max(series)
+    field = GridField(lats=lats, lons=lons, values=rng.normal(size=(8, 4, 5)))
+    track = track_spatial_max(hours(8), field)
     values = np.array([p.value for p in track])
     norm = minmax_normalize(values)
     assert np.argmax(norm) == np.argmax(values)
@@ -181,35 +202,29 @@ def test_track_normalized_series_same_peak_hour():
 def test_alignment_identical_fields_is_one_at_zero():
     rng = np.random.default_rng(4)
     lats, lons = lonlat_grid(4, 4)
-    series = [
-        (hour(h), GridField(lats=lats, lons=lons, values=rng.normal(size=(4, 4))))
-        for h in range(5)
-    ]
-    track = track_spatial_max(series)
+    field = GridField(lats=lats, lons=lons, values=rng.normal(size=(5, 4, 4)))
+    track = track_spatial_max(hours(5), field)
     assert alignment_fraction(track, track, 0) == 1.0
 
 
 def test_alignment_shifted_copy():
     rng = np.random.default_rng(5)
     lats, lons = lonlat_grid(6, 8)
-    series_a, series_b = [], []
+    values = np.zeros((6, 6, 8))
     for h in range(6):
-        values = np.zeros((6, 8))
-        values[2, 1 + h % 3] = 9.0
-        shifted = np.roll(values, 2, axis=1)  # argmax offset by exactly 2 columns
-        series_a.append((hour(h), GridField(lats=lats, lons=lons, values=values)))
-        series_b.append((hour(h), GridField(lats=lats, lons=lons, values=shifted)))
-    track_a = track_spatial_max(series_a)
-    track_b = track_spatial_max(series_b)
+        values[h, 2, 1 + h % 3] = 9.0
+    shifted = np.roll(values, 2, axis=2)  # argmax offset by exactly 2 columns
+    track_a = track_spatial_max(hours(6), GridField(lats=lats, lons=lons, values=values))
+    track_b = track_spatial_max(hours(6), GridField(lats=lats, lons=lons, values=shifted))
     assert alignment_fraction(track_a, track_b, 1) == 0.0
     assert alignment_fraction(track_a, track_b, 2) == 1.0
 
 
 def test_alignment_requires_common_hours():
     lats, lons = lonlat_grid(2, 2)
-    g = GridField(lats=lats, lons=lons, values=np.ones((2, 2)))
-    a = track_spatial_max([(hour(0), g)])
-    b = track_spatial_max([(hour(5), g)])
+    g = GridField(lats=lats, lons=lons, values=np.ones((1, 2, 2)))
+    a = track_spatial_max([hour(0)], g)
+    b = track_spatial_max([hour(5)], g)
     with pytest.raises(UsageError):
         alignment_fraction(a, b, 1)
 
@@ -274,6 +289,14 @@ def test_bilinear_outside_hull_raises():
         bilinear_to_stations(field, stations)
 
 
+def test_bilinear_needs_a_single_field():
+    lats, lons = lonlat_grid(3, 3)
+    cube = GridField(lats=lats, lons=lons, values=np.zeros((2, 3, 3)))
+    stations = StationSet(ids=np.array(["a"]), lats=np.array([lats[1]]), lons=np.array([lons[1]]))
+    with pytest.raises(UsageError):
+        bilinear_to_stations(cube, stations)
+
+
 def test_bilinear_masked_corner_falls_back_with_flag():
     lats, lons = lonlat_grid(3, 3)
     values = np.arange(9.0).reshape(3, 3)
@@ -289,44 +312,84 @@ def test_bilinear_masked_corner_falls_back_with_flag():
 
 
 # ---------------------------------------------------------------------------
-# grid i/o
+# storm cubes
 
 
-def test_grid_series_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    lats, lons = lonlat_grid(3, 4)
-    valid = np.ones((3, 4), dtype=bool)
-    valid[1, 1] = False
-    series = [
-        (hour(h), GridField(lats=lats, lons=lons, values=rng.normal(size=(3, 4)), valid=valid))
-        for h in range(3)
-    ]
-    path = tmp_path / "grid.csv"
-    write_grid_series(path, series)
-    back = read_grid_series(path)
-    assert len(back) == 3
-    for (t0, g0), (t1, g1) in zip(series, back):
-        assert t0 == t1
-        assert np.array_equal(g0.valid, g1.valid)
-        assert np.array_equal(g0.values[g0.valid], g1.values[g1.valid])
+def grid_fields_by_storm(storm_ids, timestamps, grid_rows, grid_cols, cell_lats, cell_lons,
+                         values):
+    """Per-hour reference: one 2-D field per distinct hour, by a mask scan."""
+    result = {}
+    for storm in sorted(set(storm_ids.tolist())):
+        sel = np.flatnonzero(storm_ids == storm)
+        rows_idx = grid_rows[sel]
+        cols_idx = grid_cols[sel]
+        n_rows = int(rows_idx.max()) + 1
+        n_cols = int(cols_idx.max()) + 1
+        lats = np.full(n_rows, np.nan)
+        lons = np.full(n_cols, np.nan)
+        lats[rows_idx] = cell_lats[sel]
+        lons[cols_idx] = cell_lons[sel]
+        if np.any(np.isnan(lats)) or np.any(np.isnan(lons)):
+            raise IngestError(f"storm {storm}: some grid row/col indices never appear")
+        series = []
+        for ts in np.unique(timestamps[sel]):
+            at = sel[timestamps[sel] == ts]
+            grid_values = np.full((n_rows, n_cols), np.nan)
+            valid = np.zeros((n_rows, n_cols), dtype=bool)
+            grid_values[grid_rows[at], grid_cols[at]] = values[at]
+            valid[grid_rows[at], grid_cols[at]] = True
+            series.append((ts, GridField(lats=lats, lons=lons, values=grid_values, valid=valid)))
+        result[storm] = series
+    return result
 
 
-def test_station_values_schema(tmp_path):
-    from gustuq.spatial import write_station_values
-
-    path = tmp_path / "stations.csv"
-    write_station_values(
-        path,
-        [("ALB", hour(0), 12.5, False), ("JFK", hour(0), 9.0, True)],
+def random_cells(seed: int, n_storms: int):
+    """Sparse long-format cells of up to four hours per storm, shuffled; every
+    row and column index of a storm appears at least once."""
+    rng = np.random.default_rng(seed)
+    cells = set()
+    for s in range(n_storms):
+        n_t, n_r, n_c = rng.integers(1, 5), rng.integers(2, 6), rng.integers(2, 6)
+        cells |= {(s, int(rng.integers(n_t)), r, int(rng.integers(n_c))) for r in range(n_r)}
+        cells |= {(s, int(rng.integers(n_t)), int(rng.integers(n_r)), c) for c in range(n_c)}
+        every = np.argwhere(rng.uniform(size=(n_t, n_r, n_c)) < rng.uniform())
+        cells |= {(s, int(t), int(r), int(c)) for t, r, c in every}
+    cells = np.array(sorted(cells))[rng.permutation(len(cells))]
+    storm, t, r, c = cells.T
+    start = np.datetime64("2020-01-01T00:00:00", "s")
+    return (
+        np.array([f"G{k:02d}" for k in storm]),
+        start + (storm * 120 + t * 3).astype("timedelta64[h]"),
+        r,
+        c,
+        41.0 + 0.25 * r,
+        -74.0 + 0.25 * c,
+        rng.normal(size=len(cells)),
     )
-    import csv
 
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["station_id", "time", "value", "fallback"]
-    assert rows[0]["station_id"] == "ALB"
-    assert rows[1]["fallback"] == "1"
-    assert float(rows[0]["value"]) == 12.5
+
+@given(seed=st.integers(0, 2**32 - 1), n_storms=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_storm_cubes_match_per_hour_reference(seed, n_storms):
+    columns = random_cells(seed, n_storms)
+    cubes = storm_cubes(*columns)
+    reference = grid_fields_by_storm(*columns)
+    assert list(cubes) == list(reference)
+    for storm, series in reference.items():
+        times, cube = cubes[storm]
+        assert cube.shape == (len(series), *series[0][1].shape)
+        assert times.tolist() == [ts for ts, _ in series]
+        for k, (_, grid) in enumerate(series):
+            assert np.array_equal(cube.lats, grid.lats) and np.array_equal(cube.lons, grid.lons)
+            assert np.array_equal(cube.valid[k], grid.valid)
+            assert np.array_equal(cube.values[k], grid.values, equal_nan=True)
+
+
+def test_storm_cubes_need_every_axis_index():
+    columns = list(random_cells(0, 1))
+    columns[2] = columns[2] + 1  # row 0 now never appears
+    with pytest.raises(IngestError, match="never appear"):
+        storm_cubes(*columns)
 
 
 def test_grid_field_validation():
