@@ -14,7 +14,6 @@ from .data import (
     SplitSpec,
     Standardizer,
     chronological_split,
-    cross_validation_folds,
     day_of_year_cos,
     load_grid_csv,
     load_station_csv,
@@ -68,7 +67,6 @@ __all__ = [
     "SplitSpec",
     "Standardizer",
     "chronological_split",
-    "cross_validation_folds",
     "day_of_year_cos",
     "load_grid_csv",
     "load_station_csv",

@@ -1,9 +1,10 @@
 """Command-line pipeline: train, predict, evaluate, explain, spatial, tune.
 
-Options resolve with CLI flags overriding config-file entries overriding
-defaults. Every output file is written atomically and all stochastic
-behavior hangs off ``--seed``, so identical invocations on identical inputs
-produce identical outputs. Failures exit nonzero with a one-line
+Each command reads the options that ``COMMANDS`` lists for it; they resolve
+with CLI flags overriding config-file entries overriding defaults, and a
+config-file value passes the same check as flag text. Every output file is
+written atomically and all stochastic behavior hangs off ``--seed``, so
+identical invocations on identical inputs produce identical outputs. Failures exit nonzero with a one-line
 ``<error-class>: <message>`` diagnostic on stderr.
 """
 
@@ -11,11 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,115 +28,153 @@ from .errors import DegenerateInputWarning, GustUQError, UsageError
 from .fileio import fmt, fmt_column, write_csv, write_json
 from .nncore import TrainConfig
 
-COMMON_DEFAULTS = {
-    "config": None,
-    "data": None,
-    "model": None,
-    "out": None,
-    "seed": 0,
-    "levels": list(metrics.DEFAULT_CONFIDENCE_LEVELS),
-    "mask_percentile": metrics.DEFAULT_MASK_PERCENTILE,
+
+class Kind(NamedTuple):
+    """Reads one type of option: ``text`` turns flag text into a value, and
+    ``check`` turns that value, or a config-file value, into the option value.
+    A kind without ``text`` has no flag. Both raise ValueError."""
+
+    text: Callable[[str], object] | None
+    check: Callable[[object], object]
+
+
+def _expect(ok: bool, what: str, value):
+    if not ok:
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
+
+
+def _scalar(cast, what: str, ok) -> Kind:
+    def text(value: str):
+        try:
+            return cast(value)
+        except ValueError:
+            return _expect(False, what, value)
+
+    return Kind(text, lambda value: _expect(ok(value), what, value))
+
+
+INTEGER = _scalar(int, "an integer", lambda v: type(v) is int)
+NUMBER = _scalar(float, "a finite number",
+                 lambda v: type(v) in (int, float) and math.isfinite(v))
+PATH = _scalar(str, "a path", lambda v: isinstance(v, str) and v != "")
+SWITCH = _scalar(bool, "true or false", lambda v: isinstance(v, bool))  # --no-<name> stores False
+
+
+def _items(value, kind: Kind) -> list:
+    """Comma text or a JSON list, each item read as ``kind``."""
+    if isinstance(value, str):
+        value = [kind.text(x) for x in value.split(",") if x.strip()]
+    _expect(isinstance(value, list), "comma text or a list", value)
+    return [kind.check(x) for x in value]
+
+
+def _distinct(kind: Kind):
+    """Check of one or more distinct ``kind`` values."""
+
+    def check(value):
+        items = _items(value, kind)
+        _expect(0 < len(items) == len(set(items)), "one or more distinct values", value)
+        return items
+
+    return check
+
+
+def _split(value) -> tuple:
+    counts = _items(value, INTEGER)
+    ok = len(counts) in (2, 3) and min(counts) >= 0
+    _expect(ok, "2 or 3 storm counts train,val[,test]", value)
+    return (*counts, 0)[:3]  # an omitted test count is 0
+
+
+def _space(value) -> dict:
+    fields = {f.name for f in dataclasses.fields(tune.HyperSpace)}
+    for key, bounds in _expect(isinstance(value, dict), "[low, high] bounds", value).items():
+        _expect(key in fields, "a known hyperparameter", key)
+        _expect(isinstance(bounds, list) and len(bounds) == 2, f"[low, high] for {key}", bounds)
+        for bound in bounds:
+            NUMBER.check(bound)
+    return {key: tuple(bounds) for key, bounds in value.items()}
+
+
+class Option(NamedTuple):
+    default: object
+    kind: Kind
+    help: str
+
+
+# Every option of every command; the flag is "--" and the name with dashes.
+# Paths have no default and are required. COMMANDS lists the options each
+# command reads.
+OPTIONS = {
+    "data": Option(None, PATH, "input CSV"),
+    "model": Option(None, PATH, "model artifact written by train"),
+    "out": Option(None, PATH, "output directory"),
+    "pred": Option(None, PATH, "predictions CSV written by predict"),
+    "seed": Option(0, INTEGER, "master RNG seed"),
+    "levels": Option(list(metrics.DEFAULT_CONFIDENCE_LEVELS), Kind(str, _distinct(NUMBER)),
+                     "comma-separated confidence levels"),
+    "mask_percentile": Option(metrics.DEFAULT_MASK_PERCENTILE, NUMBER,
+                              "total-sd percentile above which predictions are flagged"),
+    "split": Option(None, Kind(str, _split),
+                    "chronological storm counts train,val[,test] (default 60/20/20)"),
+    "hidden_layers": Option(1, INTEGER, "number of hidden layers"),
+    "hidden_neurons": Option(64, INTEGER, "neurons per hidden layer"),
+    "dropout": Option(0.15, NUMBER, "dropout rate"),
+    "l1": Option(0.0, NUMBER, "L1 weight penalty"),
+    "l2": Option(0.0, NUMBER, "L2 weight penalty"),
+    "learning_rate": Option(1e-3, NUMBER, "Adam learning rate"),
+    "batch_size": Option(256, INTEGER, "minibatch size"),
+    "max_epochs": Option(200, INTEGER, "maximum training epochs"),
+    "patience": Option(10, INTEGER, "early-stopping patience in epochs"),
+    "evidential_coef": Option(0.59, NUMBER, "weight of the evidence regularizer"),
+    "exclude_flagged": Option(True, SWITCH, "keep highly uncertain predictions in PICP"),
+    "n_shuffles": Option(10, INTEGER, "permutations per feature"),
+    "pdp_grid": Option(100, INTEGER, "partial-dependence grid points per feature"),
+    "align_k": Option([0, 1, 2, 3], Kind(str, _distinct(INTEGER)),
+                      "comma-separated cell distances for the alignment statistic"),
+    "trials": Option(500, INTEGER, "number of trials"),
+    "scalarization_weight": Option(0.5, NUMBER, "weight of R^2 + PITD skill in the pick"),
+    "space": Option({}, Kind(None, _space), "hyperparameter bounds (config file only)"),
 }
 
-TRAIN_DEFAULTS = {
-    **COMMON_DEFAULTS,
-    "split": None,  # storm counts "train,val,test"; default 60/20/20 by storms
-    "hidden_layers": 1,
-    "hidden_neurons": 64,
-    "dropout": 0.15,
-    "l1": 0.0,
-    "l2": 0.0,
-    "learning_rate": 1e-3,
-    "batch_size": 256,
-    "max_epochs": 200,
-    "patience": 10,
-    "evidential_coef": 0.59,
-}
 
-EXPLAIN_DEFAULTS = {**COMMON_DEFAULTS, "n_shuffles": 10, "pdp_grid": 100}
-
-SPATIAL_DEFAULTS = {**COMMON_DEFAULTS, "pred": None, "align_k": [0, 1, 2, 3]}
-
-EVALUATE_DEFAULTS = {**COMMON_DEFAULTS, "pred": None, "exclude_flagged": True}
-
-TUNE_DEFAULTS = {
-    **COMMON_DEFAULTS,
-    "split": None,
-    "trials": 500,
-    "max_epochs": 200,
-    "patience": 10,
-    "scalarization_weight": 0.5,
-    "space": None,
-}
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other failure
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gustuq",
         description="Evidential wind-gust prediction with calibrated uncertainty",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (handler, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=inspect.unwrap(handler).__doc__)
         p.add_argument("--config", help="JSON config file; flags override its entries")
-        p.add_argument("--data", help="input CSV (station or grid schema)")
-        p.add_argument("--model", help="model artifact path")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--levels", help="comma-separated confidence levels, e.g. 0.70,0.95")
-        p.add_argument("--mask-percentile", type=float, dest="mask_percentile",
-                       help="total-uncertainty percentile above which predictions are flagged")
-
-    p = sub.add_parser("train", help="fit an evidential model on station data")
-    common(p)
-    p.add_argument("--split", help="storm counts train,val,test (chronological)")
-    p.add_argument("--hidden-layers", type=int, dest="hidden_layers")
-    p.add_argument("--hidden-neurons", type=int, dest="hidden_neurons")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--l1", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--evidential-coef", type=float, dest="evidential_coef")
-
-    p = sub.add_parser("predict", help="predict with uncertainty on station or grid data")
-    common(p)
-
-    p = sub.add_parser("evaluate", help="score predictions against observations")
-    common(p)
-    p.add_argument("--pred", help="predictions CSV from the predict command")
-    p.add_argument("--no-exclude-flagged", dest="exclude_flagged",
-                   action="store_false", default=None,
-                   help="keep highly uncertain predictions in PICP")
-
-    p = sub.add_parser("explain", help="permutation importance and partial dependence")
-    common(p)
-    p.add_argument("--n-shuffles", type=int, dest="n_shuffles")
-    p.add_argument("--pdp-grid", type=int, dest="pdp_grid")
-
-    p = sub.add_parser("spatial", help="spatial-max tracking and alignment on grid predictions")
-    common(p)
-    p.add_argument("--pred", help="grid predictions CSV from the predict command")
-    p.add_argument("--align-k", dest="align_k",
-                   help="comma-separated cell distances for the alignment statistic")
-
-    p = sub.add_parser("tune", help="multi-objective random hyperparameter search")
-    common(p)
-    p.add_argument("--split", help="storm counts train,val[,test]")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--scalarization-weight", type=float, dest="scalarization_weight")
+        for name in names:
+            opt, dashed = OPTIONS[name], name.replace("_", "-")
+            if opt.kind is SWITCH:
+                p.add_argument(f"--no-{dashed}", dest=name, action="store_false",
+                               default=None, help=opt.help)
+            elif opt.kind.text is not None:
+                p.add_argument(f"--{dashed}", dest=name, help=opt.help)
     return parser
 
 
-def merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve options: defaults, then config file, then explicit flags."""
-    opts = dict(defaults)
-    cli = {k: v for k, v in vars(args).items() if k != "command"}
-    config_path = cli.get("config")
+def _read(convert, value, where: str):
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from None
+
+
+def merge_options(args: argparse.Namespace, names) -> dict:
+    """Resolve options: defaults, then config file, then explicit flags. A
+    config-file value passes the same check as the text of its flag."""
+    opts = {name: OPTIONS[name].default for name in names}
+    config_path = args.config
     if config_path:
         try:
             with open(config_path) as fh:
@@ -141,36 +183,20 @@ def merge_options(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(f"config file {config_path}: invalid JSON ({exc})")
         if not isinstance(file_opts, dict):
             raise UsageError(f"config file {config_path}: expected a JSON object")
-        unknown = sorted(set(file_opts) - set(defaults))
+        unknown = sorted(set(file_opts) - set(names))
         if unknown:
-            raise UsageError(
-                f"config file {config_path}: unknown keys {', '.join(unknown)}"
-            )
-        opts.update(file_opts)
-    for key, value in cli.items():
-        if value is not None:
-            opts[key] = value
-
-    if isinstance(opts.get("levels"), str):
-        opts["levels"] = [float(x) for x in opts["levels"].split(",") if x.strip()]
-    if isinstance(opts.get("align_k"), str):
-        opts["align_k"] = [int(x) for x in opts["align_k"].split(",") if x.strip()]
-    if isinstance(opts.get("split"), str):
-        parts = [int(x) for x in opts["split"].split(",") if x.strip()]
-        if len(parts) == 2:
-            parts.append(0)
-        if len(parts) != 3:
-            raise UsageError(f"--split expects train,val[,test] counts, got {opts['split']!r}")
-        opts["split"] = tuple(parts)
-    elif isinstance(opts.get("split"), list):
-        opts["split"] = tuple(int(x) for x in opts["split"])
-    return opts
-
-
-def _require(opts: dict, *keys: str) -> None:
-    missing = [k for k in keys if not opts.get(k)]
+            raise UsageError(f"config file {config_path}: unknown keys {', '.join(unknown)}")
+        for key, value in file_opts.items():
+            opts[key] = _read(OPTIONS[key].kind.check, value, f"config file {config_path}: {key}")
+    for name in names:
+        if (text := getattr(args, name, None)) is not None:
+            kind = OPTIONS[name].kind
+            opts[name] = _read(lambda t: kind.check(kind.text(t)), text,
+                               f"argument --{name.replace('_', '-')}")
+    missing = [name for name in names if OPTIONS[name].kind is PATH and not opts[name]]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+    return opts
 
 
 def _out_dir(opts: dict) -> Path:
@@ -184,7 +210,7 @@ def _level_label(level: float) -> str:
 
 
 def _split_counts(opts: dict, n_storms: int) -> tuple[int, int, int]:
-    if opts.get("split") is not None:
+    if opts["split"] is not None:
         return opts["split"]
     val_n = max(1, round(0.2 * n_storms))
     test_n = max(0, round(0.2 * n_storms))
@@ -246,7 +272,7 @@ def _write_report_files(out: Path, prefix: str, report: metrics.EvalReport) -> N
 
 
 def cmd_train(opts: dict) -> None:
-    _require(opts, "data", "out")
+    """Fit an evidential model on station data."""
     out = _out_dir(opts)
     ds = data.load_station_csv(opts["data"], require_target=True)
     if len(ds) == 0:
@@ -320,7 +346,7 @@ def _prediction_rows(
 
 
 def cmd_predict(opts: dict) -> None:
-    _require(opts, "data", "model", "out")
+    """Predict with uncertainty on station or grid data."""
     out = _out_dir(opts)
     model = artifact.load_model(opts["model"])
     ds = data.load_features_csv(opts["data"])
@@ -420,7 +446,7 @@ def _safe_normalize(values, what: str):
 
 
 def cmd_evaluate(opts: dict) -> None:
-    _require(opts, "pred", "data", "out")
+    """Score predictions against observations."""
     out = _out_dir(opts)
     levels = opts["levels"]
     pred = data.read_csv(
@@ -500,7 +526,7 @@ def cmd_evaluate(opts: dict) -> None:
 
 
 def cmd_explain(opts: dict) -> None:
-    _require(opts, "data", "model", "out")
+    """Permutation importance and partial dependence."""
     out = _out_dir(opts)
     model = artifact.load_model(opts["model"])
     ds = data.load_station_csv(opts["data"], require_target=True)
@@ -581,7 +607,7 @@ def cmd_explain(opts: dict) -> None:
 
 
 def cmd_spatial(opts: dict) -> None:
-    _require(opts, "pred", "data", "out")
+    """Spatial-max tracking and alignment on grid predictions."""
     out = _out_dir(opts)
     kinds = {"storm_id": data.id_column, "timestamp_utc": data.time_column,
              "row": data.index_column, "col": data.index_column,
@@ -669,7 +695,7 @@ def cmd_spatial(opts: dict) -> None:
 
 
 def cmd_tune(opts: dict) -> None:
-    _require(opts, "data", "out")
+    """Multi-objective random hyperparameter search."""
     out = _out_dir(opts)
     ds = data.load_station_csv(opts["data"], require_target=True)
     n_storms = len(set(ds.storm_ids.tolist()))
@@ -685,17 +711,8 @@ def cmd_tune(opts: dict) -> None:
         max_epochs=opts["max_epochs"],
         patience=opts["patience"],
     )
-    space = tune.HyperSpace()
-    if opts.get("space"):
-        known = {f.name for f in dataclasses.fields(space)}
-        unknown = sorted(set(opts["space"]) - known)
-        if unknown:
-            raise UsageError(f"unknown hyperparameter space keys: {', '.join(unknown)}")
-        for key, bounds in opts["space"].items():
-            setattr(space, key, tuple(bounds))
-
     result = tune.search(
-        space,
+        tune.HyperSpace(**opts["space"]),
         opts["trials"],
         objective,
         seed=opts["seed"],
@@ -734,22 +751,29 @@ def cmd_tune(opts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 COMMANDS = {
-    "train": (cmd_train, TRAIN_DEFAULTS),
-    "predict": (cmd_predict, COMMON_DEFAULTS),
-    "evaluate": (cmd_evaluate, EVALUATE_DEFAULTS),
-    "explain": (cmd_explain, EXPLAIN_DEFAULTS),
-    "spatial": (cmd_spatial, SPATIAL_DEFAULTS),
-    "tune": (cmd_tune, TUNE_DEFAULTS),
+    "train": (cmd_train, (
+        "data", "out", "seed", "levels", "mask_percentile", "split", "hidden_layers",
+        "hidden_neurons", "dropout", "l1", "l2", "learning_rate", "batch_size",
+        "max_epochs", "patience", "evidential_coef",
+    )),
+    "predict": (cmd_predict, ("data", "model", "out", "levels", "mask_percentile")),
+    "evaluate": (cmd_evaluate, (
+        "pred", "data", "out", "levels", "mask_percentile", "exclude_flagged",
+    )),
+    "explain": (cmd_explain, ("data", "model", "out", "seed", "n_shuffles", "pdp_grid")),
+    "spatial": (cmd_spatial, ("pred", "data", "out", "align_k")),
+    "tune": (cmd_tune, (
+        "data", "out", "seed", "split", "trials", "max_epochs", "patience",
+        "scalarization_weight", "space",
+    )),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler, defaults = COMMANDS[args.command]
     try:
-        opts = merge_options(args, defaults)
-        handler(opts)
+        args = build_parser().parse_args(argv)
+        handler, options = COMMANDS[args.command]
+        handler(merge_options(args, options))
         return 0
     except GustUQError as exc:
         print(f"{exc.error_class}: {exc}", file=sys.stderr)

@@ -97,12 +97,8 @@ class Dataset:
         )
 
     def storm_start_times(self) -> dict[str, np.datetime64]:
-        starts: dict[str, np.datetime64] = {}
-        for sid, ts in zip(self.storm_ids, self.timestamps):
-            key = str(sid)
-            if key not in starts or ts < starts[key]:
-                starts[key] = ts
-        return starts
+        storms, starts, _ = _storm_spans(self.storm_ids, self.timestamps)
+        return dict(zip(map(str, storms), starts))
 
 
 def parse_timestamp(text: str) -> np.datetime64:
@@ -112,9 +108,12 @@ def parse_timestamp(text: str) -> np.datetime64:
         s = s[:-1]
     s = s.replace(" ", "T", 1)
     try:
-        return np.datetime64(s, "s")
+        ts = np.datetime64(s, "s")
     except ValueError as exc:
         raise ValueError(f"invalid timestamp {text!r}") from exc
+    if np.isnat(ts):
+        raise ValueError(f"invalid timestamp {text!r}")
+    return ts
 
 
 def format_timestamp(ts: np.datetime64) -> str:
@@ -182,14 +181,24 @@ def _check_header(path, header: list[str], required: list[str], optional, exact:
         raise IngestError("duplicate column names in header")
 
 
+def _storm_spans(storm_ids: np.ndarray, timestamps: np.ndarray):
+    """The distinct storms (sorted) with each one's first and last timestamp."""
+    storms, inverse = np.unique(storm_ids, return_inverse=True)
+    seconds = np.asarray(timestamps, dtype="datetime64[s]").view(np.int64)
+    first = np.full(len(storms), np.iinfo(np.int64).max)
+    last = np.full(len(storms), np.iinfo(np.int64).min)
+    np.minimum.at(first, inverse, seconds)
+    np.maximum.at(last, inverse, seconds)
+    return storms, first.view("datetime64[s]"), last.view("datetime64[s]")
+
+
 def _check_storm_windows(storm_ids: np.ndarray, timestamps: np.ndarray) -> None:
-    limit = np.timedelta64(STORM_WINDOW_HOURS * 3600, "s")
-    for sid in np.unique(storm_ids):
-        ts = timestamps[storm_ids == sid]
-        if ts.max() - ts.min() > limit:
-            raise IngestError(
-                f"storm {sid} spans more than {STORM_WINDOW_HOURS} hours"
-            )
+    storms, first, last = _storm_spans(storm_ids, timestamps)
+    too_long = last - first > np.timedelta64(STORM_WINDOW_HOURS * 3600, "s")
+    if np.any(too_long):
+        raise IngestError(
+            f"storm {storms[np.argmax(too_long)]} spans more than {STORM_WINDOW_HOURS} hours"
+        )
 
 
 # Column kinds of the reader: each turns one block of a column's strings into
@@ -408,11 +417,16 @@ def load_grid_csv(path) -> Dataset:
     return _dataset(table, grid_rows=table["row"], grid_cols=table["col"])
 
 
+def read_header(path) -> list[str]:
+    """The column names of a CSV file; [] for an empty file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return next(csv.reader(fh), [])
+
+
 def load_features_csv(path) -> Dataset:
     """Station or grid rows, told apart by the header; station rows need no
     gust target."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), [])
+    header = read_header(path)
     if "station_id" in header:
         return load_station_csv(path, require_target=False)
     if "row" in header and "col" in header:
@@ -500,21 +514,6 @@ def chronological_split(
     return spec, take(spec.train_storms), take(spec.val_storms), take(spec.test_storms)
 
 
-def cross_validation_folds(
-    ordered_storms: list[str], n_folds: int = 5
-) -> list[tuple[list[str], list[str]]]:
-    """Rotate contiguous storm blocks as validation sets (e.g. 5 x 40/10)."""
-    if n_folds < 2 or n_folds > len(ordered_storms):
-        raise UsageError(f"n_folds must be in [2, {len(ordered_storms)}]")
-    blocks = np.array_split(np.asarray(ordered_storms, dtype=object), n_folds)
-    folds = []
-    for block in blocks:
-        val = [str(s) for s in block]
-        train = [s for s in ordered_storms if s not in set(val)]
-        folds.append((train, val))
-    return folds
-
-
 @dataclass
 class Standardizer:
     """Per-column z-score transform fitted on training data only.
@@ -570,51 +569,3 @@ class Standardizer:
     def inverse_column(self, column: int, values: np.ndarray) -> np.ndarray:
         self._require_fitted()
         return np.asarray(values, dtype=float) * self.scale[column] + self.offset[column]
-
-
-def derive_hourly_gusts(
-    times: np.ndarray, gusts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a 5-minute gust series to hourly values.
-
-    The gust for hour H is the maximum of the readings at H-10min, H-5min and
-    H itself; hours with none of the three readings are omitted.
-    """
-    times = np.asarray(times, dtype="datetime64[s]")
-    gusts = np.asarray(gusts, dtype=float)
-    if times.shape != gusts.shape:
-        raise UsageError("times and gusts must have equal length")
-    five_min = np.timedelta64(300, "s")
-    hourly: dict[np.datetime64, float] = {}
-    for t, g in zip(times, gusts):
-        seconds = t.astype("datetime64[s]").astype(int)
-        offset = seconds % 3600
-        if offset == 0:
-            hour = t
-        elif offset == 3300:  # :55
-            hour = t + five_min
-        elif offset == 3000:  # :50
-            hour = t + 2 * five_min
-        else:
-            continue
-        if hour not in hourly or g > hourly[hour]:
-            hourly[hour] = g
-    hours = np.asarray(sorted(hourly), dtype="datetime64[s]")
-    return hours, np.asarray([hourly[h] for h in hours], dtype=float)
-
-
-def filter_bounding_box(
-    dataset: Dataset,
-    lat_min: float,
-    lat_max: float,
-    lon_min: float,
-    lon_max: float,
-) -> Dataset:
-    """Keep rows whose coordinates fall inside the closed bounding box."""
-    mask = (
-        (dataset.lats >= lat_min)
-        & (dataset.lats <= lat_max)
-        & (dataset.lons >= lon_min)
-        & (dataset.lons <= lon_max)
-    )
-    return dataset.subset(mask)

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import data
 from .errors import GustUQError, SearchFailure, UsageError
 from .metrics import pit_values, pitd, spread_skill
 from .nncore import TrainConfig
@@ -146,24 +147,41 @@ class SearchResult:
     n_failed: int
 
 
+def _count_column(texts) -> np.ndarray:
+    return np.fromiter(map(int, texts), np.int64, len(texts))
+
+
+def _objective_column(texts) -> np.ndarray:
+    """A failed trial leaves its objectives blank; they read back as NaN."""
+    return np.fromiter((np.nan if t == "" else float(t) for t in texts), float, len(texts))
+
+
+def _status_column(texts) -> np.ndarray:
+    status = data.id_column(texts)
+    if not np.all(np.isin(status, ("ok", "failed"))):
+        raise ValueError("status must be ok or failed")
+    return status
+
+
 # Every column is a deterministic function of the seed and the data, so two
 # identical searches write identical logs. Wall time stays on TrialResult.
-TRIALS_LOG_COLUMNS = [
-    "trial_id",
-    "learning_rate",
-    "dropout",
-    "hidden_layers",
-    "hidden_neurons",
-    "batch_size",
-    "evidential_coef",
-    "l1",
-    "l2",
-    "val_mae",
-    "val_r2_rmse_sigma_total",
-    "val_pitd_skill",
-    "n_epochs",
-    "status",
-]
+_LOG_KINDS = {
+    "trial_id": _count_column,
+    "learning_rate": data.float_column,
+    "dropout": data.float_column,
+    "hidden_layers": _count_column,
+    "hidden_neurons": _count_column,
+    "batch_size": _count_column,
+    "evidential_coef": data.float_column,
+    "l1": data.float_column,
+    "l2": data.float_column,
+    "val_mae": _objective_column,
+    "val_r2_rmse_sigma_total": _objective_column,
+    "val_pitd_skill": _objective_column,
+    "n_epochs": _count_column,
+    "status": _status_column,
+}
+TRIALS_LOG_COLUMNS = list(_LOG_KINDS)
 
 
 def _log_row(result: TrialResult) -> list:
@@ -188,38 +206,23 @@ def _log_row(result: TrialResult) -> list:
 
 
 def load_trials_log(path) -> list[TrialResult]:
-    """Read back an append-only trials log (used for resuming a search)."""
+    """Read back an append-only trials log (used for resuming a search).
+
+    A malformed row, such as the partial last line a crash leaves, is an
+    ``IngestError`` naming its line.
+    """
+    header = data.read_header(path)
+    if header != TRIALS_LOG_COLUMNS:
+        extra = [c for c in header if c not in TRIALS_LOG_COLUMNS]
+        detail = f"; extra column(s) {', '.join(extra)}" if extra else ""
+        raise UsageError(f"{path}: unexpected trials log header{detail}")
+    table = data.read_csv(path, _LOG_KINDS, key=("trial_id",))
+    config_names = [f.name for f in dc_fields(TrialConfig)]
     results = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = list(reader.fieldnames or [])
-        if header != TRIALS_LOG_COLUMNS:
-            extra = [c for c in header if c not in TRIALS_LOG_COLUMNS]
-            detail = f"; extra column(s) {', '.join(extra)}" if extra else ""
-            raise UsageError(f"{path}: unexpected trials log header{detail}")
-        for row in reader:
-            cfg = TrialConfig(
-                learning_rate=float(row["learning_rate"]),
-                dropout=float(row["dropout"]),
-                hidden_layers=int(row["hidden_layers"]),
-                hidden_neurons=int(row["hidden_neurons"]),
-                batch_size=int(row["batch_size"]),
-                evidential_coef=float(row["evidential_coef"]),
-                l1=float(row["l1"]),
-                l2=float(row["l2"]),
-            )
-            blank = lambda s: float("nan") if s == "" else float(s)
-            results.append(
-                TrialResult(
-                    trial_id=int(row["trial_id"]),
-                    config=cfg,
-                    val_mae=blank(row["val_mae"]),
-                    val_r2_rmse_sigma_total=blank(row["val_r2_rmse_sigma_total"]),
-                    val_pitd_skill=blank(row["val_pitd_skill"]),
-                    n_epochs=int(row["n_epochs"]),
-                    status=row["status"],
-                )
-            )
+    for values in zip(*(table[c].tolist() for c in TRIALS_LOG_COLUMNS)):
+        row = dict(zip(TRIALS_LOG_COLUMNS, values))
+        config = TrialConfig(**{n: row.pop(n) for n in config_names})
+        results.append(TrialResult(config=config, **row))
     return results
 
 

@@ -157,6 +157,8 @@ def partial_dependence(
     evaluated, and the mean and across-row sd of the predicted target and of
     the total uncertainty are recorded.
     """
+    if n_grid < 1:
+        raise UsageError("need at least one grid point")
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise UsageError("partial dependence needs a nonempty 2-D matrix")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gustuq import artifact
+from gustuq import artifact, cli
 from gustuq.cli import main
 
 from synth import grid_rows, station_rows, write_grid_file, write_station_file
@@ -382,6 +382,15 @@ def test_evaluate_rejects_duplicate_keys(pipeline, tmp_path, capsys):
 # explain
 
 
+def test_explain_empty_pdp_grid_refused(pipeline, tmp_path, capsys):
+    out = tmp_path / "xai"
+    code = run("explain", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+               "--out", out, "--n-shuffles", "1", "--pdp-grid", "0")
+    assert code == 2
+    assert capsys.readouterr().err == "usage-error: need at least one grid point\n"
+    assert not (out / "pdp.csv").exists()
+
+
 def test_explain_outputs(pipeline, tmp_path):
     out = tmp_path / "xai"
     code = run(
@@ -571,6 +580,119 @@ def test_unknown_config_key_rejected(pipeline, tmp_path, capsys):
                "--data", pipeline["station_csv"], "--out", tmp_path / "o")
     assert code != 0
     assert "bogus_key" in capsys.readouterr().err
+
+
+# Each case: command, extra flags, config-file entries (or None), and the flag
+# or config key the one-line error must name.
+BAD_OPTIONS = [
+    ("train", [], {"split": [6, 2]}, "split"),  # 6+2 storms, the data has 5
+    ("train", [], {"split": 7}, "split"),
+    ("train", [], {"max_epochs": "2"}, "max_epochs"),
+    ("predict", [], {"levels": 0.7}, "levels"),
+    ("train", [], {"hidden_neurons": 8.5}, "hidden_neurons"),
+    ("train", [], {"patience": None}, "patience"),
+    ("explain", [], {"seed": "1"}, "seed"),
+    ("predict", [], {"mask_percentile": "95"}, "mask_percentile"),
+    ("tune", [], {"space": {"dropout": [0.1]}}, "space"),
+    ("train", [], {"dropout": True}, "dropout"),
+    ("train", ["--split", "6,x,2"], None, "--split"),
+    ("predict", ["--levels", "0.7,abc"], None, "--levels"),
+    ("train", ["--max-epochs", "x"], None, "--max-epochs"),
+    ("predict", ["--levels", "0.7,0.7"], None, "--levels"),
+    ("evaluate", [], {"exclude_flagged": "no"}, "exclude_flagged"),
+    ("spatial", ["--align-k", "1,1"], None, "--align-k"),
+    ("tune", [], {"space": {"depth": [1, 2]}}, "depth"),
+    ("train", ["--split", "1,2,3,4"], None, "--split"),
+]
+
+
+@pytest.mark.parametrize("command, flags, entries, name", BAD_OPTIONS)
+def test_bad_option_is_one_line_usage_error(pipeline, tmp_path, capsys,
+                                            command, flags, entries, name):
+    inputs = {
+        "train": ["--data", pipeline["station_csv"]],
+        "predict": ["--data", pipeline["station_csv"], "--model", pipeline["model"]],
+        "evaluate": ["--data", pipeline["station_csv"], "--pred", tmp_path / "p.csv"],
+        "explain": ["--data", pipeline["station_csv"], "--model", pipeline["model"]],
+        "spatial": ["--data", pipeline["grid_csv"], "--pred", tmp_path / "p.csv"],
+        "tune": ["--data", pipeline["station_csv"]],
+    }[command]
+    if entries is not None:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(entries))
+        flags = [*flags, "--config", config]
+    code = run(command, *inputs, "--out", tmp_path / "out", *flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage-error:") and err.count("\n") == 1, err
+    assert name in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+RETIRED_FLAGS = [
+    *(("--model", "m.json", c) for c in ("train", "evaluate", "spatial", "tune")),
+    *(("--seed", "1", c) for c in ("predict", "evaluate", "spatial")),
+    *((flag, value, c) for c in ("explain", "spatial", "tune")
+      for flag, value in (("--levels", "0.9"), ("--mask-percentile", "90"))),
+]
+
+
+@pytest.mark.parametrize("flag, value, command", RETIRED_FLAGS)
+def test_retired_flags_refused(tmp_path, capsys, flag, value, command):
+    # no handler of these commands reads the option, so it is no flag of theirs
+    assert run(command, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage-error: unrecognized arguments: {flag} {value}\n"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    assert run(command, "--config", config) == 2
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def resolve(*argv):
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    return cli.merge_options(args, cli.COMMANDS[args.command][1])
+
+
+@pytest.mark.parametrize("command, flags, entries", [
+    ("train", ["--split", "6,2"], {"split": [6, 2]}),
+    ("train", ["--split", "3,1,1"], {"split": "3,1,1"}),
+    ("predict", ["--levels", "0.7,0.95", "--mask-percentile", "90"],
+     {"levels": [0.7, 0.95], "mask_percentile": 90.0}),
+    ("evaluate", ["--no-exclude-flagged"], {"exclude_flagged": False}),
+    ("spatial", ["--align-k", "0,2"], {"align_k": [0, 2]}),
+    ("tune", ["--trials", "3", "--scalarization-weight", "0.25"],
+     {"trials": 3, "scalarization_weight": 0.25}),
+])
+def test_flag_and_config_resolve_alike(tmp_path, command, flags, entries):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(entries))
+    paths = {"train": ["--data", "d"], "tune": ["--data", "d"],
+             "predict": ["--data", "d", "--model", "m"],
+             "evaluate": ["--data", "d", "--pred", "p"],
+             "spatial": ["--data", "d", "--pred", "p"]}[command]
+    from_flags = resolve(command, *paths, "--out", "o", *flags)
+    from_config = resolve(command, *paths, "--out", "o", "--config", config)
+    assert from_flags == from_config
+    if command == "train":
+        assert from_flags["split"] in {(6, 2, 0), (3, 1, 1)}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_argument_errors_are_one_line(tmp_path, capsys):
+    for argv in ([], ["bogus"], ["train", "--max-epochs"], ["predict", "--data"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage-error:") and err.count("\n") == 1, err
+    assert run("train", "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == "usage-error: missing required option(s): --data\n"
 
 
 def test_missing_input_file_one_line_error(tmp_path, capsys):

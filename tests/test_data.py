@@ -10,10 +10,7 @@ from gustuq.data import (
     Dataset,
     Standardizer,
     chronological_split,
-    cross_validation_folds,
     day_of_year_cos,
-    derive_hourly_gusts,
-    filter_bounding_box,
     load_grid_csv,
     load_station_csv,
     parse_timestamp,
@@ -114,6 +111,34 @@ def test_storm_window_enforced(tmp_path):
     write_station_file(path, rows=rows)
     with pytest.raises(IngestError, match="48"):
         load_station_csv(path)
+
+
+def test_storm_window_names_first_long_storm(tmp_path):
+    rows = station_rows(n_storms=3, n_stations=2, n_hours=3)
+    storms = sorted({r[0] for r in rows})
+    for day, storm in enumerate(storms[1:]):  # stretch the last two storms
+        next(r for r in rows if r[0] == storm)[1] = f"2021-06-0{day + 1}T00:00:00Z"
+    path = tmp_path / "long.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError, match=f"storm {storms[1]} spans more than 48 hours"):
+        load_station_csv(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["S1", "S10", "S2", "a"]),
+                          st.integers(-10**6, 10**6)), min_size=0, max_size=60))
+def test_storm_start_times_match_row_loop(cells):
+    ids = np.array([c[0] for c in cells], dtype=str)
+    times = np.array([c[1] for c in cells], dtype=np.int64).view("datetime64[s]")
+    ds = Dataset(storm_ids=ids, timestamps=times, lats=np.zeros(len(ids)),
+                 lons=np.zeros(len(ids)), features=np.zeros((len(ids), len(FEATURE_NAMES))))
+    want = {}
+    for sid, ts in zip(ids.tolist(), times):
+        if sid not in want or ts < want[sid]:
+            want[sid] = ts
+    got = ds.storm_start_times()
+    assert got == want
+    assert all(v.dtype == np.dtype("datetime64[s]") for v in got.values())
 
 
 def test_round_trip_is_bitwise(tmp_path, station_file):
@@ -319,19 +344,6 @@ def test_split_deterministic(station_file):
     assert spec1.ordered_storms == spec2.ordered_storms
 
 
-def test_cross_validation_folds():
-    storms = [f"S{i:02d}" for i in range(50)]
-    folds = cross_validation_folds(storms, n_folds=5)
-    assert len(folds) == 5
-    all_val = []
-    for train, val in folds:
-        assert len(val) == 10
-        assert len(train) == 40
-        assert set(train).isdisjoint(val)
-        all_val.extend(val)
-    assert sorted(all_val) == storms
-
-
 # ---------------------------------------------------------------------------
 # standardization
 
@@ -385,29 +397,19 @@ def test_standardizer_inverse_column():
 # helpers
 
 
-def test_derive_hourly_gusts():
-    base = np.datetime64("2020-03-01T04:50:00", "s")
-    times = np.array(
-        [base, base + np.timedelta64(300, "s"), base + np.timedelta64(600, "s"),
-         base + np.timedelta64(900, "s")],  # 04:50, 04:55, 05:00, 05:05
-        dtype="datetime64[s]",
-    )
-    gusts = np.array([3.0, 7.0, 5.0, 99.0])
-    hours, values = derive_hourly_gusts(times, gusts)
-    assert hours.tolist() == [np.datetime64("2020-03-01T05:00:00", "s")]
-    assert values[0] == 7.0  # max of the 04:50/04:55/05:00 readings; 05:05 ignored
-
-
-def test_filter_bounding_box(station_file):
-    ds = load_station_csv(station_file)
-    boxed = filter_bounding_box(ds, 40.9, 41.2, -73.5, -72.5)
-    assert len(boxed) > 0
-    assert np.all(boxed.lats >= 40.9) and np.all(boxed.lats <= 41.2)
-
-
 def test_parse_timestamp_variants():
     want = np.datetime64("2020-09-30T06:00:00", "s")
     assert parse_timestamp("2020-09-30T06:00:00Z") == want
     assert parse_timestamp("2020-09-30 06:00:00") == want
     with pytest.raises(ValueError):
         parse_timestamp("not-a-time")
+
+
+def test_nat_timestamp_is_ingest_error(tmp_path):
+    # "NaT" parses as numpy's not-a-time; it has no storm start to order by
+    rows = station_rows(n_storms=2, n_stations=1, n_hours=3)
+    rows[1][1] = "NaT"
+    path = tmp_path / "nat.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError, match="line 3: invalid timestamp 'NaT'"):
+        load_station_csv(path)

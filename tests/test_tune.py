@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gustuq.errors import SearchFailure, UsageError
+from gustuq.errors import IngestError, SearchFailure, UsageError
 from gustuq.tune import (
     HyperSpace,
     TrialConfig,
@@ -211,6 +211,48 @@ def test_search_refuses_log_with_wall_time_column(tmp_path):
         load_trials_log(log)
     with pytest.raises(UsageError, match="wall_time_s"):
         search(HyperSpace(), 5, synthetic_objective, seed=3, log_path=log)
+
+
+@pytest.mark.parametrize("cut", [3, 4, 25, 60])
+def test_truncated_log_is_ingest_error_naming_line(tmp_path, cut):
+    # a crash mid-write leaves a partial last line; resuming must say where
+    log = tmp_path / "trials.csv"
+    search(HyperSpace(), 2, synthetic_objective, seed=3, log_path=log)
+    text = log.read_text()
+    log.write_text(text[: len(text) - cut])
+    with pytest.raises(IngestError, match="line 3: "):
+        load_trials_log(log)
+    with pytest.raises(IngestError, match="line 3: "):
+        search(HyperSpace(), 3, synthetic_objective, seed=3, log_path=log)
+
+
+def test_log_round_trips_failed_trials_and_types(tmp_path):
+    def sometimes_fails(config, rng):
+        if config.hidden_layers >= 3:
+            raise UsageError("boom")
+        return synthetic_objective(config, rng)
+
+    log = tmp_path / "trials.csv"
+    result = search(HyperSpace(), 12, sometimes_fails, seed=5, log_path=log)
+    loaded = load_trials_log(log)
+    assert 0 < sum(not t.ok for t in loaded) < len(loaded)
+    for before, after in zip(result.trials, loaded):
+        assert after.config == before.config and after.status == before.status
+        assert type(after.trial_id) is int and type(after.config.batch_size) is int
+        assert type(after.config.dropout) is float
+        if after.ok:
+            assert after.val_mae == before.val_mae
+        else:
+            assert np.isnan(after.val_mae) and np.isnan(after.val_pitd_skill)
+
+
+def test_log_with_repeated_trial_is_ingest_error(tmp_path):
+    log = tmp_path / "trials.csv"
+    search(HyperSpace(), 2, synthetic_objective, seed=3, log_path=log)
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines + [lines[1]]))
+    with pytest.raises(IngestError, match="line 4: same key as line 2"):
+        load_trials_log(log)
 
 
 def test_search_records_failures():

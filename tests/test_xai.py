@@ -169,3 +169,11 @@ def test_pdp_unknown_feature_rejected():
         partial_dependence(linear_predictor([1.0, 1.0]), x, "nope", feature_names=["a", "b"])
     with pytest.raises(UsageError):
         partial_dependence(linear_predictor([1.0, 1.0]), x, 5)
+
+
+@pytest.mark.parametrize("n_grid", [0, -1])
+def test_pdp_empty_grid_rejected(n_grid):
+    x = np.column_stack([np.full(10, 2.0), np.arange(10.0)])
+    for feature in (0, 1):  # zero-range and ordinary column alike
+        with pytest.raises(UsageError, match="at least one grid point"):
+            partial_dependence(linear_predictor([1.0, 1.0]), x, feature, n_grid=n_grid)
