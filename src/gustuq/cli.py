@@ -55,6 +55,8 @@ def _scalar(cast, what: str, ok) -> Kind:
 
 
 INTEGER = _scalar(int, "an integer", lambda v: type(v) is int)
+COUNT = _scalar(int, "an integer >= 1", lambda v: type(v) is int and v >= 1)
+SEED = _scalar(int, "an integer >= 0", lambda v: type(v) is int and v >= 0)
 NUMBER = _scalar(float, "a finite number",
                  lambda v: type(v) in (int, float) and math.isfinite(v))
 PATH = _scalar(str, "a path", lambda v: isinstance(v, str) and v != "")
@@ -111,29 +113,29 @@ OPTIONS = {
     "model": Option(None, PATH, "model artifact written by train"),
     "out": Option(None, PATH, "output directory"),
     "pred": Option(None, PATH, "predictions CSV written by predict"),
-    "seed": Option(0, INTEGER, "master RNG seed"),
+    "seed": Option(0, SEED, "master RNG seed"),
     "levels": Option(list(metrics.DEFAULT_CONFIDENCE_LEVELS), Kind(str, _distinct(NUMBER)),
                      "comma-separated confidence levels"),
     "mask_percentile": Option(metrics.DEFAULT_MASK_PERCENTILE, NUMBER,
                               "total-sd percentile above which predictions are flagged"),
     "split": Option(None, Kind(str, _split),
                     "chronological storm counts train,val[,test] (default 60/20/20)"),
-    "hidden_layers": Option(1, INTEGER, "number of hidden layers"),
-    "hidden_neurons": Option(64, INTEGER, "neurons per hidden layer"),
+    "hidden_layers": Option(1, COUNT, "number of hidden layers"),
+    "hidden_neurons": Option(64, COUNT, "neurons per hidden layer"),
     "dropout": Option(0.15, NUMBER, "dropout rate"),
     "l1": Option(0.0, NUMBER, "L1 weight penalty"),
     "l2": Option(0.0, NUMBER, "L2 weight penalty"),
     "learning_rate": Option(1e-3, NUMBER, "Adam learning rate"),
-    "batch_size": Option(256, INTEGER, "minibatch size"),
-    "max_epochs": Option(200, INTEGER, "maximum training epochs"),
-    "patience": Option(10, INTEGER, "early-stopping patience in epochs"),
+    "batch_size": Option(256, COUNT, "minibatch size"),
+    "max_epochs": Option(200, COUNT, "maximum training epochs"),
+    "patience": Option(10, COUNT, "early-stopping patience in epochs"),
     "evidential_coef": Option(0.59, NUMBER, "weight of the evidence regularizer"),
     "exclude_flagged": Option(True, SWITCH, "keep highly uncertain predictions in PICP"),
-    "n_shuffles": Option(10, INTEGER, "permutations per feature"),
-    "pdp_grid": Option(100, INTEGER, "partial-dependence grid points per feature"),
+    "n_shuffles": Option(10, COUNT, "permutations per feature"),
+    "pdp_grid": Option(100, COUNT, "partial-dependence grid points per feature"),
     "align_k": Option([0, 1, 2, 3], Kind(str, _distinct(INTEGER)),
                       "comma-separated cell distances for the alignment statistic"),
-    "trials": Option(500, INTEGER, "number of trials"),
+    "trials": Option(500, COUNT, "number of trials"),
     "scalarization_weight": Option(0.5, NUMBER, "weight of R^2 + PITD skill in the pick"),
     "space": Option({}, Kind(None, _space), "hyperparameter bounds (config file only)"),
 }
@@ -495,24 +497,23 @@ def cmd_evaluate(opts: dict) -> None:
     )
     _write_report_files(out, "", report)
 
-    station_rows = []
-    for station in sorted(set(stations.tolist())):
-        sel = stations == station
-        exclude = flagged[sel] if opts["exclude_flagged"] else None
-        for level in levels:
-            lower, upper = pset.interval(float(level))
-            value = metrics.picp(lower[sel], upper[sel], obs[sel], exclude=exclude)
-            n_total = int(sel.sum())
-            n_kept = n_total - int(flagged[sel].sum()) if opts["exclude_flagged"] else n_total
-            station_rows.append(
-                [
-                    station,
-                    _level_label(level),
-                    "" if value is None else fmt(value),
-                    n_total,
-                    n_kept,
-                ]
-            )
+    # per-station PICP: one grouping of the rows, then counts per station
+    station_ids, station_of = np.unique(stations, return_inverse=True)
+    n_stations = len(station_ids)
+    kept = ~flagged if opts["exclude_flagged"] else np.ones(len(stations), dtype=bool)
+    n_total = np.bincount(station_of, minlength=n_stations).tolist()
+    n_kept = np.bincount(station_of[kept], minlength=n_stations).tolist()
+    n_covered = []
+    for level in levels:
+        lower, upper = pset.interval(float(level))
+        covered = kept & (obs >= lower) & (obs <= upper)
+        n_covered.append(np.bincount(station_of[covered], minlength=n_stations).tolist())
+    station_rows = [
+        [station, _level_label(level), fmt(hits[s] / n_kept[s]) if n_kept[s] else "",
+         n_total[s], n_kept[s]]
+        for s, station in enumerate(station_ids.tolist())
+        for level, hits in zip(levels, n_covered)
+    ]
     write_csv(
         out / "picp_stations.csv",
         ["station_id", "level", "picp", "n_total", "n_retained"],
@@ -782,7 +783,8 @@ def main(argv=None) -> int:
         print(f"io-error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # keep the one-line contract even for bugs
-        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = " ".join(str(exc).splitlines())
+        print(f"internal-error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
 

@@ -47,11 +47,7 @@ RAW_FEATURE_COLUMNS = [
     "lapse_sfc_2km",
 ]
 
-STATION_COLUMNS = ["storm_id", "timestamp_utc", "station_id", "lat", "lon",
-                   *RAW_FEATURE_COLUMNS]
 TARGET_COLUMN = "gust_obs"
-GRID_COLUMNS = ["storm_id", "timestamp_utc", "row", "col", "lat", "lon",
-                *RAW_FEATURE_COLUMNS]
 
 STORM_WINDOW_HOURS = 48
 
@@ -201,21 +197,26 @@ def _check_storm_windows(storm_ids: np.ndarray, timestamps: np.ndarray) -> None:
         )
 
 
-# Column kinds of the reader: each turns one block of a column's strings into
-# an array and raises ValueError (TypeError or AttributeError for the None
-# that pads a short row) if any value of the block is bad.
+# Column kinds of the reader: each turns a sequence of a column's strings into
+# an array, or raises ValueError naming the first bad value (TypeError or
+# AttributeError for the None that pads a short row). A kind checks each value
+# on its own, so any part of a column without a bad value passes.
+
+
+def _first(values: np.ndarray, bad: np.ndarray):
+    return values[np.argmax(bad)].item()
 
 
 def id_column(texts) -> np.ndarray:
     ids = [t.strip() for t in texts]
     if not all(ids):
-        raise ValueError("empty id")
+        raise ValueError("empty value")
     return np.asarray(ids, dtype=str)
 
 
 def time_column(texts) -> np.ndarray:
     """Timestamps, each distinct string parsed once."""
-    seconds = {t: parse_timestamp(t).astype(np.int64) for t in set(texts)}
+    seconds = {t: parse_timestamp(t).astype(np.int64) for t in dict.fromkeys(texts)}
     return np.fromiter(map(seconds.__getitem__, texts), np.int64, len(texts)).view(
         "datetime64[s]"
     )
@@ -227,50 +228,78 @@ def float_column(texts) -> np.ndarray:
 
 def index_column(texts) -> np.ndarray:
     out = np.fromiter(map(int, texts), np.int64, len(texts))
-    if np.any(out < 0):
-        raise ValueError("negative grid index")
+    if np.any(bad := out < 0):
+        raise ValueError(f"must be >= 0, got {_first(out, bad)}")
     return out
 
 
 def _finite_column(texts) -> np.ndarray:
     out = float_column(texts)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite feature value")
+    if not np.all(ok := np.isfinite(out)):
+        raise ValueError(f"must be finite, got {_first(out, ~ok)}")
     return out
 
 
 def _degrees_column(texts) -> np.ndarray:
     out = _finite_column(texts)
-    if not np.all((out >= 0.0) & (out <= 360.0)):
-        raise ValueError("wind_dir_deg outside [0, 360]")
+    if not np.all(ok := (out >= 0.0) & (out <= 360.0)):
+        raise ValueError(f"{_first(out, ~ok)} outside [0, 360]")
     return out
+
+
+def _gust_column(texts) -> np.ndarray:
+    """Observed gusts, finite and >= 0; a blank value (or a short row's
+    missing last field) reads as NaN."""
+    texts = [(t or "").strip() for t in texts]
+    present = np.fromiter(map(bool, texts), bool, len(texts))
+    gust = np.fromiter((float(t) if t else np.nan for t in texts), float, len(texts))
+    if np.any(bad := present & ~(np.isfinite(gust) & (gust >= 0))):
+        raise ValueError(f"must be finite and >= 0, got {_first(gust, bad)}")
+    return gust
+
+
+def _observed_gust_column(texts) -> np.ndarray:
+    """``_gust_column`` without blanks: training and scoring need a target."""
+    gust = _gust_column(texts)
+    if np.any(np.isnan(gust)):
+        raise ValueError("missing value")
+    return gust
 
 
 _FEATURE_KINDS = {c: _finite_column for c in RAW_FEATURE_COLUMNS}
 _FEATURE_KINDS["wind_dir_deg"] = _degrees_column
+_STATION_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
+                  "lat": float_column, "lon": float_column, **_FEATURE_KINDS}
+_GRID_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "row": index_column,
+               "col": index_column, "lat": float_column, "lon": float_column, **_FEATURE_KINDS}
 
 
-def _row_error(parse_row, header: list[str], row: list) -> str | None:
-    try:
-        parse_row(dict(zip(header, row)))
-    except (TypeError, AttributeError):  # a None field of a short row
-        return "missing fields"
-    except (ValueError, KeyError) as exc:
-        return str(exc)
-    return None
+def _bad_values(convert, texts, error: Exception, offset: int = 0) -> list:
+    """(index, error) of each value that ``convert`` refuses, given that all of
+    ``texts`` fails with ``error``: a failing part is split in half until it is
+    one value, so a few bad values cost a few conversions of the whole."""
+    if len(texts) == 1:
+        return [(offset, error)]
+    found = []
+    half = len(texts) // 2
+    for start, part in ((0, texts[:half]), (half, texts[half:])):
+        try:
+            convert(part)
+        except (ValueError, TypeError, AttributeError) as exc:
+            found += _bad_values(convert, part, exc, offset + start)
+    return found
 
 
-def _convert_each(columns: dict):
-    """Row-wise error reporter for a plain column spec."""
-
-    def parse_row(row):
-        for name, convert in columns.items():
-            try:
-                convert([row[name]])
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-
-    return parse_row
+def _row_errors(columns: dict, texts: dict, failed: dict) -> list[tuple[int, str]]:
+    """The bad rows of a block whose ``failed`` columns (in schema order) raised
+    the given errors, each row with its first failing column as ``<column>:
+    <reason>``, or ``missing fields`` for a short row."""
+    first: dict[int, str] = {}
+    for name, error in failed.items():
+        for k, exc in _bad_values(columns[name], texts[name], error):
+            short = isinstance(exc, (TypeError, AttributeError))
+            first.setdefault(k, "missing fields" if short else f"{name}: {exc}")
+    return sorted(first.items())
 
 
 def _reject_duplicates(path, names, keys: list[np.ndarray]) -> None:
@@ -289,21 +318,21 @@ def _reject_duplicates(path, names, keys: list[np.ndarray]) -> None:
     )
 
 
-def read_csv(path, columns: dict, parse_row=None, *, optional=(), key=(), exact=True):
+def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     """The one CSV reader: the named columns of a delimited file as arrays.
 
     ``columns`` maps each column to its kind (see ``id_column``); a column in
     ``optional`` that the header lacks reads as empty strings. With ``exact``
     the header holds exactly these columns, otherwise other columns may be
     present and a missing one is a usage error. Rows are converted in blocks
-    of ``BLOCK_ROWS``, one numpy conversion per column per block. Only a block
-    that fails is passed row by row through ``parse_row`` (by default each
-    kind on its own value), which names the first 10 malformed lines. Rows
-    whose ``key`` columns repeat an earlier row are rejected the same way.
-    Blank lines are skipped and not counted.
+    of ``BLOCK_ROWS``, one numpy conversion per column per block. In a block
+    that fails, each column is re-checked with its own kind, halving the
+    failing parts down to single values, and every bad row is reported with
+    its first failing column in ``columns`` order: the ``IngestError`` names
+    the first 10 lines as ``line N: <column>: <reason>`` (``line N: missing
+    fields`` for a short row). Rows whose ``key`` columns repeat an earlier
+    row are rejected the same way. Blank lines are skipped and not counted.
     """
-    if parse_row is None:
-        parse_row = _convert_each(columns)
     required = [c for c in columns if c not in optional]
     parts = {name: [convert([])] for name, convert in columns.items()}
     row_errors: list[tuple[int, str]] = []
@@ -320,20 +349,20 @@ def read_csv(path, columns: dict, parse_row=None, *, optional=(), key=(), exact=
             block = [r if len(r) >= width else r + [None] * (width - len(r)) for r in chunk if r]
             if not block:
                 continue
-            texts = list(zip(*block))
+            fields = list(zip(*block))
             absent = ("",) * len(block)
-            try:
-                for name, convert in columns.items():
-                    parts[name].append(convert(texts[where[name]] if name in where else absent))
-            except (ValueError, TypeError, AttributeError):
-                errors = [
-                    (line + k, msg)
-                    for k, row in enumerate(block)
-                    if (msg := _row_error(parse_row, header, row)) is not None
-                ]
+            texts = {name: fields[where[name]] if name in where else absent for name in columns}
+            failed = {}
+            for name, convert in columns.items():
+                try:
+                    parts[name].append(convert(texts[name]))
+                except (ValueError, TypeError, AttributeError) as exc:
+                    failed[name] = exc
+            if failed:
+                errors = _row_errors(columns, texts, failed)
                 if not errors:
-                    raise
-                row_errors += errors
+                    raise next(iter(failed.values()))
+                row_errors += [(line + k, reason) for k, reason in errors]
             line += len(block)
     if row_errors:
         raise IngestError(f"{path}: {len(row_errors)} malformed rows", row_errors)
@@ -343,52 +372,14 @@ def read_csv(path, columns: dict, parse_row=None, *, optional=(), key=(), exact=
     return table
 
 
-def _parse_features(row) -> None:
-    """Row-wise checks of the coordinates and raw feature columns."""
-    float(row["lat"])
-    float(row["lon"])
-    raw = [float(row[c]) for c in RAW_FEATURE_COLUMNS]
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("non-finite feature value")
-    if not 0.0 <= raw[5] <= 360.0:
-        raise ValueError(f"wind_dir_deg {raw[5]} outside [0, 360]")
-
-
 def load_station_csv(path, require_target: bool = True) -> Dataset:
     """Load station records; rows without a gust target are rejected unless
     ``require_target`` is off (inference mode). A repeated (station_id,
     timestamp_utc) pair is an error."""
-
-    def parse_row(row):
-        if not row["storm_id"].strip():
-            raise ValueError("empty storm_id")
-        parse_timestamp(row["timestamp_utc"])
-        if not row["station_id"].strip():
-            raise ValueError("empty station_id")
-        _parse_features(row)
-        gust_text = (row.get(TARGET_COLUMN) or "").strip()
-        if gust_text:
-            gust = float(gust_text)
-            if not np.isfinite(gust) or gust < 0:
-                raise ValueError(f"gust_obs must be finite and >= 0, got {gust}")
-        elif require_target:
-            raise ValueError("missing gust_obs")
-
-    def gust_column(texts):
-        texts = [(t or "").strip() for t in texts]
-        present = np.fromiter(map(bool, texts), bool, len(texts))
-        gust = np.fromiter((float(t) if t else np.nan for t in texts), float, len(texts))
-        if require_target and not np.all(present):
-            raise ValueError("missing gust_obs")
-        if not np.all(np.isfinite(gust[present]) & (gust[present] >= 0)):
-            raise ValueError("gust_obs must be finite and >= 0")
-        return gust
-
+    target = _observed_gust_column if require_target else _gust_column
     table = read_csv(
         path,
-        {"storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
-         "lat": float_column, "lon": float_column, **_FEATURE_KINDS, TARGET_COLUMN: gust_column},
-        parse_row,
+        {**_STATION_KINDS, TARGET_COLUMN: target},
         optional=[TARGET_COLUMN],
         key=("station_id", "timestamp_utc"),
     )
@@ -398,22 +389,7 @@ def load_station_csv(path, require_target: bool = True) -> Dataset:
 def load_grid_csv(path) -> Dataset:
     """Load gridded feature rows (one row per cell per hour); a repeated
     (storm_id, timestamp_utc, row, col) cell is an error."""
-
-    def parse_row(row):
-        if not row["storm_id"].strip():
-            raise ValueError("empty storm_id")
-        parse_timestamp(row["timestamp_utc"])
-        if min(int(row["row"]), int(row["col"])) < 0:
-            raise ValueError("negative grid index")
-        _parse_features(row)
-
-    table = read_csv(
-        path,
-        {"storm_id": id_column, "timestamp_utc": time_column, "row": index_column,
-         "col": index_column, "lat": float_column, "lon": float_column, **_FEATURE_KINDS},
-        parse_row,
-        key=("storm_id", "timestamp_utc", "row", "col"),
-    )
+    table = read_csv(path, _GRID_KINDS, key=("storm_id", "timestamp_utc", "row", "col"))
     return _dataset(table, grid_rows=table["row"], grid_cols=table["col"])
 
 
@@ -468,7 +444,7 @@ def write_station_csv(dataset: Dataset, path, raw_features: np.ndarray | None = 
         *(fmt_column(raw_features[:, j]) for j in range(raw_features.shape[1])),
         [repr(g) if np.isfinite(g) else "" for g in gust.tolist()],
     ]
-    write_csv(path, [*STATION_COLUMNS, TARGET_COLUMN], list(zip(*columns)))
+    write_csv(path, [*_STATION_KINDS, TARGET_COLUMN], list(zip(*columns)))
 
 
 @dataclass

@@ -158,8 +158,8 @@ def _objective_column(texts) -> np.ndarray:
 
 def _status_column(texts) -> np.ndarray:
     status = data.id_column(texts)
-    if not np.all(np.isin(status, ("ok", "failed"))):
-        raise ValueError("status must be ok or failed")
+    if not np.all(ok := np.isin(status, ("ok", "failed"))):
+        raise ValueError(f"must be ok or failed, got {status[np.argmax(~ok)].item()!r}")
     return status
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gustuq import artifact, cli
+from gustuq import artifact, cli, metrics
 from gustuq.cli import main
 
 from synth import grid_rows, station_rows, write_grid_file, write_station_file
@@ -335,6 +335,45 @@ def test_evaluate_perfect_predictions_full_coverage(pipeline, tmp_path):
     assert all(float(r["picp"]) == 1.0 for r in stations if r["picp"] != "")
 
 
+@pytest.mark.parametrize("exclude", [True, False])
+def test_per_station_picp_matches_station_loop(pipeline, tmp_path, exclude):
+    # ST00's predictions carry the largest sds, so at the 60th percentile all
+    # of them are flagged and its PICP is blank when flagged rows are excluded
+    obs = read_rows(pipeline["station_csv"])
+    rng = np.random.default_rng(7)
+    gust = np.array([float(r["gust_obs"]) for r in obs])
+    stations = np.array([r["station_id"] for r in obs])
+    mean = gust + rng.normal(0.0, 1.5, len(obs))
+    total = np.where(stations == "ST00", 50.0, 1.0) + rng.uniform(0.0, 0.5, len(obs))
+    pred = tmp_path / "pred.csv"
+    with open(pred, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["station_id", "timestamp_utc", "mean", "aleatoric_sd",
+                         "epistemic_sd", "total_sd"])
+        for r, m, t in zip(obs, mean.tolist(), total.tolist()):
+            writer.writerow([r["station_id"], r["timestamp_utc"], repr(m), repr(t / 2 ** 0.5),
+                             repr(t / 2 ** 0.5), repr(t)])
+    levels = [0.7, 0.9]
+    flags = [] if exclude else ["--no-exclude-flagged"]
+    assert run("evaluate", "--pred", pred, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "eval", "--levels", "0.7,0.9", "--mask-percentile", "60",
+               *flags) == 0
+    flagged, _ = metrics.mask_highly_uncertain(total, 60.0)
+    want = []
+    for station in sorted(set(stations.tolist())):
+        sel = stations == station
+        for level in levels:
+            lower, upper = metrics.prediction_interval(mean[sel], total[sel], level)
+            value = metrics.picp(lower, upper, gust[sel], exclude=flagged[sel] if exclude else None)
+            n_kept = int((~flagged[sel]).sum()) if exclude else int(sel.sum())
+            want.append({"station_id": station, "level": f"{level * 100:g}",
+                         "picp": "" if value is None else repr(value),
+                         "n_total": str(int(sel.sum())), "n_retained": str(n_kept)})
+    got = read_rows(tmp_path / "eval" / "picp_stations.csv")
+    assert got == want
+    assert any(row["picp"] == "" for row in got) == exclude
+
+
 def test_evaluate_empty_join_lists_keys(pipeline, tmp_path, capsys):
     pred_out = tmp_path / "pred"
     assert run("predict", "--model", pipeline["model"], "--data",
@@ -387,8 +426,10 @@ def test_explain_empty_pdp_grid_refused(pipeline, tmp_path, capsys):
     code = run("explain", "--model", pipeline["model"], "--data", pipeline["station_csv"],
                "--out", out, "--n-shuffles", "1", "--pdp-grid", "0")
     assert code == 2
-    assert capsys.readouterr().err == "usage-error: need at least one grid point\n"
-    assert not (out / "pdp.csv").exists()
+    assert capsys.readouterr().err == (
+        "usage-error: argument --pdp-grid: expected an integer >= 1, got 0\n"
+    )
+    assert not (out / "pfi.csv").exists() and not (out / "pdp.csv").exists()
 
 
 def test_explain_outputs(pipeline, tmp_path):
@@ -603,6 +644,19 @@ BAD_OPTIONS = [
     ("spatial", ["--align-k", "1,1"], None, "--align-k"),
     ("tune", [], {"space": {"depth": [1, 2]}}, "depth"),
     ("train", ["--split", "1,2,3,4"], None, "--split"),
+    # counts are >= 1 and seeds >= 0, refused before any input is read
+    ("train", ["--seed", "-4"], None, "--seed"),
+    ("explain", ["--seed", "-1"], None, "--seed"),
+    ("tune", ["--seed", "-2"], None, "--seed"),
+    ("train", ["--hidden-neurons", "0"], None, "--hidden-neurons"),
+    ("train", ["--hidden-layers", "-1"], None, "--hidden-layers"),
+    ("train", ["--max-epochs", "0"], None, "--max-epochs"),
+    ("train", [], {"patience": 0}, "patience"),
+    ("train", [], {"batch_size": -256}, "batch_size"),
+    ("explain", ["--n-shuffles", "0"], None, "--n-shuffles"),
+    ("explain", [], {"pdp_grid": 0}, "pdp_grid"),
+    ("tune", ["--trials", "0"], None, "--trials"),
+    ("tune", [], {"seed": -1}, "seed"),
 ]
 
 
@@ -704,14 +758,26 @@ def test_missing_input_file_one_line_error(tmp_path, capsys):
 
 
 def test_unexpected_failure_still_one_line(pipeline, tmp_path, capsys):
-    # a negative seed reaches numpy's generator and blows up there; the CLI
-    # must still emit a single machine-parsable line
+    # a negative seed is refused up front; whatever the error class, the CLI
+    # must emit a single machine-parsable line
     code = run("train", "--data", pipeline["station_csv"], "--out", tmp_path / "o",
                "--split", "3,1,1", "--max-epochs", "1", "--seed", "-4")
     assert code != 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.split(":")[0] in {"internal-error", "usage-error", "config-error"}
+
+
+def test_handler_bug_is_one_internal_error_line(pipeline, tmp_path, capsys, monkeypatch):
+    def broken(opts):
+        raise RuntimeError("boom\nsecond line of a bug")
+
+    monkeypatch.setitem(cli.COMMANDS, "predict", (broken, cli.COMMANDS["predict"][1]))
+    code = run("predict", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+               "--out", tmp_path / "o")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "internal-error: RuntimeError: boom second line of a bug\n"
 
 
 def test_no_temp_files_left_behind(pipeline):

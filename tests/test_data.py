@@ -1,9 +1,12 @@
+import csv
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gustuq import data
+from gustuq import cli, data
 from gustuq.data import (
     BLOCK_ROWS,
     FEATURE_NAMES,
@@ -18,8 +21,16 @@ from gustuq.data import (
     write_station_csv,
 )
 from gustuq.errors import DegenerateInputWarning, IngestError, UsageError
+from gustuq.tune import TRIALS_LOG_COLUMNS, load_trials_log
 
-from synth import RAW_HEADER, grid_rows, station_rows, write_grid_file, write_station_file
+from synth import (
+    GRID_HEADER,
+    RAW_HEADER,
+    grid_rows,
+    station_rows,
+    write_grid_file,
+    write_station_file,
+)
 
 
 @pytest.fixture
@@ -144,8 +155,6 @@ def test_storm_start_times_match_row_loop(cells):
 def test_round_trip_is_bitwise(tmp_path, station_file):
     ds = load_station_csv(station_file)
     # reconstruct the raw columns from the source file for re-writing
-    import csv
-
     with open(station_file, newline="") as fh:
         reader = csv.DictReader(fh)
         raw = np.array(
@@ -180,8 +189,8 @@ def test_bad_rows_in_later_blocks_report_their_lines(tmp_path):
     with pytest.raises(IngestError) as err:
         load_station_csv(path)
     assert err.value.row_errors == [
-        (7, "gust_obs must be finite and >= 0, got -2.0"),
-        (BLOCK_ROWS + 102, "wind_dir_deg 400.0 outside [0, 360]"),
+        (7, "gust_obs: must be finite and >= 0, got -2.0"),
+        (BLOCK_ROWS + 102, "wind_dir_deg: 400.0 outside [0, 360]"),
     ]
 
 
@@ -216,6 +225,128 @@ def test_every_duplicate_named_once(tmp_path):
         load_station_csv(path)
     assert err.value.row_errors == [(22 + k, f"same key as line {2 + k}") for k in range(12)]
     assert str(err.value).count(": same key") == 10  # only the first 10 carry detail
+
+
+# One malformed cell per case: the file it goes in, its column, its text (None
+# cuts the row short there) and the exact reason reported for line 4.
+MALFORMED_CELLS = [
+    ("station", "storm_id", " ", "storm_id: empty value"),
+    ("station", "timestamp_utc", "2020-02-30T00:00:00Z",
+     "timestamp_utc: invalid timestamp '2020-02-30T00:00:00Z'"),
+    ("station", "station_id", "", "station_id: empty value"),
+    ("station", "lat", "x", "lat: could not convert string to float: 'x'"),
+    ("station", "WS_10m", "inf", "WS_10m: must be finite, got inf"),
+    ("station", "PBLH", "nan", "PBLH: must be finite, got nan"),
+    ("station", "wind_dir_deg", "361", "wind_dir_deg: 361.0 outside [0, 360]"),
+    ("station", "gust_obs", "-1", "gust_obs: must be finite and >= 0, got -1.0"),
+    ("station", "gust_obs", "nan", "gust_obs: must be finite and >= 0, got nan"),
+    ("station", "gust_obs", "", "gust_obs: missing value"),
+    ("station", "Ustar", None, "missing fields"),
+    ("grid", "row", "-1", "row: must be >= 0, got -1"),
+    ("grid", "col", "1.5", "col: invalid literal for int() with base 10: '1.5'"),
+    ("grid", "lon", "", "lon: could not convert string to float: ''"),
+    ("grid", "wind_dir_deg", "-0.5", "wind_dir_deg: -0.5 outside [0, 360]"),
+    ("evaluate", "station_id", " ", "station_id: empty value"),
+    ("evaluate", "timestamp_utc", "soon", "timestamp_utc: invalid timestamp 'soon'"),
+    ("evaluate", "total_sd", "x", "total_sd: could not convert string to float: 'x'"),
+    ("trials", "status", "x", "status: must be ok or failed, got 'x'"),
+    ("trials", "hidden_layers", "2.0",
+     "hidden_layers: invalid literal for int() with base 10: '2.0'"),
+]
+
+
+def _evaluate(pred_path, obs_path, out):
+    argv = ["evaluate", "--pred", str(pred_path), "--data", str(obs_path), "--out", str(out)]
+    args = cli.build_parser().parse_args(argv)
+    cli.cmd_evaluate(cli.merge_options(args, cli.COMMANDS["evaluate"][1]))
+
+
+@pytest.mark.parametrize("schema, column, text, reason", MALFORMED_CELLS,
+                         ids=[f"{case[0]}-{case[1]}-{i}" for i, case in enumerate(MALFORMED_CELLS)])
+def test_malformed_cell_reports_line_and_column(tmp_path, schema, column, text, reason):
+    if schema == "station":
+        header, load = RAW_HEADER, load_station_csv
+        rows = station_rows(n_storms=1, n_stations=2, n_hours=3)
+    elif schema == "grid":
+        header, load = GRID_HEADER, load_grid_csv
+        rows = grid_rows(n_storms=1, n_rows=2, n_cols=3, n_hours=1)
+    elif schema == "evaluate":
+        header = ["station_id", "timestamp_utc", "mean", "aleatoric_sd", "epistemic_sd", "total_sd"]
+        rows = [[r[2], r[1], "9.0", "1.0", "0.5", repr(1.25 ** 0.5)]
+                for r in station_rows(n_storms=1, n_stations=2, n_hours=3)]
+        obs = tmp_path / "stations.csv"
+        write_station_file(obs, n_storms=1, n_stations=2, n_hours=3)
+        load = lambda path: _evaluate(path, obs, tmp_path / "eval")
+    else:
+        header = TRIALS_LOG_COLUMNS
+        rows = [[k, "0.001", "0.1", "1", "8", "32", "0.1", "1e-06", "1e-06", "1.5", "0.5", "0.25",
+                 "3", "ok"] for k in range(6)]
+        load = load_trials_log
+    at = header.index(column)
+    rows[2] = rows[2][:at] if text is None else [*rows[2][:at], text, *rows[2][at + 1:]]
+    path = tmp_path / f"{schema}.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    with pytest.raises(IngestError) as err:
+        load(path)
+    assert err.value.row_errors == [(4, reason)]
+    assert f"[line 4: {reason}]" in str(err.value)
+
+
+def test_row_failing_twice_reports_first_column_in_schema_order(tmp_path):
+    rows = station_rows(n_storms=1, n_stations=2, n_hours=5)
+    rows[1][10], rows[1][0] = "400", ""  # wind_dir_deg, then storm_id
+    rows[6][14], rows[6][3] = "-3", "north"  # gust_obs, then lat
+    rows[8][12], rows[8][13] = "inf", "-inf"  # lapse_sfc_1km, lapse_sfc_2km
+    path = tmp_path / "twice.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError) as err:
+        load_station_csv(path)
+    assert err.value.row_errors == [
+        (3, "storm_id: empty value"),
+        (8, "lat: could not convert string to float: 'north'"),
+        (10, "lapse_sfc_1km: must be finite, got inf"),
+    ]
+
+
+# Bad texts per station column; each fails that column's kind and no other.
+BAD_TEXTS = {
+    "storm_id": [" ", ""],
+    "timestamp_utc": ["NaT", "2020-01-01T25:00:00Z", ""],
+    "station_id": ["", "  "],
+    "lat": ["x", ""],
+    "lon": ["1,5", "--1"],
+    **{c: ["inf", "nan", "-inf", "1e400", "one"] for c in data.RAW_FEATURE_COLUMNS},
+    "wind_dir_deg": ["361", "-1e-9", "nan", "x"],
+    "gust_obs": ["-1", "-1e-300", "nan", "inf", "", "?"],
+}
+
+
+@functools.cache
+def _three_block_rows():
+    return station_rows(n_storms=10, n_stations=20, n_hours=48)  # 9,600 rows
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_rows=st.integers(BLOCK_ROWS + 2, 9600),
+    row=st.one_of(st.sampled_from([0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+                  st.integers(0, 9599)),
+    column=st.sampled_from(RAW_HEADER),
+    pick=st.integers(0, 5),
+)
+def test_one_corrupt_cell_is_the_one_reported(tmp_path_factory, n_rows, row, column, pick):
+    rows = [list(r) for r in _three_block_rows()[:n_rows]]
+    row = min(row, n_rows - 1)
+    texts = BAD_TEXTS[column]
+    rows[row][RAW_HEADER.index(column)] = texts[pick % len(texts)]
+    path = tmp_path_factory.mktemp("corrupt") / "stations.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError) as err:
+        load_station_csv(path)
+    [(line, reason)] = err.value.row_errors
+    assert line == row + 2
+    assert reason.startswith(f"{column}: ")
 
 
 def synthetic_stations(n: int, seed: int) -> tuple[Dataset, np.ndarray]:
@@ -411,5 +542,5 @@ def test_nat_timestamp_is_ingest_error(tmp_path):
     rows[1][1] = "NaT"
     path = tmp_path / "nat.csv"
     write_station_file(path, rows=rows)
-    with pytest.raises(IngestError, match="line 3: invalid timestamp 'NaT'"):
+    with pytest.raises(IngestError, match="line 3: timestamp_utc: invalid timestamp 'NaT'"):
         load_station_csv(path)
