@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import artifact, data, evidential, metrics, spatial, tune, xai
 from .errors import DegenerateInputWarning, GustUQError, UsageError
-from .fileio import fmt, fmt_column, write_csv, write_json
+from .fileio import fmt, write_csv, write_json
 from .nncore import TrainConfig
 
 
@@ -59,6 +58,9 @@ COUNT = _scalar(int, "an integer >= 1", lambda v: type(v) is int and v >= 1)
 SEED = _scalar(int, "an integer >= 0", lambda v: type(v) is int and v >= 0)
 NUMBER = _scalar(float, "a finite number",
                  lambda v: type(v) in (int, float) and math.isfinite(v))
+LEVEL = _scalar(float, "a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1)
+PERCENTILE = _scalar(float, "a number in (0, 100)",
+                     lambda v: type(v) in (int, float) and 0 < v < 100)
 PATH = _scalar(str, "a path", lambda v: isinstance(v, str) and v != "")
 SWITCH = _scalar(bool, "true or false", lambda v: isinstance(v, bool))  # --no-<name> stores False
 
@@ -114,9 +116,9 @@ OPTIONS = {
     "out": Option(None, PATH, "output directory"),
     "pred": Option(None, PATH, "predictions CSV written by predict"),
     "seed": Option(0, SEED, "master RNG seed"),
-    "levels": Option(list(metrics.DEFAULT_CONFIDENCE_LEVELS), Kind(str, _distinct(NUMBER)),
+    "levels": Option(list(metrics.DEFAULT_CONFIDENCE_LEVELS), Kind(str, _distinct(LEVEL)),
                      "comma-separated confidence levels"),
-    "mask_percentile": Option(metrics.DEFAULT_MASK_PERCENTILE, NUMBER,
+    "mask_percentile": Option(metrics.DEFAULT_MASK_PERCENTILE, PERCENTILE,
                               "total-sd percentile above which predictions are flagged"),
     "split": Option(None, Kind(str, _split),
                     "chronological storm counts train,val[,test] (default 60/20/20)"),
@@ -239,38 +241,40 @@ def _write_epoch_log(path, log) -> None:
     write_csv(
         path,
         ["epoch", "train_loss", "val_loss", "val_mae"],
-        [[e.epoch, fmt(e.train_loss), fmt(e.val_loss), fmt(e.val_mae)] for e in log],
+        np.asarray([e.epoch for e in log]),
+        np.asarray([e.train_loss for e in log], float),
+        np.asarray([e.val_loss for e in log], float),
+        np.asarray([e.val_mae for e in log], float),
     )
 
 
 def _write_report_files(out: Path, prefix: str, report: metrics.EvalReport) -> None:
     write_json(out / f"{prefix}report.json", metrics.report_to_dict(report))
+    discard, spread = report.discard, report.spread
     write_csv(
         out / f"{prefix}discard.csv",
         ["fraction", "rmse", "n_retained"],
-        [
-            [fmt(f), fmt(r), int(n)]
-            for f, r, n in zip(
-                report.discard.fractions, report.discard.rmse, report.discard.n_retained
-            )
-        ],
+        np.asarray(discard.fractions, float), np.asarray(discard.rmse, float),
+        np.asarray(discard.n_retained, int),
     )
     write_csv(
         out / f"{prefix}spread_skill.csv",
         ["bin", "mean_sd", "rmse", "count"],
-        [
-            [i, fmt(s), fmt(r), int(c)]
-            for i, (s, r, c) in enumerate(
-                zip(report.spread.bin_mean_sd, report.spread.bin_rmse, report.spread.bin_counts)
-            )
-        ],
+        np.arange(len(spread.bin_counts)),
+        np.asarray(spread.bin_mean_sd, float), np.asarray(spread.bin_rmse, float),
+        np.asarray(spread.bin_counts, int),
     )
-    pit_rows = []
-    for kind, res in report.pitd_by_kind.items():
-        edges = np.linspace(0.0, 1.0, res.n_bins + 1)
-        for i, count in enumerate(res.bin_counts):
-            pit_rows.append([kind, i, fmt(edges[i]), fmt(edges[i + 1]), int(count)])
-    write_csv(out / f"{prefix}pit_hist.csv", ["kind", "bin", "left", "right", "count"], pit_rows)
+    pits = report.pitd_by_kind.items()
+    edges = [np.linspace(0.0, 1.0, res.n_bins + 1) for _, res in pits]
+    write_csv(
+        out / f"{prefix}pit_hist.csv",
+        ["kind", "bin", "left", "right", "count"],
+        [kind for kind, res in pits for _ in range(res.n_bins)],
+        np.concatenate([np.arange(res.n_bins) for _, res in pits]),
+        np.concatenate([e[:-1] for e in edges]),
+        np.concatenate([e[1:] for e in edges]),
+        np.concatenate([np.asarray(res.bin_counts, int) for _, res in pits]),
+    )
 
 
 def cmd_train(opts: dict) -> None:
@@ -329,22 +333,18 @@ def cmd_train(opts: dict) -> None:
 # predict
 
 
-def _prediction_rows(
-    ids: dict, pset: metrics.PredictionSet, levels
-) -> tuple[list[str], list[tuple]]:
-    """Header and rows of a predictions file: the ``ids`` text columns, then
-    the prediction columns."""
+def _write_predictions(path, ids: dict, pset: metrics.PredictionSet, levels) -> None:
+    """A predictions file: the ``ids`` columns, then the prediction columns."""
     header = [*ids, "mean", "aleatoric_sd", "epistemic_sd", "total_sd"]
-    columns = [*ids.values()]
-    columns += map(fmt_column, (pset.mean, pset.aleatoric_sd, pset.epistemic_sd, pset.total_sd))
+    columns = [*ids.values(), pset.mean, pset.aleatoric_sd, pset.epistemic_sd, pset.total_sd]
     for level in levels:
         label = _level_label(level)
         header += [f"lower_{label}", f"upper_{label}"]
-        columns += map(fmt_column, pset.interval(float(level)))
+        columns += pset.interval(float(level))
     header.append("highly_uncertain")
     flagged = np.zeros(len(pset), dtype=bool) if pset.flagged is None else pset.flagged
-    columns.append(flagged.astype(int).tolist())
-    return header, list(zip(*columns))
+    columns.append(flagged.astype(np.int8))
+    write_csv(path, header, *columns)
 
 
 def cmd_predict(opts: dict) -> None:
@@ -357,70 +357,65 @@ def cmd_predict(opts: dict) -> None:
     pset = metrics.PredictionSet.from_decomposition(
         model.predict(ds.features), levels, opts["mask_percentile"]
     )
-    storms, times = ds.storm_ids.tolist(), data.format_timestamps(ds.timestamps)
-    lats, lons = fmt_column(ds.lats), fmt_column(ds.lons)
-
+    coords = {"lat": ds.lats, "lon": ds.lons}
     if ds.station_ids is not None:
-        header, rows = _prediction_rows(
-            {"station_id": ds.station_ids.tolist(), "timestamp_utc": times,
-             "storm_id": storms, "lat": lats, "lon": lons},
-            pset, levels,
-        )
-        write_csv(out / "predictions.csv", header, rows)
+        ids = {"station_id": ds.station_ids, "timestamp_utc": ds.timestamps,
+               "storm_id": ds.storm_ids, **coords}
+        _write_predictions(out / "predictions.csv", ids, pset, levels)
         print(f"wrote {out / 'predictions.csv'}")
         return
 
-    header, rows = _prediction_rows(
-        {"storm_id": storms, "timestamp_utc": times, "row": ds.grid_rows.tolist(),
-         "col": ds.grid_cols.tolist(), "lat": lats, "lon": lons},
-        pset, levels,
-    )
-    write_csv(out / "grid_predictions.csv", header, rows)
-    del storms, times, lats, lons, rows  # free the text before the cubes are built
-
-    # hourly spatial gradient of the mean prediction field; cells in (t, r, c) order
+    # the cubes check the cell coordinates, so a bad grid leaves no file behind
     cells = (ds.storm_ids, ds.timestamps, ds.grid_rows, ds.grid_cols, ds.lats, ds.lons)
     mean_cubes = spatial.storm_cubes(*cells, pset.mean)
-    gradient_rows = []
+    ids = {"storm_id": ds.storm_ids, "timestamp_utc": ds.timestamps,
+           "row": ds.grid_rows, "col": ds.grid_cols, **coords}
+    _write_predictions(out / "grid_predictions.csv", ids, pset, levels)
+
+    # hourly spatial gradient of the mean prediction field; cells in (t, r, c) order
+    parts = []
     for storm, (hours, field) in mean_cubes.items():
         gradient = spatial.spatial_gradient(field)
         t, r, c = np.nonzero(gradient.valid)
-        gradient_rows += zip(
-            itertools.repeat(storm),
-            data.format_timestamps(hours[t]),
-            fmt_column(gradient.lats[r]),
-            fmt_column(gradient.lons[c]),
-            fmt_column(gradient.values[t, r, c]),
-        )
+        parts.append((np.full(len(t), storm), hours[t], *_cell_coords(gradient, r, c),
+                      gradient.values[t, r, c]))
     write_csv(
         out / "gradient_mean.csv",
         ["storm_id", "time", "lat", "lon", "gradient"],
-        gradient_rows,
+        *map(np.concatenate, zip(*parts)),
     )
 
     # storm-duration cell averages of mean and total sd, min-max normalized
     sd_cubes = spatial.storm_cubes(*cells, pset.total_sd)
-    norm_rows = []
+    parts = []
     for storm, (_, field) in mean_cubes.items():
         mean_avg = _average_fields(field)
         sd_avg = _average_fields(sd_cubes[storm][1])
         norm_mean = _safe_normalize(mean_avg, f"storm {storm} mean field")
         norm_sd = _safe_normalize(sd_avg, f"storm {storm} total-sd field")
         r, c = np.nonzero(mean_avg.valid)
-        blank = itertools.repeat("")
-        norm_rows += zip(
-            itertools.repeat(storm),
-            fmt_column(mean_avg.lats[r]),
-            fmt_column(mean_avg.lons[c]),
-            blank if norm_mean is None else fmt_column(norm_mean.values[r, c]),
-            blank if norm_sd is None else fmt_column(norm_sd.values[r, c]),
-        )
+        blank = np.full(len(r), "")
+        parts.append((
+            np.full(len(r), storm), *_cell_coords(mean_avg, r, c),
+            blank if norm_mean is None else _text(norm_mean.values[r, c]),
+            blank if norm_sd is None else _text(norm_sd.values[r, c]),
+        ))
     write_csv(
         out / "normalized_fields.csv",
         ["storm_id", "lat", "lon", "mean_norm", "total_sd_norm"],
-        norm_rows,
+        *map(np.concatenate, zip(*parts)),
     )
     print(f"wrote {out / 'grid_predictions.csv'}")
+
+
+def _text(values: np.ndarray) -> np.ndarray:
+    """Floats as ``fmt`` text."""
+    return np.array(list(map(repr, values.tolist())), dtype=str)
+
+
+def _cell_coords(field: spatial.GridField, r: np.ndarray, c: np.ndarray) -> tuple:
+    """The lat and lon text of cells (r, c): each axis formatted once."""
+    return _text(field.lats)[r], _text(field.lons)[c]
 
 
 def _average_fields(field: spatial.GridField) -> spatial.GridField:
@@ -501,23 +496,24 @@ def cmd_evaluate(opts: dict) -> None:
     station_ids, station_of = np.unique(stations, return_inverse=True)
     n_stations = len(station_ids)
     kept = ~flagged if opts["exclude_flagged"] else np.ones(len(stations), dtype=bool)
-    n_total = np.bincount(station_of, minlength=n_stations).tolist()
-    n_kept = np.bincount(station_of[kept], minlength=n_stations).tolist()
+    n_total = np.bincount(station_of, minlength=n_stations)
+    n_kept = np.bincount(station_of[kept], minlength=n_stations)
     n_covered = []
     for level in levels:
         lower, upper = pset.interval(float(level))
         covered = kept & (obs >= lower) & (obs <= upper)
-        n_covered.append(np.bincount(station_of[covered], minlength=n_stations).tolist())
-    station_rows = [
-        [station, _level_label(level), fmt(hits[s] / n_kept[s]) if n_kept[s] else "",
-         n_total[s], n_kept[s]]
-        for s, station in enumerate(station_ids.tolist())
-        for level, hits in zip(levels, n_covered)
-    ]
+        n_covered.append(np.bincount(station_of[covered], minlength=n_stations))
+    # one row per station and level, station-major
+    hits = np.stack(n_covered, axis=1).ravel().tolist()
+    kept_per_row = np.repeat(n_kept, len(levels))
     write_csv(
         out / "picp_stations.csv",
         ["station_id", "level", "picp", "n_total", "n_retained"],
-        station_rows,
+        np.repeat(station_ids, len(levels)),
+        [_level_label(level) for level in levels] * n_stations,
+        [fmt(h / k) if k else "" for h, k in zip(hits, kept_per_row.tolist())],
+        np.repeat(n_total, len(levels)),
+        kept_per_row,
     )
     print(f"wrote {out / 'report.json'}")
 
@@ -552,41 +548,23 @@ def cmd_explain(opts: dict) -> None:
             "n_shuffles",
             "note",
         ],
-        [
-            [
-                f.feature,
-                fmt(f.delta_rmse_mean),
-                fmt(f.delta_rmse_sd),
-                fmt(f.delta_r2_mean),
-                fmt(f.delta_r2_sd),
-                f.n_shuffles,
-                f.note,
-            ]
-            for f in pfi.features
-        ],
+        [f.feature for f in pfi.features],
+        *(np.asarray([getattr(f, name) for f in pfi.features], float) for name in (
+            "delta_rmse_mean", "delta_rmse_sd", "delta_r2_mean", "delta_r2_sd")),
+        np.asarray([f.n_shuffles for f in pfi.features]),
+        [f.note for f in pfi.features],
     )
 
-    pdp_rows = []
-    for j in range(ds.features.shape[1]):
-        curve = xai.partial_dependence(
+    curves = [
+        xai.partial_dependence(
             model.mean_and_total_sd,
             ds.features,
             j,
             feature_names=ds.feature_names,
             n_grid=opts["pdp_grid"],
         )
-        for g, value in enumerate(curve.grid):
-            pdp_rows.append(
-                [
-                    curve.feature,
-                    g,
-                    fmt(value),
-                    fmt(curve.pred_mean[g]),
-                    fmt(curve.pred_sd[g]),
-                    fmt(curve.uncertainty_mean[g]),
-                    fmt(curve.uncertainty_sd[g]),
-                ]
-            )
+        for j in range(ds.features.shape[1])
+    ]
     write_csv(
         out / "pdp.csv",
         [
@@ -598,7 +576,10 @@ def cmd_explain(opts: dict) -> None:
             "total_sd_mean",
             "total_sd_sd",
         ],
-        pdp_rows,
+        [curve.feature for curve in curves for _ in curve.grid],
+        np.concatenate([np.arange(len(curve.grid)) for curve in curves]),
+        *(np.concatenate([getattr(curve, name) for curve in curves]) for name in (
+            "grid", "pred_mean", "pred_sd", "uncertainty_mean", "uncertainty_sd")),
     )
     print(f"wrote {out / 'pfi.csv'} and {out / 'pdp.csv'}")
 
@@ -632,8 +613,9 @@ def cmd_spatial(opts: dict) -> None:
     if not storms:
         raise UsageError("prediction and feature files share no storms")
 
-    track_rows = []
-    series_rows = []
+    # one row per hour of each storm's wind track; the uq track's point of the
+    # same hour, if any, beside it
+    names, times, wind, uq, wind_norm, uq_norm = [], [], [], [], [], []
     alignment: dict[str, dict[str, float]] = {}
     for storm in storms:
         ws_track = spatial.track_spatial_max(*ws_cubes[storm])
@@ -642,37 +624,23 @@ def cmd_spatial(opts: dict) -> None:
         ws_norm = _safe_normalize(
             np.array([p.value for p in ws_track]), f"storm {storm} wind max series"
         )
-        uq_norm = _safe_normalize(
+        uq_series = _safe_normalize(
             np.array([p.value for p in uq_track]), f"storm {storm} uq max series"
         )
         for i, p in enumerate(ws_track):
             k = uq_index.get(p.time)
-            q = uq_track[k] if k is not None else None
-            track_rows.append(
-                [
-                    storm,
-                    data.format_timestamp(p.time),
-                    fmt(p.value), fmt(p.lat), fmt(p.lon), p.row, p.col,
-                    "" if q is None else fmt(q.value),
-                    "" if q is None else fmt(q.lat),
-                    "" if q is None else fmt(q.lon),
-                    "" if q is None else q.row,
-                    "" if q is None else q.col,
-                ]
-            )
-            series_rows.append(
-                [
-                    storm,
-                    data.format_timestamp(p.time),
-                    "" if ws_norm is None else fmt(ws_norm[i]),
-                    "" if uq_norm is None or k is None else fmt(uq_norm[k]),
-                ]
-            )
+            names.append(storm)
+            times.append(p.time)
+            wind.append(p)
+            uq.append(None if k is None else uq_track[k])
+            wind_norm.append("" if ws_norm is None else fmt(ws_norm[i]))
+            uq_norm.append("" if uq_series is None or k is None else fmt(uq_series[k]))
         alignment[storm] = {
             str(k): spatial.alignment_fraction(ws_track, uq_track, k)
             for k in opts["align_k"]
         }
 
+    times = np.array(times, dtype="datetime64[s]")
     write_csv(
         out / "max_tracks.csv",
         [
@@ -680,12 +648,17 @@ def cmd_spatial(opts: dict) -> None:
             "wind_value", "wind_lat", "wind_lon", "wind_row", "wind_col",
             "uq_value", "uq_lat", "uq_lon", "uq_row", "uq_col",
         ],
-        track_rows,
+        names,
+        times,
+        *(np.asarray([getattr(p, a) for p in wind], float) for a in ("value", "lat", "lon")),
+        *(np.asarray([getattr(p, a) for p in wind]) for a in ("row", "col")),
+        *(["" if q is None else f(getattr(q, a)) for q in uq] for a, f in (
+            ("value", fmt), ("lat", fmt), ("lon", fmt), ("row", str), ("col", str))),
     )
     write_csv(
         out / "normalized_series.csv",
         ["storm_id", "time", "wind_max_norm", "uq_max_norm"],
-        series_rows,
+        names, times, wind_norm, uq_norm,
     )
     write_json(out / "alignment.json", alignment)
     print(f"wrote {out / 'alignment.json'}")

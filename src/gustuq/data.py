@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputWarning, IngestError, UsageError
-from .fileio import fmt_column, write_csv
+from .fileio import BLOCK_ROWS, write_csv
 
 # Derived feature vector, in model-input order.
 FEATURE_NAMES = [
@@ -50,10 +50,6 @@ RAW_FEATURE_COLUMNS = [
 TARGET_COLUMN = "gust_obs"
 
 STORM_WINDOW_HOURS = 48
-
-# Rows the reader converts per numpy call per column: large enough that the
-# per-block cost vanishes, small enough that a block's strings stay a few MB.
-BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -114,12 +110,6 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 def format_timestamp(ts: np.datetime64) -> str:
     return str(np.datetime64(ts, "s")) + "Z"
-
-
-def format_timestamps(timestamps: np.ndarray) -> list[str]:
-    """``format_timestamp`` over a whole column."""
-    text = np.datetime_as_string(np.asarray(timestamps, dtype="datetime64[s]"), unit="s")
-    return np.char.add(text, "Z").tolist()
 
 
 def day_of_year_cos(timestamps: np.ndarray) -> np.ndarray:
@@ -198,9 +188,8 @@ def _check_storm_windows(storm_ids: np.ndarray, timestamps: np.ndarray) -> None:
 
 
 # Column kinds of the reader: each turns a sequence of a column's strings into
-# an array, or raises ValueError naming the first bad value (TypeError or
-# AttributeError for the None that pads a short row). A kind checks each value
-# on its own, so any part of a column without a bad value passes.
+# an array, or raises ValueError naming the first bad value. A kind checks each
+# value on its own, so any part of a column without a bad value passes.
 
 
 def _first(values: np.ndarray, bad: np.ndarray):
@@ -248,9 +237,8 @@ def _degrees_column(texts) -> np.ndarray:
 
 
 def _gust_column(texts) -> np.ndarray:
-    """Observed gusts, finite and >= 0; a blank value (or a short row's
-    missing last field) reads as NaN."""
-    texts = [(t or "").strip() for t in texts]
+    """Observed gusts, finite and >= 0; a blank value reads as NaN."""
+    texts = [t.strip() for t in texts]
     present = np.fromiter(map(bool, texts), bool, len(texts))
     gust = np.fromiter((float(t) if t else np.nan for t in texts), float, len(texts))
     if np.any(bad := present & ~(np.isfinite(gust) & (gust >= 0))):
@@ -285,21 +273,20 @@ def _bad_values(convert, texts, error: Exception, offset: int = 0) -> list:
     for start, part in ((0, texts[:half]), (half, texts[half:])):
         try:
             convert(part)
-        except (ValueError, TypeError, AttributeError) as exc:
+        except ValueError as exc:
             found += _bad_values(convert, part, exc, offset + start)
     return found
 
 
-def _row_errors(columns: dict, texts: dict, failed: dict) -> list[tuple[int, str]]:
+def _row_errors(columns: dict, texts: dict, failed: dict) -> dict[int, str]:
     """The bad rows of a block whose ``failed`` columns (in schema order) raised
     the given errors, each row with its first failing column as ``<column>:
-    <reason>``, or ``missing fields`` for a short row."""
+    <reason>``."""
     first: dict[int, str] = {}
     for name, error in failed.items():
         for k, exc in _bad_values(columns[name], texts[name], error):
-            short = isinstance(exc, (TypeError, AttributeError))
-            first.setdefault(k, "missing fields" if short else f"{name}: {exc}")
-    return sorted(first.items())
+            first.setdefault(k, f"{name}: {exc}")
+    return first
 
 
 def _reject_duplicates(path, names, keys: list[np.ndarray]) -> None:
@@ -329,9 +316,10 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     that fails, each column is re-checked with its own kind, halving the
     failing parts down to single values, and every bad row is reported with
     its first failing column in ``columns`` order: the ``IngestError`` names
-    the first 10 lines as ``line N: <column>: <reason>`` (``line N: missing
-    fields`` for a short row). Rows whose ``key`` columns repeat an earlier
-    row are rejected the same way. Blank lines are skipped and not counted.
+    the first 10 lines as ``line N: <column>: <reason>``. A row with fewer or
+    more fields than the header reads ``line N: missing fields`` or ``line N:
+    extra fields``. Rows whose ``key`` columns repeat an earlier row are
+    rejected the same way. Blank lines are skipped and not counted.
     """
     required = [c for c in columns if c not in optional]
     parts = {name: [convert([])] for name, convert in columns.items()}
@@ -346,9 +334,15 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
         where = {name: i for i, name in enumerate(header)}
         width = len(header)
         while chunk := list(itertools.islice(reader, BLOCK_ROWS)):
-            block = [r if len(r) >= width else r + [None] * (width - len(r)) for r in chunk if r]
+            block = [r for r in chunk if r]
             if not block:
                 continue
+            # a row of the wrong width is reported as such, and padded or cut
+            # to the header's width so that the block's other rows are checked
+            errors = {k: "missing fields" if len(r) < width else "extra fields"
+                      for k, r in enumerate(block) if len(r) != width}
+            for k in errors:
+                block[k] = (block[k] + [""] * width)[:width]
             fields = list(zip(*block))
             absent = ("",) * len(block)
             texts = {name: fields[where[name]] if name in where else absent for name in columns}
@@ -356,13 +350,15 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
             for name, convert in columns.items():
                 try:
                     parts[name].append(convert(texts[name]))
-                except (ValueError, TypeError, AttributeError) as exc:
+                except ValueError as exc:
                     failed[name] = exc
             if failed:
-                errors = _row_errors(columns, texts, failed)
-                if not errors:
+                found = _row_errors(columns, texts, failed)
+                if not found:
                     raise next(iter(failed.values()))
-                row_errors += [(line + k, reason) for k, reason in errors]
+                for k, reason in found.items():
+                    errors.setdefault(k, reason)
+            row_errors += [(line + k, reason) for k, reason in sorted(errors.items())]
             line += len(block)
     if row_errors:
         raise IngestError(f"{path}: {len(row_errors)} malformed rows", row_errors)
@@ -435,16 +431,17 @@ def write_station_csv(dataset: Dataset, path, raw_features: np.ndarray | None = 
     if raw_features is None:
         raise UsageError("write_station_csv needs the raw feature columns")
     gust = np.full(len(dataset), np.nan) if dataset.gust is None else dataset.gust
-    columns = [
-        dataset.storm_ids.tolist(),
-        format_timestamps(dataset.timestamps),
-        dataset.station_ids.tolist(),
-        fmt_column(dataset.lats),
-        fmt_column(dataset.lons),
-        *(fmt_column(raw_features[:, j]) for j in range(raw_features.shape[1])),
+    write_csv(
+        path,
+        [*_STATION_KINDS, TARGET_COLUMN],
+        dataset.storm_ids,
+        dataset.timestamps,
+        dataset.station_ids,
+        dataset.lats,
+        dataset.lons,
+        *np.asarray(raw_features, dtype=float).T,
         [repr(g) if np.isfinite(g) else "" for g in gust.tolist()],
-    ]
-    write_csv(path, [*_STATION_KINDS, TARGET_COLUMN], list(zip(*columns)))
+    )
 
 
 @dataclass

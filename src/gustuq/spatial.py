@@ -180,26 +180,47 @@ def track_spatial_max(times, field: GridField) -> list[TrackPoint]:
     return track
 
 
+def _axis(index: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The coordinate of each raster row (col) index: that of its first cell
+    row, NaN for an index no row has."""
+    axis = np.full(int(index.max()) + 1, np.nan)
+    present, first = np.unique(index, return_index=True)
+    axis[present] = coords[first]
+    return axis
+
+
 def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
     """Scatter long-format cell rows into one cube per storm.
 
     Returns ``{storm: (times, field)}`` in storm order, with ``times`` the
     storm's distinct hours in order and ``field`` the [T, rows, cols] cube
     of ``values``; cells without a row stay masked. Each cell must appear at
-    most once per hour.
+    most once per hour, and every row of a storm with the same grid row
+    (col) index must carry the same lat (lon). The arrays are taken to be in
+    file order, so a coordinate that differs is reported at line index + 2.
     """
     cubes = {}
     for storm in sorted(set(storm_ids.tolist())):
         sel = np.flatnonzero(storm_ids == storm)
         r, c = rows[sel], cols[sel]
-        lat_axis = np.full(int(r.max()) + 1, np.nan)
-        lon_axis = np.full(int(c.max()) + 1, np.nan)
-        lat_axis[r] = lats[sel]
-        lon_axis[c] = lons[sel]
+        lat_axis = _axis(r, lats[sel])
+        lon_axis = _axis(c, lons[sel])
         if np.any(np.isnan(lat_axis)) or np.any(np.isnan(lon_axis)):
             raise IngestError(
                 f"storm {storm}: some grid row/col indices never appear, "
                 "cannot reconstruct the raster axes"
+            )
+        errors = []
+        for name, coord, index, got, axis in (
+            ("row", "lat", r, lats[sel], lat_axis), ("col", "lon", c, lons[sel], lon_axis)
+        ):
+            for k in np.flatnonzero(got != axis[index]).tolist():
+                errors.append((int(sel[k]) + 2, f"{coord} {float(got[k])!r}, but grid {name} "
+                               f"{index[k]} has {coord} {float(axis[index[k]])!r}"))
+        if errors:
+            raise IngestError(
+                f"storm {storm}: {len(errors)} coordinates differ within a grid row or col",
+                sorted(errors),
             )
         times, t = np.unique(timestamps[sel], return_inverse=True)
         cube = np.full((times.size, lat_axis.size, lon_axis.size), np.nan)

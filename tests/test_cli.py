@@ -178,6 +178,21 @@ def test_predict_grid_mode(pipeline, tmp_path):
     assert min(values) == 0.0 and max(values) == 1.0
 
 
+def test_predict_grid_cell_whose_lat_disagrees_is_ingest_error(pipeline, tmp_path, capsys):
+    rows = grid_rows(n_storms=1, n_rows=5, n_cols=6, n_hours=4, seed=2)
+    at = 3 * 30 + 3 * 6 + 2  # last hour, raster row 3, col 2
+    rows[at][4] = repr(float(rows[at][4]) + 3.0)
+    moved = tmp_path / "moved.csv"
+    write_grid_file(moved, rows=rows)
+    out = tmp_path / "out"
+    code = run("predict", "--model", pipeline["model"], "--data", moved, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error: storm G00: 1 coordinates differ")
+    assert f"line {at + 2}: lat 44.75, but grid row 3 has lat 41.75" in err
+    assert not any(out.iterdir())
+
+
 def test_predict_constant_grid_constant_mean_zero_gradient(pipeline, tmp_path):
     const_grid = tmp_path / "const_grid.csv"
     rows = grid_rows(n_storms=1, n_rows=3, n_cols=4, n_hours=2, seed=0)
@@ -657,6 +672,14 @@ BAD_OPTIONS = [
     ("explain", [], {"pdp_grid": 0}, "pdp_grid"),
     ("tune", ["--trials", "0"], None, "--trials"),
     ("tune", [], {"seed": -1}, "seed"),
+    # levels lie in (0, 1) and the mask percentile in (0, 100), refused before
+    # train writes its model
+    ("train", ["--levels", "1.5"], None, "--levels"),
+    ("train", ["--mask-percentile", "150"], None, "--mask-percentile"),
+    ("train", [], {"levels": [0.7, 0]}, "levels"),
+    ("train", [], {"mask_percentile": 100}, "mask_percentile"),
+    ("predict", ["--levels", "0.9,1"], None, "--levels"),
+    ("evaluate", ["--mask-percentile", "-5"], None, "--mask-percentile"),
 ]
 
 

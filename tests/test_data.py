@@ -14,6 +14,7 @@ from gustuq.data import (
     Standardizer,
     chronological_split,
     day_of_year_cos,
+    load_features_csv,
     load_grid_csv,
     load_station_csv,
     parse_timestamp,
@@ -177,6 +178,38 @@ def test_very_short_row_reported_as_ingest_error(tmp_path):
     write_station_file(path, rows=rows)
     with pytest.raises(IngestError, match="line 4: missing fields"):
         load_station_csv(path)
+
+
+@pytest.mark.parametrize("require_target", [True, False], ids=["training", "inference"])
+@pytest.mark.parametrize("edit, reason", [
+    (lambda row: row[:-1], "missing fields"),  # the gust_obs field is gone
+    (lambda row: [*row, "7.5"], "extra fields"),
+], ids=["short", "long"])
+def test_row_width_must_match_header(tmp_path, require_target, edit, reason):
+    rows = station_rows(n_storms=1, n_stations=2, n_hours=3)
+    rows[2] = edit(rows[2])
+    path = tmp_path / "width.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError) as err:
+        load_station_csv(path, require_target=require_target)
+    assert err.value.row_errors == [(4, reason)]
+    assert f"[line 4: {reason}]" in str(err.value)
+
+
+def test_wrong_width_rows_reported_with_bad_cells(tmp_path):
+    rows = station_rows(n_storms=10, n_stations=20, n_hours=24)  # 4,800 rows
+    rows[1].append("")
+    rows[3][3] = "north"
+    rows[BLOCK_ROWS + 7] = rows[BLOCK_ROWS + 7][:5]
+    path = tmp_path / "width.csv"
+    write_station_file(path, rows=rows)
+    with pytest.raises(IngestError) as err:
+        load_features_csv(path)
+    assert err.value.row_errors == [
+        (3, "extra fields"),
+        (5, "lat: could not convert string to float: 'north'"),
+        (BLOCK_ROWS + 9, "missing fields"),
+    ]
 
 
 def test_bad_rows_in_later_blocks_report_their_lines(tmp_path):

@@ -392,6 +392,32 @@ def test_storm_cubes_need_every_axis_index():
         storm_cubes(*columns)
 
 
+def test_storm_cubes_refuse_cells_whose_coordinates_disagree():
+    # storm A: 2 hours of a 3x4 raster in (t, r, c) file order; storm B after it
+    t, r, c = (a.ravel() for a in np.meshgrid(np.arange(2), np.arange(3), np.arange(4),
+                                              indexing="ij"))
+    storms = np.array(["A"] * 24 + ["B"] * 24)
+    times = np.datetime64("2020-01-01T00:00:00", "s") + np.tile(t, 2).astype("timedelta64[h]")
+    rows, cols = np.tile(r, 2), np.tile(c, 2)
+    lats, lons = 41.0 + 0.25 * rows, -74.0 + 0.25 * cols
+    values = np.arange(48.0)
+    storm_cubes(storms, times, rows, cols, lats, lons, values)  # consistent: accepted
+    lats[12 + 4 + 1] += 3.0  # hour 1, row 1, col 1 of A: lat 44.25, row 1 is at 41.25
+    lons[24 + 12 + 11] = -73.0  # hour 1, row 2, col 3 of B
+    with pytest.raises(IngestError) as err:
+        storm_cubes(storms, times, rows, cols, lats, lons, values)
+    assert err.value.row_errors == [
+        (19, "lat 44.25, but grid row 1 has lat 41.25"),
+    ]
+    assert str(err.value).startswith("storm A: 1 coordinates differ within a grid row or col")
+    lats[12 + 4 + 1] -= 3.0
+    with pytest.raises(IngestError) as err:
+        storm_cubes(storms, times, rows, cols, lats, lons, values)
+    assert err.value.row_errors == [
+        (49, "lon -73.0, but grid col 3 has lon -73.25"),
+    ]
+
+
 def test_grid_field_validation():
     with pytest.raises(UsageError):
         GridField(lats=np.array([1.0, 1.0]), lons=np.array([1.0, 2.0]),
