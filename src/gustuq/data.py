@@ -236,6 +236,13 @@ def _degrees_column(texts) -> np.ndarray:
     return out
 
 
+def _latitude_column(texts) -> np.ndarray:
+    out = _finite_column(texts)
+    if not np.all(ok := (out >= -90.0) & (out <= 90.0)):
+        raise ValueError(f"{_first(out, ~ok)} outside [-90, 90]")
+    return out
+
+
 def _gust_column(texts) -> np.ndarray:
     """Observed gusts, finite and >= 0; a blank value reads as NaN."""
     texts = [t.strip() for t in texts]
@@ -257,9 +264,10 @@ def _observed_gust_column(texts) -> np.ndarray:
 _FEATURE_KINDS = {c: _finite_column for c in RAW_FEATURE_COLUMNS}
 _FEATURE_KINDS["wind_dir_deg"] = _degrees_column
 _STATION_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
-                  "lat": float_column, "lon": float_column, **_FEATURE_KINDS}
+                  "lat": _latitude_column, "lon": _finite_column, **_FEATURE_KINDS}
 _GRID_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "row": index_column,
-               "col": index_column, "lat": float_column, "lon": float_column, **_FEATURE_KINDS}
+               "col": index_column, "lat": _latitude_column, "lon": _finite_column,
+               **_FEATURE_KINDS}
 
 
 def _bad_values(convert, texts, error: Exception, offset: int = 0) -> list:

@@ -285,6 +285,12 @@ MALFORMED_CELLS = [
     ("trials", "status", "x", "status: must be ok or failed, got 'x'"),
     ("trials", "hidden_layers", "2.0",
      "hidden_layers: invalid literal for int() with base 10: '2.0'"),
+    ("station", "lat", "nan", "lat: must be finite, got nan"),
+    ("station", "lon", "inf", "lon: must be finite, got inf"),
+    ("station", "lat", "90.5", "lat: 90.5 outside [-90, 90]"),
+    ("grid", "lat", "-inf", "lat: must be finite, got -inf"),
+    ("grid", "lat", "-91", "lat: -91.0 outside [-90, 90]"),
+    ("grid", "lon", "nan", "lon: must be finite, got nan"),
 ]
 
 
@@ -326,6 +332,17 @@ def test_malformed_cell_reports_line_and_column(tmp_path, schema, column, text, 
     assert f"[line 4: {reason}]" in str(err.value)
 
 
+def test_coordinate_bounds_are_inclusive(tmp_path):
+    rows = station_rows(n_storms=1, n_stations=3, n_hours=1)
+    for row, lat, lon in zip(rows, ["90", "-90", "-0.0"], ["-180", "359.5", "1e6"]):
+        row[3:5] = lat, lon
+    path = tmp_path / "poles.csv"
+    write_station_file(path, rows=rows)
+    ds = load_station_csv(path)
+    assert ds.lats.tolist() == [90.0, -90.0, -0.0]
+    assert ds.lons.tolist() == [-180.0, 359.5, 1e6]
+
+
 def test_row_failing_twice_reports_first_column_in_schema_order(tmp_path):
     rows = station_rows(n_storms=1, n_stations=2, n_hours=5)
     rows[1][10], rows[1][0] = "400", ""  # wind_dir_deg, then storm_id
@@ -347,8 +364,8 @@ BAD_TEXTS = {
     "storm_id": [" ", ""],
     "timestamp_utc": ["NaT", "2020-01-01T25:00:00Z", ""],
     "station_id": ["", "  "],
-    "lat": ["x", ""],
-    "lon": ["1,5", "--1"],
+    "lat": ["x", "", "nan", "-inf", "90.000001", "-1e3"],
+    "lon": ["1,5", "--1", "inf", "nan"],
     **{c: ["inf", "nan", "-inf", "1e400", "one"] for c in data.RAW_FEATURE_COLUMNS},
     "wind_dir_deg": ["361", "-1e-9", "nan", "x"],
     "gust_obs": ["-1", "-1e-300", "nan", "inf", "", "?"],

@@ -274,10 +274,12 @@ def draw_smooth_case(rng, margin=1e-2):
         model = MLP.create(d, hidden, rng, l1=1e-4, l2=1e-4)
         x = rng.normal(size=(5, d))
         y = rng.normal(size=5)
-        out, cache = nncore.forward(model, x, train_mode=True)
-        z_margin = min(
-            (float(np.abs(z).min()) for z in cache.pre_activations), default=np.inf
-        )
+        out, _ = nncore.forward(model, x, train_mode=True)
+        z_margin, a = np.inf, x
+        for layer in model.layers[:-1]:
+            z = a @ layer.weights + layer.bias
+            z_margin = min(z_margin, float(np.abs(z).min()))
+            a = np.where(z > 0, z, model.leaky_slope * z)
         d_margin = float(np.abs(y - head_transform(out).gamma).min())
         if z_margin > margin and d_margin > margin:
             return model, x, y, lam

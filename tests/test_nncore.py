@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gustuq import nncore
+from gustuq import evidential, nncore
 from gustuq.errors import ConfigError, DimensionError, NumericError, UsageError
 from gustuq.nncore import MLP, Adam, Layer, TrainConfig
 
@@ -212,14 +213,21 @@ def test_training_step_bit_exact_against_reference(
             ref, batch, np.random.default_rng(mask_seed)
         )
         assert np.array_equal(out, r_out)
+        assert len(cache.inputs) == len(r_inputs)
+        assert len(cache.positive) == len(cache.keeps) == len(r_pre) == len(r_masks)
         for got, want in zip(cache.inputs, r_inputs):
             assert np.array_equal(got, want)
-        for got, want in zip(cache.pre_activations, r_pre):
-            assert np.array_equal(got, want)
-        for got, want in zip(cache.dropout_masks, r_masks):
-            assert (got is None and want is None) or np.array_equal(got, want)
+        for got, want in zip(cache.positive, r_pre):
+            assert got.dtype == bool and np.array_equal(got, want > 0)
+        scale = 1.0 / (1.0 - dropout)
+        for got, want in zip(cache.keeps, r_masks):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == bool and np.array_equal(got * scale, want)
 
         grads = nncore.backward(model, cache, grad_out)
+        assert cache.inputs == cache.positive == cache.keeps == []
         r_dw, r_db = reference_backward(ref, r_inputs, r_pre, r_masks, grad_out)
         for got, want in zip(grads.weights + grads.biases, r_dw + r_db):
             assert np.array_equal(got, want)
@@ -282,12 +290,48 @@ def test_backward_stale_cache_is_usage_error():
     model = small_model(rng)
     batch = rng.normal(size=(4, 3))
     out, cache = nncore.forward(model, batch, train_mode=True)
+    _, unused = nncore.forward(model, batch, train_mode=True)
     grads = nncore.backward(model, cache, out / 4)
+    with pytest.raises(UsageError, match="^forward cache already used$"):
+        nncore.backward(model, cache, out / 4)
     Adam(1e-3).step(model, grads)  # bumps model.version
+    with pytest.raises(UsageError, match="^stale forward cache"):
+        nncore.backward(model, unused, out / 4)
     with pytest.raises(UsageError):
         nncore.backward(model, cache, out / 4)
     with pytest.raises(UsageError):
         nncore.backward(model, None, out / 4)
+
+
+def test_training_step_peak_memory_is_one_float_array_per_hidden_layer():
+    # One step at B = 4,096 through widths [8, 256, 256, 4] with dropout. Per
+    # hidden layer the cache may hold one float [B x 256] activation and two
+    # one-byte masks. Three more float arrays of that size may be live at
+    # once: in forward a layer's pre-activation beside its slope * z or
+    # dropout draw, in backward the old and new delta or delta and the
+    # derivative factor. Every other array is [B x 4], [B] or weight-sized,
+    # together well under one float array. A cache of three float arrays per
+    # hidden layer (z, activation, float dropout mask) exceeds the bound.
+    rows, hidden = 4096, [256, 256]
+    rng = np.random.default_rng(21)
+    model = small_model(rng, input_dim=8, hidden=hidden, dropout=0.3, l1=1e-4, l2=1e-4)
+    batch = rng.normal(size=(rows, 8))
+    target = rng.uniform(0.0, 20.0, size=rows)
+    float_array = rows * hidden[0] * 8
+    bool_array = rows * hidden[0]
+    bound = (len(hidden) + 3) * float_array + 2 * len(hidden) * bool_array
+    assert bound == 46_137_344
+
+    tracemalloc.start()
+    try:
+        out, cache = nncore.forward(model, batch, train_mode=True, rng=rng)
+        _, grad_raw = evidential.total_loss(model, out, target, 0.59)
+        grads = nncore.backward(model, cache, grad_raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.all(np.isfinite(dw)) for dw in grads.weights)
+    assert peak <= bound, f"traced peak {peak} B exceeds {bound} B"
 
 
 # ---------------------------------------------------------------------------
