@@ -48,10 +48,9 @@ wind = GridField(
 uq = wind.with_values(np.roll(wind.values, 1, axis=2))
 
 print("=== tracking the hourly spatial maximum ===")
-wind_track = track_spatial_max(hours, wind)
-for p in wind_track:
-    print(f"{p.time}: max {p.value:5.1f} m/s at ({p.lat:.2f}, {p.lon:.2f}) "
-          f"cell ({p.row}, {p.col})")
+wind_track = track_spatial_max(hours, wind)  # columns: times, values, rows, cols
+for t, v, r, c in zip(*wind_track):
+    print(f"{t}: max {v:5.1f} m/s at ({lats[r]:.2f}, {lons[c]:.2f}) cell ({r}, {c})")
 
 print("\n=== alignment between the wind and uncertainty maxima ===")
 uq_track = track_spatial_max(hours, uq)
@@ -60,8 +59,8 @@ for k in (0, 1, 2):
     print(f"within {k} cells: {frac:.0%} of hours")
 
 print("\n=== normalized peak series (both peak at the same hour) ===")
-wind_norm = minmax_normalize(np.array([p.value for p in wind_track]))
-uq_norm = minmax_normalize(np.array([p.value for p in uq_track]))
+wind_norm = minmax_normalize(wind_track.values)
+uq_norm = minmax_normalize(uq_track.values)
 for t, a, b in zip(hours, wind_norm, uq_norm):
     print(f"{t}: wind {a:.2f}   uq {b:.2f}")
 

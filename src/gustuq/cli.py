@@ -24,6 +24,8 @@ import numpy as np
 
 from . import artifact, data, evidential, metrics, spatial, tune, xai
 from .errors import DegenerateInputWarning, GustUQError, UsageError
+# ``fmt`` is not called here; it stays importable as ``cli.fmt``, the name
+# bench/tracer.py times.
 from .fileio import fmt, write_csv, write_json
 from .nncore import TrainConfig
 
@@ -394,28 +396,26 @@ def cmd_predict(opts: dict) -> None:
         norm_mean = _safe_normalize(mean_avg, f"storm {storm} mean field")
         norm_sd = _safe_normalize(sd_avg, f"storm {storm} total-sd field")
         r, c = np.nonzero(mean_avg.valid)
-        blank = np.full(len(r), "")
+        blank = np.ma.masked_all(len(r))
         parts.append((
             np.full(len(r), storm), *_cell_coords(mean_avg, r, c),
-            blank if norm_mean is None else _text(norm_mean.values[r, c]),
-            blank if norm_sd is None else _text(norm_sd.values[r, c]),
+            blank if norm_mean is None else norm_mean.values[r, c],
+            blank if norm_sd is None else norm_sd.values[r, c],
         ))
     write_csv(
         out / "normalized_fields.csv",
         ["storm_id", "lat", "lon", "mean_norm", "total_sd_norm"],
-        *map(np.concatenate, zip(*parts)),
+        *map(np.ma.concatenate, zip(*parts)),
     )
     print(f"wrote {out / 'grid_predictions.csv'}")
 
 
-def _text(values: np.ndarray) -> np.ndarray:
-    """Floats as ``fmt`` text."""
-    return np.array(list(map(repr, values.tolist())), dtype=str)
-
-
 def _cell_coords(field: spatial.GridField, r: np.ndarray, c: np.ndarray) -> tuple:
-    """The lat and lon text of cells (r, c): each axis formatted once."""
-    return _text(field.lats)[r], _text(field.lons)[c]
+    """The lat and lon text of cells (r, c): each axis formatted once, as
+    ``write_csv`` formats floats."""
+    lats, lons = (np.array(list(map(repr, axis.tolist())), dtype=str)
+                  for axis in (field.lats, field.lons))
+    return lats[r], lons[c]
 
 
 def _average_fields(field: spatial.GridField) -> spatial.GridField:
@@ -446,10 +446,10 @@ def cmd_evaluate(opts: dict) -> None:
     """Score predictions against observations."""
     out = _out_dir(opts)
     levels = opts["levels"]
+    names = ("station_id", "timestamp_utc", "mean", "aleatoric_sd", "epistemic_sd", "total_sd")
     pred = data.read_csv(
         opts["pred"],
-        {"station_id": data.id_column, "timestamp_utc": data.time_column,
-         **dict.fromkeys(["mean", "aleatoric_sd", "epistemic_sd", "total_sd"], data.float_column)},
+        {c: data.PREDICTION_KINDS[c] for c in names},
         key=("station_id", "timestamp_utc"),
         exact=False,
     )
@@ -503,15 +503,16 @@ def cmd_evaluate(opts: dict) -> None:
         lower, upper = pset.interval(float(level))
         covered = kept & (obs >= lower) & (obs <= upper)
         n_covered.append(np.bincount(station_of[covered], minlength=n_stations))
-    # one row per station and level, station-major
-    hits = np.stack(n_covered, axis=1).ravel().tolist()
+    # one row per station and level, station-major; a station with no kept
+    # row has no PICP
+    hits = np.stack(n_covered, axis=1).ravel()
     kept_per_row = np.repeat(n_kept, len(levels))
     write_csv(
         out / "picp_stations.csv",
         ["station_id", "level", "picp", "n_total", "n_retained"],
         np.repeat(station_ids, len(levels)),
         [_level_label(level) for level in levels] * n_stations,
-        [fmt(h / k) if k else "" for h, k in zip(hits, kept_per_row.tolist())],
+        hits / np.ma.masked_equal(kept_per_row, 0),
         np.repeat(n_total, len(levels)),
         kept_per_row,
     )
@@ -591,18 +592,17 @@ def cmd_explain(opts: dict) -> None:
 def cmd_spatial(opts: dict) -> None:
     """Spatial-max tracking and alignment on grid predictions."""
     out = _out_dir(opts)
-    kinds = {"storm_id": data.id_column, "timestamp_utc": data.time_column,
-             "row": data.index_column, "col": data.index_column,
-             **dict.fromkeys(["lat", "lon", "total_sd"], data.float_column)}
+    names = ("storm_id", "timestamp_utc", "row", "col", "lat", "lon", "total_sd")
     pred = data.read_csv(
-        opts["pred"], kinds, key=("storm_id", "timestamp_utc", "row", "col"), exact=False
+        opts["pred"], {c: data.PREDICTION_KINDS[c] for c in names},
+        key=("storm_id", "timestamp_utc", "row", "col"), exact=False,
     )
     if len(pred["total_sd"]) == 0:
         raise UsageError(f"{opts['pred']}: no prediction rows")
     feature_ds = data.load_grid_csv(opts["data"])
     ws_index = feature_ds.feature_names.index("WS_10m")
 
-    uq_cubes = spatial.storm_cubes(*(pred[c] for c in kinds))
+    uq_cubes = spatial.storm_cubes(*(pred[c] for c in names))
     ws_cubes = spatial.storm_cubes(
         feature_ds.storm_ids, feature_ds.timestamps, feature_ds.grid_rows,
         feature_ds.grid_cols, feature_ds.lats, feature_ds.lons,
@@ -613,34 +613,37 @@ def cmd_spatial(opts: dict) -> None:
     if not storms:
         raise UsageError("prediction and feature files share no storms")
 
-    # one row per hour of each storm's wind track; the uq track's point of the
-    # same hour, if any, beside it
-    names, times, wind, uq, wind_norm, uq_norm = [], [], [], [], [], []
+    # one row per hour of each storm's wind track; the uq track's maximum of
+    # the same hour, if any, beside it
+    parts = []
     alignment: dict[str, dict[str, float]] = {}
     for storm in storms:
-        ws_track = spatial.track_spatial_max(*ws_cubes[storm])
-        uq_track = spatial.track_spatial_max(*uq_cubes[storm])
-        uq_index = {p.time: k for k, p in enumerate(uq_track)}
-        ws_norm = _safe_normalize(
-            np.array([p.value for p in ws_track]), f"storm {storm} wind max series"
-        )
-        uq_series = _safe_normalize(
-            np.array([p.value for p in uq_track]), f"storm {storm} uq max series"
-        )
-        for i, p in enumerate(ws_track):
-            k = uq_index.get(p.time)
-            names.append(storm)
-            times.append(p.time)
-            wind.append(p)
-            uq.append(None if k is None else uq_track[k])
-            wind_norm.append("" if ws_norm is None else fmt(ws_norm[i]))
-            uq_norm.append("" if uq_series is None or k is None else fmt(uq_series[k]))
+        ws_field, uq_field = ws_cubes[storm][1], uq_cubes[storm][1]
+        ws = spatial.track_spatial_max(*ws_cubes[storm])
+        uq = spatial.track_spatial_max(*uq_cubes[storm])
+        _, at_ws, at_uq = np.intersect1d(ws.times, uq.times, return_indices=True)
+
+        def on_wind_hours(column):
+            joined = np.ma.masked_all(len(ws.times), column.dtype)
+            joined[at_ws] = column[at_uq]
+            return joined
+
+        ws_norm = _safe_normalize(ws.values, f"storm {storm} wind max series")
+        uq_norm = _safe_normalize(uq.values, f"storm {storm} uq max series")
+        blank = np.ma.masked_all(len(ws.times))
+        parts.append((
+            np.full(len(ws.times), storm), ws.times,
+            ws.values, ws_field.lats[ws.rows], ws_field.lons[ws.cols], ws.rows, ws.cols,
+            *map(on_wind_hours, (uq.values, uq_field.lats[uq.rows], uq_field.lons[uq.cols],
+                                 uq.rows, uq.cols)),
+            blank if ws_norm is None else ws_norm,
+            blank if uq_norm is None else on_wind_hours(uq_norm),
+        ))
         alignment[storm] = {
-            str(k): spatial.alignment_fraction(ws_track, uq_track, k)
-            for k in opts["align_k"]
+            str(k): spatial.alignment_fraction(ws, uq, k) for k in opts["align_k"]
         }
 
-    times = np.array(times, dtype="datetime64[s]")
+    storm_ids, times, *tracks, wind_norm, uq_norm = map(np.ma.concatenate, zip(*parts))
     write_csv(
         out / "max_tracks.csv",
         [
@@ -648,17 +651,12 @@ def cmd_spatial(opts: dict) -> None:
             "wind_value", "wind_lat", "wind_lon", "wind_row", "wind_col",
             "uq_value", "uq_lat", "uq_lon", "uq_row", "uq_col",
         ],
-        names,
-        times,
-        *(np.asarray([getattr(p, a) for p in wind], float) for a in ("value", "lat", "lon")),
-        *(np.asarray([getattr(p, a) for p in wind]) for a in ("row", "col")),
-        *(["" if q is None else f(getattr(q, a)) for q in uq] for a, f in (
-            ("value", fmt), ("lat", fmt), ("lon", fmt), ("row", str), ("col", str))),
+        storm_ids, times, *tracks,
     )
     write_csv(
         out / "normalized_series.csv",
         ["storm_id", "time", "wind_max_norm", "uq_max_norm"],
-        names, times, wind_norm, uq_norm,
+        storm_ids, times, wind_norm, uq_norm,
     )
     write_json(out / "alignment.json", alignment)
     print(f"wrote {out / 'alignment.json'}")

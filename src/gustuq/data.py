@@ -243,6 +243,13 @@ def _latitude_column(texts) -> np.ndarray:
     return out
 
 
+def _sd_column(texts) -> np.ndarray:
+    out = _finite_column(texts)
+    if np.any(bad := out < 0):
+        raise ValueError(f"must be >= 0, got {_first(out, bad)}")
+    return out
+
+
 def _gust_column(texts) -> np.ndarray:
     """Observed gusts, finite and >= 0; a blank value reads as NaN."""
     texts = [t.strip() for t in texts]
@@ -268,6 +275,11 @@ _STATION_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "station_
 _GRID_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "row": index_column,
                "col": index_column, "lat": _latitude_column, "lon": _finite_column,
                **_FEATURE_KINDS}
+# The columns of a predictions file that evaluate and spatial read back.
+PREDICTION_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
+                    "row": index_column, "col": index_column, "lat": _latitude_column,
+                    "lon": _finite_column, "mean": _finite_column,
+                    **dict.fromkeys(["aleatoric_sd", "epistemic_sd", "total_sd"], _sd_column)}
 
 
 def _bad_values(convert, texts, error: Exception, offset: int = 0) -> list:
@@ -448,7 +460,7 @@ def write_station_csv(dataset: Dataset, path, raw_features: np.ndarray | None = 
         dataset.lats,
         dataset.lons,
         *np.asarray(raw_features, dtype=float).T,
-        [repr(g) if np.isfinite(g) else "" for g in gust.tolist()],
+        np.ma.masked_invalid(gust),
     )
 
 

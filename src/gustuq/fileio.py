@@ -69,7 +69,18 @@ def _quoted(texts: list[str], lone: bool) -> list[str]:
 
 def _renderer(column):
     """``(render, is_text)``: ``render(start, stop)`` gives the text of rows
-    [start, stop) of ``column``; only text may need quoting."""
+    [start, stop) of ``column``; only text, and the blanks of a masked
+    column, may need quoting."""
+    if isinstance(column, np.ma.MaskedArray):
+        render, _ = _renderer(column.data)
+        masked = np.ma.getmaskarray(column)
+
+        def blanked(start, stop):
+            texts = render(start, stop)
+            for k in np.flatnonzero(masked[start:stop]).tolist():
+                texts[k] = ""
+            return texts
+        return blanked, True
     if isinstance(column, list):
         def text(start, stop):
             block = column[start:stop]
@@ -95,10 +106,11 @@ def _renderer(column):
 def write_csv(path, header: list[str], *columns) -> None:
     """The one CSV writer: ``header`` and one column per header name.
 
-    A column is a 1-D float, integer, ``datetime64[s]`` or str array, or a
-    list of str. Floats are written as ``fmt`` writes them, timestamps as
-    ``YYYY-MM-DDTHH:MM:SSZ`` and text as is, with csv's minimal quoting
-    where a value needs it. Rows are formatted and written ``BLOCK_ROWS`` at
+    A column is a 1-D float, integer, ``datetime64[s]`` or str array, a
+    ``numpy.ma.MaskedArray`` of one of these, or a list of str. Floats are
+    written as ``fmt`` writes them, timestamps as ``YYYY-MM-DDTHH:MM:SSZ``,
+    text as is and masked cells as empty, with csv's minimal quoting where a
+    value needs it. Rows are formatted and written ``BLOCK_ROWS`` at
     a time, with ``\\r\\n`` line ends: the same bytes as ``csv.writer``.
     """
     if len(columns) != len(header):

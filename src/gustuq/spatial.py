@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,19 +138,18 @@ def minmax_normalize(values):
     return (x - lo) / (hi - lo)
 
 
-@dataclass
-class TrackPoint:
-    """Location and value of the spatial maximum at one time step."""
+class Track(NamedTuple):
+    """The spatial maximum of each hour of a cube, as columns: its hour,
+    value, and raster row and col (``field.lats[rows]`` and
+    ``field.lons[cols]`` locate it)."""
 
-    time: np.datetime64
-    value: float
-    lat: float
-    lon: float
-    row: int
-    col: int
+    times: np.ndarray  # datetime64[s]
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
 
-def track_spatial_max(times, field: GridField) -> list[TrackPoint]:
+def track_spatial_max(times, field: GridField) -> Track:
     """Per-hour maximum over unmasked cells, ties broken row-major first.
 
     ``field`` is a [T, rows, cols] cube and ``times`` its T hours; hours with
@@ -162,22 +162,11 @@ def track_spatial_max(times, field: GridField) -> list[TrackPoint]:
         raise UsageError("track_spatial_max needs a nonempty series")
     flat = np.where(field.valid, field.values, -np.inf).reshape(times.size, -1)
     rows, cols = np.unravel_index(np.argmax(flat, axis=1), field.shape[1:])
-    track: list[TrackPoint] = []
-    for k, (time, r, c) in enumerate(zip(times, rows.tolist(), cols.tolist())):
-        if not np.any(field.valid[k]):
-            warnings.warn(f"hour {time}: all cells masked, skipped", DegenerateInputWarning)
-            continue
-        track.append(
-            TrackPoint(
-                time=time,
-                value=float(field.values[k, r, c]),
-                lat=float(field.lats[r]),
-                lon=float(field.lons[c]),
-                row=r,
-                col=c,
-            )
-        )
-    return track
+    hours = np.flatnonzero(field.valid.reshape(times.size, -1).any(axis=1))
+    for time in np.delete(times, hours):
+        warnings.warn(f"hour {time}: all cells masked, skipped", DegenerateInputWarning)
+    rows, cols = rows[hours], cols[hours]
+    return Track(times[hours], field.values[hours, rows, cols], rows, cols)
 
 
 def _axis(index: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -231,9 +220,7 @@ def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
     return cubes
 
 
-def alignment_fraction(
-    track_a: list[TrackPoint], track_b: list[TrackPoint], max_cell_distance: int
-) -> float:
+def alignment_fraction(track_a: Track, track_b: Track, max_cell_distance: int) -> float:
     """Fraction of common hours whose two argmax cells are within k cells.
 
     Distance is the Chebyshev cell distance max(|drow|, |dcol|), so k=0
@@ -241,19 +228,12 @@ def alignment_fraction(
     """
     if max_cell_distance < 0:
         raise UsageError("max_cell_distance must be >= 0")
-    b_by_time = {p.time: p for p in track_b}
-    hits = 0
-    common = 0
-    for p in track_a:
-        q = b_by_time.get(p.time)
-        if q is None:
-            continue
-        common += 1
-        if max(abs(p.row - q.row), abs(p.col - q.col)) <= max_cell_distance:
-            hits += 1
-    if common == 0:
+    _, a, b = np.intersect1d(track_a.times, track_b.times, return_indices=True)
+    if a.size == 0:
         raise UsageError("tracks share no common time steps")
-    return hits / common
+    distance = np.maximum(np.abs(track_a.rows[a] - track_b.rows[b]),
+                          np.abs(track_a.cols[a] - track_b.cols[b]))
+    return int(np.count_nonzero(distance <= max_cell_distance)) / a.size
 
 
 @dataclass

@@ -6,13 +6,11 @@ binned RMSE and total uncertainty (maximize), and the PITD skill score
 (maximize). The result is the non-dominated set under those objectives plus
 one scalarized recommendation. Trials derive their RNG streams from the
 master seed and their index, so a search is reproducible and resumable from
-its append-only log.
+its log, which is rewritten whole after each trial.
 """
 
 from __future__ import annotations
 
-import csv
-import time
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Callable
@@ -21,6 +19,7 @@ import numpy as np
 
 from . import data
 from .errors import GustUQError, SearchFailure, UsageError
+from .fileio import write_csv
 from .metrics import pit_values, pitd, spread_skill
 from .nncore import TrainConfig
 
@@ -90,7 +89,6 @@ class TrialResult:
     val_r2_rmse_sigma_total: float = float("nan")
     val_pitd_skill: float = float("nan")
     n_epochs: int = 0
-    wall_time_s: float = 0.0
     status: str = "ok"
     message: str = ""
 
@@ -164,7 +162,7 @@ def _status_column(texts) -> np.ndarray:
 
 
 # Every column is a deterministic function of the seed and the data, so two
-# identical searches write identical logs. Wall time stays on TrialResult.
+# identical searches write identical logs.
 _LOG_KINDS = {
     "trial_id": _count_column,
     "learning_rate": data.float_column,
@@ -184,32 +182,20 @@ _LOG_KINDS = {
 TRIALS_LOG_COLUMNS = list(_LOG_KINDS)
 
 
-def _log_row(result: TrialResult) -> list:
-    cfg = result.config
-    num = lambda v: "" if isinstance(v, float) and np.isnan(v) else repr(float(v))
-    return [
-        result.trial_id,
-        repr(cfg.learning_rate),
-        repr(cfg.dropout),
-        cfg.hidden_layers,
-        cfg.hidden_neurons,
-        cfg.batch_size,
-        repr(cfg.evidential_coef),
-        repr(cfg.l1),
-        repr(cfg.l2),
-        num(result.val_mae),
-        num(result.val_r2_rmse_sigma_total),
-        num(result.val_pitd_skill),
-        result.n_epochs,
-        result.status,
-    ]
+def _write_log(path, trials: list[TrialResult]) -> None:
+    """Write ``trials`` as a trials log, one row each; a failed trial's NaN
+    objectives are blank cells."""
+    rows = [{**vars(t.config), **vars(t)} for t in trials]
+    columns = [np.asarray([row[name] for row in rows]) for name in TRIALS_LOG_COLUMNS]
+    write_csv(path, TRIALS_LOG_COLUMNS, *(
+        np.ma.masked_where(np.isnan(c), c) if c.dtype.kind == "f" else c for c in columns))
 
 
 def load_trials_log(path) -> list[TrialResult]:
-    """Read back an append-only trials log (used for resuming a search).
+    """Read back a trials log (used for resuming a search).
 
-    A malformed row, such as the partial last line a crash leaves, is an
-    ``IngestError`` naming its line.
+    A malformed row, such as a cut last line, is an ``IngestError`` naming
+    its line.
     """
     header = data.read_header(path)
     if header != TRIALS_LOG_COLUMNS:
@@ -228,6 +214,33 @@ def load_trials_log(path) -> list[TrialResult]:
 
 # An objective maps (config, rng) -> (val_mae, val_r2, val_pitd_skill, n_epochs).
 Objective = Callable[[TrialConfig, np.random.Generator], tuple[float, float, float, int]]
+
+
+def _run_trial(space: HyperSpace, objective: Objective, seed: int, trial_id: int) -> TrialResult:
+    """Sample and score trial ``trial_id``; a GustUQError or a non-finite
+    objective makes it a failed trial."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial_id,)))
+    config = sample(space, rng)
+    try:
+        mae, r2, skill, n_epochs = objective(config, rng)
+    except GustUQError as exc:
+        return TrialResult(trial_id=trial_id, config=config, status="failed", message=str(exc))
+    result = TrialResult(
+        trial_id=trial_id,
+        config=config,
+        val_mae=float(mae),
+        val_r2_rmse_sigma_total=float(r2),
+        val_pitd_skill=float(skill),
+        n_epochs=int(n_epochs),
+    )
+    if not (
+        np.isfinite(result.val_mae)
+        and np.isfinite(result.val_r2_rmse_sigma_total)
+        and np.isfinite(result.val_pitd_skill)
+    ):
+        result.status = "failed"
+        result.message = "non-finite objective"
+    return result
 
 
 def search(
@@ -250,63 +263,15 @@ def search(
 
     done: dict[int, TrialResult] = {}
     if log_path is not None and Path(log_path).exists():
-        for result in load_trials_log(log_path):
-            done[result.trial_id] = result
+        done = {result.trial_id: result for result in load_trials_log(log_path)}
 
-    log_fh = None
-    writer = None
-    if log_path is not None:
-        fresh = not Path(log_path).exists()
-        log_fh = open(log_path, "a", newline="")
-        writer = csv.writer(log_fh)
-        if fresh:
-            writer.writerow(TRIALS_LOG_COLUMNS)
-            log_fh.flush()
-
-    try:
-        results: list[TrialResult] = []
-        for trial_id in range(n_trials):
-            if trial_id in done:
-                results.append(done[trial_id])
-                continue
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(trial_id,))
-            )
-            config = sample(space, rng)
-            started = time.perf_counter()
-            try:
-                mae, r2, skill, n_epochs = objective(config, rng)
-                result = TrialResult(
-                    trial_id=trial_id,
-                    config=config,
-                    val_mae=float(mae),
-                    val_r2_rmse_sigma_total=float(r2),
-                    val_pitd_skill=float(skill),
-                    n_epochs=int(n_epochs),
-                    wall_time_s=time.perf_counter() - started,
-                )
-                if not (
-                    np.isfinite(result.val_mae)
-                    and np.isfinite(result.val_r2_rmse_sigma_total)
-                    and np.isfinite(result.val_pitd_skill)
-                ):
-                    result.status = "failed"
-                    result.message = "non-finite objective"
-            except GustUQError as exc:
-                result = TrialResult(
-                    trial_id=trial_id,
-                    config=config,
-                    wall_time_s=time.perf_counter() - started,
-                    status="failed",
-                    message=str(exc),
-                )
-            results.append(result)
-            if writer is not None:
-                writer.writerow(_log_row(result))
-                log_fh.flush()
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    results: list[TrialResult] = []
+    for trial_id in range(n_trials):
+        if trial_id not in done:
+            done[trial_id] = _run_trial(space, objective, seed, trial_id)
+            if log_path is not None:  # every known trial, the loaded ones included
+                _write_log(log_path, sorted(done.values(), key=lambda t: t.trial_id))
+        results.append(done[trial_id])
 
     n_failed = sum(1 for r in results if not r.ok)
     if n_failed == len(results):

@@ -7,6 +7,7 @@ import pytest
 
 from gustuq import artifact, cli, metrics
 from gustuq.cli import main
+from gustuq.errors import DegenerateInputWarning
 
 from synth import grid_rows, station_rows, write_grid_file, write_station_file
 
@@ -560,6 +561,131 @@ def test_spatial_rejects_duplicate_cells(pipeline, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ingest-error:") and "line 122: same key as line 6" in err
+
+
+def with_cell(src, dst, line: int, column: str, text: str) -> None:
+    """Copy CSV ``src`` to ``dst`` with the ``column`` cell of file line
+    ``line`` set to ``text``."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = text
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("column, text, reason", [
+    ("total_sd", "nan", "must be finite, got nan"),
+    ("aleatoric_sd", "-3.0", "must be >= 0, got -3.0"),
+    ("epistemic_sd", "inf", "must be finite, got inf"),
+    ("mean", "-inf", "must be finite, got -inf"),
+])
+def test_evaluate_refuses_bad_prediction_values(pipeline, tmp_path, capsys, column, text, reason):
+    assert run("predict", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred") == 0
+    bad = tmp_path / "bad.csv"
+    with_cell(tmp_path / "pred" / "predictions.csv", bad, 4, column, text)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run("evaluate", "--pred", bad, "--data", pipeline["station_csv"], "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error:") and f"line 4: {column}: {reason}" in err
+    assert not any(out.iterdir())
+
+
+def test_spatial_refuses_bad_total_sd(pipeline, tmp_path, capsys):
+    pred_csv = tmp_path / "gp.csv"
+    make_grid_predictions_csv(pred_csv, pipeline["grid_csv"])
+    with_cell(pred_csv, tmp_path / "nan.csv", 5, "total_sd", "nan")
+    with_cell(tmp_path / "nan.csv", tmp_path / "bad.csv", 9, "total_sd", "-3.0")
+    out = tmp_path / "out"
+    code = run("spatial", "--pred", tmp_path / "bad.csv", "--data", pipeline["grid_csv"],
+               "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error:")
+    assert "line 5: total_sd: must be finite, got nan" in err
+    assert "line 9: total_sd: must be >= 0, got -3.0" in err
+    assert not (out / "max_tracks.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# blank cells, byte for byte as csv.writer wrote them
+
+
+def spatial_outputs(folder, skip_hour=None, ws_10m=None) -> tuple[bytes, bytes]:
+    """``spatial`` on a 2 x 3 grid of 3 hours whose total sd is 1 + row +
+    col / 2 + hour / 4; ``skip_hour`` leaves an hour out of the predictions
+    and ``ws_10m`` sets every cell's wind. Returns the bytes of
+    ``max_tracks.csv`` and ``normalized_series.csv``."""
+    rows = grid_rows(n_storms=1, n_rows=2, n_cols=3, n_hours=3, seed=0)
+    if ws_10m is not None:
+        for row in rows:
+            row[6] = ws_10m
+    write_grid_file(folder / "grid.csv", rows=rows)
+    hours = sorted({row[1] for row in rows})
+    with open(folder / "pred.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["storm_id", "timestamp_utc", "row", "col", "lat", "lon", "total_sd"])
+        for row in rows:
+            hour = hours.index(row[1])
+            if hour != skip_hour:
+                writer.writerow([*row[:6], repr(1.0 + row[2] + row[3] / 2 + hour / 4)])
+    out = folder / "spatial"
+    assert run("spatial", "--pred", folder / "pred.csv", "--data", folder / "grid.csv",
+               "--out", out) == 0
+    return (out / "max_tracks.csv").read_bytes(), (out / "normalized_series.csv").read_bytes()
+
+
+def test_spatial_hour_missing_from_predictions_is_blank(tmp_path):
+    tracks, series = spatial_outputs(tmp_path, skip_hour=1)
+    assert tracks == (
+        b"storm_id,time,wind_value,wind_lat,wind_lon,wind_row,wind_col,"
+        b"uq_value,uq_lat,uq_lon,uq_row,uq_col\r\n"
+        b"G00,2020-01-01T00:00:00Z,20.445137176002397,41.25,-73.5,1,2,3.0,41.25,-73.5,1,2\r\n"
+        b"G00,2020-01-01T01:00:00Z,20.16805853027283,41.0,-74.0,0,0,,,,,\r\n"
+        b"G00,2020-01-01T02:00:00Z,20.203255168374064,41.25,-73.75,1,1,3.5,41.25,-73.5,1,2\r\n"
+    )
+    assert series == (
+        b"storm_id,time,wind_max_norm,uq_max_norm\r\n"
+        b"G00,2020-01-01T00:00:00Z,1.0,0.0\r\n"
+        b"G00,2020-01-01T01:00:00Z,0.0,\r\n"
+        b"G00,2020-01-01T02:00:00Z,0.12702760982737601,1.0\r\n"
+    )
+
+
+def test_spatial_constant_wind_max_series_is_blank(tmp_path):
+    with pytest.warns(DegenerateInputWarning, match="wind max series is constant"):
+        tracks, series = spatial_outputs(tmp_path, ws_10m="9.0")
+    assert tracks == (
+        b"storm_id,time,wind_value,wind_lat,wind_lon,wind_row,wind_col,"
+        b"uq_value,uq_lat,uq_lon,uq_row,uq_col\r\n"
+        b"G00,2020-01-01T00:00:00Z,9.0,41.0,-74.0,0,0,3.0,41.25,-73.5,1,2\r\n"
+        b"G00,2020-01-01T01:00:00Z,9.0,41.0,-74.0,0,0,3.25,41.25,-73.5,1,2\r\n"
+        b"G00,2020-01-01T02:00:00Z,9.0,41.0,-74.0,0,0,3.5,41.25,-73.5,1,2\r\n"
+    )
+    assert series == (
+        b"storm_id,time,wind_max_norm,uq_max_norm\r\n"
+        b"G00,2020-01-01T00:00:00Z,,0.0\r\n"
+        b"G00,2020-01-01T01:00:00Z,,0.5\r\n"
+        b"G00,2020-01-01T02:00:00Z,,1.0\r\n"
+    )
+
+
+def test_predict_constant_storm_normalized_fields_are_blank(pipeline, tmp_path):
+    rows = grid_rows(n_storms=1, n_rows=2, n_cols=3, n_hours=2, seed=0)
+    for row in rows:
+        row[6:] = ["8.0", "10.0", "9.0", "1.0", "0.5", "180.0", "100.0", "1.0", "2.0"]
+    write_grid_file(tmp_path / "grid.csv", rows=rows)
+    out = tmp_path / "out"
+    with pytest.warns(DegenerateInputWarning, match="is constant"):
+        assert run("predict", "--model", pipeline["model"], "--data", tmp_path / "grid.csv",
+                   "--out", out) == 0
+    assert (out / "normalized_fields.csv").read_bytes() == (
+        b"storm_id,lat,lon,mean_norm,total_sd_norm\r\n"
+        b"G00,41.0,-74.0,,\r\nG00,41.0,-73.75,,\r\nG00,41.0,-73.5,,\r\n"
+        b"G00,41.25,-74.0,,\r\nG00,41.25,-73.75,,\r\nG00,41.25,-73.5,,\r\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,28 @@ def test_round_trip_is_bitwise(tmp_path, station_file):
     assert ds.station_ids.tolist() == ds2.station_ids.tolist()
 
 
+def test_write_station_csv_writes_missing_gust_blank(tmp_path):
+    ds = Dataset(
+        storm_ids=np.array(["S00", "S00"]),
+        timestamps=np.array(["2020-01-01T00:00:00", "2020-01-01T01:00:00"],
+                            dtype="datetime64[s]"),
+        lats=np.array([41.0, 41.5]),
+        lons=np.array([-73.0, -72.5]),
+        features=np.zeros((2, len(FEATURE_NAMES))),
+        gust=np.array([np.nan, 7.25]),
+        station_ids=np.array(["ST00", "ST01"]),
+    )
+    raw = np.arange(18.0).reshape(2, 9) / 4
+    write_station_csv(ds, tmp_path / "out.csv", raw_features=raw)
+    assert (tmp_path / "out.csv").read_bytes() == (
+        b"storm_id,timestamp_utc,station_id,lat,lon,WS_10m,WS_850mb,WS_950mb,PBLH,Ustar,"
+        b"wind_dir_deg,terrain_height_m,lapse_sfc_1km,lapse_sfc_2km,gust_obs\r\n"
+        b"S00,2020-01-01T00:00:00Z,ST00,41.0,-73.0,0.0,0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,\r\n"
+        b"S00,2020-01-01T01:00:00Z,ST01,41.5,-72.5,2.25,2.5,2.75,3.0,3.25,3.5,3.75,4.0,4.25,"
+        b"7.25\r\n"
+    )
+
+
 def test_very_short_row_reported_as_ingest_error(tmp_path):
     rows = station_rows(n_storms=1, n_stations=1, n_hours=3)
     rows[2] = rows[2][:1]  # only storm_id left

@@ -46,6 +46,22 @@ def text_column(draw, n: int):
     return texts
 
 
+def masked(draw, rng, values: np.ndarray) -> np.ma.MaskedArray:
+    """``values`` with a mask drawn block by block: each block is unmasked,
+    partly masked or fully masked."""
+    mask = np.zeros(len(values), dtype=bool)
+    for start in range(0, len(values), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(values))
+        mask[start:stop] = rng.uniform(size=stop - start) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return np.ma.array(values, mask=mask)
+
+
+def cells(column: np.ma.MaskedArray, render) -> list:
+    """What csv.writer is given for ``column``: "" where masked."""
+    mask = np.ma.getmaskarray(column).tolist()
+    return ["" if m else render(v) for v, m in zip(column.data.tolist(), mask)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), n=st.sampled_from(ROW_COUNTS), as_array=st.booleans())
 def test_write_csv_matches_csv_writer(tmp_path_factory, data, n, as_array):
@@ -57,11 +73,14 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, data, n, as_array):
     seconds = rng.integers(-62_000_000_000, 250_000_000_000, size=n)  # years 0 to 9892
     times = seconds.astype("datetime64[s]")
     ids = np.array(texts, dtype=str) if as_array else texts
-    header = ["id", "x, y", "count", "time", 'say "hi"']
-    columns = [ids, floats, ints, times, texts]
+    gaps = [masked(data.draw, rng, c) for c in (floats, ints, np.array(texts, dtype=str))]
+    header = ["id", "x, y", "count", "time", 'say "hi"', "x?", "count?", "text?"]
+    columns = [ids, floats, ints, times, texts, *gaps]
     rows = [
-        [str(t), fmt(x), i, format_timestamp(s), u]
-        for t, x, i, s, u in zip(ids, floats.tolist(), ints.tolist(), times, texts)
+        [str(t), fmt(x), i, format_timestamp(s), u, *rest]
+        for t, x, i, s, u, *rest in zip(
+            ids, floats.tolist(), ints.tolist(), times, texts,
+            *(cells(c, render) for c, render in zip(gaps, (fmt, str, str))))
     ]
     folder = tmp_path_factory.mktemp("csv")
     write_csv(folder / "got.csv", header, *columns)
@@ -78,8 +97,40 @@ def test_single_text_column_matches_csv_writer(tmp_path_factory, texts):
     assert (folder / "got.csv").read_bytes() == want
 
 
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), n=st.sampled_from(ROW_COUNTS), kind=st.sampled_from("fiU"))
+def test_single_masked_column_matches_csv_writer(tmp_path_factory, data, n, kind):
+    # a masked cell that is a row's only field is written ""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = (rng.normal(size=n) * 1e3).astype(kind) if kind != "U" else np.array(
+        data.draw(text_column(n)), dtype=str)
+    column = masked(data.draw, rng, values)
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "got.csv", ["only"], column)
+    render = fmt if kind == "f" else str
+    want = reference_bytes(folder / "want.csv", ["only"], [[c] for c in cells(column, render)])
+    assert (folder / "got.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("lone", [True, False])
+def test_fully_masked_block_matches_csv_writer(tmp_path, lone):
+    n = 2 * BLOCK_ROWS + 1
+    mask = np.zeros(n, dtype=bool)
+    mask[:BLOCK_ROWS] = True  # the whole first block
+    mask[BLOCK_ROWS::3] = True
+    column = np.ma.array(np.arange(n) / 8, mask=mask)
+    blanks = cells(column, fmt)
+    if lone:
+        header, columns, rows = ["x"], [column], [[c] for c in blanks]
+    else:
+        header, columns, rows = ["k", "x"], [np.arange(n), column], list(zip(range(n), blanks))
+    write_csv(tmp_path / "got.csv", header, *columns)
+    assert (tmp_path / "got.csv").read_bytes() == reference_bytes(tmp_path / "want.csv", header, rows)
+
+
 @pytest.mark.parametrize("column", [
     np.array([True, False]),
+    np.ma.array([True, False], mask=[False, True]),
     np.array([1.0, 2.0], dtype=object),
     np.array([b"a", b"b"]),
     np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,11 +151,11 @@ def test_track_single_hot_cell():
     values = np.zeros((3, 4, 4))
     values[:, 2, 1] = 5.0
     track = track_spatial_max(hours(3), GridField(lats=lats, lons=lons, values=values))
-    assert len(track) == 3
-    for p in track:
-        assert (p.row, p.col) == (2, 1)
-        assert (p.lat, p.lon) == (lats[2], lons[1])
-        assert p.value == 5.0
+    assert len(track.times) == 3
+    for value, row, col in zip(track.values, track.rows, track.cols):
+        assert (row, col) == (2, 1)
+        assert (lats[row], lons[col]) == (lats[2], lons[1])
+        assert value == 5.0
 
 
 def test_track_tie_breaks_row_major():
@@ -162,7 +164,7 @@ def test_track_tie_breaks_row_major():
     values[0, 1, 2] = 7.0
     values[0, 2, 0] = 7.0  # same max, later in row-major order
     track = track_spatial_max(hours(1), GridField(lats=lats, lons=lons, values=values))
-    assert (track[0].row, track[0].col) == (1, 2)
+    assert (track.rows[0], track.cols[0]) == (1, 2)
 
 
 def test_track_skips_masked_hours():
@@ -172,7 +174,7 @@ def test_track_skips_masked_hours():
     field = GridField(lats=lats, lons=lons, values=np.ones((3, 2, 2)), valid=valid)
     with pytest.warns(DegenerateInputWarning):
         track = track_spatial_max(hours(3), field)
-    assert [p.time for p in track] == [hour(0), hour(2)]
+    assert list(track.times) == [hour(0), hour(2)]
 
 
 def test_track_needs_a_cube_and_its_hours():
@@ -190,7 +192,7 @@ def test_track_normalized_series_same_peak_hour():
     lats, lons = lonlat_grid(4, 5)
     field = GridField(lats=lats, lons=lons, values=rng.normal(size=(8, 4, 5)))
     track = track_spatial_max(hours(8), field)
-    values = np.array([p.value for p in track])
+    values = track.values
     norm = minmax_normalize(values)
     assert np.argmax(norm) == np.argmax(values)
 
@@ -218,6 +220,38 @@ def test_alignment_shifted_copy():
     track_b = track_spatial_max(hours(6), GridField(lats=lats, lons=lons, values=shifted))
     assert alignment_fraction(track_a, track_b, 1) == 0.0
     assert alignment_fraction(track_a, track_b, 2) == 1.0
+
+
+def test_tracks_and_alignment_match_an_hour_by_hour_loop():
+    # small integer values tie often; some hours of each cube are fully masked
+    rng = np.random.default_rng(6)
+    lats, lons = lonlat_grid(3, 4)
+    for _ in range(20):
+        fields, points = [], []
+        for _ in range(2):
+            valid = rng.uniform(size=(6, 3, 4)) < 0.7
+            valid[rng.uniform(size=6) < 0.3] = False
+            fields.append(GridField(lats=lats, lons=lons, valid=valid,
+                                    values=rng.integers(0, 4, size=(6, 3, 4)).astype(float)))
+            points.append({
+                h: divmod(int(np.argmax(np.where(valid[h], fields[-1].values[h], -np.inf))), 4)
+                for h in range(6) if valid[h].any()
+            })
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateInputWarning)
+            tracks = [track_spatial_max(hours(6), f) for f in fields]
+        for track, want in zip(tracks, points):
+            assert list(track.times) == [hour(h) for h in want]
+            assert list(zip(track.rows.tolist(), track.cols.tolist())) == list(want.values())
+        common = sorted(set(points[0]) & set(points[1]))
+        for k in range(3):
+            if not common:
+                with pytest.raises(UsageError):
+                    alignment_fraction(*tracks, k)
+                continue
+            a, b = points
+            hits = sum(max(abs(a[h][0] - b[h][0]), abs(a[h][1] - b[h][1])) <= k for h in common)
+            assert alignment_fraction(*tracks, k) == hits / len(common)
 
 
 def test_alignment_requires_common_hours():

@@ -246,6 +246,53 @@ def test_log_round_trips_failed_trials_and_types(tmp_path):
             assert np.isnan(after.val_mae) and np.isnan(after.val_pitd_skill)
 
 
+def test_log_bytes_with_failed_trials(tmp_path):
+    # one value per dimension, so every trial draws the same short config
+    space = HyperSpace(learning_rate=(0.001, 0.001), dropout=(0.1, 0.1),
+                       hidden_layers=(1, 1), hidden_neurons=(8, 8), batch_size=(32, 32),
+                       evidential_coef=(0.5, 0.5), l1=(1e-06, 1e-06), l2=(1e-06, 1e-06))
+    outcomes = iter([(1.5, 0.25, 0.75, 4), UsageError("boom"),
+                     (float("nan"), 0.5, 0.125, 3), (float("inf"), 0.5, 0.125, 2)])
+
+    def scripted(config, rng):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    log = tmp_path / "trials.csv"
+    result = search(space, 4, scripted, seed=0, log_path=log)
+    assert [t.status for t in result.trials] == ["ok", "failed", "failed", "failed"]
+    config = "0.001,0.1,1,8,32,0.5,1e-06,1e-06"
+    assert log.read_bytes() == (
+        b"trial_id,learning_rate,dropout,hidden_layers,hidden_neurons,batch_size,"
+        b"evidential_coef,l1,l2,val_mae,val_r2_rmse_sigma_total,val_pitd_skill,"
+        b"n_epochs,status\r\n"
+        + f"0,{config},1.5,0.25,0.75,4,ok\r\n".encode()
+        + f"1,{config},,,,0,failed\r\n".encode()
+        + f"2,{config},,0.5,0.125,3,failed\r\n".encode()
+        + f"3,{config},inf,0.5,0.125,2,failed\r\n".encode()
+    )
+
+
+def test_resumed_log_holds_every_known_trial_in_order(tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    search(HyperSpace(), 5, synthetic_objective, seed=3, log_path=fresh)
+    header, *rows = fresh.read_bytes().splitlines(keepends=True)
+    # trial 1 lost and the rest shuffled; a budget of 3 reruns only trial 1
+    log = tmp_path / "trials.csv"
+    log.write_bytes(b"".join([header, rows[4], rows[2], rows[0], rows[3]]))
+    calls = []
+
+    def counting_objective(config, rng):
+        calls.append(1)
+        return synthetic_objective(config, rng)
+
+    result = search(HyperSpace(), 3, counting_objective, seed=3, log_path=log)
+    assert len(calls) == 1 and [t.trial_id for t in result.trials] == [0, 1, 2]
+    assert log.read_bytes() == fresh.read_bytes()
+
+
 def test_log_with_repeated_trial_is_ingest_error(tmp_path):
     log = tmp_path / "trials.csv"
     search(HyperSpace(), 2, synthetic_objective, seed=3, log_path=log)
