@@ -57,7 +57,7 @@ def _scalar(cast, what: str, ok) -> Kind:
 
 INTEGER = _scalar(int, "an integer", lambda v: type(v) is int)
 COUNT = _scalar(int, "an integer >= 1", lambda v: type(v) is int and v >= 1)
-SEED = _scalar(int, "an integer >= 0", lambda v: type(v) is int and v >= 0)
+NON_NEGATIVE = _scalar(int, "an integer >= 0", lambda v: type(v) is int and v >= 0)
 NUMBER = _scalar(float, "a finite number",
                  lambda v: type(v) in (int, float) and math.isfinite(v))
 LEVEL = _scalar(float, "a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1)
@@ -100,7 +100,12 @@ def _space(value) -> dict:
         _expect(isinstance(bounds, list) and len(bounds) == 2, f"[low, high] for {key}", bounds)
         for bound in bounds:
             NUMBER.check(bound)
-    return {key: tuple(bounds) for key, bounds in value.items()}
+    space = {key: tuple(bounds) for key, bounds in value.items()}
+    try:
+        tune.HyperSpace(**space).validate()
+    except UsageError as exc:
+        raise ValueError(str(exc)) from None
+    return space
 
 
 class Option(NamedTuple):
@@ -117,7 +122,7 @@ OPTIONS = {
     "model": Option(None, PATH, "model artifact written by train"),
     "out": Option(None, PATH, "output directory"),
     "pred": Option(None, PATH, "predictions CSV written by predict"),
-    "seed": Option(0, SEED, "master RNG seed"),
+    "seed": Option(0, NON_NEGATIVE, "master RNG seed"),
     "levels": Option(list(metrics.DEFAULT_CONFIDENCE_LEVELS), Kind(str, _distinct(LEVEL)),
                      "comma-separated confidence levels"),
     "mask_percentile": Option(metrics.DEFAULT_MASK_PERCENTILE, PERCENTILE,
@@ -137,7 +142,7 @@ OPTIONS = {
     "exclude_flagged": Option(True, SWITCH, "keep highly uncertain predictions in PICP"),
     "n_shuffles": Option(10, COUNT, "permutations per feature"),
     "pdp_grid": Option(100, COUNT, "partial-dependence grid points per feature"),
-    "align_k": Option([0, 1, 2, 3], Kind(str, _distinct(INTEGER)),
+    "align_k": Option([0, 1, 2, 3], Kind(str, _distinct(NON_NEGATIVE)),
                       "comma-separated cell distances for the alignment statistic"),
     "trials": Option(500, COUNT, "number of trials"),
     "scalarization_weight": Option(0.5, NUMBER, "weight of R^2 + PITD skill in the pick"),
@@ -324,7 +329,7 @@ def cmd_train(opts: dict) -> None:
         },
     )
     pset = metrics.PredictionSet.from_decomposition(
-        model.predict(val_ds.features), opts["levels"], opts["mask_percentile"]
+        model.predict(val_ds.features), opts["mask_percentile"]
     )
     report = metrics.evaluate_predictions(pset, val_ds.gust, levels=opts["levels"])
     _write_report_files(out, "validation_", report)
@@ -344,8 +349,7 @@ def _write_predictions(path, ids: dict, pset: metrics.PredictionSet, levels) -> 
         header += [f"lower_{label}", f"upper_{label}"]
         columns += pset.interval(float(level))
     header.append("highly_uncertain")
-    flagged = np.zeros(len(pset), dtype=bool) if pset.flagged is None else pset.flagged
-    columns.append(flagged.astype(np.int8))
+    columns.append(pset.flagged.astype(np.int8))
     write_csv(path, header, *columns)
 
 
@@ -357,7 +361,7 @@ def cmd_predict(opts: dict) -> None:
     _check_feature_names(model, ds.feature_names)
     levels = opts["levels"]
     pset = metrics.PredictionSet.from_decomposition(
-        model.predict(ds.features), levels, opts["mask_percentile"]
+        model.predict(ds.features), opts["mask_percentile"]
     )
     coords = {"lat": ds.lats, "lon": ds.lons}
     if ds.station_ids is not None:
@@ -465,28 +469,26 @@ def cmd_evaluate(opts: dict) -> None:
     keys = zip(pred["station_id"].tolist(), pred["timestamp_utc"].view(np.int64).tolist())
     match = np.fromiter((obs_index.get(k, -1) for k in keys), np.int64, len(pred["mean"]))
     joined = match >= 0
-    if not np.any(joined):
+    unmatched = np.flatnonzero(~joined)
+    if len(unmatched):
         sample = "; ".join(
             f"{pred['station_id'][i]}@{data.format_timestamp(pred['timestamp_utc'][i])}"
-            for i in np.flatnonzero(~joined)[:10]
+            for i in unmatched[:10]
         )
-        raise UsageError(f"no predictions matched observations; first unmatched keys: {sample}")
+        if len(unmatched) == len(joined):
+            raise UsageError(f"no predictions matched observations; first unmatched keys: {sample}")
+        warnings.warn(
+            f"{len(unmatched)} of {len(joined)} prediction rows have no observation and "
+            f"are not scored; first unmatched keys: {sample}",
+            DegenerateInputWarning,
+        )
 
-    mean, alea, epis, total = (
-        pred[c][joined] for c in ("mean", "aleatoric_sd", "epistemic_sd", "total_sd")
+    pset = metrics.PredictionSet(
+        *(pred[c][joined] for c in ("mean", "aleatoric_sd", "epistemic_sd", "total_sd")),
+        opts["mask_percentile"],
     )
     obs = obs_ds.gust[match[joined]]
     stations = pred["station_id"][joined]
-
-    flagged, threshold = metrics.mask_highly_uncertain(total, opts["mask_percentile"])
-    pset = metrics.PredictionSet(
-        mean=mean,
-        aleatoric_sd=alea,
-        epistemic_sd=epis,
-        total_sd=total,
-        flagged=flagged,
-        mask_threshold=threshold,
-    )
     report = metrics.evaluate_predictions(
         pset, obs, levels=levels, exclude_flagged=opts["exclude_flagged"]
     )
@@ -495,7 +497,7 @@ def cmd_evaluate(opts: dict) -> None:
     # per-station PICP: one grouping of the rows, then counts per station
     station_ids, station_of = np.unique(stations, return_inverse=True)
     n_stations = len(station_ids)
-    kept = ~flagged if opts["exclude_flagged"] else np.ones(len(stations), dtype=bool)
+    kept = ~pset.flagged if opts["exclude_flagged"] else np.ones(len(stations), dtype=bool)
     n_total = np.bincount(station_of, minlength=n_stations)
     n_kept = np.bincount(station_of[kept], minlength=n_stations)
     n_covered = []

@@ -10,7 +10,7 @@ immutable arrays.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -295,56 +295,31 @@ def discard_fraction(
 
 @dataclass
 class PredictionSet:
-    """Per-sample predictions with uncertainty, interval bounds per level,
-    and the highly-uncertain mask."""
+    """Per-sample predictions with uncertainty; samples whose total sd
+    exceeds the ``mask_percentile`` percentile are flagged highly uncertain."""
 
     mean: np.ndarray
     aleatoric_sd: np.ndarray
     epistemic_sd: np.ndarray
     total_sd: np.ndarray
-    intervals: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    flagged: np.ndarray | None = None
-    mask_threshold: float | None = None
+    mask_percentile: InitVar[float] = DEFAULT_MASK_PERCENTILE
+    flagged: np.ndarray = field(init=False)
+    mask_threshold: float = field(init=False)
+
+    def __post_init__(self, mask_percentile: float) -> None:
+        self.flagged, self.mask_threshold = mask_highly_uncertain(self.total_sd, mask_percentile)
 
     def __len__(self) -> int:
         return len(self.mean)
 
-    def sd_of_kind(self, kind: str) -> np.ndarray:
-        if kind not in UNCERTAINTY_KINDS:
-            raise UsageError(f"unknown uncertainty kind {kind!r}")
-        return getattr(self, f"{kind}_sd")
-
     def interval(self, level: float) -> tuple[np.ndarray, np.ndarray]:
-        for known, bounds in self.intervals.items():
-            if abs(known - level) < 1e-9:
-                return bounds
-        lower, upper = prediction_interval(self.mean, self.total_sd, level)
-        self.intervals[level] = (lower, upper)
-        return lower, upper
+        return prediction_interval(self.mean, self.total_sd, level)
 
     @classmethod
     def from_decomposition(
-        cls,
-        dec: UncertaintyDecomposition,
-        levels=DEFAULT_CONFIDENCE_LEVELS,
-        mask_percentile: float | None = DEFAULT_MASK_PERCENTILE,
+        cls, dec: UncertaintyDecomposition, mask_percentile: float = DEFAULT_MASK_PERCENTILE
     ) -> "PredictionSet":
-        total_sd = dec.total_sd
-        pset = cls(
-            mean=dec.mean,
-            aleatoric_sd=dec.aleatoric_sd,
-            epistemic_sd=dec.epistemic_sd,
-            total_sd=total_sd,
-        )
-        for level in levels:
-            pset.intervals[float(level)] = prediction_interval(
-                dec.mean, total_sd, float(level)
-            )
-        if mask_percentile is not None:
-            pset.flagged, pset.mask_threshold = mask_highly_uncertain(
-                total_sd, mask_percentile
-            )
-        return pset
+        return cls(dec.mean, dec.aleatoric_sd, dec.epistemic_sd, dec.total_sd, mask_percentile)
 
 
 @dataclass
@@ -363,7 +338,7 @@ class EvalReport:
     spread: SpreadSkillResult
     r2_rmse_sigma_total: float
     n_flagged: int
-    mask_threshold: float | None
+    mask_threshold: float
     flagged_excluded_from_picp: bool
 
 
@@ -372,9 +347,6 @@ def evaluate_predictions(
     obs: np.ndarray,
     levels=DEFAULT_CONFIDENCE_LEVELS,
     exclude_flagged: bool = True,
-    pit_bins: int = DEFAULT_PIT_BINS,
-    spread_bins: int = DEFAULT_SPREAD_BINS,
-    discard_fractions=DEFAULT_DISCARD_FRACTIONS,
 ) -> EvalReport:
     """Assemble the full report for one prediction/observation set."""
     obs = np.asarray(obs, dtype=float)
@@ -389,17 +361,12 @@ def evaluate_predictions(
         coverage[float(level)] = picp(lower, upper, obs, exclude=exclude)
 
     pitd_by_kind = {
-        kind: pitd(pit_values(predictions.mean, predictions.sd_of_kind(kind), obs), pit_bins)
+        kind: pitd(pit_values(predictions.mean, getattr(predictions, f"{kind}_sd"), obs))
         for kind in UNCERTAINTY_KINDS
     }
 
-    spread = spread_skill(
-        predictions.total_sd, predictions.mean - obs, n_bins=spread_bins
-    )
-    discard = discard_fraction(
-        predictions.total_sd, predictions.mean, obs, fractions=discard_fractions
-    )
-    n_flagged = int(predictions.flagged.sum()) if predictions.flagged is not None else 0
+    spread = spread_skill(predictions.total_sd, predictions.mean - obs)
+    discard = discard_fraction(predictions.total_sd, predictions.mean, obs)
     return EvalReport(
         n_samples=obs.size,
         bias=errs.bias,
@@ -412,7 +379,7 @@ def evaluate_predictions(
         discard=discard,
         spread=spread,
         r2_rmse_sigma_total=spread.r_squared,
-        n_flagged=n_flagged,
+        n_flagged=int(predictions.flagged.sum()),
         mask_threshold=predictions.mask_threshold,
         flagged_excluded_from_picp=exclude_flagged,
     )
@@ -456,8 +423,6 @@ def report_to_dict(report: EvalReport) -> dict:
         },
         "r2_rmse_sigma_total": _nan_to_none(report.r2_rmse_sigma_total),
         "n_flagged": report.n_flagged,
-        "mask_threshold": _nan_to_none(report.mask_threshold)
-        if report.mask_threshold is not None
-        else None,
+        "mask_threshold": _nan_to_none(report.mask_threshold),
         "flagged_excluded_from_picp": report.flagged_excluded_from_picp,
     }

@@ -42,6 +42,10 @@ class HyperSpace:
             lo, hi = getattr(self, f.name)
             if not lo <= hi:
                 raise UsageError(f"{f.name}: lower bound {lo} exceeds upper bound {hi}")
+        for name in ("hidden_layers", "hidden_neurons", "batch_size"):
+            for bound in getattr(self, name):
+                if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < 1:
+                    raise UsageError(f"{name}: bounds must be integers >= 1, got {bound!r}")
         for name in ("learning_rate", "batch_size", "evidential_coef", "l1", "l2"):
             if getattr(self, name)[0] <= 0:
                 raise UsageError(f"{name} is log-scaled and needs positive bounds")
@@ -288,8 +292,6 @@ def make_evidential_objective(
     val_targets: np.ndarray,
     max_epochs: int = 200,
     patience: int = 10,
-    pit_bins: int = 10,
-    spread_bins: int = 20,
 ) -> Objective:
     """Objective that trains an evidential model and scores it on validation."""
     from .evidential import train_evidential
@@ -318,8 +320,8 @@ def make_evidential_objective(
         )
         dec = model.predict(val_features)
         mae = float(np.mean(np.abs(dec.mean - y_val)))
-        r2 = spread_skill(dec.total_sd, dec.mean - y_val, n_bins=spread_bins).r_squared
-        skill = pitd(pit_values(dec.mean, dec.total_sd, y_val), n_bins=pit_bins).skill
+        r2 = spread_skill(dec.total_sd, dec.mean - y_val).r_squared
+        skill = pitd(pit_values(dec.mean, dec.total_sd, y_val)).skill
         return mae, r2, skill, len(log)
 
     return objective

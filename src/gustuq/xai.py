@@ -71,7 +71,6 @@ def permutation_importance(
     feature_names: Sequence[str] | None = None,
     n_shuffles: int = DEFAULT_N_SHUFFLES,
     seed: int = 0,
-    spread_bins: int = 20,
     permutations: Sequence[np.ndarray] | None = None,
 ) -> PFIResult:
     """Shuffle each column ``n_shuffles`` times and measure metric changes.
@@ -100,7 +99,7 @@ def permutation_importance(
     def scores(matrix: np.ndarray) -> tuple[float, float]:
         mean, total_sd = predict_fn(matrix)
         rmse = float(np.sqrt(np.mean((mean - y) ** 2)))
-        r2 = spread_skill(total_sd, mean - y, n_bins=spread_bins).r_squared
+        r2 = spread_skill(total_sd, mean - y).r_squared
         return rmse, r2
 
     base_rmse, base_r2 = scores(x)

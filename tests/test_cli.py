@@ -433,6 +433,43 @@ def test_evaluate_rejects_duplicate_keys(pipeline, tmp_path, capsys):
     assert not (tmp_path / "eval").exists() or not any((tmp_path / "eval").iterdir())
 
 
+def test_evaluate_warns_of_unmatched_prediction_rows(pipeline, tmp_path):
+    pred_out = tmp_path / "pred"
+    assert run("predict", "--model", pipeline["model"], "--data",
+               pipeline["station_csv"], "--out", pred_out) == 0
+    lines = (pred_out / "predictions.csv").read_text().splitlines(keepends=True)
+    _, timestamp, rest = lines[5].split(",", 2)
+    extra = tmp_path / "extra.csv"
+    extra.write_text("".join([*lines, f"ZZ9,{timestamp},{rest}"]))
+    assert run("evaluate", "--pred", pred_out / "predictions.csv",
+               "--data", pipeline["station_csv"], "--out", tmp_path / "all") == 0
+    message = (f"^1 of {5 * 3 * 8 + 1} prediction rows have no observation and are not "
+               f"scored; first unmatched keys: ZZ9@{timestamp}$")
+    with pytest.warns(DegenerateInputWarning, match=message):
+        assert run("evaluate", "--pred", extra, "--data", pipeline["station_csv"],
+                   "--out", tmp_path / "extra") == 0
+    for name in ("report.json", "discard.csv", "spread_skill.csv", "pit_hist.csv",
+                 "picp_stations.csv"):
+        assert (tmp_path / "extra" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def test_evaluate_on_validation_storms_reproduces_train_scoring(pipeline, tmp_path):
+    # train scores its validation split from the model's decomposition;
+    # predict then evaluate on the same rows read the predictions back from text
+    split = json.loads((pipeline["train_out"] / "split.json").read_text())
+    header, *rows = pipeline["station_csv"].read_text().splitlines(keepends=True)
+    val_csv = tmp_path / "validation.csv"
+    val_csv.write_text("".join(
+        [header, *(row for row in rows if row.split(",", 1)[0] in split["validation"])]))
+    assert run("predict", "--model", pipeline["model"], "--data", val_csv,
+               "--out", tmp_path / "pred") == 0
+    assert run("evaluate", "--pred", tmp_path / "pred" / "predictions.csv", "--data", val_csv,
+               "--out", tmp_path / "eval") == 0
+    for name in ("report.json", "discard.csv", "spread_skill.csv", "pit_hist.csv"):
+        got = (tmp_path / "eval" / name).read_bytes()
+        assert got == (pipeline["train_out"] / f"validation_{name}").read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # explain
 
@@ -806,6 +843,12 @@ BAD_OPTIONS = [
     ("train", [], {"mask_percentile": 100}, "mask_percentile"),
     ("predict", ["--levels", "0.9,1"], None, "--levels"),
     ("evaluate", ["--mask-percentile", "-5"], None, "--mask-percentile"),
+    # integer dimensions of the search space take integers >= 1, and cell
+    # distances integers >= 0
+    *(("tune", ["--trials", "1", "--max-epochs", "1"], {"space": {key: bounds}}, key)
+      for key, bounds in (("hidden_neurons", [-5, 3]), ("hidden_neurons", [0, 0]),
+                          ("hidden_layers", [1.5, 3]))),
+    ("spatial", ["--align-k=-1"], None, "--align-k"),
 ]
 
 

@@ -408,7 +408,7 @@ def make_decomposition(n=400, seed=12):
 
 def test_prediction_set_bounds_and_flags():
     dec, rng = make_decomposition()
-    pset = PredictionSet.from_decomposition(dec, levels=(0.70, 0.95), mask_percentile=95)
+    pset = PredictionSet.from_decomposition(dec, mask_percentile=95)
     lo, hi = pset.interval(0.95)
     assert np.array_equal(hi, dec.mean + 1.96 * dec.total_sd)
     assert np.array_equal(lo, dec.mean - 1.96 * dec.total_sd)
@@ -419,7 +419,7 @@ def test_prediction_set_bounds_and_flags():
 def test_evaluate_predictions_full_report():
     dec, rng = make_decomposition(n=2000)
     obs = dec.mean + dec.total_sd * rng.standard_normal(2000)
-    pset = PredictionSet.from_decomposition(dec, levels=(0.70, 0.95), mask_percentile=95)
+    pset = PredictionSet.from_decomposition(dec, mask_percentile=95)
     report = evaluate_predictions(pset, obs, levels=(0.70, 0.95))
     assert report.rmse**2 == pytest.approx(report.crmse**2 + report.bias**2, rel=1e-9)
     assert 0.9 < report.picp[0.95] <= 1.0
@@ -429,10 +429,3 @@ def test_evaluate_predictions_full_report():
     d = metrics.report_to_dict(report)
     assert d["n_samples"] == 2000
     assert "0.95" in d["picp"]
-
-
-def test_sd_of_kind_validation():
-    dec, _ = make_decomposition(n=10)
-    pset = PredictionSet.from_decomposition(dec)
-    with pytest.raises(UsageError):
-        pset.sd_of_kind("banana")
