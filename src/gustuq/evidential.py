@@ -160,11 +160,11 @@ def _param_grads(params: NIGParams, y: np.ndarray, lam: float):
     return dg, dn, da, db
 
 
-def evidential_loss(raw: np.ndarray, y: np.ndarray, lam: float):
-    """Batch-mean dual-objective loss and its gradient wrt the raw outputs.
+def _sample_losses(raw: np.ndarray, y: np.ndarray, lam: float, first_row: int = 0):
+    """Per-sample dual-objective loss and its gradient wrt the raw outputs.
 
-    Returns ``(loss, grad)`` where grad has the same [B x 4] shape as ``raw``.
-    The mean reduction makes the evidential coefficient batch-size invariant.
+    Returns ``(per_sample, grad)``, neither averaged yet. A non-finite loss
+    is an error naming its sample index, counted from ``first_row``.
     """
     if lam < 0:
         raise ConfigError(f"evidential coefficient must be >= 0, got {lam}")
@@ -174,10 +174,8 @@ def evidential_loss(raw: np.ndarray, y: np.ndarray, lam: float):
     nll = nig_nll(params, y)
     per_sample = nll + lam * evidence_regularizer(params, y) if lam > 0 else nll
     if not np.all(np.isfinite(per_sample)):
-        bad = int(np.flatnonzero(~np.isfinite(per_sample))[0])
+        bad = first_row + int(np.flatnonzero(~np.isfinite(per_sample))[0])
         raise NumericError(f"non-finite evidential loss at sample index {bad}")
-    n = per_sample.shape[0]
-    loss = float(per_sample.mean())
 
     dg, dn, da, db = _param_grads(params, y, lam)
     grad = np.empty_like(raw)
@@ -185,14 +183,65 @@ def evidential_loss(raw: np.ndarray, y: np.ndarray, lam: float):
     grad[:, 1] = dn * expit(raw[:, 1])  # d softplus = sigmoid
     grad[:, 2] = da * expit(raw[:, 2])
     grad[:, 3] = db * expit(raw[:, 3])
-    grad /= n
-    return loss, grad
+    return per_sample, grad
+
+
+def evidential_loss(raw: np.ndarray, y: np.ndarray, lam: float):
+    """Batch-mean dual-objective loss and its gradient wrt the raw outputs.
+
+    Returns ``(loss, grad)`` where grad has the same [B x 4] shape as ``raw``.
+    The mean reduction makes the evidential coefficient batch-size invariant.
+    """
+    per_sample, grad = _sample_losses(raw, y, lam)
+    grad /= per_sample.shape[0]
+    return float(per_sample.mean()), grad
 
 
 def total_loss(model: MLP, raw: np.ndarray, y: np.ndarray, lam: float):
     """Full training objective: mean evidential loss plus L1/L2 penalties."""
     data_loss, grad = evidential_loss(raw, y, lam)
     return data_loss + nncore.penalty_loss(model), grad
+
+
+def step_gradients(
+    model: MLP,
+    features: np.ndarray,
+    targets: np.ndarray,
+    lam: float,
+    rng: np.random.Generator | None,
+) -> tuple[float, nncore.ParamGrads]:
+    """Training objective of one batch and its gradients wrt the parameters.
+
+    The same loss and gradients as :func:`total_loss` over the whole batch,
+    computed in blocks of ``nncore.BLOCK_ROWS`` rows: each block runs
+    forward, loss and backward, and its gradients are added into the
+    step's. The loss is a mean over samples, so each block's loss gradient
+    is divided by the batch's row count; the penalty and its gradient enter
+    once. Dropout keep-masks are drawn once for the whole batch, so they do
+    not depend on the block size, and only they grow with the batch. A batch
+    of at most ``BLOCK_ROWS`` rows is one block: bit for bit one train-mode
+    forward, :func:`total_loss` and backward over it. Over more rows the sums
+    run in another order, which moves the last bits.
+    """
+    rows = features.shape[0]
+    keeps = nncore.draw_keeps(model, rows, rng)
+    grads = None
+    data_sum = 0.0
+    for start in range(0, rows, nncore.BLOCK_ROWS):
+        block = slice(start, start + nncore.BLOCK_ROWS)
+        out, cache = nncore.forward(
+            model,
+            features[block],
+            train_mode=True,
+            keeps=[None if keep is None else keep[block] for keep in keeps],
+            first_row=start,
+        )
+        per_sample, grad = _sample_losses(out, targets[block], lam, first_row=start)
+        grad /= rows
+        data_sum += per_sample.sum()
+        grads = nncore.backward(model, cache, grad, into=grads)
+    # For one block, sum / rows is bit for bit the mean that total_loss takes.
+    return float(data_sum / rows) + nncore.penalty_loss(model), grads
 
 
 @dataclass
@@ -295,9 +344,7 @@ def train_evidential(
         batch_losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            out, cache = nncore.forward(model, x_train[idx], train_mode=True, rng=rng)
-            loss, grad_raw = total_loss(model, out, y_train[idx], lam)
-            grads = nncore.backward(model, cache, grad_raw)
+            loss, grads = step_gradients(model, x_train[idx], y_train[idx], lam, rng)
             optimizer.step(model, grads)
             batch_losses.append(loss)
         train_loss = float(np.mean(batch_losses))

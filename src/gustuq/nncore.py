@@ -4,15 +4,21 @@ The network is a stack of linear layers with leaky-ReLU activations on the
 hidden layers and a linear output layer (width 4 by default, feeding the
 evidential head). Training-time dropout uses inverted scaling so inference
 needs no rescaling. L1/L2 penalties apply to weight matrices only, never to
-biases. Everything is plain float64 numpy; training is single-threaded and
-deterministic for a fixed seed. The no-grad pass (``train_mode=False``) is
-the one inference kernel: it walks the batch in fixed-size row blocks and
+biases. Everything is plain float64 numpy. Results are deterministic for a
+fixed seed on the same machine, numpy/BLAS build and BLAS thread count: the
+matrix products may sum in another order under another thread count, which
+moves the last bits. The no-grad pass (``train_mode=False``) is the one
+inference kernel: it walks the batch in blocks of :data:`BLOCK_ROWS` rows and
 keeps no intermediates.
 
-A training step keeps only what :func:`backward` reads: per hidden layer one
-float activation and two one-byte masks (``z > 0`` and the dropout keep-mask),
-and :func:`backward` releases each layer's entries as soon as it has used
-them, so a cache holds nothing once its gradients exist.
+A training step (``gustuq.evidential.step_gradients``) runs in blocks of the
+same :data:`BLOCK_ROWS` rows: each block does its own train-mode
+:func:`forward` and :func:`backward`, and its gradients are added into the
+step's. A block's cache keeps only what :func:`backward` reads: per hidden
+layer one float activation and one one-byte mask (``z > 0``), beside its
+rows of the step's dropout keep-masks (:func:`draw_keeps`). :func:`backward`
+releases each layer's entries as soon as it has used them, so a cache holds
+nothing once its gradients exist.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ from .errors import ConfigError, DimensionError, NumericError, UsageError
 
 LEAKY_SLOPE = 0.1
 
-# Rows per block of the no-grad forward pass. A constant, not an option, so
-# that identical runs stay byte-identical: BLAS results can depend on the
-# block shape in the last bits.
-INFERENCE_CHUNK_ROWS = 1024
+# Rows per block of the no-grad forward pass and of a training step. A
+# constant, not an option, so that identical runs stay byte-identical: BLAS
+# results can depend on the block shape in the last bits.
+BLOCK_ROWS = 1024
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -160,19 +166,48 @@ class ForwardCache:
     batch_size: int
 
 
+def draw_keeps(
+    model: MLP, rows: int, rng: np.random.Generator | None
+) -> list[np.ndarray | None]:
+    """Dropout keep-masks for a batch of ``rows`` rows, one per hidden layer.
+
+    Each is a bool ``[rows x width]`` array, or ``None`` without dropout.
+    They are drawn layer by layer in blocks of :data:`BLOCK_ROWS` rows, which
+    is the same random stream, so the same masks, as ``rng.random((rows,
+    width)) >= dropout`` per layer, without a float array of that size.
+    """
+    if model.dropout == 0.0:
+        return [None] * len(model.hidden_sizes)
+    if rng is None:
+        raise UsageError("dropout > 0 needs an rng to draw keep-masks")
+    keeps = []
+    for width in model.hidden_sizes:
+        keep = np.empty((rows, width), dtype=bool)
+        for start in range(0, rows, BLOCK_ROWS):
+            block = keep[start : start + BLOCK_ROWS]
+            np.greater_equal(rng.random(block.shape), model.dropout, out=block)
+        keeps.append(keep)
+    return keeps
+
+
 def forward(
     model: MLP,
     batch: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    keeps: list[np.ndarray | None] | None = None,
+    first_row: int = 0,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network on ``batch`` [B x D].
 
     With ``train_mode`` set, dropout is applied to hidden activations with
-    keep-masks drawn from ``rng``, and the intermediates :func:`backward`
-    needs are returned in a :class:`ForwardCache`. Otherwise this is the
-    no-grad inference pass: it returns ``(out, None)`` and keeps no
-    intermediates.
+    the keep-masks ``keeps`` (as :func:`draw_keeps` returns them for these
+    rows), or with masks drawn from ``rng`` when ``keeps`` is not given, and
+    the intermediates :func:`backward` needs are returned in a
+    :class:`ForwardCache`. Otherwise this is the no-grad inference pass: it
+    returns ``(out, None)`` and keeps no intermediates. A non-finite output
+    is an error naming its sample index, counted from ``first_row`` (the
+    index of ``batch``'s first row when it is one block of a larger batch).
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
@@ -182,16 +217,27 @@ def forward(
             f"batch width {batch.shape[1]} does not match model input width {model.input_dim}"
         )
     if train_mode:
-        out, cache = _forward_train(model, batch, rng)
+        if keeps is None:
+            keeps = draw_keeps(model, batch.shape[0], rng)
+        shapes = [None if keep is None else keep.shape for keep in keeps]
+        if shapes != [None if model.dropout == 0.0 else (batch.shape[0], width)
+                      for width in model.hidden_sizes]:
+            raise DimensionError(
+                f"keep-masks {shapes} do not match a batch of {batch.shape[0]} rows "
+                f"through hidden layers {model.hidden_sizes} at dropout {model.dropout}"
+            )
+        out, cache = _forward_train(model, batch, keeps)
     else:
         out, cache = _forward_nograd(model, batch), None
-    if not np.all(np.isfinite(out)):
-        raise NumericError("forward pass produced non-finite outputs")
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        bad = first_row + int(np.flatnonzero(~finite)[0])
+        raise NumericError(f"forward pass produced non-finite outputs at sample index {bad}")
     return out, cache
 
 
 def _forward_nograd(model: MLP, batch: np.ndarray) -> np.ndarray:
-    """Inference in blocks of INFERENCE_CHUNK_ROWS rows, activations in place.
+    """Inference in blocks of BLOCK_ROWS rows, activations in place.
 
     A block's hidden activations stay in cache, where a full-batch pass
     would stream [B x width] temporaries through memory. np.maximum(z,
@@ -200,46 +246,38 @@ def _forward_nograd(model: MLP, batch: np.ndarray) -> np.ndarray:
     slope = model.leaky_slope
     last = model.layers[-1]
     out = np.empty((batch.shape[0], model.output_dim))
-    for start in range(0, batch.shape[0], INFERENCE_CHUNK_ROWS):
-        a = batch[start : start + INFERENCE_CHUNK_ROWS]
+    for start in range(0, batch.shape[0], BLOCK_ROWS):
+        a = batch[start : start + BLOCK_ROWS]
         for layer in model.layers[:-1]:
             z = a @ layer.weights
             z += layer.bias
             np.maximum(z, slope * z, out=z)
             a = z
-        block = out[start : start + INFERENCE_CHUNK_ROWS]
+        block = out[start : start + BLOCK_ROWS]
         np.matmul(a, last.weights, out=block)
         block += last.bias
     return out
 
 
 def _forward_train(
-    model: MLP, batch: np.ndarray, rng: np.random.Generator | None
+    model: MLP, batch: np.ndarray, keeps: list[np.ndarray | None]
 ) -> tuple[np.ndarray, ForwardCache]:
-    use_dropout = model.dropout > 0.0
-    if use_dropout and rng is None:
-        raise UsageError("train_mode forward with dropout > 0 requires an rng")
-
     slope = model.leaky_slope
     scale = 1.0 / (1.0 - model.dropout)
     inputs: list[np.ndarray] = []
     positive: list[np.ndarray] = []
-    keeps: list[np.ndarray | None] = []
     a = batch
-    for layer in model.layers[:-1]:
+    for layer, keep in zip(model.layers[:-1], keeps):
         inputs.append(a)
         z = a @ layer.weights
         z += layer.bias
         positive.append(z > 0)
         np.maximum(z, slope * z, out=z)
-        keep = None
-        if use_dropout:
+        if keep is not None:
             # Bit for bit z * (keep / (1 - dropout)): z * True is z, and a
             # dropped z * 0.0 stays a signed zero when scaled afterwards.
-            keep = rng.random(z.shape) >= model.dropout
             z *= keep
             z *= scale
-        keeps.append(keep)
         a = z
     inputs.append(a)
     out = a @ model.layers[-1].weights
@@ -247,7 +285,7 @@ def _forward_train(
     cache = ForwardCache(
         inputs=inputs,
         positive=positive,
-        keeps=keeps,
+        keeps=list(keeps),
         model_version=model.version,
         batch_size=batch.shape[0],
     )
@@ -262,15 +300,23 @@ class ParamGrads:
     biases: list[np.ndarray]
 
 
-def backward(model: MLP, cache: ForwardCache, grad_output: np.ndarray) -> ParamGrads:
+def backward(
+    model: MLP,
+    cache: ForwardCache,
+    grad_output: np.ndarray,
+    into: ParamGrads | None = None,
+) -> ParamGrads:
     """Backpropagate ``grad_output`` [B x out] to parameter gradients.
 
-    ``grad_output`` must already carry any batch-mean normalization. The L1
-    subgradient (0 at exactly 0) and the 2*l2*W term are added to every
-    weight gradient; biases carry no penalty. The cache is used up: each
-    layer's entries are popped as they are read, so the peak holds no
-    activation that is no longer needed, and a second call on the same
-    cache is a :class:`UsageError`.
+    ``grad_output`` must already carry any batch-mean normalization. Without
+    ``into`` this returns new gradients of a whole step: the L1 subgradient
+    (0 at exactly 0) and the 2*l2*W term are added to every weight gradient;
+    biases carry no penalty. With ``into``, the gradients of an earlier block
+    of the same step, this block's data gradients are added into it and it
+    is returned; the penalty, already in it, is not added again. The cache
+    is used up: each layer's entries are popped as they are read, so the
+    peak holds no activation that is no longer needed, and a second call on
+    the same cache is a :class:`UsageError`.
     """
     if cache is None:
         raise UsageError("backward called without a forward cache")
@@ -288,20 +334,26 @@ def backward(model: MLP, cache: ForwardCache, grad_output: np.ndarray) -> ParamG
         )
 
     n_layers = len(model.layers)
-    d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    grads = into
+    if grads is None:
+        empty: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+        grads = ParamGrads(weights=empty, biases=list(empty))
 
     delta = grad_output
     scale = 1.0 / (1.0 - model.dropout)
     for i in range(n_layers - 1, -1, -1):
         layer = model.layers[i]
         dw = cache.inputs.pop().T @ delta
-        if model.l1 > 0:
-            dw += model.l1 * np.sign(layer.weights)
-        if model.l2 > 0:
-            dw += 2.0 * model.l2 * layer.weights
-        d_weights[i] = dw
-        d_biases[i] = delta.sum(axis=0)
+        if into is None:
+            if model.l1 > 0:
+                dw += model.l1 * np.sign(layer.weights)
+            if model.l2 > 0:
+                dw += 2.0 * model.l2 * layer.weights
+            grads.weights[i] = dw
+            grads.biases[i] = delta.sum(axis=0)
+        else:
+            grads.weights[i] += dw
+            grads.biases[i] += delta.sum(axis=0)
         if i > 0:
             delta = delta @ layer.weights.T
             keep = cache.keeps.pop()
@@ -318,7 +370,7 @@ def backward(model: MLP, cache: ForwardCache, grad_output: np.ndarray) -> ParamG
             factor = np.multiply(cache.positive.pop(), 1.0 - model.leaky_slope)
             factor += model.leaky_slope
             delta *= factor
-    return ParamGrads(weights=d_weights, biases=d_biases)
+    return grads
 
 
 def penalty_loss(model: MLP) -> float:

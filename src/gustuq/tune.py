@@ -49,6 +49,9 @@ class HyperSpace:
         for name in ("learning_rate", "batch_size", "evidential_coef", "l1", "l2"):
             if getattr(self, name)[0] <= 0:
                 raise UsageError(f"{name} is log-scaled and needs positive bounds")
+        for bound in self.dropout:
+            if not 0.0 <= bound <= 0.5:  # the range MLP accepts
+                raise UsageError(f"dropout: bounds must be in [0, 0.5], got {bound!r}")
 
 
 @dataclass

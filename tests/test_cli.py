@@ -849,6 +849,9 @@ BAD_OPTIONS = [
       for key, bounds in (("hidden_neurons", [-5, 3]), ("hidden_neurons", [0, 0]),
                           ("hidden_layers", [1.5, 3]))),
     ("spatial", ["--align-k=-1"], None, "--align-k"),
+    # dropout bounds lie in [0, 0.5], the rates the network accepts
+    *(("tune", ["--trials", "1", "--max-epochs", "1"], {"space": {"dropout": bounds}}, "dropout")
+      for bounds in ([1.0, 2.0], [-0.5, -0.1])),
 ]
 
 

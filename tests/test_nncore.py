@@ -98,7 +98,7 @@ def test_dropout_rate_bounds():
         small_model(np.random.default_rng(0), dropout=0.6)
 
 
-CHUNK = nncore.INFERENCE_CHUNK_ROWS
+CHUNK = nncore.BLOCK_ROWS
 
 
 @given(
@@ -245,6 +245,93 @@ def test_training_step_bit_exact_against_reference(
         for got, want in zip(model.layers, ref.layers):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.bias, want.bias)
+
+
+def test_multi_block_step_matches_single_pass_reference():
+    # 2,500 rows are three blocks of a step. The keep-masks are drawn once for
+    # the whole batch, the same stream as one rng.random((B, w)) per layer, and
+    # the blocks' gradients add up to the single-pass gradient of the batch
+    # mean: only the order of the sums differs.
+    rows, hidden, dropout, lam = 2500, (32, 24), 0.25, 0.59
+    assert rows > 2 * CHUNK
+    rng = np.random.default_rng(31)
+    model = small_model(rng, input_dim=6, hidden=hidden, dropout=dropout, l1=1e-3, l2=2e-3)
+    batch = rng.normal(size=(rows, 6))
+    target = rng.uniform(0.0, 20.0, size=rows)
+
+    keeps = nncore.draw_keeps(model, rows, np.random.default_rng(5))
+    stream = np.random.default_rng(5)
+    for keep, width in zip(keeps, hidden):
+        assert keep.dtype == bool and np.array_equal(keep, stream.random((rows, width)) >= dropout)
+
+    loss, grads = evidential.step_gradients(model, batch, target, lam, np.random.default_rng(5))
+    r_out, r_inputs, r_pre, r_masks = reference_forward(model, batch, np.random.default_rng(5))
+    r_loss, r_grad_out = evidential.total_loss(model, r_out, target, lam)
+    r_dw, r_db = reference_backward(model, r_inputs, r_pre, r_masks, r_grad_out)
+    assert loss == pytest.approx(r_loss, rel=1e-12)
+    for got, want in zip(grads.weights + grads.biases, r_dw + r_db):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_step_of_one_block_is_the_whole_batch_step():
+    # Up to BLOCK_ROWS rows a step is one forward, loss and backward pass.
+    rng = np.random.default_rng(32)
+    model = small_model(rng, input_dim=5, hidden=(16, 8), dropout=0.3, l1=1e-3, l2=2e-3)
+    batch = rng.normal(size=(CHUNK, 5))
+    target = rng.uniform(0.0, 20.0, size=CHUNK)
+    loss, grads = evidential.step_gradients(model, batch, target, 0.59, np.random.default_rng(6))
+    out, cache = nncore.forward(model, batch, train_mode=True, rng=np.random.default_rng(6))
+    r_loss, grad_out = evidential.total_loss(model, out, target, 0.59)
+    r_grads = nncore.backward(model, cache, grad_out)
+    assert loss == r_loss
+    for got, want in zip(grads.weights + grads.biases, r_grads.weights + r_grads.biases):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", ["target", "feature"])
+def test_nonfinite_step_names_index_within_batch(bad):
+    # Row 1,500 sits in the second block; the error names its batch index.
+    rows = 2500
+    rng = np.random.default_rng(33)
+    model = small_model(rng, input_dim=4, hidden=(8,), dropout=0.2)
+    batch = rng.normal(size=(rows, 4))
+    target = rng.uniform(0.0, 20.0, size=rows)
+    if bad == "target":
+        target[1500] = np.inf
+    else:
+        batch[1500, 0] = np.nan
+    with pytest.raises(NumericError, match=r"sample index 1500$"):
+        evidential.step_gradients(model, batch, target, 0.59, rng)
+
+
+def test_step_memory_does_not_grow_by_float_arrays_with_the_batch():
+    # From B = 4,096 to 16,384 rows through widths [8, 256, 256, 4] with
+    # dropout, only the one-byte keep-masks, the batch and its targets may
+    # grow with B: every float array of a step is one block or weight-sized.
+    # One float [12,288 x 256] array alone would be 25 MB, above the bound.
+    widths, dropout = [256, 256], 0.3
+    model = small_model(np.random.default_rng(22), input_dim=8, hidden=widths,
+                        dropout=dropout, l1=1e-4, l2=1e-4)
+
+    def step_peak(rows):
+        rng = np.random.default_rng(rows)
+        batch = rng.normal(size=(rows, 8))
+        target = rng.uniform(0.0, 20.0, size=rows)
+        tracemalloc.start()
+        try:
+            _, grads = evidential.step_gradients(model, batch, target, 0.59, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(np.all(np.isfinite(dw)) for dw in grads.weights)
+        return peak
+
+    small, large = 4096, 16384
+    growth = large - small
+    bound = growth * sum(widths) + growth * 8 * 8 + growth * 8
+    assert bound == 7_176_192
+    rise = step_peak(large) - step_peak(small)
+    assert rise <= bound, f"traced peak rose by {rise} B, more than {bound} B"
 
 
 # ---------------------------------------------------------------------------

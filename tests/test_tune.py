@@ -111,12 +111,15 @@ def test_space_validation():
         HyperSpace(learning_rate=(0.1, 0.01)).validate()
     with pytest.raises(UsageError):
         HyperSpace(l1=(0.0, 0.01)).validate()  # log-scaled needs positive low
-    # integer dimensions take integers >= 1
+    # integer dimensions take integers >= 1, dropout bounds lie in [0, 0.5]
     for name, bounds in (("hidden_neurons", (-5, 3)), ("hidden_layers", (1.5, 3)),
-                         ("batch_size", (0, 0)), ("hidden_layers", (True, 2))):
+                         ("batch_size", (0, 0)), ("hidden_layers", (True, 2)),
+                         ("dropout", (1.0, 2.0)), ("dropout", (-0.5, -0.1)),
+                         ("dropout", (0.2, 0.6)), ("dropout", (float("nan"), 0.1))):
         with pytest.raises(UsageError, match=name):
             HyperSpace(**{name: bounds}).validate()
     HyperSpace(hidden_neurons=(np.int64(2), 4)).validate()
+    HyperSpace(dropout=(0.0, 0.5)).validate()
 
 
 # ---------------------------------------------------------------------------
