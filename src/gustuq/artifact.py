@@ -63,6 +63,22 @@ def _field(payload: dict, where: str, kind):
     return value
 
 
+def _check_standardizer(standardizer: Standardizer, width: int) -> None:
+    """Each standardizer field holds one entry per network input, and the
+    offsets and scales are finite with positive scales."""
+    for name in ("offset", "scale", "passthrough"):
+        shape = getattr(standardizer, name).shape
+        if shape != (width,):
+            raise UsageError(
+                f"artifact field standardizer.{name} has shape {shape}, but the "
+                f"first layer takes {width} inputs"
+            )
+    if not np.all(np.isfinite(standardizer.offset)):
+        raise UsageError("artifact field standardizer.offset must be finite")
+    if not np.all(np.isfinite(standardizer.scale) & (standardizer.scale > 0)):
+        raise UsageError("artifact field standardizer.scale must be finite and > 0")
+
+
 def save_model(model: EvidentialModel, path) -> None:
     payload = {
         "format": FORMAT_NAME,
@@ -125,6 +141,7 @@ def load_model(path) -> EvidentialModel:
             k: _field(payload, f"network.{k}", float)
             for k in ("dropout", "l1", "l2", "leaky_slope")
         }
+        mlp = MLP(layers=layers, **network)
         config = TrainConfig(
             **{k: _field(payload, f"train_config.{k}", float)
                for k in ("learning_rate", "evidential_coef")},
@@ -141,6 +158,7 @@ def load_model(path) -> EvidentialModel:
                     _field(payload, "standardizer.passthrough", list), dtype=bool
                 ),
             )
+            _check_standardizer(standardizer, mlp.input_dim)
         names = payload.get("feature_names")
         if names is not None and not (
             isinstance(names, list) and all(isinstance(n, str) for n in names)
@@ -149,7 +167,7 @@ def load_model(path) -> EvidentialModel:
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from None
     return EvidentialModel(
-        mlp=MLP(layers=layers, **network),
+        mlp=mlp,
         train_config=config,
         feature_names=names,
         standardizer=standardizer,

@@ -217,26 +217,23 @@ def step_gradients(
     forward, loss and backward, and its gradients are added into the
     step's. The loss is a mean over samples, so each block's loss gradient
     is divided by the batch's row count; the penalty and its gradient enter
-    once. Dropout keep-masks are drawn once for the whole batch, so they do
-    not depend on the block size, and only they grow with the batch. A batch
-    of at most ``BLOCK_ROWS`` rows is one block: bit for bit one train-mode
-    forward, :func:`total_loss` and backward over it. Over more rows the sums
-    run in another order, which moves the last bits.
+    once. ``nncore.draw_keeps`` draws each block's dropout keep-masks when
+    the block runs, the same masks and the same ``rng`` stream as one draw
+    for the whole batch, so they do not depend on the block size. Every
+    array of a step is one block's or weight-sized; only the batch's own
+    rows grow with the batch. A batch of at most ``BLOCK_ROWS`` rows is one
+    block: bit for bit one train-mode forward, :func:`total_loss` and
+    backward over it. Over more rows the sums run in another order, which
+    moves the last bits.
     """
     rows = features.shape[0]
-    keeps = nncore.draw_keeps(model, rows, rng)
     grads = None
     data_sum = 0.0
-    for start in range(0, rows, nncore.BLOCK_ROWS):
-        block = slice(start, start + nncore.BLOCK_ROWS)
+    for block, keeps in nncore.draw_keeps(model, rows, rng):
         out, cache = nncore.forward(
-            model,
-            features[block],
-            train_mode=True,
-            keeps=[None if keep is None else keep[block] for keep in keeps],
-            first_row=start,
+            model, features[block], train_mode=True, keeps=keeps, first_row=block.start
         )
-        per_sample, grad = _sample_losses(out, targets[block], lam, first_row=start)
+        per_sample, grad = _sample_losses(out, targets[block], lam, first_row=block.start)
         grad /= rows
         data_sum += per_sample.sum()
         grads = nncore.backward(model, cache, grad, into=grads)

@@ -12,19 +12,27 @@ inference kernel: it walks the batch in blocks of :data:`BLOCK_ROWS` rows and
 keeps no intermediates.
 
 A training step (``gustuq.evidential.step_gradients``) runs in blocks of the
-same :data:`BLOCK_ROWS` rows: each block does its own train-mode
-:func:`forward` and :func:`backward`, and its gradients are added into the
-step's. A block's cache keeps only what :func:`backward` reads: per hidden
-layer one float activation and one one-byte mask (``z > 0``), beside its
-rows of the step's dropout keep-masks (:func:`draw_keeps`). :func:`backward`
-releases each layer's entries as soon as it has used them, so a cache holds
-nothing once its gradients exist.
+same :data:`BLOCK_ROWS` rows: :func:`draw_keeps` walks the blocks and draws
+each block's dropout keep-masks when the block runs, and each block does its
+own train-mode :func:`forward` and :func:`backward`, whose gradients are added
+into the step's. A block's cache keeps only what :func:`backward` reads: per
+hidden layer one float activation, one one-byte mask (``z > 0``) and its
+one-byte keep-mask. :func:`backward` releases each layer's entries as soon as
+it has used them, so a cache holds nothing once its gradients exist. Only the
+batch's own rows grow with the batch. :class:`Adam` holds two moments per
+parameter and computes each update in chunks of :data:`ADAM_CHUNK` elements
+through one shared scratch pair, so the rest of training state is
+weight-sized: the weights, their gradients, the two moments and the
+best-weights copy.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,6 +44,12 @@ LEAKY_SLOPE = 0.1
 # constant, not an option, so that identical runs stay byte-identical: BLAS
 # results can depend on the block shape in the last bits.
 BLOCK_ROWS = 1024
+
+# Parameter elements per chunk of an Adam update. A constant, not an option:
+# the update of every parameter runs through one scratch pair of this size
+# (or of the largest parameter, if smaller), not through two scratch arrays
+# per parameter. Chunking cannot move a bit: every operation is elementwise.
+ADAM_CHUNK = 1 << 16
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -54,12 +68,16 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.evidential_coef < 0:
-            raise ConfigError(f"evidential_coef must be >= 0, got {self.evidential_coef}")
+        if not (math.isfinite(self.evidential_coef) and self.evidential_coef >= 0):
+            raise ConfigError(
+                f"evidential_coef must be finite and >= 0, got {self.evidential_coef}"
+            )
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -168,46 +186,73 @@ class ForwardCache:
 
 def draw_keeps(
     model: MLP, rows: int, rng: np.random.Generator | None
-) -> list[np.ndarray | None]:
-    """Dropout keep-masks for a batch of ``rows`` rows, one per hidden layer.
+) -> Iterator[tuple[slice, list[np.ndarray | None]]]:
+    """The blocks of a ``rows``-row training step, each with its keep-masks.
 
-    Each is a bool ``[rows x width]`` array, or ``None`` without dropout.
-    They are drawn layer by layer in blocks of :data:`BLOCK_ROWS` rows, which
-    is the same random stream, so the same masks, as ``rng.random((rows,
-    width)) >= dropout`` per layer, without a float array of that size.
+    Yields ``(block, keeps)`` for each block of :data:`BLOCK_ROWS` rows in
+    order: ``block`` slices the step's rows, and ``keeps`` holds one bool
+    ``[block rows x width]`` dropout keep-mask per hidden layer, or ``None``
+    per layer without dropout. A block's masks are drawn when it is yielded,
+    so only one block's exist at a time.
+
+    They are the masks of ``rng.random((rows, width)) >= dropout`` drawn
+    layer by layer for the whole step: layer ``l``'s rows start
+    ``rows * sum(widths[:l])`` doubles into the step's draws, and the PCG64
+    generator advances to each block's offset. Once the last block is out,
+    ``rng`` stands where those whole-step draws leave it, with the buffered
+    32-bit half that ``advance`` clears put back. A caller that stops early
+    leaves ``rng`` inside the step's draws.
     """
+    widths = model.hidden_sizes
+    starts = range(0, rows, BLOCK_ROWS)
     if model.dropout == 0.0:
-        return [None] * len(model.hidden_sizes)
-    if rng is None:
-        raise UsageError("dropout > 0 needs an rng to draw keep-masks")
-    keeps = []
-    for width in model.hidden_sizes:
-        keep = np.empty((rows, width), dtype=bool)
-        for start in range(0, rows, BLOCK_ROWS):
-            block = keep[start : start + BLOCK_ROWS]
-            np.greater_equal(rng.random(block.shape), model.dropout, out=block)
-        keeps.append(keep)
-    return keeps
+        for start in starts:
+            yield slice(start, min(start + BLOCK_ROWS, rows)), [None] * len(widths)
+        return
+    bit_generator = getattr(rng, "bit_generator", None)
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise UsageError(
+            "dropout keep-masks are drawn per block from a PCG64 generator, which "
+            f"can advance; got {type(bit_generator).__name__}"
+        )
+    origins = list(accumulate((rows * width for width in widths[:-1]), initial=0))
+    buffered = bit_generator.state
+    position = 0  # doubles drawn so far, counted from the step's first
+    for start in starts:
+        stop = min(start + BLOCK_ROWS, rows)
+        keeps = []
+        for width, origin in zip(widths, origins):
+            offset = origin + start * width
+            bit_generator.advance(offset - position)
+            keeps.append(rng.random((stop - start, width)) >= model.dropout)
+            position = offset + (stop - start) * width
+        yield slice(start, stop), keeps
+    # The last block's last layer ends the step's draws, so only the buffered
+    # half that advance() cleared needs putting back.
+    bit_generator.state = {
+        **bit_generator.state,
+        "has_uint32": buffered["has_uint32"],
+        "uinteger": buffered["uinteger"],
+    }
 
 
 def forward(
     model: MLP,
     batch: np.ndarray,
     train_mode: bool = False,
-    rng: np.random.Generator | None = None,
     keeps: list[np.ndarray | None] | None = None,
     first_row: int = 0,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network on ``batch`` [B x D].
 
     With ``train_mode`` set, dropout is applied to hidden activations with
-    the keep-masks ``keeps`` (as :func:`draw_keeps` returns them for these
-    rows), or with masks drawn from ``rng`` when ``keeps`` is not given, and
-    the intermediates :func:`backward` needs are returned in a
-    :class:`ForwardCache`. Otherwise this is the no-grad inference pass: it
-    returns ``(out, None)`` and keeps no intermediates. A non-finite output
-    is an error naming its sample index, counted from ``first_row`` (the
-    index of ``batch``'s first row when it is one block of a larger batch).
+    the keep-masks ``keeps`` (as :func:`draw_keeps` yields them for these
+    rows; none are needed without dropout), and the intermediates
+    :func:`backward` needs are returned in a :class:`ForwardCache`.
+    Otherwise this is the no-grad inference pass: it returns ``(out, None)``
+    and keeps no intermediates. A non-finite output is an error naming its
+    sample index, counted from ``first_row`` (the index of ``batch``'s first
+    row when it is one block of a larger batch).
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
@@ -218,7 +263,9 @@ def forward(
         )
     if train_mode:
         if keeps is None:
-            keeps = draw_keeps(model, batch.shape[0], rng)
+            if model.dropout > 0.0:
+                raise UsageError("a train-mode forward pass with dropout needs keep-masks")
+            keeps = [None] * len(model.hidden_sizes)
         shapes = [None if keep is None else keep.shape for keep in keeps]
         if shapes != [None if model.dropout == 0.0 else (batch.shape[0], width)
                       for width in model.hidden_sizes]:
@@ -384,27 +431,48 @@ def penalty_loss(model: MLP) -> float:
     return total
 
 
+def _chunks(shape: tuple[int, ...]) -> Iterator:
+    """Indices that cut a 1-D or 2-D array of ``shape`` into views of at most
+    :data:`ADAM_CHUNK` elements: blocks of whole rows of a 2-D array, or
+    pieces of one row where a row is longer than a chunk."""
+    *lead, width = shape
+    if lead and width <= ADAM_CHUNK:
+        rows = ADAM_CHUNK // width
+        for start in range(0, lead[0], rows):
+            yield slice(start, start + rows)
+        return
+    for index in np.ndindex(*lead):
+        for start in range(0, width, ADAM_CHUNK):
+            yield (*index, slice(start, start + ADAM_CHUNK))
+
+
 class Adam:
-    """Adam optimizer with bias correction, updating an MLP in place."""
+    """Adam optimizer with bias correction, updating an MLP in place.
+
+    It keeps the first and second moments of each parameter and one scratch
+    pair shared by all of them: each update is computed in chunks of
+    :data:`ADAM_CHUNK` elements, taken as views, so a parameter that is not
+    contiguous is still updated in place.
+    """
 
     def __init__(self, learning_rate: float):
         if not learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
         self.learning_rate = learning_rate
         self.step_count = 0
-        self._state: list[tuple[np.ndarray, ...]] | None = None
+        self._moments: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def _init_state(self, model: MLP) -> None:
         # Per parameter, in layer order (weights, bias): the first and second
-        # moments, then two scratch arrays the update is computed in.
-        self._state = [
-            tuple(np.zeros_like(param) for _ in range(4))
-            for layer in model.layers
-            for param in (layer.weights, layer.bias)
-        ]
+        # moments.
+        params = [p for layer in model.layers for p in (layer.weights, layer.bias)]
+        self._moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        size = min(ADAM_CHUNK, max(p.size for p in params))
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, model: MLP, grads: ParamGrads) -> None:
-        if self._state is None:
+        if self._moments is None:
             self._init_state(model)
         if len(grads.weights) != len(model.layers):
             raise DimensionError("gradient layer count does not match model")
@@ -419,24 +487,29 @@ class Adam:
         correct1 = 1.0 - ADAM_BETA1**t
         correct2 = 1.0 - ADAM_BETA2**t
         lr = self.learning_rate
+        scratch_update, scratch_denom = self._scratch
         for i, layer in enumerate(model.layers):
             pairs = ((layer.weights, grads.weights[i]), (layer.bias, grads.biases[i]))
-            for (param, grad), (m, v, update, denom) in zip(pairs, self._state[2 * i : 2 * i + 2]):
-                m *= ADAM_BETA1
-                np.multiply(1.0 - ADAM_BETA1, grad, out=update)
-                m += update
-                v *= ADAM_BETA2
-                np.square(grad, out=update)
-                np.multiply(1.0 - ADAM_BETA2, update, out=update)
-                v += update
-                # update = (lr * (m / correct1)) / (sqrt(v / correct2) + eps)
-                np.divide(m, correct1, out=update)
-                np.multiply(lr, update, out=update)
-                np.divide(v, correct2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += ADAM_EPS
-                update /= denom
-                param -= update
+            for (param, grad), (m_all, v_all) in zip(pairs, self._moments[2 * i : 2 * i + 2]):
+                for index in _chunks(param.shape):
+                    p, g, m, v = param[index], grad[index], m_all[index], v_all[index]
+                    update = scratch_update[: p.size].reshape(p.shape)
+                    denom = scratch_denom[: p.size].reshape(p.shape)
+                    m *= ADAM_BETA1
+                    np.multiply(1.0 - ADAM_BETA1, g, out=update)
+                    m += update
+                    v *= ADAM_BETA2
+                    np.square(g, out=update)
+                    np.multiply(1.0 - ADAM_BETA2, update, out=update)
+                    v += update
+                    # update = (lr * (m / correct1)) / (sqrt(v / correct2) + eps)
+                    np.divide(m, correct1, out=update)
+                    np.multiply(lr, update, out=update)
+                    np.divide(v, correct2, out=denom)
+                    np.sqrt(denom, out=denom)
+                    denom += ADAM_EPS
+                    update /= denom
+                    p -= update
             if not np.all(np.isfinite(layer.weights)) or not np.all(
                 np.isfinite(layer.bias)
             ):

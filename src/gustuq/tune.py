@@ -223,10 +223,28 @@ def load_trials_log(path) -> list[TrialResult]:
 Objective = Callable[[TrialConfig, np.random.Generator], tuple[float, float, float, int]]
 
 
+def _trial_rng(seed: int, trial_id: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial_id,)))
+
+
+def _check_logged_config(space: HyperSpace, seed: int, result: TrialResult, log_path) -> None:
+    """A logged trial must hold the configuration that ``(seed, trial_id)``
+    draws from ``space``; otherwise the log is another search's."""
+    drawn = sample(space, _trial_rng(seed, result.trial_id))
+    for f in dc_fields(TrialConfig):
+        logged, expected = getattr(result.config, f.name), getattr(drawn, f.name)
+        if logged != expected:
+            raise UsageError(
+                f"{log_path}: trial {result.trial_id} has {f.name} {logged!r}, but seed "
+                f"{seed} and this search space draw {expected!r}; the log is from "
+                "another search"
+            )
+
+
 def _run_trial(space: HyperSpace, objective: Objective, seed: int, trial_id: int) -> TrialResult:
     """Sample and score trial ``trial_id``; a GustUQError or a non-finite
     objective makes it a failed trial."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial_id,)))
+    rng = _trial_rng(seed, trial_id)
     config = sample(space, rng)
     try:
         mae, r2, skill, n_epochs = objective(config, rng)
@@ -262,7 +280,9 @@ def search(
 
     Each trial's RNG stream is derived from ``(seed, trial_id)``, so results
     do not depend on execution order and a partially written log can be
-    resumed without repeating completed trials.
+    resumed without repeating completed trials. A logged trial whose
+    configuration ``(seed, trial_id)`` and ``space`` do not draw is a
+    ``UsageError``, raised before any trial runs.
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")
@@ -271,6 +291,8 @@ def search(
     done: dict[int, TrialResult] = {}
     if log_path is not None and Path(log_path).exists():
         done = {result.trial_id: result for result in load_trials_log(log_path)}
+        for trial_id in sorted(done):
+            _check_logged_config(space, seed, done[trial_id], log_path)
 
     results: list[TrialResult] = []
     for trial_id in range(n_trials):

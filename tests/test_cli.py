@@ -255,6 +255,57 @@ def test_predict_artifact_wrong_type_is_usage_error(pipeline, tmp_path, capsys):
     assert "artifact field network.leaky_slope must be a number, got str" in err
 
 
+def _shorten(values):
+    return values[:-1]
+
+
+def _set_first(value):
+    def edit(values):
+        values[0] = value
+        return values
+    return edit
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    pytest.param("offset", _shorten,
+                 "standardizer.offset has shape (10,), but the first layer takes 11",
+                 id="short-offset"),
+    pytest.param("scale", _shorten,
+                 "standardizer.scale has shape (10,), but the first layer takes 11",
+                 id="short-scale"),
+    pytest.param("passthrough", _shorten,
+                 "standardizer.passthrough has shape (10,), but the first layer takes 11",
+                 id="short-passthrough"),
+    pytest.param("offset", _set_first(np.nan), "standardizer.offset must be finite",
+                 id="nan-offset"),
+    pytest.param("scale", _set_first(np.inf), "standardizer.scale must be finite and > 0",
+                 id="inf-scale"),
+    pytest.param("scale", _set_first(0.0), "standardizer.scale must be finite and > 0",
+                 id="zero-scale"),
+    pytest.param("scale", _set_first(-1.0), "standardizer.scale must be finite and > 0",
+                 id="negative-scale"),
+])
+def test_predict_artifact_bad_standardizer_is_usage_error(
+    pipeline, tmp_path, capsys, field, edit, message
+):
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    std = payload["standardizer"]
+    if field == "passthrough":
+        std[field] = edit(std[field])
+    else:
+        values = artifact._decode_array(std, field, field)
+        std[field] = artifact._encode_array(edit(values))
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(payload))
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("usage-error:")
+    assert f"artifact field {message}" in err
+
+
 @pytest.mark.parametrize("source", ["station_csv", "grid_csv"])
 @pytest.mark.parametrize("variant", ["quoted", "bom"])
 def test_predict_header_variants_give_identical_output(pipeline, tmp_path, source, variant):
@@ -729,7 +780,7 @@ def test_predict_constant_storm_normalized_fields_are_blank(pipeline, tmp_path):
 # tune
 
 
-def test_tune_cli(pipeline, tmp_path):
+def test_tune_cli(pipeline, tmp_path, capsys):
     out = tmp_path / "tune"
     config = tmp_path / "tune.json"
     config.write_text(json.dumps({
@@ -763,6 +814,14 @@ def test_tune_cli(pipeline, tmp_path):
     log2 = read_rows(out / "trials_log.csv")
     assert len(log2) == 6
     assert [r["trial_id"] for r in log2[:4]] == [r["trial_id"] for r in log]
+    # resuming that log under another seed mixes two searches: refused
+    code = run("tune", "--config", config, "--data", pipeline["station_csv"],
+               "--out", out, "--split", "3,1,1", "--seed", "7", "--trials", "7")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("usage-error:") and "trial 0 has learning_rate" in err
+    assert read_rows(out / "trials_log.csv") == log2
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ def small_model(rng, input_dim=3, hidden=(4,), dropout=0.0, l1=0.0, l2=0.0):
     return MLP.create(input_dim, list(hidden), rng, dropout=dropout, l1=l1, l2=l2)
 
 
+def batch_keeps(model, rows, rng):
+    """The keep-masks of a whole ``rows``-row step, joined from its blocks."""
+    blocks = [keeps for _, keeps in nncore.draw_keeps(model, rows, rng)]
+    return [None if layer[0] is None else np.concatenate(layer) for layer in zip(*blocks)]
+
+
 def quadratic_loss(model, batch):
     """0.5 * mean(out^2) + penalties; analytic upstream grad is out / out.size."""
     out, cache = nncore.forward(model, batch, train_mode=True)
@@ -76,8 +82,10 @@ def test_forward_train_mode_deterministic_given_rng_state():
     rng = np.random.default_rng(3)
     model = small_model(rng, dropout=0.3)
     batch = rng.normal(size=(5, 3))
-    out1, _ = nncore.forward(model, batch, train_mode=True, rng=np.random.default_rng(42))
-    out2, _ = nncore.forward(model, batch, train_mode=True, rng=np.random.default_rng(42))
+    keeps1 = batch_keeps(model, 5, np.random.default_rng(42))
+    keeps2 = batch_keeps(model, 5, np.random.default_rng(42))
+    out1, _ = nncore.forward(model, batch, train_mode=True, keeps=keeps1)
+    out2, _ = nncore.forward(model, batch, train_mode=True, keeps=keeps2)
     assert np.array_equal(out1, out2)
 
 
@@ -206,9 +214,8 @@ def test_training_step_bit_exact_against_reference(
         grad_out = rng.normal(size=(n_rows, model.output_dim)) / n_rows
         mask_seed = int(rng.integers(2**31))
 
-        out, cache = nncore.forward(
-            model, batch, train_mode=True, rng=np.random.default_rng(mask_seed)
-        )
+        keeps = batch_keeps(model, n_rows, np.random.default_rng(mask_seed))
+        out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
         r_out, r_inputs, r_pre, r_masks = reference_forward(
             ref, batch, np.random.default_rng(mask_seed)
         )
@@ -247,22 +254,53 @@ def test_training_step_bit_exact_against_reference(
             assert np.array_equal(got.bias, want.bias)
 
 
+def test_block_keeps_are_the_batch_stream_and_leave_the_generator_in_place():
+    # 2,500 rows are three blocks of a step. Each block's keep-masks are drawn
+    # when it runs, and joined they are the masks of one rng.random((B, w))
+    # per layer. The generator ends where those whole-batch draws leave it,
+    # with the 32-bit half that a float32 draw (or a permutation) buffered
+    # before the step still buffered: advance() clears it.
+    rows, hidden, dropout = 2500, (32, 24, 16), 0.25
+    assert rows > 2 * CHUNK
+    model = small_model(np.random.default_rng(30), input_dim=6, hidden=hidden, dropout=dropout)
+    rng, stream = np.random.default_rng(5), np.random.default_rng(5)
+    for gen in (rng, stream):
+        gen.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+    blocks = list(nncore.draw_keeps(model, rows, rng))
+    assert [block for block, _ in blocks] == [
+        slice(0, 1024), slice(1024, 2048), slice(2048, 2500)
+    ]
+    for block, keeps in blocks:
+        assert [keep.shape for keep in keeps] == [(block.stop - block.start, w) for w in hidden]
+    for layer, width in enumerate(hidden):
+        keep = np.concatenate([keeps[layer] for _, keeps in blocks])
+        assert keep.dtype == bool and np.array_equal(keep, stream.random((rows, width)) >= dropout)
+    assert rng.bit_generator.state == stream.bit_generator.state
+    assert rng.random(dtype=np.float32) == stream.random(dtype=np.float32)
+    assert np.array_equal(rng.permutation(5760), stream.permutation(5760))
+
+
+def test_keeps_need_a_pcg64_generator():
+    model = small_model(np.random.default_rng(0), dropout=0.2)
+    for rng in (None, np.random.Generator(np.random.MT19937(0))):
+        with pytest.raises(UsageError, match="PCG64"):
+            next(nncore.draw_keeps(model, 4, rng))
+    no_dropout = small_model(np.random.default_rng(0))
+    assert list(nncore.draw_keeps(no_dropout, 4, None)) == [(slice(0, 4), [None])]
+
+
 def test_multi_block_step_matches_single_pass_reference():
-    # 2,500 rows are three blocks of a step. The keep-masks are drawn once for
-    # the whole batch, the same stream as one rng.random((B, w)) per layer, and
-    # the blocks' gradients add up to the single-pass gradient of the batch
-    # mean: only the order of the sums differs.
+    # 2,500 rows are three blocks of a step. The blocks' gradients add up to
+    # the single-pass gradient of the batch mean: only the order of the sums
+    # differs.
     rows, hidden, dropout, lam = 2500, (32, 24), 0.25, 0.59
     assert rows > 2 * CHUNK
     rng = np.random.default_rng(31)
     model = small_model(rng, input_dim=6, hidden=hidden, dropout=dropout, l1=1e-3, l2=2e-3)
     batch = rng.normal(size=(rows, 6))
     target = rng.uniform(0.0, 20.0, size=rows)
-
-    keeps = nncore.draw_keeps(model, rows, np.random.default_rng(5))
-    stream = np.random.default_rng(5)
-    for keep, width in zip(keeps, hidden):
-        assert keep.dtype == bool and np.array_equal(keep, stream.random((rows, width)) >= dropout)
 
     loss, grads = evidential.step_gradients(model, batch, target, lam, np.random.default_rng(5))
     r_out, r_inputs, r_pre, r_masks = reference_forward(model, batch, np.random.default_rng(5))
@@ -280,7 +318,8 @@ def test_step_of_one_block_is_the_whole_batch_step():
     batch = rng.normal(size=(CHUNK, 5))
     target = rng.uniform(0.0, 20.0, size=CHUNK)
     loss, grads = evidential.step_gradients(model, batch, target, 0.59, np.random.default_rng(6))
-    out, cache = nncore.forward(model, batch, train_mode=True, rng=np.random.default_rng(6))
+    keeps = batch_keeps(model, CHUNK, np.random.default_rng(6))
+    out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
     r_loss, grad_out = evidential.total_loss(model, out, target, 0.59)
     r_grads = nncore.backward(model, cache, grad_out)
     assert loss == r_loss
@@ -306,9 +345,10 @@ def test_nonfinite_step_names_index_within_batch(bad):
 
 def test_step_memory_does_not_grow_by_float_arrays_with_the_batch():
     # From B = 4,096 to 16,384 rows through widths [8, 256, 256, 4] with
-    # dropout, only the one-byte keep-masks, the batch and its targets may
-    # grow with B: every float array of a step is one block or weight-sized.
-    # One float [12,288 x 256] array alone would be 25 MB, above the bound.
+    # dropout, only the batch and its targets may grow with B: every array
+    # of a step, the keep-masks included, is one block's or weight-sized.
+    # Whole-batch keep-masks would grow by 6.3 MB, one float [12,288 x 256]
+    # array by 25 MB.
     widths, dropout = [256, 256], 0.3
     model = small_model(np.random.default_rng(22), input_dim=8, hidden=widths,
                         dropout=dropout, l1=1e-4, l2=1e-4)
@@ -328,8 +368,8 @@ def test_step_memory_does_not_grow_by_float_arrays_with_the_batch():
 
     small, large = 4096, 16384
     growth = large - small
-    bound = growth * sum(widths) + growth * 8 * 8 + growth * 8
-    assert bound == 7_176_192
+    bound = growth * 8 * 8 + growth * 8
+    assert bound == 884_736
     rise = step_peak(large) - step_peak(small)
     assert rise <= bound, f"traced peak rose by {rise} B, more than {bound} B"
 
@@ -411,7 +451,8 @@ def test_training_step_peak_memory_is_one_float_array_per_hidden_layer():
 
     tracemalloc.start()
     try:
-        out, cache = nncore.forward(model, batch, train_mode=True, rng=rng)
+        keeps = batch_keeps(model, rows, rng)
+        out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
         _, grad_raw = evidential.total_loss(model, out, target, 0.59)
         grads = nncore.backward(model, cache, grad_raw)
         _, peak = tracemalloc.get_traced_memory()
@@ -480,6 +521,79 @@ def test_adam_multi_step_matches_hand_recurrence():
         assert model.layers[0].weights[0, 0] == pytest.approx(p, rel=1e-12)
 
 
+def test_adam_retains_two_moments_and_one_scratch_pair():
+    # Array bytes the optimizer still holds after its first step: the first
+    # and second moment of every parameter, and the scratch pair its updates
+    # run through. Two more per-parameter arrays would retain 4x.
+    rng = np.random.default_rng(13)
+    model = small_model(rng, input_dim=64, hidden=(512, 512))
+    params = [p for layer in model.layers for p in (layer.weights, layer.bias)]
+    grads = nncore.ParamGrads(
+        weights=[rng.normal(size=l.weights.shape) for l in model.layers],
+        biases=[rng.normal(size=l.bias.shape) for l in model.layers],
+    )
+    param_bytes = sum(p.nbytes for p in params)
+    scratch_bytes = 2 * min(nncore.ADAM_CHUNK, max(p.size for p in params)) * 8
+    assert scratch_bytes == 1_048_576
+
+    tracemalloc.start()
+    try:
+        opt = Adam(1e-3)
+        opt.step(model, grads)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    retained = sum(trace.size for trace in arrays.traces)
+    assert retained <= 2 * param_bytes + scratch_bytes, (
+        f"Adam retains {retained} B for {param_bytes} B of parameters"
+    )
+
+
+def test_adam_updates_a_transposed_weight_array_in_place_bit_for_bit():
+    # Transposed weights are not C-contiguous; their chunks are views, so the
+    # update lands in the model's own arrays with the bits of a contiguous
+    # copy and of the out-of-place reference. The shapes take every chunk
+    # path: rows longer than a chunk, blocks of whole rows, and a bias
+    # longer than a chunk.
+    rng = np.random.default_rng(14)
+    wide = nncore.ADAM_CHUNK + 4_464
+    first, second = rng.normal(size=(wide, 3)).T, rng.normal(size=(2, wide)).T
+    bias = rng.normal(size=wide)
+    assert not first.flags.c_contiguous and not second.flags.c_contiguous
+
+    def network(w0, w1):
+        return MLP(layers=[Layer(weights=w0, bias=bias.copy()), Layer(weights=w1, bias=np.zeros(2))])
+
+    strided = network(first, second)
+    contiguous = network(np.ascontiguousarray(first), np.ascontiguousarray(second))
+    ref = contiguous.copy()
+    ref_m = [np.zeros_like(p) for l in ref.layers for p in (l.weights, l.bias)]
+    ref_v = [np.zeros_like(p) for p in ref_m]
+    lr = 1e-2
+    opt_strided, opt_contiguous = Adam(lr), Adam(lr)
+    for t in range(1, 4):
+        grads = nncore.ParamGrads(
+            weights=[rng.normal(size=l.weights.shape) for l in strided.layers],
+            biases=[rng.normal(size=l.bias.shape) for l in strided.layers],
+        )
+        opt_strided.step(strided, grads)
+        opt_contiguous.step(contiguous, grads)
+        k = 0
+        for layer, dw, db in zip(ref.layers, grads.weights, grads.biases):
+            layer.weights, ref_m[k], ref_v[k] = reference_adam(
+                layer.weights, dw, ref_m[k], ref_v[k], t, lr
+            )
+            layer.bias, ref_m[k + 1], ref_v[k + 1] = reference_adam(
+                layer.bias, db, ref_m[k + 1], ref_v[k + 1], t, lr
+            )
+            k += 2
+    assert strided.layers[0].weights is first and strided.layers[1].weights is second
+    for a, b, r in zip(strided.layers, contiguous.layers, ref.layers):
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.weights, r.weights)
+        assert np.array_equal(a.bias, b.bias) and np.array_equal(a.bias, r.bias)
+
+
 def test_adam_nonfinite_gradient_names_layer():
     rng = np.random.default_rng(12)
     model = small_model(rng, hidden=(4, 4))
@@ -509,4 +623,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(evidential_coef=-0.1).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=bad).validate()
+        with pytest.raises(ConfigError, match="evidential_coef must be finite"):
+            TrainConfig(evidential_coef=bad).validate()
     TrainConfig().validate()

@@ -302,6 +302,28 @@ def test_resumed_log_holds_every_known_trial_in_order(tmp_path):
     assert log.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize("seed, space, field", [
+    (7, HyperSpace(), "learning_rate"),
+    (0, HyperSpace(hidden_neurons=(1, 500)), "hidden_neurons"),
+])
+def test_resume_refuses_log_of_another_search(tmp_path, seed, space, field):
+    # A log written by seed 0 over the default space, resumed under another
+    # seed or space, would keep its trial 0 beside trials of the new search.
+    log = tmp_path / "trials.csv"
+    search(HyperSpace(), 1, synthetic_objective, seed=0, log_path=log)
+    before = log.read_bytes()
+    calls = []
+
+    def counting_objective(config, rng):
+        calls.append(1)
+        return synthetic_objective(config, rng)
+
+    with pytest.raises(UsageError, match=rf"trial 0 has {field} .*, but seed {seed} and this "
+                                         "search space draw .*; the log is from another search"):
+        search(space, 2, counting_objective, seed=seed, log_path=log)
+    assert calls == [] and log.read_bytes() == before
+
+
 def test_log_with_repeated_trial_is_ingest_error(tmp_path):
     log = tmp_path / "trials.csv"
     search(HyperSpace(), 2, synthetic_objective, seed=3, log_path=log)
