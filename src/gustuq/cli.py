@@ -211,9 +211,9 @@ def merge_options(args: argparse.Namespace, names) -> dict:
 
 
 def _out_dir(opts: dict) -> Path:
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    # Not created here: the first write creates it, so a refused input leaves
+    # no directory behind.
+    return Path(opts["out"])
 
 
 def _level_label(level: float) -> str:

@@ -315,8 +315,8 @@ def _reject_duplicates(path, names, keys: list[np.ndarray]) -> None:
     same = np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in keys])
     if not np.any(same):
         return
-    n = len(order)
-    first = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(n), 0))
+    starts = np.r_[True, ~same]  # where each run of equal keys begins
+    first = np.flatnonzero(starts)[np.cumsum(starts) - 1]
     later = np.flatnonzero(np.r_[False, same])
     pairs = sorted(zip(order[later].tolist(), order[first[later]].tolist()))
     raise IngestError(

@@ -217,14 +217,13 @@ def step_gradients(
     forward, loss and backward, and its gradients are added into the
     step's. The loss is a mean over samples, so each block's loss gradient
     is divided by the batch's row count; the penalty and its gradient enter
-    once. ``nncore.draw_keeps`` draws each block's dropout keep-masks when
-    the block runs, the same masks and the same ``rng`` stream as one draw
-    for the whole batch, so they do not depend on the block size. Every
-    array of a step is one block's or weight-sized; only the batch's own
-    rows grow with the batch. A batch of at most ``BLOCK_ROWS`` rows is one
-    block: bit for bit one train-mode forward, :func:`total_loss` and
-    backward over it. Over more rows the sums run in another order, which
-    moves the last bits.
+    once. ``nncore.draw_keeps`` draws each block's dropout keep-masks from
+    ``rng`` when the block runs, and leaves ``rng`` as many doubles on as
+    one draw for the whole batch would. Every array of a step is one
+    block's or weight-sized; only the batch's own rows grow with the batch.
+    A batch of at most ``BLOCK_ROWS`` rows is one block: bit for bit one
+    train-mode forward, :func:`total_loss` and backward over it. Over more
+    rows the sums run in another order, which moves the last bits.
     """
     rows = features.shape[0]
     grads = None

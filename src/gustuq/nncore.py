@@ -13,17 +13,21 @@ keeps no intermediates.
 
 A training step (``gustuq.evidential.step_gradients``) runs in blocks of the
 same :data:`BLOCK_ROWS` rows: :func:`draw_keeps` walks the blocks and draws
-each block's dropout keep-masks when the block runs, and each block does its
-own train-mode :func:`forward` and :func:`backward`, whose gradients are added
-into the step's. A block's cache keeps only what :func:`backward` reads: per
-hidden layer one float activation, one one-byte mask (``z > 0``) and its
-one-byte keep-mask. :func:`backward` releases each layer's entries as soon as
-it has used them, so a cache holds nothing once its gradients exist. Only the
-batch's own rows grow with the batch. :class:`Adam` holds two moments per
-parameter and computes each update in chunks of :data:`ADAM_CHUNK` elements
-through one shared scratch pair, so the rest of training state is
-weight-sized: the weights, their gradients, the two moments and the
-best-weights copy.
+each block's dropout keep-masks from the generator when the block runs, one
+draw per hidden layer in order, and each block does its own train-mode
+:func:`forward` and :func:`backward`, whose gradients are added into the
+step's. For a step of at most :data:`BLOCK_ROWS` rows, or a network with one
+hidden layer, the masks are those of one whole-batch draw per layer; a larger
+step through more hidden layers uses the same doubles in block order instead.
+Either way the step leaves the generator where one whole-batch draw would. A
+block's cache keeps only what :func:`backward` reads: per hidden layer one
+float activation, one one-byte mask (``z > 0``) and its one-byte keep-mask.
+:func:`backward` releases each layer's entries as soon as it has used them,
+so a cache holds nothing once its gradients exist. Only the batch's own rows
+grow with the batch. :class:`Adam` holds two moments per parameter and
+computes each update in chunks of :data:`ADAM_CHUNK` elements through one
+shared scratch pair, so the rest of training state is weight-sized: the
+weights, their gradients, the two moments and the best-weights copy.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import copy
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -192,48 +195,22 @@ def draw_keeps(
     Yields ``(block, keeps)`` for each block of :data:`BLOCK_ROWS` rows in
     order: ``block`` slices the step's rows, and ``keeps`` holds one bool
     ``[block rows x width]`` dropout keep-mask per hidden layer, or ``None``
-    per layer without dropout. A block's masks are drawn when it is yielded,
-    so only one block's exist at a time.
-
-    They are the masks of ``rng.random((rows, width)) >= dropout`` drawn
-    layer by layer for the whole step: layer ``l``'s rows start
-    ``rows * sum(widths[:l])`` doubles into the step's draws, and the PCG64
-    generator advances to each block's offset. Once the last block is out,
-    ``rng`` stands where those whole-step draws leave it, with the buffered
-    32-bit half that ``advance`` clears put back. A caller that stops early
-    leaves ``rng`` inside the step's draws.
+    per layer without dropout. A block's masks are drawn from ``rng`` when
+    it is yielded, one ``rng.random((block rows, width)) >= dropout`` per
+    hidden layer in order, so only one block's exist at a time and any
+    generator works. After the last block ``rng`` is ``rows * sum(widths)``
+    doubles on.
     """
+    if model.dropout > 0.0 and rng is None:
+        raise UsageError("dropout keep-masks need a random generator, got rng=None")
     widths = model.hidden_sizes
-    starts = range(0, rows, BLOCK_ROWS)
-    if model.dropout == 0.0:
-        for start in starts:
-            yield slice(start, min(start + BLOCK_ROWS, rows)), [None] * len(widths)
-        return
-    bit_generator = getattr(rng, "bit_generator", None)
-    if not isinstance(bit_generator, np.random.PCG64):
-        raise UsageError(
-            "dropout keep-masks are drawn per block from a PCG64 generator, which "
-            f"can advance; got {type(bit_generator).__name__}"
-        )
-    origins = list(accumulate((rows * width for width in widths[:-1]), initial=0))
-    buffered = bit_generator.state
-    position = 0  # doubles drawn so far, counted from the step's first
-    for start in starts:
+    for start in range(0, rows, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, rows)
-        keeps = []
-        for width, origin in zip(widths, origins):
-            offset = origin + start * width
-            bit_generator.advance(offset - position)
-            keeps.append(rng.random((stop - start, width)) >= model.dropout)
-            position = offset + (stop - start) * width
+        if model.dropout == 0.0:
+            keeps = [None] * len(widths)
+        else:
+            keeps = [rng.random((stop - start, width)) >= model.dropout for width in widths]
         yield slice(start, stop), keeps
-    # The last block's last layer ends the step's draws, so only the buffered
-    # half that advance() cleared needs putting back.
-    bit_generator.state = {
-        **bit_generator.state,
-        "has_uint32": buffered["has_uint32"],
-        "uinteger": buffered["uinteger"],
-    }
 
 
 def forward(
@@ -456,8 +433,8 @@ class Adam:
     """
 
     def __init__(self, learning_rate: float):
-        if not learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
         self.learning_rate = learning_rate
         self.step_count = 0
         self._moments: list[tuple[np.ndarray, np.ndarray]] | None = None

@@ -191,7 +191,7 @@ def test_predict_grid_cell_whose_lat_disagrees_is_ingest_error(pipeline, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("ingest-error: storm G00: 1 coordinates differ")
     assert f"line {at + 2}: lat 44.75, but grid row 3 has lat 41.75" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_predict_constant_grid_constant_mean_zero_gradient(pipeline, tmp_path):
@@ -304,6 +304,31 @@ def test_predict_artifact_bad_standardizer_is_usage_error(
     assert err.count("\n") == 1
     assert err.startswith("usage-error:")
     assert f"artifact field {message}" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "explain", "train"])
+def test_refused_input_leaves_no_out_directory(pipeline, tmp_path, capsys, command):
+    # --out is made by the first write, so a refused model.json (a short
+    # standardizer.scale) or station CSV (a row one field short) leaves none.
+    if command == "train":
+        rows = station_rows(n_storms=2, n_stations=1, n_hours=3)
+        rows[2] = rows[2][:-1]
+        bad = tmp_path / "malformed.csv"
+        write_station_file(bad, rows=rows)
+        inputs = ["--data", bad, "--split", "1,1,0"]
+    else:
+        payload = json.loads(Path(pipeline["model"]).read_text())
+        std = payload["standardizer"]
+        std["scale"] = artifact._encode_array(
+            _shorten(artifact._decode_array(std, "scale", "scale"))
+        )
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        inputs = ["--model", bad, "--data", pipeline["station_csv"]]
+    out = tmp_path / "out"
+    assert run(command, *inputs, "--out", out) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["station_csv", "grid_csv"])
@@ -481,7 +506,7 @@ def test_evaluate_rejects_duplicate_keys(pipeline, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ingest-error:") and "line 122: same key as line 4" in err
-    assert not (tmp_path / "eval").exists() or not any((tmp_path / "eval").iterdir())
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_warns_of_unmatched_prediction_rows(pipeline, tmp_path):
@@ -678,7 +703,7 @@ def test_evaluate_refuses_bad_prediction_values(pipeline, tmp_path, capsys, colu
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ingest-error:") and f"line 4: {column}: {reason}" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_spatial_refuses_bad_total_sd(pipeline, tmp_path, capsys):
@@ -934,7 +959,7 @@ def test_bad_option_is_one_line_usage_error(pipeline, tmp_path, capsys,
     assert code == 2
     assert err.startswith("usage-error:") and err.count("\n") == 1, err
     assert name in err
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 RETIRED_FLAGS = [

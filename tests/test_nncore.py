@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -139,18 +140,21 @@ def test_nograd_forward_matches_cached_path(input_dim, hidden, output_dim, n_row
 # training step, bit for bit against the plain-expression reference
 
 
-def reference_forward(model, batch, rng):
-    """Train-mode forward written with np.where and out-of-place updates."""
+def reference_forward(model, batch, rng=None, keeps=None):
+    """Train-mode forward written with np.where and out-of-place updates.
+
+    Each hidden layer's keep-mask is ``rng.random(shape) >= dropout`` drawn
+    here, or the given ``keeps`` entry."""
     inputs, pre_acts, masks = [], [], []
     a = batch
-    for layer in model.layers[:-1]:
+    for i, layer in enumerate(model.layers[:-1]):
         inputs.append(a)
         z = a @ layer.weights + layer.bias
         pre_acts.append(z)
         a = np.where(z > 0, z, model.leaky_slope * z)
         mask = None
         if model.dropout > 0:
-            keep = rng.random(a.shape) >= model.dropout
+            keep = rng.random(a.shape) >= model.dropout if keeps is None else keeps[i]
             mask = keep / (1.0 - model.dropout)
             a = a * mask
         masks.append(mask)
@@ -254,39 +258,51 @@ def test_training_step_bit_exact_against_reference(
             assert np.array_equal(got.bias, want.bias)
 
 
-def test_block_keeps_are_the_batch_stream_and_leave_the_generator_in_place():
-    # 2,500 rows are three blocks of a step. Each block's keep-masks are drawn
-    # when it runs, and joined they are the masks of one rng.random((B, w))
-    # per layer. The generator ends where those whole-batch draws leave it,
-    # with the 32-bit half that a float32 draw (or a permutation) buffered
-    # before the step still buffered: advance() clears it.
+def block_order_keeps(model, rows, rng):
+    """The keep-masks of a whole ``rows``-row step, drawn block by block and
+    layer by layer in block order, joined per layer."""
+    blocks = [
+        [rng.random((min(CHUNK, rows - start), width)) >= model.dropout
+         for width in model.hidden_sizes]
+        for start in range(0, rows, CHUNK)
+    ]
+    return [np.concatenate(layer) for layer in zip(*blocks)]
+
+
+def test_block_keeps_are_the_next_draws_of_the_generator():
+    # 2,500 rows are three blocks of a step. Each block's keep-masks are the
+    # generator's next draws, one rng.random((block rows, w)) per layer, and
+    # the step leaves it rows * sum(widths) doubles on, with a float32 half
+    # buffered before the step still buffered. Any bit generator will do.
     rows, hidden, dropout = 2500, (32, 24, 16), 0.25
     assert rows > 2 * CHUNK
     model = small_model(np.random.default_rng(30), input_dim=6, hidden=hidden, dropout=dropout)
-    rng, stream = np.random.default_rng(5), np.random.default_rng(5)
-    for gen in (rng, stream):
-        gen.random(dtype=np.float32)
-    assert rng.bit_generator.state["has_uint32"] == 1
+    for make in (np.random.PCG64, np.random.MT19937):
+        rng, skip = np.random.Generator(make(5)), np.random.Generator(make(5))
+        for gen in (rng, skip):
+            gen.random(dtype=np.float32)
+        if make is np.random.PCG64:
+            assert rng.bit_generator.state["has_uint32"] == 1
+        stream = copy.deepcopy(rng)
 
-    blocks = list(nncore.draw_keeps(model, rows, rng))
-    assert [block for block, _ in blocks] == [
-        slice(0, 1024), slice(1024, 2048), slice(2048, 2500)
-    ]
-    for block, keeps in blocks:
-        assert [keep.shape for keep in keeps] == [(block.stop - block.start, w) for w in hidden]
-    for layer, width in enumerate(hidden):
-        keep = np.concatenate([keeps[layer] for _, keeps in blocks])
-        assert keep.dtype == bool and np.array_equal(keep, stream.random((rows, width)) >= dropout)
-    assert rng.bit_generator.state == stream.bit_generator.state
-    assert rng.random(dtype=np.float32) == stream.random(dtype=np.float32)
-    assert np.array_equal(rng.permutation(5760), stream.permutation(5760))
+        blocks = list(nncore.draw_keeps(model, rows, rng))
+        assert [block for block, _ in blocks] == [
+            slice(0, 1024), slice(1024, 2048), slice(2048, 2500)
+        ]
+        for block, keeps in blocks:
+            want = [stream.random((block.stop - block.start, w)) >= dropout for w in hidden]
+            assert all(k.dtype == bool and np.array_equal(k, w) for k, w in zip(keeps, want))
+        skip.random(rows * sum(hidden))
+        np.testing.assert_equal(rng.bit_generator.state, skip.bit_generator.state)
+        assert rng.random(dtype=np.float32) == skip.random(dtype=np.float32)
 
+    # Through one hidden layer, block order is whole-batch order.
+    one = small_model(np.random.default_rng(31), input_dim=6, hidden=(40,), dropout=dropout)
+    joined = batch_keeps(one, rows, np.random.default_rng(7))
+    assert np.array_equal(joined[0], np.random.default_rng(7).random((rows, 40)) >= dropout)
 
-def test_keeps_need_a_pcg64_generator():
-    model = small_model(np.random.default_rng(0), dropout=0.2)
-    for rng in (None, np.random.Generator(np.random.MT19937(0))):
-        with pytest.raises(UsageError, match="PCG64"):
-            next(nncore.draw_keeps(model, 4, rng))
+    with pytest.raises(UsageError, match=r"^dropout keep-masks need a random generator"):
+        next(nncore.draw_keeps(model, 4, None))
     no_dropout = small_model(np.random.default_rng(0))
     assert list(nncore.draw_keeps(no_dropout, 4, None)) == [(slice(0, 4), [None])]
 
@@ -303,7 +319,8 @@ def test_multi_block_step_matches_single_pass_reference():
     target = rng.uniform(0.0, 20.0, size=rows)
 
     loss, grads = evidential.step_gradients(model, batch, target, lam, np.random.default_rng(5))
-    r_out, r_inputs, r_pre, r_masks = reference_forward(model, batch, np.random.default_rng(5))
+    keeps = block_order_keeps(model, rows, np.random.default_rng(5))
+    r_out, r_inputs, r_pre, r_masks = reference_forward(model, batch, keeps=keeps)
     r_loss, r_grad_out = evidential.total_loss(model, r_out, target, lam)
     r_dw, r_db = reference_backward(model, r_inputs, r_pre, r_masks, r_grad_out)
     assert loss == pytest.approx(r_loss, rel=1e-12)
@@ -629,3 +646,7 @@ def test_train_config_validation():
         with pytest.raises(ConfigError, match="evidential_coef must be finite"):
             TrainConfig(evidential_coef=bad).validate()
     TrainConfig().validate()
+    # Adam refuses the same learning rates, worded the same.
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="^learning_rate must be finite and > 0"):
+            Adam(bad)
