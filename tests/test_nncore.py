@@ -269,38 +269,48 @@ def block_order_keeps(model, rows, rng):
     return [np.concatenate(layer) for layer in zip(*blocks)]
 
 
-def test_block_keeps_are_the_next_draws_of_the_generator():
+def assert_block_keeps_are_next_draws(make):
     # 2,500 rows are three blocks of a step. Each block's keep-masks are the
     # generator's next draws, one rng.random((block rows, w)) per layer, and
     # the step leaves it rows * sum(widths) doubles on, with a float32 half
-    # buffered before the step still buffered. Any bit generator will do.
+    # buffered before the step still buffered.
     rows, hidden, dropout = 2500, (32, 24, 16), 0.25
     assert rows > 2 * CHUNK
     model = small_model(np.random.default_rng(30), input_dim=6, hidden=hidden, dropout=dropout)
-    for make in (np.random.PCG64, np.random.MT19937):
-        rng, skip = np.random.Generator(make(5)), np.random.Generator(make(5))
-        for gen in (rng, skip):
-            gen.random(dtype=np.float32)
-        if make is np.random.PCG64:
-            assert rng.bit_generator.state["has_uint32"] == 1
-        stream = copy.deepcopy(rng)
+    rng, skip = np.random.Generator(make(5)), np.random.Generator(make(5))
+    for gen in (rng, skip):
+        gen.random(dtype=np.float32)
+    if make is np.random.PCG64:
+        assert rng.bit_generator.state["has_uint32"] == 1
+    stream = copy.deepcopy(rng)
 
-        blocks = list(nncore.draw_keeps(model, rows, rng))
-        assert [block for block, _ in blocks] == [
-            slice(0, 1024), slice(1024, 2048), slice(2048, 2500)
-        ]
-        for block, keeps in blocks:
-            want = [stream.random((block.stop - block.start, w)) >= dropout for w in hidden]
-            assert all(k.dtype == bool and np.array_equal(k, w) for k, w in zip(keeps, want))
-        skip.random(rows * sum(hidden))
-        np.testing.assert_equal(rng.bit_generator.state, skip.bit_generator.state)
-        assert rng.random(dtype=np.float32) == skip.random(dtype=np.float32)
+    blocks = list(nncore.draw_keeps(model, rows, rng))
+    assert [block for block, _ in blocks] == [
+        slice(0, 1024), slice(1024, 2048), slice(2048, 2500)
+    ]
+    for block, keeps in blocks:
+        want = [stream.random((block.stop - block.start, w)) >= dropout for w in hidden]
+        assert all(k.dtype == bool and np.array_equal(k, w) for k, w in zip(keeps, want))
+    skip.random(rows * sum(hidden))
+    np.testing.assert_equal(rng.bit_generator.state, skip.bit_generator.state)
+    assert rng.random(dtype=np.float32) == skip.random(dtype=np.float32)
+
+
+def test_block_keeps_are_the_next_draws_of_the_generator():
+    assert_block_keeps_are_next_draws(np.random.PCG64)
 
     # Through one hidden layer, block order is whole-batch order.
+    rows, dropout = 2500, 0.25
     one = small_model(np.random.default_rng(31), input_dim=6, hidden=(40,), dropout=dropout)
     joined = batch_keeps(one, rows, np.random.default_rng(7))
     assert np.array_equal(joined[0], np.random.default_rng(7).random((rows, 40)) >= dropout)
 
+
+def test_keeps_take_any_generator_and_need_one_only_for_dropout():
+    # Nothing is asked of the bit generator beyond random().
+    assert_block_keeps_are_next_draws(np.random.MT19937)
+
+    model = small_model(np.random.default_rng(30), input_dim=6, hidden=(32, 24), dropout=0.25)
     with pytest.raises(UsageError, match=r"^dropout keep-masks need a random generator"):
         next(nncore.draw_keeps(model, 4, None))
     no_dropout = small_model(np.random.default_rng(0))
