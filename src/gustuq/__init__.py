@@ -26,7 +26,6 @@ from .evidential import (
     UncertaintyDecomposition,
     decompose,
     evidence_regularizer,
-    evidential_loss,
     head_transform,
     nig_nll,
     train_evidential,
@@ -77,7 +76,6 @@ __all__ = [
     "UncertaintyDecomposition",
     "decompose",
     "evidence_regularizer",
-    "evidential_loss",
     "head_transform",
     "nig_nll",
     "train_evidential",

@@ -4,8 +4,10 @@ Each command reads the options that ``COMMANDS`` lists for it; they resolve
 with CLI flags overriding config-file entries overriding defaults, and a
 config-file value passes the same check as flag text. Every output file is
 written atomically and all stochastic behavior hangs off ``--seed``, so
-identical invocations on identical inputs produce identical outputs. Failures exit nonzero with a one-line
-``<error-class>: <message>`` diagnostic on stderr.
+identical invocations on identical inputs produce byte-identical outputs
+on the same machine with the same numpy/BLAS build and the same BLAS
+thread count (``OPENBLAS_NUM_THREADS``). Failures exit nonzero with a
+one-line ``<error-class>: <message>`` diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -220,15 +222,26 @@ def _level_label(level: float) -> str:
     return f"{level * 100:g}"
 
 
-def _split_counts(opts: dict, n_storms: int) -> tuple[int, int, int]:
-    if opts["split"] is not None:
-        return opts["split"]
-    val_n = max(1, round(0.2 * n_storms))
-    test_n = max(0, round(0.2 * n_storms))
-    train_n = n_storms - val_n - test_n
-    if train_n < 1:
-        raise UsageError(f"cannot auto-split {n_storms} storms; pass --split")
-    return train_n, val_n, test_n
+def _training_split(opts: dict):
+    """The prelude of ``train`` and ``tune``: load the station CSV, split it
+    by storm (``--split``, or about 60/20/20 of the storms), and fit the
+    standardizer on the training storms.
+
+    Returns ``(spec, train, val, standardizer)``.
+    """
+    ds = data.load_station_csv(opts["data"], require_target=True)
+    if len(ds) == 0:
+        raise UsageError("training data is empty")
+    counts = opts["split"]
+    if counts is None:
+        n_storms = len(set(ds.storm_ids.tolist()))
+        val_n = max(1, round(0.2 * n_storms))
+        test_n = max(0, round(0.2 * n_storms))
+        if n_storms - val_n - test_n < 1:
+            raise UsageError(f"cannot auto-split {n_storms} storms; pass --split")
+        counts = (n_storms - val_n - test_n, val_n, test_n)
+    spec, train_ds, val_ds, _test_ds = data.chronological_split(ds, *counts)
+    return spec, train_ds, val_ds, data.Standardizer.fit(train_ds.features)
 
 
 def _check_feature_names(model: evidential.EvidentialModel, names: list[str]) -> None:
@@ -287,14 +300,7 @@ def _write_report_files(out: Path, prefix: str, report: metrics.EvalReport) -> N
 def cmd_train(opts: dict) -> None:
     """Fit an evidential model on station data."""
     out = _out_dir(opts)
-    ds = data.load_station_csv(opts["data"], require_target=True)
-    if len(ds) == 0:
-        raise UsageError("training data is empty")
-    n_storms = len(set(ds.storm_ids.tolist()))
-    train_n, val_n, test_n = _split_counts(opts, n_storms)
-    spec, train_ds, val_ds, _test_ds = data.chronological_split(ds, train_n, val_n, test_n)
-
-    standardizer = data.Standardizer.fit(train_ds.features)
+    spec, train_ds, val_ds, standardizer = _training_split(opts)
     config = TrainConfig(
         learning_rate=opts["learning_rate"],
         batch_size=opts["batch_size"],
@@ -313,7 +319,7 @@ def cmd_train(opts: dict) -> None:
         dropout=opts["dropout"],
         l1=opts["l1"],
         l2=opts["l2"],
-        feature_names=ds.feature_names,
+        feature_names=train_ds.feature_names,
         standardizer=standardizer,
     )
 
@@ -671,12 +677,7 @@ def cmd_spatial(opts: dict) -> None:
 def cmd_tune(opts: dict) -> None:
     """Multi-objective random hyperparameter search."""
     out = _out_dir(opts)
-    ds = data.load_station_csv(opts["data"], require_target=True)
-    n_storms = len(set(ds.storm_ids.tolist()))
-    train_n, val_n, test_n = _split_counts(opts, n_storms)
-    _spec, train_ds, val_ds, _test_ds = data.chronological_split(ds, train_n, val_n, test_n)
-
-    standardizer = data.Standardizer.fit(train_ds.features)
+    _spec, train_ds, val_ds, standardizer = _training_split(opts)
     objective = tune.make_evidential_objective(
         standardizer.apply(train_ds.features),
         train_ds.gust,

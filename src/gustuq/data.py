@@ -515,9 +515,9 @@ class Standardizer:
     warning.
     """
 
-    offset: np.ndarray | None = None
-    scale: np.ndarray | None = None
-    passthrough: np.ndarray | None = None
+    offset: np.ndarray
+    scale: np.ndarray
+    passthrough: np.ndarray
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
@@ -541,12 +541,7 @@ class Standardizer:
             passthrough=constant,
         )
 
-    def _require_fitted(self) -> None:
-        if self.offset is None or self.scale is None:
-            raise UsageError("standardizer has not been fitted")
-
     def apply(self, features: np.ndarray) -> np.ndarray:
-        self._require_fitted()
         x = np.asarray(features, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
@@ -560,5 +555,4 @@ class Standardizer:
         return out
 
     def inverse_column(self, column: int, values: np.ndarray) -> np.ndarray:
-        self._require_fitted()
         return np.asarray(values, dtype=float) * self.scale[column] + self.offset[column]

@@ -136,8 +136,28 @@ def evidence_regularizer(params: NIGParams, y: np.ndarray) -> np.ndarray:
     return np.abs(y - params.gamma) * (2.0 * params.nu + params.alpha)
 
 
-def _param_grads(params: NIGParams, y: np.ndarray, lam: float):
-    """Per-sample gradients of nll + lam*reg wrt (gamma, nu, alpha, beta)."""
+def _sample_loss(params: NIGParams, y: np.ndarray, lam: float, first_row: int = 0):
+    """Per-sample dual-objective loss nll + lam*reg, not averaged yet.
+
+    A non-finite loss is an error naming its sample index, counted from
+    ``first_row``.
+    """
+    if lam < 0:
+        raise ConfigError(f"evidential coefficient must be >= 0, got {lam}")
+    nll = nig_nll(params, y)
+    per_sample = nll + lam * evidence_regularizer(params, y) if lam > 0 else nll
+    if not np.all(np.isfinite(per_sample)):
+        bad = first_row + int(np.flatnonzero(~np.isfinite(per_sample))[0])
+        raise NumericError(f"non-finite evidential loss at sample index {bad}")
+    return per_sample
+
+
+def _raw_grad(raw: np.ndarray, params: NIGParams, y: np.ndarray, lam: float) -> np.ndarray:
+    """Per-sample gradient of :func:`_sample_loss` wrt the raw outputs.
+
+    ``params`` is ``head_transform(raw)``; the result has the [B x 4] shape
+    of ``raw`` and is not divided by the sample count.
+    """
     d = y - params.gamma
     omega = 2.0 * params.beta * (1.0 + params.nu)
     s = params.nu * d**2 + omega
@@ -157,50 +177,20 @@ def _param_grads(params: NIGParams, y: np.ndarray, lam: float):
         dg = dg - lam * np.sign(d) * (2.0 * params.nu + params.alpha)
         dn = dn + lam * 2.0 * abs_d
         da = da + lam * abs_d
-    return dg, dn, da, db
 
-
-def _sample_losses(raw: np.ndarray, y: np.ndarray, lam: float, first_row: int = 0):
-    """Per-sample dual-objective loss and its gradient wrt the raw outputs.
-
-    Returns ``(per_sample, grad)``, neither averaged yet. A non-finite loss
-    is an error naming its sample index, counted from ``first_row``.
-    """
-    if lam < 0:
-        raise ConfigError(f"evidential coefficient must be >= 0, got {lam}")
-    raw = np.asarray(raw, dtype=float)
-    y = np.asarray(y, dtype=float)
-    params = head_transform(raw)
-    nll = nig_nll(params, y)
-    per_sample = nll + lam * evidence_regularizer(params, y) if lam > 0 else nll
-    if not np.all(np.isfinite(per_sample)):
-        bad = first_row + int(np.flatnonzero(~np.isfinite(per_sample))[0])
-        raise NumericError(f"non-finite evidential loss at sample index {bad}")
-
-    dg, dn, da, db = _param_grads(params, y, lam)
     grad = np.empty_like(raw)
     grad[:, 0] = dg
     grad[:, 1] = dn * expit(raw[:, 1])  # d softplus = sigmoid
     grad[:, 2] = da * expit(raw[:, 2])
     grad[:, 3] = db * expit(raw[:, 3])
-    return per_sample, grad
+    return grad
 
 
-def evidential_loss(raw: np.ndarray, y: np.ndarray, lam: float):
-    """Batch-mean dual-objective loss and its gradient wrt the raw outputs.
-
-    Returns ``(loss, grad)`` where grad has the same [B x 4] shape as ``raw``.
-    The mean reduction makes the evidential coefficient batch-size invariant.
-    """
-    per_sample, grad = _sample_losses(raw, y, lam)
-    grad /= per_sample.shape[0]
-    return float(per_sample.mean()), grad
-
-
-def total_loss(model: MLP, raw: np.ndarray, y: np.ndarray, lam: float):
-    """Full training objective: mean evidential loss plus L1/L2 penalties."""
-    data_loss, grad = evidential_loss(raw, y, lam)
-    return data_loss + nncore.penalty_loss(model), grad
+def total_loss(model: MLP, params: NIGParams, y: np.ndarray, lam: float) -> float:
+    """Full training objective of ``params``: the mean evidential loss plus
+    the model's L1/L2 penalties. The mean makes the evidential coefficient
+    batch-size invariant."""
+    return float(_sample_loss(params, y, lam).mean()) + nncore.penalty_loss(model)
 
 
 def step_gradients(
@@ -212,18 +202,19 @@ def step_gradients(
 ) -> tuple[float, nncore.ParamGrads]:
     """Training objective of one batch and its gradients wrt the parameters.
 
-    The same loss and gradients as :func:`total_loss` over the whole batch,
-    computed in blocks of ``nncore.BLOCK_ROWS`` rows: each block runs
-    forward, loss and backward, and its gradients are added into the
-    step's. The loss is a mean over samples, so each block's loss gradient
-    is divided by the batch's row count; the penalty and its gradient enter
-    once. ``nncore.draw_keeps`` draws each block's dropout keep-masks from
-    ``rng`` when the block runs, and leaves ``rng`` as many doubles on as
-    one draw for the whole batch would. Every array of a step is one
-    block's or weight-sized; only the batch's own rows grow with the batch.
-    A batch of at most ``BLOCK_ROWS`` rows is one block: bit for bit one
-    train-mode forward, :func:`total_loss` and backward over it. Over more
-    rows the sums run in another order, which moves the last bits.
+    The loss is :func:`total_loss` over the whole batch, and the gradients
+    are its derivatives, computed in blocks of ``nncore.BLOCK_ROWS`` rows:
+    each block runs forward, ``head_transform``, loss and backward, and its
+    gradients are added into the step's. The loss is a mean over samples,
+    so each block's loss gradient is divided by the batch's row count; the
+    penalty and its gradient enter once. ``nncore.draw_keeps`` draws each
+    block's dropout keep-masks from ``rng`` when the block runs, and leaves
+    ``rng`` as many doubles on as one draw for the whole batch would. Every
+    array of a step is one block's or weight-sized; only the batch's own
+    rows grow with the batch. A batch of at most ``BLOCK_ROWS`` rows is one
+    block, and its loss is bit for bit :func:`total_loss` of one train-mode
+    forward over it. Over more rows the sums run in another order, which
+    moves the last bits.
     """
     rows = features.shape[0]
     grads = None
@@ -232,9 +223,11 @@ def step_gradients(
         out, cache = nncore.forward(
             model, features[block], train_mode=True, keeps=keeps, first_row=block.start
         )
-        per_sample, grad = _sample_losses(out, targets[block], lam, first_row=block.start)
+        params = head_transform(out)
+        y = targets[block]
+        data_sum += _sample_loss(params, y, lam, first_row=block.start).sum()
+        grad = _raw_grad(out, params, y, lam)
         grad /= rows
-        data_sum += per_sample.sum()
         grads = nncore.backward(model, cache, grad, into=grads)
     # For one block, sum / rows is bit for bit the mean that total_loss takes.
     return float(data_sum / rows) + nncore.penalty_loss(model), grads
@@ -346,8 +339,8 @@ def train_evidential(
         train_loss = float(np.mean(batch_losses))
 
         val_out, _ = nncore.forward(model, x_val, train_mode=False)
-        val_loss, _ = total_loss(model, val_out, y_val, lam)
         val_params = head_transform(val_out)
+        val_loss = total_loss(model, val_params, y_val, lam)
         val_mae = float(np.mean(np.abs(val_params.gamma - y_val)))
         log.append(EpochStats(epoch, train_loss, val_loss, val_mae))
 

@@ -105,6 +105,19 @@ def test_train_missing_target_column_fails(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("split", [[], ["--split", "0,0"]], ids=["auto-split", "split-0-0"])
+def test_header_only_station_file_is_empty_training_data(tmp_path, capsys, command, split):
+    # train and tune share one prelude, so they refuse a station file with
+    # no rows alike, whatever the split.
+    empty = tmp_path / "empty.csv"
+    write_station_file(empty, rows=[])
+    out = tmp_path / "out"
+    assert run(command, "--data", empty, "--out", out, *split) == 2
+    assert capsys.readouterr().err == "usage-error: training data is empty\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -572,9 +572,13 @@ def test_standardizer_constant_column_passthrough():
     assert z[:, 1].std() == pytest.approx(1.0)
 
 
-def test_standardizer_unfitted_is_usage_error():
-    with pytest.raises(UsageError):
-        Standardizer().apply(np.ones((2, 2)))
+def test_standardizer_has_no_unfitted_state():
+    # offset, scale and passthrough are required: there is no standardizer
+    # to apply before it is fitted or loaded.
+    with pytest.raises(TypeError):
+        Standardizer()
+    with pytest.raises(TypeError):
+        Standardizer(offset=np.zeros(2), scale=np.ones(2))
 
 
 def test_standardizer_ignores_other_splits():

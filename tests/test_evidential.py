@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import digamma
 
 from gustuq import evidential, nncore
 from gustuq.errors import CalibrationWarning, ConfigError, DomainError, NumericError
@@ -8,7 +9,6 @@ from gustuq.evidential import (
     NIGParams,
     decompose,
     evidence_regularizer,
-    evidential_loss,
     head_transform,
     nig_nll,
     softplus,
@@ -213,11 +213,19 @@ def test_regularizer_linear_in_distance():
 # batch loss and gradients
 
 
+def batch_loss(raw, y, lam):
+    """Mean dual-objective loss of raw outputs and its gradient wrt them."""
+    params = head_transform(raw)
+    grad = evidential._raw_grad(raw, params, y, lam)
+    grad /= len(y)
+    return float(evidential._sample_loss(params, y, lam).mean()), grad
+
+
 def test_loss_lambda_zero_equals_mean_nll():
     rng = np.random.default_rng(3)
     raw = rng.normal(size=(16, 4))
     y = rng.normal(size=16)
-    loss, _ = evidential_loss(raw, y, lam=0.0)
+    loss, _ = batch_loss(raw, y, lam=0.0)
     p = head_transform(raw)
     assert loss == pytest.approx(float(nig_nll(p, y).mean()), rel=1e-12)
 
@@ -226,14 +234,14 @@ def test_loss_with_tuned_coefficient_exceeds_nll():
     rng = np.random.default_rng(4)
     raw = rng.normal(size=(32, 4))
     y = rng.normal(size=32) + 0.5  # guarantees |y - gamma| > 0 somewhere
-    loss_reg, _ = evidential_loss(raw, y, lam=0.59)
-    loss_plain, _ = evidential_loss(raw, y, lam=0.0)
+    loss_reg, _ = batch_loss(raw, y, lam=0.59)
+    loss_plain, _ = batch_loss(raw, y, lam=0.0)
     assert loss_reg > loss_plain
 
 
 def test_loss_negative_lambda_rejected():
     with pytest.raises(ConfigError):
-        evidential_loss(np.zeros((2, 4)), np.zeros(2), lam=-1.0)
+        evidential._sample_loss(head_transform(np.zeros((2, 4))), np.zeros(2), lam=-1.0)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -241,7 +249,7 @@ def test_loss_gradient_matches_finite_differences():
     raw = rng.normal(size=(8, 4))
     y = rng.normal(size=8)
     for lam in (0.0, 0.59, 2.0):
-        _, grad = evidential_loss(raw, y, lam)
+        _, grad = batch_loss(raw, y, lam)
         h = 1e-5
         for i in range(raw.shape[0]):
             for j in range(4):
@@ -249,17 +257,14 @@ def test_loss_gradient_matches_finite_differences():
                 up[i, j] += h
                 down = raw.copy()
                 down[i, j] -= h
-                numeric = (
-                    evidential_loss(up, y, lam)[0] - evidential_loss(down, y, lam)[0]
-                ) / (2 * h)
+                numeric = (batch_loss(up, y, lam)[0] - batch_loss(down, y, lam)[0]) / (2 * h)
                 denom = max(1e-6, abs(numeric) + abs(grad[i, j]))
                 assert abs(grad[i, j] - numeric) / denom <= 1e-3
 
 
-def full_chain_loss(model, x, y, lam):
-    out, cache = nncore.forward(model, x, train_mode=True)
-    loss, grad_raw = evidential.total_loss(model, out, y, lam)
-    return loss, cache, grad_raw
+def objective(model, x, y, lam):
+    """The training objective on the no-grad forward pass."""
+    return evidential.total_loss(model, head_transform(nncore.forward(model, x)[0]), y, lam)
 
 
 def draw_smooth_case(rng, margin=1e-2):
@@ -274,7 +279,7 @@ def draw_smooth_case(rng, margin=1e-2):
         model = MLP.create(d, hidden, rng, l1=1e-4, l2=1e-4)
         x = rng.normal(size=(5, d))
         y = rng.normal(size=5)
-        out, _ = nncore.forward(model, x, train_mode=True)
+        out, _ = nncore.forward(model, x)
         z_margin, a = np.inf, x
         for layer in model.layers[:-1]:
             z = a @ layer.weights + layer.bias
@@ -285,37 +290,52 @@ def draw_smooth_case(rng, margin=1e-2):
             return model, x, y, lam
 
 
+def check_step_gradients(model, x, y, lam, h=1e-4):
+    """Assert that the training step's gradients match central differences
+    of :func:`objective` within 1e-3 relative; return the parameter count."""
+    _, analytic = evidential.step_gradients(model, x, y, lam, None)
+    checked = 0
+    for li, layer in enumerate(model.layers):
+        for param, grad in ((layer.weights, analytic.weights[li]),
+                            (layer.bias, analytic.biases[li])):
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
+                up = objective(model, x, y, lam)
+                param[idx] = orig - h
+                down = objective(model, x, y, lam)
+                param[idx] = orig
+                numeric = (up - down) / (2 * h)
+                a = grad[idx]
+                assert abs(a - numeric) / max(1e-6, abs(a) + abs(numeric)) <= 1e-3
+                checked += 1
+    return checked
+
+
 def test_full_chain_gradient_matches_finite_differences():
-    # analytic gradients through head_transform and the MLP vs central
-    # differences on 10 random small configurations
+    # the training step's gradients through head_transform and the MLP vs
+    # central differences on 10 random small configurations
     rng = np.random.default_rng(99)
     for trial in range(10):
-        model, x, y, lam = draw_smooth_case(rng)
+        check_step_gradients(*draw_smooth_case(rng))
 
-        _, cache, grad_raw = full_chain_loss(model, x, y, lam)
-        analytic = nncore.backward(model, cache, grad_raw)
 
-        h = 1e-4
-        for li, layer in enumerate(model.layers):
-            for param, grad in ((layer.weights, analytic.weights[li]),
-                                (layer.bias, analytic.biases[li])):
-                for idx in np.ndindex(param.shape):
-                    orig = param[idx]
-                    param[idx] = orig + h
-                    up = full_chain_loss(model, x, y, lam)[0]
-                    param[idx] = orig - h
-                    down = full_chain_loss(model, x, y, lam)[0]
-                    param[idx] = orig
-                    numeric = (up - down) / (2 * h)
-                    a = grad[idx]
-                    assert abs(a - numeric) / max(1e-6, abs(a) + abs(numeric)) <= 1e-3
+def test_step_loss_of_one_block_is_total_loss_bit_for_bit():
+    # At dropout 0 the train-mode and no-grad forward passes agree, so the
+    # step's loss is the validation objective of the same rows.
+    rng = np.random.default_rng(12)
+    model = MLP.create(3, [16, 8], rng, l1=1e-3, l2=2e-3)
+    x = rng.normal(size=(300, 3))
+    y = rng.uniform(0.0, 20.0, size=300)
+    loss, _ = evidential.step_gradients(model, x, y, 0.59, None)
+    assert loss == objective(model, x, y, 0.59)
 
 
 def test_loss_nonfinite_reports_sample_index():
     raw = np.zeros((4, 4))
     y = np.array([0.0, 0.0, np.inf, 0.0])
     with pytest.raises(NumericError, match="sample index 2"):
-        evidential_loss(raw, y, lam=0.0)
+        evidential._sample_loss(head_transform(raw), y, lam=0.0)
 
 
 def test_first_step_does_not_increase_loss_for_small_lr():
@@ -324,16 +344,37 @@ def test_first_step_does_not_increase_loss_for_small_lr():
     x = rng.normal(size=(32, 2))
     y = rng.normal(size=32)
     out, cache = nncore.forward(model, x, train_mode=True)
-    loss_before, grad_raw = evidential_loss(out, y, lam=0.0)
+    loss_before, grad_raw = batch_loss(out, y, lam=0.0)
     grads = nncore.backward(model, cache, grad_raw)
     nncore.Adam(1e-4).step(model, grads)
     out_after, _ = nncore.forward(model, x)
-    loss_after, _ = evidential_loss(out_after, y, lam=0.0)
+    loss_after, _ = batch_loss(out_after, y, lam=0.0)
     assert loss_after <= loss_before + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def test_validation_pass_computes_no_gradient(monkeypatch):
+    # digamma is evaluated only by the loss gradient: twice per training
+    # block, never in the validation pass. 2,100 rows in batches of 1,500
+    # are steps of 1,500 and 600 rows, so three blocks per epoch.
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return digamma(x)
+
+    monkeypatch.setattr(evidential, "digamma", counting)
+    x, y = linear_noise_xy(2400, seed=4)
+    _, log = train_evidential(
+        x[:2100], y[:2100], x[2100:], y[2100:],
+        hidden_sizes=[8],
+        config=TrainConfig(learning_rate=1e-3, batch_size=1500, max_epochs=3, patience=10, seed=0),
+    )
+    assert len(log) == 3
+    assert sorted(calls) == sorted([1024, 1024, 476, 476, 600, 600] * len(log))
 
 
 @pytest.fixture(scope="module")

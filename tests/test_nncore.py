@@ -11,6 +11,8 @@ from gustuq import evidential, nncore
 from gustuq.errors import ConfigError, DimensionError, NumericError, UsageError
 from gustuq.nncore import MLP, Adam, Layer, TrainConfig
 
+from test_evidential import batch_loss
+
 
 def small_model(rng, input_dim=3, hidden=(4,), dropout=0.0, l1=0.0, l2=0.0):
     return MLP.create(input_dim, list(hidden), rng, dropout=dropout, l1=l1, l2=l2)
@@ -184,6 +186,12 @@ def reference_backward(model, inputs, pre_acts, masks, grad_output):
     return d_weights, d_biases
 
 
+def reference_objective(model, out, target, lam):
+    """The batch objective of raw outputs and its gradient wrt them."""
+    loss, grad = batch_loss(out, target, lam)
+    return loss + nncore.penalty_loss(model), grad
+
+
 def reference_adam(param, grad, m, v, t, lr):
     b1, b2, eps = nncore.ADAM_BETA1, nncore.ADAM_BETA2, nncore.ADAM_EPS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
@@ -331,7 +339,7 @@ def test_multi_block_step_matches_single_pass_reference():
     loss, grads = evidential.step_gradients(model, batch, target, lam, np.random.default_rng(5))
     keeps = block_order_keeps(model, rows, np.random.default_rng(5))
     r_out, r_inputs, r_pre, r_masks = reference_forward(model, batch, keeps=keeps)
-    r_loss, r_grad_out = evidential.total_loss(model, r_out, target, lam)
+    r_loss, r_grad_out = reference_objective(model, r_out, target, lam)
     r_dw, r_db = reference_backward(model, r_inputs, r_pre, r_masks, r_grad_out)
     assert loss == pytest.approx(r_loss, rel=1e-12)
     for got, want in zip(grads.weights + grads.biases, r_dw + r_db):
@@ -347,7 +355,7 @@ def test_step_of_one_block_is_the_whole_batch_step():
     loss, grads = evidential.step_gradients(model, batch, target, 0.59, np.random.default_rng(6))
     keeps = batch_keeps(model, CHUNK, np.random.default_rng(6))
     out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
-    r_loss, grad_out = evidential.total_loss(model, out, target, 0.59)
+    r_loss, grad_out = reference_objective(model, out, target, 0.59)
     r_grads = nncore.backward(model, cache, grad_out)
     assert loss == r_loss
     for got, want in zip(grads.weights + grads.biases, r_grads.weights + r_grads.biases):
@@ -480,7 +488,7 @@ def test_training_step_peak_memory_is_one_float_array_per_hidden_layer():
     try:
         keeps = batch_keeps(model, rows, rng)
         out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
-        _, grad_raw = evidential.total_loss(model, out, target, 0.59)
+        _, grad_raw = reference_objective(model, out, target, 0.59)
         grads = nncore.backward(model, cache, grad_raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
