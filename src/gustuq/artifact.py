@@ -4,6 +4,8 @@ Arrays are stored as base64-encoded little-endian float64 bytes, so a
 save/load round trip reproduces every parameter and standardization
 statistic exactly. The file embeds the training configuration (including the
 evidential coefficient) alongside the layer shapes and the feature pipeline.
+Every artifact holds the model's standardizer (a pass-through one when the
+model was trained without scaling); a file without it is refused.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ _KINDS = {
     float: ((int, float), "a number"),
     int: ((int,), "an integer"),
     list: ((list,), "a list"),
+    dict: ((dict,), "an object"),
 }
 
 
@@ -102,9 +105,7 @@ def save_model(model: EvidentialModel, path) -> None:
             ],
         },
         "feature_names": model.feature_names,
-        "standardizer": None
-        if model.standardizer is None
-        else {
+        "standardizer": {
             "offset": _encode_array(model.standardizer.offset),
             "scale": _encode_array(model.standardizer.scale),
             "passthrough": model.standardizer.passthrough.astype(bool).tolist(),
@@ -148,17 +149,13 @@ def load_model(path) -> EvidentialModel:
             **{k: _field(payload, f"train_config.{k}", int)
                for k in ("batch_size", "max_epochs", "patience", "seed")},
         )
-        std = payload.get("standardizer")
-        standardizer = None
-        if std is not None:
-            standardizer = Standardizer(
-                offset=_decode_array(std, "offset", "standardizer.offset"),
-                scale=_decode_array(std, "scale", "standardizer.scale"),
-                passthrough=np.asarray(
-                    _field(payload, "standardizer.passthrough", list), dtype=bool
-                ),
-            )
-            _check_standardizer(standardizer, mlp.input_dim)
+        std = _field(payload, "standardizer", dict)
+        standardizer = Standardizer(
+            offset=_decode_array(std, "offset", "standardizer.offset"),
+            scale=_decode_array(std, "scale", "standardizer.scale"),
+            passthrough=np.asarray(_field(payload, "standardizer.passthrough", list), dtype=bool),
+        )
+        _check_standardizer(standardizer, mlp.input_dim)
         names = payload.get("feature_names")
         if names is not None and not (
             isinstance(names, list) and all(isinstance(n, str) for n in names)

@@ -310,9 +310,9 @@ def cmd_train(opts: dict) -> None:
         seed=opts["seed"],
     )
     model, log = evidential.train_evidential(
-        standardizer.apply(train_ds.features),
+        train_ds.features,
         train_ds.gust,
-        standardizer.apply(val_ds.features),
+        val_ds.features,
         val_ds.gust,
         hidden_sizes=[opts["hidden_neurons"]] * opts["hidden_layers"],
         config=config,
@@ -679,12 +679,13 @@ def cmd_tune(opts: dict) -> None:
     out = _out_dir(opts)
     _spec, train_ds, val_ds, standardizer = _training_split(opts)
     objective = tune.make_evidential_objective(
-        standardizer.apply(train_ds.features),
+        train_ds.features,
         train_ds.gust,
-        standardizer.apply(val_ds.features),
+        val_ds.features,
         val_ds.gust,
         max_epochs=opts["max_epochs"],
         patience=opts["patience"],
+        standardizer=standardizer,
     )
     result = tune.search(
         tune.HyperSpace(**opts["space"]),

@@ -94,11 +94,17 @@ class Dataset:
 
 
 def parse_timestamp(text: str) -> np.datetime64:
-    """Parse an ISO-8601 UTC timestamp; 'Z' suffix and ' ' separator accepted."""
+    """Parse an ISO-8601 UTC timestamp; 'Z' suffix and ' ' separator accepted.
+
+    A fractional second or a UTC offset other than 'Z' is refused, not
+    truncated to the second or shifted to UTC.
+    """
     s = text.strip()
     if s.endswith("Z"):
         s = s[:-1]
     s = s.replace(" ", "T", 1)
+    if not set(s.partition("T")[2]) <= set("0123456789:"):  # no fraction, no offset
+        raise ValueError(f"invalid timestamp {text!r}")
     try:
         ts = np.datetime64(s, "s")
     except ValueError as exc:

@@ -243,23 +243,16 @@ class EpochStats:
 
 @dataclass
 class EvidentialModel:
-    """A trained network plus everything needed to predict from raw features."""
+    """A trained network plus everything needed to predict from raw features:
+    each prediction applies ``standardizer``, the scaling it was trained behind."""
 
     mlp: MLP
     train_config: TrainConfig
+    standardizer: Standardizer
     feature_names: list[str] | None = None
-    standardizer: Standardizer | None = None
-
-    def _model_inputs(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            features = features[:, None]
-        if self.standardizer is not None:
-            features = self.standardizer.apply(features)
-        return features
 
     def predict_params(self, features: np.ndarray) -> NIGParams:
-        out, _ = nncore.forward(self.mlp, self._model_inputs(features), train_mode=False)
+        out, _ = nncore.forward(self.mlp, self.standardizer.apply(features), train_mode=False)
         return head_transform(out)
 
     def predict(self, features: np.ndarray) -> UncertaintyDecomposition:
@@ -292,20 +285,20 @@ def train_evidential(
 ) -> tuple[EvidentialModel, list[EpochStats]]:
     """Train the evidential network with Adam and early stopping.
 
-    Feature matrices are used as given (standardize beforehand; a fitted
-    ``standardizer`` passed here is only stored on the returned model for
-    raw-feature prediction). Returns the weights snapshot with the best
-    validation MAE and the per-epoch metric log.
+    Features are raw: ``standardizer``, fitted on the training split, scales
+    both splits and stays on the returned model. Without one, a pass-through
+    standardizer (offset 0, scale 1) is kept and the features are used as
+    given. Returns the weights snapshot with the best validation MAE and the
+    per-epoch metric log.
     """
     config.validate()
-    x_train = np.asarray(train_features, dtype=float)
+    if standardizer is None:
+        width = np.shape(train_features)[1] if np.ndim(train_features) > 1 else 1
+        standardizer = Standardizer(np.zeros(width), np.ones(width), np.ones(width, bool))
+    x_train = standardizer.apply(train_features)
     y_train = np.asarray(train_targets, dtype=float)
-    x_val = np.asarray(val_features, dtype=float)
+    x_val = standardizer.apply(val_features)
     y_val = np.asarray(val_targets, dtype=float)
-    if x_train.ndim == 1:
-        x_train = x_train[:, None]
-    if x_val.ndim == 1:
-        x_val = x_val[:, None]
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ConfigError("training and validation splits must be nonempty")
     if x_train.shape[0] != y_train.shape[0] or x_val.shape[0] != y_val.shape[0]:

@@ -317,8 +317,10 @@ def make_evidential_objective(
     val_targets: np.ndarray,
     max_epochs: int = 200,
     patience: int = 10,
+    standardizer: data.Standardizer | None = None,
 ) -> Objective:
-    """Objective that trains an evidential model and scores it on validation."""
+    """Objective that trains an evidential model and scores it on validation.
+    Features are raw; each trial's model applies ``standardizer`` itself."""
     from .evidential import train_evidential
 
     y_val = np.asarray(val_targets, dtype=float)
@@ -342,6 +344,7 @@ def make_evidential_objective(
             dropout=config.dropout,
             l1=config.l1,
             l2=config.l2,
+            standardizer=standardizer,
         )
         dec = model.predict(val_features)
         mae = float(np.mean(np.abs(dec.mean - y_val)))

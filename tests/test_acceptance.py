@@ -5,8 +5,6 @@ lines; any assertion failure shows up as a pytest failure for that
 criterion.
 """
 
-import csv
-import json
 import time
 from pathlib import Path
 
@@ -17,14 +15,12 @@ from scipy import stats
 from gustuq.evidential import (
     NIGParams,
     decompose,
-    head_transform,
     nig_nll,
     train_evidential,
 )
 from gustuq.metrics import (
     discard_fraction,
     error_metrics,
-    mask_highly_uncertain,
     picp,
     pit_values,
     pitd,

@@ -8,6 +8,8 @@ import pytest
 from gustuq import artifact, cli, metrics
 from gustuq.cli import main
 from gustuq.errors import DegenerateInputWarning
+from gustuq.evidential import train_evidential
+from gustuq.nncore import TrainConfig
 
 from synth import grid_rows, station_rows, write_grid_file, write_station_file
 
@@ -79,6 +81,31 @@ def test_train_artifact_round_trip(pipeline):
     resaved = pipeline["root"] / "resaved.json"
     artifact.save_model(model, resaved)
     assert resaved.read_bytes() == Path(pipeline["model"]).read_bytes()
+
+
+def test_library_model_saves_a_pass_through_standardizer(tmp_path):
+    # a model trained without a standardizer still writes one, and the file
+    # round-trips bit for bit
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(120, 2))
+    y = x @ [1.0, -1.0]
+    model, _ = train_evidential(
+        x[:90], y[:90], x[90:], y[90:], hidden_sizes=[4],
+        config=TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=2, seed=1),
+    )
+    path = tmp_path / "model.json"
+    artifact.save_model(model, path)
+    std = json.loads(path.read_text())["standardizer"]
+    assert artifact._decode_array(std, "offset", "offset").tolist() == [0.0, 0.0]
+    assert artifact._decode_array(std, "scale", "scale").tolist() == [1.0, 1.0]
+    assert std["passthrough"] == [True, True]
+    assert model.standardizer.apply(x).tobytes() == x.tobytes()  # features as given
+    loaded = artifact.load_model(path)
+    for a, b in zip(loaded.mlp.layers, model.mlp.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+    assert loaded.predict(x).mean.tobytes() == model.predict(x).mean.tobytes()
+    artifact.save_model(loaded, tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
 
 
 def test_train_same_seed_identical_artifacts(pipeline, tmp_path):
@@ -319,10 +346,19 @@ def test_predict_artifact_bad_standardizer_is_usage_error(
     assert f"artifact field {message}" in err
 
 
-@pytest.mark.parametrize("command", ["predict", "explain", "train"])
-def test_refused_input_leaves_no_out_directory(pipeline, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, defect", [
+    pytest.param("predict", "short-scale", id="predict"),
+    pytest.param("explain", "short-scale", id="explain"),
+    pytest.param("train", None, id="train"),
+    pytest.param("predict", "null-standardizer", id="predict-null-standardizer"),
+    pytest.param("explain", "null-standardizer", id="explain-null-standardizer"),
+    pytest.param("predict", "no-standardizer", id="predict-no-standardizer"),
+    pytest.param("explain", "no-standardizer", id="explain-no-standardizer"),
+])
+def test_refused_input_leaves_no_out_directory(pipeline, tmp_path, capsys, command, defect):
     # --out is made by the first write, so a refused model.json (a short
-    # standardizer.scale) or station CSV (a row one field short) leaves none.
+    # standardizer.scale, or no standardizer at all) or station CSV (a row
+    # one field short) leaves none.
     if command == "train":
         rows = station_rows(n_storms=2, n_stations=1, n_hours=3)
         rows[2] = rows[2][:-1]
@@ -332,15 +368,23 @@ def test_refused_input_leaves_no_out_directory(pipeline, tmp_path, capsys, comma
     else:
         payload = json.loads(Path(pipeline["model"]).read_text())
         std = payload["standardizer"]
-        std["scale"] = artifact._encode_array(
-            _shorten(artifact._decode_array(std, "scale", "scale"))
-        )
+        if defect == "short-scale":
+            std["scale"] = artifact._encode_array(
+                _shorten(artifact._decode_array(std, "scale", "scale"))
+            )
+        elif defect == "null-standardizer":
+            payload["standardizer"] = None
+        else:
+            del payload["standardizer"]
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(payload))
         inputs = ["--model", bad, "--data", pipeline["station_csv"]]
     out = tmp_path / "out"
     assert run(command, *inputs, "--out", out) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if defect is not None:
+        assert err.startswith("usage-error:") and "artifact field standardizer" in err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import csv
 import functools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +315,8 @@ MALFORMED_CELLS = [
     ("grid", "lat", "-inf", "lat: must be finite, got -inf"),
     ("grid", "lat", "-91", "lat: -91.0 outside [-90, 90]"),
     ("grid", "lon", "nan", "lon: must be finite, got nan"),
+    ("station", "timestamp_utc", "2020-01-01T00:00:00.5Z",
+     "timestamp_utc: invalid timestamp '2020-01-01T00:00:00.5Z'"),
 ]
 
 
@@ -384,7 +388,8 @@ def test_row_failing_twice_reports_first_column_in_schema_order(tmp_path):
 # Bad texts per station column; each fails that column's kind and no other.
 BAD_TEXTS = {
     "storm_id": [" ", ""],
-    "timestamp_utc": ["NaT", "2020-01-01T25:00:00Z", ""],
+    "timestamp_utc": ["NaT", "2020-01-01T25:00:00Z", "", "2020-01-01T00:00:00.5Z",
+                      "2020-01-01T00:00:00+01:00"],
     "station_id": ["", "  "],
     "lat": ["x", "", "nan", "-inf", "90.000001", "-1e3"],
     "lon": ["1,5", "--1", "inf", "nan"],
@@ -610,6 +615,13 @@ def test_parse_timestamp_variants():
     assert parse_timestamp("2020-09-30 06:00:00") == want
     with pytest.raises(ValueError):
         parse_timestamp("not-a-time")
+    # numpy would truncate a fraction, or shift an offset to UTC with a warning
+    for text in ("2020-01-01T00:00:00.5Z", "2020-01-01T00:00:00.000",
+                 "2020-01-01T00:00:00+01:00", "2020-01-01 00:00:00-05:00"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^invalid timestamp '{re.escape(text)}'$"):
+                parse_timestamp(text)
 
 
 def test_nat_timestamp_is_ingest_error(tmp_path):

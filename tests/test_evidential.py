@@ -4,6 +4,7 @@ from scipy import integrate, stats
 from scipy.special import digamma
 
 from gustuq import evidential, nncore
+from gustuq.data import Standardizer
 from gustuq.errors import CalibrationWarning, ConfigError, DomainError, NumericError
 from gustuq.evidential import (
     NIGParams,
@@ -409,6 +410,38 @@ def test_train_deterministic_per_seed():
     for la, lb in zip(model_a.mlp.layers, model_b.mlp.layers):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
+
+
+def raw_features_xy(n: int, seed: int):
+    """Three raw feature columns on very different scales, y linear in them."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal([5.0, -300.0, 0.01], [2.0, 80.0, 0.003], size=(n, 3))
+    y = (x - [5.0, -300.0, 0.01]) / [2.0, 80.0, 0.003] @ [1.0, -0.5, 0.25]
+    return x, y + 0.1 * rng.standard_normal(n)
+
+
+def test_train_applies_the_given_standardizer_to_raw_features():
+    # the model owns its scaling: training on raw features with a fitted
+    # standardizer is bit for bit training on the features scaled by hand
+    x, y = raw_features_xy(600, seed=4)
+    std = Standardizer.fit(x[:450])
+    kwargs = dict(
+        hidden_sizes=[16, 8], dropout=0.1, l1=1e-5, l2=1e-4,
+        config=TrainConfig(learning_rate=5e-3, batch_size=64, max_epochs=6,
+                           patience=6, evidential_coef=0.1, seed=2),
+    )
+    owned, log_owned = train_evidential(x[:450], y[:450], x[450:], y[450:],
+                                        standardizer=std, **kwargs)
+    by_hand, log_by_hand = train_evidential(std.apply(x[:450]), y[:450],
+                                            std.apply(x[450:]), y[450:], **kwargs)
+    assert log_owned == log_by_hand
+    for a, b in zip(owned.mlp.layers, by_hand.mlp.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+    assert owned.standardizer is std
+    got, want = owned.predict(x), by_hand.predict(std.apply(x))
+    for name in ("mean", "aleatoric_var", "epistemic_var"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.fixture(scope="module")

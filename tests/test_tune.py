@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gustuq.data import Standardizer
 from gustuq.errors import IngestError, SearchFailure, UsageError
 from gustuq.tune import (
     HyperSpace,
@@ -384,3 +385,20 @@ def test_training_search_approaches_noise_floor():
     best_mae = min(t.val_mae for t in result.trials if t.ok)
     assert best_mae <= 1.2 * noise_floor
     assert result.pareto == brute_force_pareto(result.trials)
+
+
+def test_objective_with_standardizer_equals_prescaled_objective():
+    # each trial's model scales the raw features itself, as cmd_tune relies on
+    rng = np.random.default_rng(8)
+    x = rng.normal([12.0, -40.0], [3.0, 0.5], size=(500, 2))
+    y = 0.3 * x[:, 0] - 2.0 * x[:, 1] + rng.standard_normal(500)
+    std = Standardizer.fit(x[:400])
+    config = TrialConfig(learning_rate=3e-3, dropout=0.1, hidden_layers=2, hidden_neurons=12,
+                         batch_size=64, evidential_coef=0.05, l1=1e-6, l2=1e-5)
+    owned = make_evidential_objective(x[:400], y[:400], x[400:], y[400:], max_epochs=4,
+                                      patience=4, standardizer=std)
+    by_hand = make_evidential_objective(std.apply(x[:400]), y[:400], std.apply(x[400:]),
+                                        y[400:], max_epochs=4, patience=4)
+    got = owned(config, np.random.default_rng(3))
+    want = by_hand(config, np.random.default_rng(3))
+    assert got == want
