@@ -675,7 +675,7 @@ def cmd_spatial(opts: dict) -> None:
 
 
 def cmd_tune(opts: dict) -> None:
-    """Multi-objective random hyperparameter search."""
+    """Multi-objective random hyperparameter search, one forked worker per CPU."""
     out = _out_dir(opts)
     _spec, train_ds, val_ds, standardizer = _training_split(opts)
     objective = tune.make_evidential_objective(

@@ -62,7 +62,8 @@ class IngestError(GustUQError):
 
 
 class SearchFailure(GustUQError):
-    """Every trial of a hyperparameter search failed."""
+    """A hyperparameter search has no result: every trial failed, or a
+    trial's worker process died."""
 
     error_class = "search-failure"
 

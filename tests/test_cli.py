@@ -1,11 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gustuq import artifact, cli, metrics
+from gustuq import artifact, cli, metrics, tune
 from gustuq.cli import main
 from gustuq.errors import DegenerateInputWarning
 from gustuq.evidential import train_evidential
@@ -1119,6 +1122,58 @@ def test_handler_bug_is_one_internal_error_line(pipeline, tmp_path, capsys, monk
 def test_no_temp_files_left_behind(pipeline):
     leftovers = list(Path(pipeline["train_out"]).glob("*.tmp"))
     assert leftovers == []
+
+
+def test_tune_bytes_do_not_depend_on_blas_threads_or_cpus(tmp_path):
+    # 40 station rows and two 2 x 500-700 trials: wide enough that 1 and 2
+    # OpenBLAS threads sum a trial's products in another order, unless every
+    # trial runs on one thread
+    station = tmp_path / "stations.csv"
+    write_station_file(station, n_storms=5, n_stations=2, n_hours=4, seed=0)
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({
+        "space": {"hidden_layers": [2, 2], "hidden_neurons": [500, 700],
+                  "batch_size": [24, 24]},
+        "trials": 2,
+        "max_epochs": 1,
+    }))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    first_cpu = min(os.sched_getaffinity(0))
+
+    def tune_bytes(name, threads=None, one_cpu=False):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-m", "gustuq.cli", "tune", "--config", str(config),
+             "--data", str(station), "--out", str(out), "--split", "3,1,1"],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {first_cpu})) if one_cpu else None,
+        )
+        assert done.returncode == 0, done.stderr
+        return [(out / f).read_bytes() for f in ("trials_log.csv", "pareto.json")]
+
+    one_thread = tune_bytes("threads1", threads=1)
+    assert tune_bytes("threads2", threads=2) == one_thread
+    assert tune_bytes("cpu1", one_cpu=True) == tune_bytes("cpus") == one_thread
+
+
+def test_tune_worker_death_is_one_line_exit_2(pipeline, tmp_path, capsys, monkeypatch):
+    def dying_objective(*args, **kwargs):
+        def objective(config, rng):
+            os._exit(1)
+        return objective
+
+    monkeypatch.setattr(tune, "make_evidential_objective", dying_objective)
+    code = run("tune", "--data", pipeline["station_csv"], "--out", tmp_path / "tune",
+               "--split", "3,1,1", "--trials", "2", "--max-epochs", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("search-failure: a trial's worker process died")
 
 
 def test_end_to_end_determinism(pipeline, tmp_path):

@@ -1,6 +1,11 @@
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gustuq import tune
 from gustuq.data import Standardizer
 from gustuq.errors import IngestError, SearchFailure, UsageError
 from gustuq.tune import (
@@ -173,6 +178,47 @@ def synthetic_objective(config: TrialConfig, rng: np.random.Generator):
     return mae + rng.normal(0, 1e-3), r2, skill, 5
 
 
+class FileCalls:
+    """A call counter that works across processes: ``search`` runs the
+    objective in forked workers, so each call appends one line to a file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, item):
+        with open(self.path, "a") as fh:
+            fh.write(f"{item}\n")
+
+    def _items(self):
+        return [int(line) for line in self.path.read_text().splitlines()] if self.path.exists() else []
+
+    def __len__(self):
+        return len(self._items())
+
+    def __eq__(self, other):
+        return self._items() == other
+
+
+def trial_id_of(rng: np.random.Generator) -> int:
+    """The trial an objective's generator belongs to: ``search`` seeds it
+    with ``spawn_key=(trial_id,)``."""
+    return rng.bit_generator.seed_seq.spawn_key[0]
+
+
+def child_pids() -> set[int]:
+    """The processes this one has started and not yet reaped."""
+    pids = set()
+    for children in Path(f"/proc/{os.getpid()}/task").glob("*/children"):
+        pids.update(map(int, children.read_text().split()))
+    return pids
+
+
+# One value per dimension, so every trial draws the same short config.
+ONE_CONFIG = HyperSpace(learning_rate=(0.001, 0.001), dropout=(0.1, 0.1),
+                        hidden_layers=(1, 1), hidden_neurons=(8, 8), batch_size=(32, 32),
+                        evidential_coef=(0.5, 0.5), l1=(1e-06, 1e-06), l2=(1e-06, 1e-06))
+
+
 def test_search_pareto_verified_and_reproducible(tmp_path):
     space = HyperSpace()
     result = search(space, 50, synthetic_objective, seed=11)
@@ -187,7 +233,7 @@ def test_search_log_and_resume(tmp_path):
     space = HyperSpace()
     log = tmp_path / "trials.csv"
 
-    calls = []
+    calls = FileCalls(tmp_path / "calls.txt")
 
     def counting_objective(config, rng):
         calls.append(1)
@@ -257,15 +303,12 @@ def test_log_round_trips_failed_trials_and_types(tmp_path):
 
 
 def test_log_bytes_with_failed_trials(tmp_path):
-    # one value per dimension, so every trial draws the same short config
-    space = HyperSpace(learning_rate=(0.001, 0.001), dropout=(0.1, 0.1),
-                       hidden_layers=(1, 1), hidden_neurons=(8, 8), batch_size=(32, 32),
-                       evidential_coef=(0.5, 0.5), l1=(1e-06, 1e-06), l2=(1e-06, 1e-06))
-    outcomes = iter([(1.5, 0.25, 0.75, 4), UsageError("boom"),
-                     (float("nan"), 0.5, 0.125, 3), (float("inf"), 0.5, 0.125, 2)])
+    space = ONE_CONFIG
+    outcomes = [(1.5, 0.25, 0.75, 4), UsageError("boom"),
+                (float("nan"), 0.5, 0.125, 3), (float("inf"), 0.5, 0.125, 2)]
 
     def scripted(config, rng):
-        outcome = next(outcomes)
+        outcome = outcomes[trial_id_of(rng)]
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -292,7 +335,7 @@ def test_resumed_log_holds_every_known_trial_in_order(tmp_path):
     # trial 1 lost and the rest shuffled; a budget of 3 reruns only trial 1
     log = tmp_path / "trials.csv"
     log.write_bytes(b"".join([header, rows[4], rows[2], rows[0], rows[3]]))
-    calls = []
+    calls = FileCalls(tmp_path / "calls.txt")
 
     def counting_objective(config, rng):
         calls.append(1)
@@ -313,7 +356,7 @@ def test_resume_refuses_log_of_another_search(tmp_path, seed, space, field):
     log = tmp_path / "trials.csv"
     search(HyperSpace(), 1, synthetic_objective, seed=0, log_path=log)
     before = log.read_bytes()
-    calls = []
+    calls = FileCalls(tmp_path / "calls.txt")
 
     def counting_objective(config, rng):
         calls.append(1)
@@ -323,6 +366,67 @@ def test_resume_refuses_log_of_another_search(tmp_path, seed, space, field):
                                          "search space draw .*; the log is from another search"):
         search(space, 2, counting_objective, seed=seed, log_path=log)
     assert calls == [] and log.read_bytes() == before
+
+
+def test_dead_worker_is_search_failure_and_log_keeps_finished_trials(tmp_path):
+    log = tmp_path / "trials.csv"
+
+    def last_trial_dies(config, rng):
+        # every trial is as wide as the next, so trial 3 is handed out last;
+        # it dies once the other three are logged
+        if trial_id_of(rng) == 3:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and (
+                    not log.exists() or len(load_trials_log(log)) < 3):
+                time.sleep(0.01)
+            os._exit(1)
+        return synthetic_objective(config, rng)
+
+    before = child_pids()
+    with pytest.raises(SearchFailure, match=r"^a trial's worker process died; "
+                                            r".*trials\.csv keeps the 3 finished trial\(s\)$"):
+        search(ONE_CONFIG, 4, last_trial_dies, seed=0, log_path=log)
+    assert child_pids() == before
+    assert [t.trial_id for t in load_trials_log(log)] == [0, 1, 2]
+    # the search resumes where the dead worker left it
+    calls = FileCalls(tmp_path / "calls.txt")
+
+    def counting_objective(config, rng):
+        calls.append(trial_id_of(rng))
+        return synthetic_objective(config, rng)
+
+    resumed = search(ONE_CONFIG, 4, counting_objective, seed=0, log_path=log)
+    assert calls == [3] and [t.trial_id for t in resumed.trials] == [0, 1, 2, 3]
+    assert child_pids() == before
+
+
+def test_objective_bug_propagates_and_leaves_no_process():
+    def buggy(config, rng):
+        if trial_id_of(rng) == 1:
+            raise RuntimeError("bug in the objective")
+        return synthetic_objective(config, rng)
+
+    before = child_pids()
+    with pytest.raises(RuntimeError, match="bug in the objective"):
+        search(HyperSpace(), 6, buggy, seed=0)
+    assert child_pids() == before
+
+
+def test_widest_trials_are_handed_out_first(tmp_path, monkeypatch):
+    # with no OpenBLAS to hold to one thread, one worker runs the trials in
+    # the order they are handed out
+    monkeypatch.setattr(tune, "_blas_thread_setters", lambda: [])
+    calls = FileCalls(tmp_path / "calls.txt")
+
+    def recording_objective(config, rng):
+        calls.append(trial_id_of(rng))
+        return synthetic_objective(config, rng)
+
+    space = HyperSpace(hidden_layers=(1, 3), hidden_neurons=(1, 50))
+    result = search(space, 8, recording_objective, seed=4)
+    widths = {t.trial_id: t.config.hidden_layers * t.config.hidden_neurons**2
+              for t in result.trials}
+    assert calls == sorted(widths, key=lambda t: (-widths[t], t))
 
 
 def test_log_with_repeated_trial_is_ingest_error(tmp_path):
