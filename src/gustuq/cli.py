@@ -5,8 +5,9 @@ with CLI flags overriding config-file entries overriding defaults, and a
 config-file value passes the same check as flag text. Every output file is
 written atomically and all stochastic behavior hangs off ``--seed``, so
 identical invocations on identical inputs produce byte-identical outputs
-on the same machine with the same numpy/BLAS build and the same BLAS
-thread count (``OPENBLAS_NUM_THREADS``). Failures exit nonzero with a
+on the same machine with the same numpy/BLAS build. ``main`` holds every
+loaded OpenBLAS to one thread before a command runs, so the outputs do not
+depend on ``OPENBLAS_NUM_THREADS`` either. Failures exit nonzero with a
 one-line ``<error-class>: <message>`` diagnostic on stderr.
 """
 
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import artifact, data, evidential, metrics, spatial, tune, xai
+from . import artifact, data, evidential, metrics, parallel, spatial, tune, xai
 from .errors import DegenerateInputWarning, GustUQError, UsageError
 # ``fmt`` is not called here; it stays importable as ``cli.fmt``, the name
 # bench/tracer.py times.
@@ -749,6 +750,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         handler, options = COMMANDS[args.command]
+        parallel.hold_blas_to_one_thread()
         handler(merge_options(args, options))
         return 0
     except GustUQError as exc:

@@ -10,12 +10,14 @@ becomes a cosine-transformed day of year, cos(2*pi*(t-1)/365).
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, DegenerateInputWarning, IngestError, UsageError
 from .fileio import BLOCK_ROWS, write_csv
 
@@ -315,8 +317,9 @@ def _row_errors(columns: dict, texts: dict, failed: dict) -> dict[int, str]:
     return first
 
 
-def _reject_duplicates(path, names, keys: list[np.ndarray]) -> None:
-    """Raise naming each row whose key columns repeat an earlier row."""
+def _reject_duplicates(path, names, keys: list[np.ndarray], lines: np.ndarray) -> None:
+    """Raise naming each row whose key columns repeat an earlier row; row
+    ``i`` is on file line ``lines[i]``."""
     order = np.lexsort(keys[::-1])  # stable: equal keys stay in file order
     same = np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in keys])
     if not np.any(same):
@@ -327,8 +330,120 @@ def _reject_duplicates(path, names, keys: list[np.ndarray]) -> None:
     pairs = sorted(zip(order[later].tolist(), order[first[later]].tolist()))
     raise IngestError(
         f"{path}: {len(pairs)} duplicate ({', '.join(names)}) rows",
-        [(i + 2, f"same key as line {j + 2}") for i, j in pairs],
+        [(int(lines[i]), f"same key as line {lines[j]}") for i, j in pairs],
     )
+
+
+def _read_rows(reader, line: int, limit, columns: dict, where: dict, width: int):
+    """Convert the next ``limit`` records of ``reader`` (all that are left for
+    None), the first of them on file line ``line``, ``BLOCK_ROWS`` records at
+    a time: the arrays of each column, one per block, the bad rows as
+    ``(line, reason)`` and the file line of each row."""
+    parts = {name: [convert([])] for name, convert in columns.items()}
+    row_errors: list[tuple[int, str]] = []
+    row_lines: list[int] = []
+    base = line - reader.line_num - 1  # a record's file line is base + its csv line
+    records = itertools.islice(reader, limit)
+    while True:
+        block, lines, before = [], [], line
+        for row in itertools.islice(records, BLOCK_ROWS):
+            if row:  # a blank line is counted but holds no row
+                block.append(row)
+                lines.append(line)
+            line = base + reader.line_num + 1
+        if line == before:
+            break
+        if not block:
+            continue
+        # a row of the wrong width is reported as such, and padded or cut
+        # to the header's width so that the block's other rows are checked
+        errors = {k: "missing fields" if len(r) < width else "extra fields"
+                  for k, r in enumerate(block) if len(r) != width}
+        for k in errors:
+            block[k] = (block[k] + [""] * width)[:width]
+        fields = list(zip(*block))
+        absent = ("",) * len(block)
+        texts = {name: fields[where[name]] if name in where else absent for name in columns}
+        failed = {}
+        for name, convert in columns.items():
+            try:
+                parts[name].append(convert(texts[name]))
+            except ValueError as exc:
+                failed[name] = exc
+        if failed:
+            found = _row_errors(columns, texts, failed)
+            if not found:
+                raise next(iter(failed.values()))
+            for k, reason in found.items():
+                errors.setdefault(k, reason)
+        row_errors += [(lines[k], reason) for k, reason in sorted(errors.items())]
+        row_lines += lines
+    return parts, row_errors, np.asarray(row_lines, dtype=np.int64)
+
+
+# Bytes the reader's scan for line starts reads at a time, and the lines
+# between two starts it keeps: the row ranges begin at multiples of it.
+_SCAN_BYTES = 1 << 20
+_SCAN_STRIDE = 256
+
+
+def _line_starts(path, every: int):
+    """Read the file's bytes once, a chunk at a time: the byte offsets where
+    lines 0, ``every``, 2 * ``every``, ... after the header start, and the
+    number of lines after the header. None where a line may not be one csv
+    record: a ``"`` after the first line break, or a lone ``\\r``."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header.count(b"\r") != header.count(b"\r\n"):
+            return None
+        offset = len(header)
+        starts, lines, last = [offset], 0, b""
+        # each chunk ends at a line break, so no line and no \r\n spans two
+        while chunk := fh.read(_SCAN_BYTES) + fh.readline():
+            if b'"' in chunk:
+                return None
+            codes = np.frombuffer(chunk, np.uint8)
+            breaks = np.flatnonzero(codes == ord("\n"))
+            # a chunk starting with a line break follows one, not a \r
+            after_cr = codes[np.maximum(breaks - 1, 0)] == ord("\r")
+            if np.count_nonzero(codes == ord("\r")) != np.count_nonzero(after_cr):
+                return None
+            # line i starts after line break i - 1; the first i wanted here
+            wanted = -(-(lines + 1) // every) * every
+            starts += (offset + 1 + breaks[wanted - 1 - lines::every]).tolist()
+            lines += len(breaks)
+            offset += len(chunk)
+            last = chunk[-1:]
+    return starts, lines + (last not in (b"", b"\n"))
+
+
+def _read_pieces(path, columns: dict, optional, exact: bool) -> list:
+    """``read_csv``'s header check and ``_read_rows`` of each row range."""
+    required = [c for c in columns if c not in optional]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file without header")
+        _check_header(path, header, required, optional, exact)
+        where = {name: i for i, name in enumerate(header)}
+        width = len(header)
+        bounds, starts = [0, None], []
+        if parallel.usable_cpus() > 1 and (scan := _line_starts(path, _SCAN_STRIDE)):
+            starts, n_lines = scan
+            bounds = parallel.cut(n_lines, BLOCK_ROWS, _SCAN_STRIDE)
+
+        def read_range(k: int):
+            limit = bounds[k + 1] - bounds[k] if k + 2 < len(bounds) else None
+            if k == 0:
+                return _read_rows(reader, reader.line_num + 1, limit, columns, where, width)
+            # after a one-line header, line i of the rest is file line i + 2
+            with open(path, "rb") as raw:
+                raw.seek(starts[bounds[k] // _SCAN_STRIDE])
+                text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+                return _read_rows(csv.reader(text), bounds[k] + 2, limit, columns, where, width)
+
+        return parallel.map_pieces(read_range, len(bounds) - 1, str(path))
 
 
 def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
@@ -345,52 +460,30 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     the first 10 lines as ``line N: <column>: <reason>``. A row with fewer or
     more fields than the header reads ``line N: missing fields`` or ``line N:
     extra fields``. Rows whose ``key`` columns repeat an earlier row are
-    rejected the same way. Blank lines are skipped and not counted.
+    rejected the same way, and a file that is not UTF-8 text is an
+    ``IngestError`` too. Blank lines hold no row. ``N`` is the line of the
+    file that the row starts on, counting every line break: those of blank
+    lines and those inside a quoted field too.
+
+    The lines after the header are cut into ranges as ``parallel.cut`` cuts
+    them, at line starts found by one scan of the file's bytes. The caller
+    converts the first range while forked workers convert the others, and
+    the results are joined in file order. The file is read as one range
+    where a line may not be one row: where a ``"`` follows the first line
+    break, or the file holds a lone ``\\r``.
     """
-    required = [c for c in columns if c not in optional]
-    parts = {name: [convert([])] for name, convert in columns.items()}
-    row_errors: list[tuple[int, str]] = []
-    line = 2
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file without header")
-        _check_header(path, header, required, optional, exact)
-        where = {name: i for i, name in enumerate(header)}
-        width = len(header)
-        while chunk := list(itertools.islice(reader, BLOCK_ROWS)):
-            block = [r for r in chunk if r]
-            if not block:
-                continue
-            # a row of the wrong width is reported as such, and padded or cut
-            # to the header's width so that the block's other rows are checked
-            errors = {k: "missing fields" if len(r) < width else "extra fields"
-                      for k, r in enumerate(block) if len(r) != width}
-            for k in errors:
-                block[k] = (block[k] + [""] * width)[:width]
-            fields = list(zip(*block))
-            absent = ("",) * len(block)
-            texts = {name: fields[where[name]] if name in where else absent for name in columns}
-            failed = {}
-            for name, convert in columns.items():
-                try:
-                    parts[name].append(convert(texts[name]))
-                except ValueError as exc:
-                    failed[name] = exc
-            if failed:
-                found = _row_errors(columns, texts, failed)
-                if not found:
-                    raise next(iter(failed.values()))
-                for k, reason in found.items():
-                    errors.setdefault(k, reason)
-            row_errors += [(line + k, reason) for k, reason in sorted(errors.items())]
-            line += len(block)
+    try:
+        pieces = _read_pieces(path, columns, optional, exact)
+    except UnicodeDecodeError as exc:  # its position counts from where a range's read began
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    row_errors = [error for _, errors, _ in pieces for error in errors]
     if row_errors:
         raise IngestError(f"{path}: {len(row_errors)} malformed rows", row_errors)
-    table = {name: np.concatenate(arrays) for name, arrays in parts.items()}
+    table = {name: np.concatenate([a for parts, _, _ in pieces for a in parts[name]])
+             for name in columns}
     if key:
-        _reject_duplicates(path, key, [table[k] for k in key])
+        lines = np.concatenate([lines for _, _, lines in pieces])
+        _reject_duplicates(path, key, [table[k] for k in key], lines)
     return table
 
 

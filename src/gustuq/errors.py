@@ -68,6 +68,13 @@ class SearchFailure(GustUQError):
     error_class = "search-failure"
 
 
+class WorkerDied(GustUQError):
+    """A forked worker process ended without a result (killed, or out of
+    memory)."""
+
+    error_class = "worker-died"
+
+
 class CalibrationWarning(UserWarning):
     """Uncertainty estimates look inflated relative to the target scale."""
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import UsageError
 
 # Rows the CSV reader converts, and the writer formats, per numpy call per
@@ -103,6 +105,32 @@ def _renderer(column):
     raise UsageError(f"write_csv: cannot write a column of dtype {dtype}")
 
 
+@contextmanager
+def _sibling_temps(path: Path, n: int):
+    """``n`` empty temp files next to ``path``, removed on leaving."""
+    names = []
+    try:
+        for _ in range(n):
+            fd, name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            os.close(fd)
+            names.append(name)
+        yield names
+    finally:
+        for name in names:
+            os.unlink(name)
+
+
+def _write_rows(fh, renderers, lone: bool, start: int, stop: int) -> None:
+    """Format rows [start, stop) and write them ``BLOCK_ROWS`` at a time."""
+    for block in range(start, stop, BLOCK_ROWS):
+        end = min(block + BLOCK_ROWS, stop)
+        texts = []
+        for render, is_text in renderers:
+            cells = render(block, end)
+            texts.append(_quoted(cells, lone) if is_text else cells)
+        fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+
+
 def write_csv(path, header: list[str], *columns) -> None:
     """The one CSV writer: ``header`` and one column per header name.
 
@@ -112,6 +140,12 @@ def write_csv(path, header: list[str], *columns) -> None:
     text as is and masked cells as empty, with csv's minimal quoting where a
     value needs it. Rows are formatted and written ``BLOCK_ROWS`` at
     a time, with ``\\r\\n`` line ends: the same bytes as ``csv.writer``.
+
+    The rows are cut into ranges as ``parallel.cut`` cuts them. The caller
+    writes the first range into the output's temp file while forked workers
+    each write one of the others into a temp file of their own, and the
+    caller appends those files in order before the rename. A row's text
+    depends on its values alone, so the bytes do not depend on the cut.
     """
     if len(columns) != len(header):
         raise UsageError(f"write_csv: {len(header)} header names but {len(columns)} columns")
@@ -120,12 +154,21 @@ def write_csv(path, header: list[str], *columns) -> None:
         raise UsageError("write_csv: columns differ in length")
     renderers = [_renderer(c) for c in columns]
     lone = len(columns) == 1
-    with atomic_open(path) as fh:
+    bounds = parallel.cut(n_rows, BLOCK_ROWS)
+    path = Path(path)
+    with atomic_open(path) as fh, _sibling_temps(path, len(bounds) - 2) as parts:
         fh.write(",".join(_quoted(list(header), lone)) + "\r\n")
-        for start in range(0, n_rows, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n_rows)
-            texts = []
-            for render, is_text in renderers:
-                block = render(start, stop)
-                texts.append(_quoted(block, lone) if is_text else block)
-            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+        fh.flush()  # before the fork, so no worker's copy of ``fh`` holds unwritten text
+
+        def write_range(k: int) -> None:
+            if k == 0:
+                _write_rows(fh, renderers, lone, bounds[0], bounds[1])
+                return
+            with open(parts[k - 1], "w", newline="") as out:
+                _write_rows(out, renderers, lone, bounds[k], bounds[k + 1])
+
+        parallel.map_pieces(write_range, len(bounds) - 1, str(path))
+        fh.flush()
+        for part in parts:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh.buffer)

@@ -1,0 +1,224 @@
+"""The one way gustuq spreads work over CPUs: worker processes forked from
+the caller, one per task.
+
+``tune`` runs each trial in one, and the CSV reader and writer each row
+range but the first. A worker is started with POSIX ``fork``, so the job and
+its data reach it without pickling; only the worker's result, or the
+exception it raised, is pickled and sent back through a pipe. A worker
+holds each loaded OpenBLAS to one thread, so a result computed in a worker
+does not depend on the BLAS thread count.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import pickle
+import select
+import signal
+import sys
+import threading
+
+from .errors import WorkerDied
+
+# The thread-count getter and setter each OpenBLAS build exports: numpy's
+# 64-bit-integer build, a plain 64-bit build, a plain build, and scipy's
+# 32-bit-integer build.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _set_threads(get, set_, n: int) -> None:
+    # a library already at n is left alone: setting the count in a forked
+    # process starts the library's threads, which then spin for about 0.1 s
+    if get() != n:
+        set_(n)
+
+
+def blas_thread_setters() -> list:
+    """A thread-count setter for every OpenBLAS mapped into this process,
+    found through ``/proc/self/maps``; empty where there is none or no
+    ``/proc``."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].rstrip("\n") for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
+    setters = []
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for get, set_ in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(library, set_):
+                setters.append(functools.partial(
+                    _set_threads, getattr(library, get), getattr(library, set_)))
+                break
+    return setters
+
+
+def hold_blas_to_one_thread(setters=None) -> None:
+    """Hold every OpenBLAS in ``setters`` (by default, every one loaded) to
+    one thread, so that a matrix product sums in the same order at any
+    ``OPENBLAS_NUM_THREADS``."""
+    for set_threads in blas_thread_setters() if setters is None else setters:
+        set_threads(1)
+
+
+def available_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def usable_cpus() -> int:
+    """The CPUs that forked workers may share now: the available ones, or
+    one where the system lacks ``fork`` or CPU affinity, or while another
+    Python thread is alive (a fork copies only the calling thread, so a lock
+    that another thread holds would never be released in the worker)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return available_cpus()
+
+
+def cut(n: int, least: int, step: int = 1) -> list[int]:
+    """Bounds ``[0, ..., n]`` that cut ``n`` items into one piece per usable
+    CPU, as evenly as bounds at multiples of ``step`` allow. Each piece holds
+    at least ``least`` items (a multiple of ``step``). Under ``2 * least``
+    items, or on one usable CPU, the cut is one piece, ``[0, n]``."""
+    pieces = min(n // least, usable_cpus())
+    if pieces < 2:
+        return [0, n]
+    return [n * k // pieces // step * step for k in range(pieces)] + [n]
+
+
+class ForkPool:
+    """Runs ``job(arg)`` for each submitted ``arg`` in a worker forked for
+    it, at most ``workers`` at a time, in the order submitted. Each worker
+    first holds the OpenBLAS of ``setters`` (by default every one loaded)
+    to one thread. Leaving the ``with`` block ends every worker, so none
+    outlives the pool; a worker that dies raises ``WorkerDied`` naming
+    ``label``."""
+
+    def __init__(self, workers: int, job, label: str, setters=None):
+        self._workers, self._job, self._label = workers, job, label
+        self._setters = blas_thread_setters() if setters is None else setters
+        self._queued: list = []
+        self._running: dict[int, tuple[int, object]] = {}  # pipe -> (pid, arg)
+
+    def __enter__(self) -> "ForkPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def submit(self, arg) -> None:
+        self._queued.append(arg)
+        self._start()
+
+    def _start(self) -> None:
+        while self._queued and len(self._running) < self._workers:
+            arg = self._queued.pop(0)
+            read, write = os.pipe()
+            for stream in (sys.stdout, sys.stderr):  # else the worker writes them again
+                stream.flush()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                self._serve(arg, write)
+            os.close(write)
+            self._running[read] = (pid, arg)
+
+    def _serve(self, arg, pipe: int) -> None:
+        """The worker: send back the outcome of ``job(arg)`` and exit,
+        without returning into the caller's stack."""
+        code = 1
+        try:
+            hold_blas_to_one_thread(self._setters)
+            try:
+                outcome = (True, self._job(arg))
+            except BaseException as exc:  # raised again in the caller
+                outcome = (False, exc)
+            try:
+                sent = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # a result or an exception that does not pickle
+                sent = pickle.dumps((False, TypeError(
+                    f"{self._label}: a worker's outcome cannot be sent back: {exc}")))
+            with open(pipe, "wb") as out:
+                out.write(sent)
+            code = 0
+        finally:
+            try:
+                for stream in (sys.stdout, sys.stderr):
+                    stream.flush()
+            finally:
+                os._exit(code)
+
+    def completed(self):
+        """Yield ``(arg, result)`` for each submitted ``arg`` as its worker
+        ends, starting the queued ones as workers free up. Raise what a job
+        raised, or ``WorkerDied`` for a worker that ended without a result."""
+        while self._running:
+            ready, _, _ = select.select(list(self._running), [], [])
+            for pipe in ready:
+                pid, arg = self._running.pop(pipe)
+                with open(pipe, "rb") as fh:
+                    sent = fh.read()
+                os.waitpid(pid, 0)
+                if not sent:
+                    raise WorkerDied(f"{self._label}: a worker process died")
+                ok, value = pickle.loads(sent)
+                if not ok:
+                    raise value
+                self._start()
+                yield arg, value
+
+    def close(self) -> None:
+        """Drop the queued tasks, and kill and reap the running workers."""
+        self._queued.clear()
+        for pipe, (pid, _) in self._running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(pipe)
+        self._running.clear()
+
+
+def map_pieces(job, pieces: int, label: str) -> list:
+    """``[job(0), ..., job(pieces - 1)]``: the caller runs ``job(0)`` while
+    ``pieces - 1`` forked workers run the others; one piece forks nothing.
+    An exception of any piece is raised here, the caller's own first, and
+    no worker is left running.
+
+    Piece ``k`` runs on the ``k``-th available CPU: left to itself, the
+    scheduler may keep a new worker on its parent's CPU for longer than a
+    piece takes. The caller's CPUs are given back on return. The workers
+    leave OpenBLAS alone, as the pieces do no matrix products.
+    """
+    if pieces == 1:
+        return [job(0)]
+    cpus = sorted(os.sched_getaffinity(0))
+
+    def pinned(k: int):
+        os.sched_setaffinity(0, {cpus[k]})
+        return job(k)
+
+    try:
+        with ForkPool(pieces - 1, pinned, label, setters=[]) as pool:
+            for k in range(1, pieces):
+                pool.submit(k)
+            first = pinned(0)
+            rest = dict(pool.completed())
+            return [first, *(rest[k] for k in range(1, pieces))]
+    finally:
+        os.sched_setaffinity(0, cpus)

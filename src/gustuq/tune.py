@@ -13,7 +13,6 @@ on the BLAS thread count or the number of CPUs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Callable
@@ -21,10 +20,12 @@ from typing import Callable
 import numpy as np
 
 from . import data
-from .errors import GustUQError, SearchFailure, UsageError
+from .errors import GustUQError, SearchFailure, UsageError, WorkerDied
 from .fileio import write_csv
 from .metrics import pit_values, pitd, spread_skill
 from .nncore import TrainConfig
+from .parallel import ForkPool, available_cpus
+from .parallel import blas_thread_setters as _blas_thread_setters
 
 
 @dataclass
@@ -271,55 +272,6 @@ def _run_trial(space: HyperSpace, objective: Objective, seed: int, trial_id: int
     return result
 
 
-# The setter each OpenBLAS build exports: numpy's 64-bit-integer build, a
-# plain 64-bit build, a plain build, and scipy's 32-bit-integer build.
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-    "scipy_openblas_set_num_threads",
-)
-
-
-def _blas_thread_setters() -> list:
-    """The thread-count setter of every OpenBLAS mapped into this process,
-    found through ``/proc/self/maps``; empty where there is none or no
-    ``/proc``."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return []
-    paths = sorted({f[5].rstrip("\n") for f in fields
-                    if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
-    setters = []
-    for path in paths:
-        library = ctypes.CDLL(path)
-        for name in _BLAS_THREAD_SETTERS:
-            if hasattr(library, name):
-                setters.append(getattr(library, name))
-                break
-    return setters
-
-
-# (space, objective, seed) of the search a worker serves; set only in worker processes.
-_worker_job = None
-
-
-def _start_worker(blas_setters, space: HyperSpace, objective: Objective, seed: int) -> None:
-    global _worker_job
-    for set_threads in blas_setters:
-        set_threads(1)
-    _worker_job = (space, objective, seed)
-
-
-def _worker_trial(trial_id: int) -> TrialResult:
-    space, objective, seed = _worker_job
-    return _run_trial(space, objective, seed, trial_id)
-
-
 def search(
     space: HyperSpace,
     n_trials: int,
@@ -336,15 +288,17 @@ def search(
     configuration ``(seed, trial_id)`` and ``space`` do not draw is a
     ``UsageError``, raised before any trial runs.
 
-    The pending trials run in worker processes started with POSIX ``fork``,
-    one per available CPU (at most one per trial), widest network first.
-    ``objective`` reaches the workers through the fork, so it need not be
-    picklable, but its side effects stay in the worker. Each worker holds
-    every loaded OpenBLAS to one thread, so a trial's result does not depend
-    on the BLAS thread count or the CPU count; where no OpenBLAS is found,
-    one worker runs the trials. The log is rewritten in ``trial_id`` order as
-    each result arrives. A worker that dies is a ``SearchFailure``; the
-    trials that finished before it stay in the log.
+    Each pending trial runs in a worker process forked for it
+    (``parallel.ForkPool``), as many at a time as there are available CPUs,
+    widest network first. ``objective`` reaches the workers through the
+    fork, so it need not be picklable, but its side effects stay in the
+    worker. Each worker holds every loaded OpenBLAS to one thread, so a
+    trial's result does not depend on the BLAS thread count or the CPU
+    count; where no OpenBLAS is found, one worker runs at a time. The log
+    is rewritten in ``trial_id`` order as each result arrives. A worker
+    that dies is a ``SearchFailure``; the trials that finished before it
+    stay in the log. When a worker dies or the objective raises, the
+    trials still running are stopped.
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")
@@ -358,35 +312,24 @@ def search(
 
     pending = [trial_id for trial_id in range(n_trials) if trial_id not in done]
     if pending:
-        # imported here: they cost about 20 ms of a CLI start that needs them only for tune
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
         # the most weights first, so the longest trials do not start last
         configs = {t: sample(space, _trial_rng(seed, t)) for t in pending}
         pending.sort(key=lambda t: (-configs[t].hidden_layers * configs[t].hidden_neurons**2, t))
         setters = _blas_thread_setters()
-        workers = min(len(pending), len(os.sched_getaffinity(0))) if setters else 1
-        # fork, so the objective and its data reach the workers unpickled. The
-        # pool forks every worker at the first submit, before it starts its
-        # own thread, and OpenBLAS stops its threads before a fork (it restarts
-        # them on demand).
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(setters, space, objective, seed))
+        workers = min(len(pending), available_cpus()) if setters else 1
+        # fork, so the objective and its data reach the workers unpickled
+        job = lambda trial_id: _run_trial(space, objective, seed, trial_id)
         try:
-            futures = [pool.submit(_worker_trial, trial_id) for trial_id in pending]
-            for future in as_completed(futures):
-                result = future.result()
-                done[result.trial_id] = result
-                if log_path is not None:  # every known trial, the loaded ones included
-                    _write_log(log_path, sorted(done.values(), key=lambda t: t.trial_id))
-        except BrokenProcessPool:
+            with ForkPool(workers, job, "tune", setters) as pool:
+                for trial_id in pending:
+                    pool.submit(trial_id)
+                for trial_id, result in pool.completed():
+                    done[trial_id] = result
+                    if log_path is not None:  # every known trial, the loaded ones included
+                        _write_log(log_path, sorted(done.values(), key=lambda t: t.trial_id))
+        except WorkerDied:
             kept = f"; {log_path} keeps the {len(done)} finished trial(s)" if log_path else ""
             raise SearchFailure(f"a trial's worker process died{kept}") from None
-        finally:
-            pool.shutdown(cancel_futures=True)
 
     results = [done[trial_id] for trial_id in range(n_trials)]
     n_failed = sum(1 for r in results if not r.ok)

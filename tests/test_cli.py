@@ -1161,6 +1161,50 @@ def test_tune_bytes_do_not_depend_on_blas_threads_or_cpus(tmp_path):
     assert tune_bytes("cpu1", one_cpu=True) == tune_bytes("cpus") == one_thread
 
 
+def test_train_and_predict_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a 2 x 600 network, wide enough that 1 and 2 OpenBLAS threads sum its
+    # products in another order, unless the command holds OpenBLAS to one
+    station = tmp_path / "stations.csv"
+    write_station_file(station, n_storms=5, n_stations=2, n_hours=4, seed=0)
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def output_bytes(threads: int) -> dict:
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+        out = tmp_path / f"threads{threads}"
+        for argv in (
+            ["train", "--data", station, "--out", out / "train", "--split", "3,1,1",
+             "--hidden-layers", "2", "--hidden-neurons", "600", "--batch-size", "24",
+             "--max-epochs", "2"],
+            ["predict", "--model", out / "train" / "model.json", "--data", station,
+             "--out", out / "predict"],
+        ):
+            done = subprocess.run([sys.executable, "-m", "gustuq.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        return {f.relative_to(out): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+    one_thread = output_bytes(1)
+    assert len(one_thread) == 8  # train's 7 files and the predictions
+    assert output_bytes(2) == one_thread
+
+
+def test_cli_import_loads_no_process_pool():
+    # multiprocessing and concurrent.futures' process pool cost about 20 ms
+    # of a start; gustuq forks with os.fork and imports neither
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, gustuq.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_tune_worker_death_is_one_line_exit_2(pipeline, tmp_path, capsys, monkeypatch):
     def dying_objective(*args, **kwargs):
         def objective(config, rng):

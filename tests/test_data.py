@@ -1,14 +1,16 @@
 import csv
 import functools
+import os
 import re
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gustuq import cli, data
+from gustuq import cli, data, parallel
 from gustuq.data import (
     BLOCK_ROWS,
     FEATURE_NAMES,
@@ -23,7 +25,7 @@ from gustuq.data import (
     wind_direction_components,
     write_station_csv,
 )
-from gustuq.errors import DegenerateInputWarning, IngestError, UsageError
+from gustuq.errors import DegenerateInputWarning, IngestError, UsageError, WorkerDied
 from gustuq.tune import TRIALS_LOG_COLUMNS, load_trials_log
 
 from synth import (
@@ -282,6 +284,146 @@ def test_every_duplicate_named_once(tmp_path):
         load_station_csv(path)
     assert err.value.row_errors == [(22 + k, f"same key as line {2 + k}") for k in range(12)]
     assert str(err.value).count(": same key") == 10  # only the first 10 carry detail
+
+
+def write_lines(path, lines: list[str]) -> None:
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+
+
+@pytest.mark.parametrize("above", ["blank line", "two-line quoted field"])
+@pytest.mark.parametrize("problem", ["bad row", "duplicate"])
+def test_line_numbers_count_every_line_of_the_file(tmp_path, above, problem):
+    rows = station_rows(n_storms=1, n_stations=2, n_hours=4)
+    if problem == "bad row":
+        rows[2][RAW_HEADER.index("WS_10m")] = "fast"
+    else:
+        rows.append(list(rows[3]))
+    lines = [",".join(RAW_HEADER), *(",".join(r) for r in rows)]
+    if above == "blank line":
+        lines.insert(2, "")  # line 3
+    else:  # the first row's station id holds a line break: lines 2 and 3
+        lines[1] = lines[1].replace(",ST00,", ',"ST\n00",')
+    path = tmp_path / "stations.csv"
+    write_lines(path, lines)
+    # row i >= 1 is on line i + 3
+    want = ((5, "WS_10m: could not convert string to float: 'fast'") if problem == "bad row"
+            else (11, "same key as line 6"))
+    with pytest.raises(IngestError) as err:
+        load_station_csv(path)
+    assert err.value.row_errors == [want]
+
+
+@contextmanager
+def one_cpu():
+    """Run the block on this process's first available CPU alone."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
+                                    reason="needs two CPUs to fork a worker")
+
+
+@pytest.mark.parametrize("problem", ["bad rows", "duplicate"])
+def test_problems_in_the_last_piece_read_as_on_one_cpu(tmp_path, problem):
+    rows = [list(r) for r in _three_block_rows()]
+    if problem == "bad rows":
+        rows[10][3] = "91"  # lat, in the first piece
+        rows[-600][RAW_HEADER.index("WS_10m")] = "fast"
+        rows[-1][-1] = "-1"
+    else:
+        rows.append(list(rows[5]))
+    path = tmp_path / "stations.csv"
+    write_station_file(path, rows=rows)
+    assert len(parallel.cut(len(rows), BLOCK_ROWS)) == min(parallel.available_cpus(), 2) + 1
+    with pytest.raises(IngestError) as split:
+        load_station_csv(path)
+    with one_cpu(), pytest.raises(IngestError) as whole:
+        load_station_csv(path)
+    assert str(split.value) == str(whole.value)
+    assert split.value.row_errors == whole.value.row_errors
+    assert split.value.row_errors[-1] == (
+        (len(rows) + 1, "gust_obs: must be finite and >= 0, got -1.0") if problem == "bad rows"
+        else (len(rows) + 1, "same key as line 7"))
+
+
+def read_ids(path, id_kind):
+    return data.read_csv(path, {"station_id": id_kind}, exact=False)
+
+
+@needs_two_cpus
+def test_dead_read_worker_is_one_line_error_and_leaves_nothing(tmp_path):
+    path = tmp_path / "stations.csv"
+    write_station_file(path, rows=_three_block_rows())
+    caller = os.getpid()
+
+    def dying(texts):
+        if os.getpid() != caller:
+            os._exit(1)
+        return data.id_column(texts)
+
+    with pytest.raises(WorkerDied) as err:
+        read_ids(path, dying)
+    assert str(err.value) == f"{path}: a worker process died"
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(read_ids(path, data.id_column)["station_id"]) == len(_three_block_rows())
+
+
+@needs_two_cpus
+def test_failing_caller_piece_leaves_no_worker(tmp_path):
+    path = tmp_path / "stations.csv"
+    write_station_file(path, rows=_three_block_rows())
+    caller = os.getpid()
+
+    def failing(texts):
+        if os.getpid() == caller:
+            raise RuntimeError("the caller's piece failed")
+        return data.id_column(texts)
+
+    with pytest.raises(RuntimeError, match="the caller's piece failed"):
+        read_ids(path, failing)
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(path):
+    """What loading ``path`` gives: its rows, or its ingest error."""
+    try:
+        ds = load_station_csv(path)
+    except IngestError as err:
+        return str(err), err.row_errors
+    return ds.station_ids.tolist(), ds.features.tobytes()
+
+
+@pytest.mark.parametrize("station_id", ['"quoted, id"', "lone\rbreak"])
+def test_file_whose_lines_may_not_be_rows_reads_as_on_one_cpu(tmp_path, station_id):
+    rows = [list(r) for r in _three_block_rows()]
+    rows[-2][2] = station_id  # near the end, in the last piece
+    path = tmp_path / "stations.csv"
+    write_lines(path, [",".join(RAW_HEADER), *(",".join(r) for r in rows)])
+    assert data._line_starts(path, 256) is None
+    split = outcome(path)
+    with one_cpu():
+        assert outcome(path) == split
+
+
+def test_file_that_is_not_utf8_is_ingest_error_at_any_cpu_count(tmp_path):
+    path = tmp_path / "stations.csv"
+    write_station_file(path, rows=_three_block_rows())
+    raw = bytearray(path.read_bytes())
+    raw[-5000] = 0xFF  # in the last piece
+    path.write_bytes(bytes(raw))
+    split = outcome(path)
+    with one_cpu():
+        assert outcome(path) == split
+    assert split == (f"{path}: not UTF-8 text (invalid start byte)", [])
 
 
 # One malformed cell per case: the file it goes in, its column, its text (None

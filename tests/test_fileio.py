@@ -1,12 +1,17 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gustuq import fileio, parallel
 from gustuq.data import format_timestamp
-from gustuq.errors import UsageError
+from gustuq.errors import UsageError, WorkerDied
 from gustuq.fileio import BLOCK_ROWS, fmt, write_csv
 
 ROW_COUNTS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
@@ -151,3 +156,104 @@ def test_write_csv_refuses_mismatched_shapes(tmp_path):
     with pytest.raises(UsageError, match="differ in length"):
         write_csv(tmp_path / "out.csv", ["a", "b"], np.arange(2), np.arange(3.0))
     assert not list(tmp_path.iterdir())
+
+
+# Writes two files of 3 blocks and more with write_csv, reads them back with
+# read_csv, and saves the arrays read; prints how many times it forked.
+SPLIT_SCRIPT = """
+import os, sys
+import numpy as np
+from gustuq import data, fileio
+
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+out = sys.argv[1]
+rng = np.random.default_rng(5)
+n = 3 * fileio.BLOCK_ROWS + 17
+ids = np.array([f"id{i}" for i in range(n)])
+floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+floats[::97] = np.nan
+gaps = np.ma.masked_where(rng.uniform(size=n) < 0.2, rng.standard_normal(n))
+texts = rng.choice(["plain", "a, comma", 'say "hi"', "two\\r\\nlines", ""], n).tolist()
+fileio.write_csv(f"{out}/plain.csv", ["id", "x", "gap"], ids, floats, gaps)
+fileio.write_csv(f"{out}/quoted.csv", ["id", "x", "text"], ids, floats, texts)
+blank_nan = lambda t: np.fromiter((float(v) if v else np.nan for v in t), float, len(t))
+as_text = lambda t: np.asarray(t, dtype=str)
+plain = data.read_csv(f"{out}/plain.csv", {"id": data.id_column, "x": data.float_column,
+                                           "gap": blank_nan}, key=("id",))
+quoted = data.read_csv(f"{out}/quoted.csv", {"id": data.id_column, "x": data.float_column,
+                                             "text": as_text}, key=("id",))
+np.savez(f"{out}/plain.npz", **plain)
+np.savez(f"{out}/quoted.npz", **quoted)
+print(len(forks))
+"""
+
+
+def test_split_write_and_read_give_the_bytes_and_arrays_of_one_cpu(tmp_path):
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    first_cpu = min(os.sched_getaffinity(0))
+
+    def run(name, one_cpu):
+        out = tmp_path / name
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", SPLIT_SCRIPT, str(out)], env=env, capture_output=True,
+            text=True, timeout=120,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {first_cpu})) if one_cpu else None)
+        assert done.returncode == 0, done.stderr
+        files = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+        arrays = {}
+        for f in out.glob("*.npz"):
+            with np.load(f) as saved:
+                arrays.update({f"{f.stem}.{k}": saved[k] for k in saved.files})
+        return int(done.stdout), files, arrays
+
+    forks, files, arrays = run("cpus", one_cpu=False)
+    one_forks, one_files, one_arrays = run("cpu1", one_cpu=True)
+    # the write of each file and the read of the plain one split
+    assert one_forks == 0 and forks == (3 if parallel.available_cpus() > 1 else 0)
+    assert files == one_files and len(files) == 2
+    assert b'"say ""hi"""' in files["quoted.csv"] and b",\r\n" in files["plain.csv"]
+    assert arrays.keys() == one_arrays.keys()
+    for name, array in arrays.items():
+        assert array.dtype == one_arrays[name].dtype, name
+        assert array.tobytes() == one_arrays[name].tobytes(), name  # float bits too
+    assert np.isnan(arrays["plain.gap"]).any()
+
+
+needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
+                                    reason="needs two CPUs to fork a worker")
+
+
+def write_three_blocks(path) -> None:
+    n = 3 * BLOCK_ROWS
+    write_csv(path, ["k", "x"], np.arange(n), np.arange(n) / 7)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("who", ["worker", "caller"])
+def test_failed_piece_leaves_no_file_and_no_process(tmp_path, monkeypatch, who):
+    caller = os.getpid()
+    write_rows = fileio._write_rows
+
+    def failing(*args):
+        if os.getpid() != caller:
+            os._exit(1)  # the worker dies
+        if who == "caller":
+            raise RuntimeError("the caller's piece failed")
+        return write_rows(*args)
+
+    monkeypatch.setattr(fileio, "_write_rows", failing)
+    path = tmp_path / "out.csv"
+    if who == "worker":
+        with pytest.raises(WorkerDied) as err:
+            write_three_blocks(path)
+        assert str(err.value) == f"{path}: a worker process died"
+    else:
+        with pytest.raises(RuntimeError, match="the caller's piece failed"):
+            write_three_blocks(path)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

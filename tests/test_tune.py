@@ -506,3 +506,17 @@ def test_objective_with_standardizer_equals_prescaled_objective():
     got = owned(config, np.random.default_rng(3))
     want = by_hand(config, np.random.default_rng(3))
     assert got == want
+
+
+def test_objective_error_that_does_not_pickle_is_named():
+    class Unpicklable(RuntimeError):
+        def __reduce__(self):
+            raise TypeError("cannot pickle this error")
+
+    def raising(config, rng):
+        raise Unpicklable("local")
+
+    before = child_pids()
+    with pytest.raises(TypeError, match="tune: a worker's outcome cannot be sent back"):
+        search(ONE_CONFIG, 2, raising, seed=0)
+    assert child_pids() == before
