@@ -336,7 +336,7 @@ def cmd_train(opts: dict) -> None:
         },
     )
     pset = metrics.PredictionSet.from_decomposition(
-        model.predict(val_ds.features), opts["mask_percentile"]
+        evidential.decompose(model.validation_params), opts["mask_percentile"]
     )
     report = metrics.evaluate_predictions(pset, val_ds.gust, levels=opts["levels"])
     _write_report_files(out, "validation_", report)
@@ -539,13 +539,14 @@ def cmd_explain(opts: dict) -> None:
     ds = data.load_station_csv(opts["data"], require_target=True)
     _check_feature_names(model, ds.feature_names)
 
-    pfi = xai.permutation_importance(
+    pfi, curves = xai.explain(
         model.mean_and_total_sd,
         ds.features,
         ds.gust,
         feature_names=ds.feature_names,
         n_shuffles=opts["n_shuffles"],
         seed=opts["seed"],
+        n_grid=opts["pdp_grid"],
     )
     write_csv(
         out / "pfi.csv",
@@ -564,17 +565,6 @@ def cmd_explain(opts: dict) -> None:
         np.asarray([f.n_shuffles for f in pfi.features]),
         [f.note for f in pfi.features],
     )
-
-    curves = [
-        xai.partial_dependence(
-            model.mean_and_total_sd,
-            ds.features,
-            j,
-            feature_names=ds.feature_names,
-            n_grid=opts["pdp_grid"],
-        )
-        for j in range(ds.features.shape[1])
-    ]
     write_csv(
         out / "pdp.csv",
         [

@@ -244,12 +244,18 @@ class EpochStats:
 @dataclass
 class EvidentialModel:
     """A trained network plus everything needed to predict from raw features:
-    each prediction applies ``standardizer``, the scaling it was trained behind."""
+    each prediction applies ``standardizer``, the scaling it was trained behind.
+
+    ``validation_params`` is the head's output on the validation split for
+    these weights, as ``train_evidential`` computed it at the best epoch:
+    ``decompose(validation_params)`` is ``predict(val_features)`` bit for
+    bit. It is None on a model read from an artifact."""
 
     mlp: MLP
     train_config: TrainConfig
     standardizer: Standardizer
     feature_names: list[str] | None = None
+    validation_params: NIGParams | None = None
 
     def predict_params(self, features: np.ndarray) -> NIGParams:
         out, _ = nncore.forward(self.mlp, self.standardizer.apply(features), train_mode=False)
@@ -288,7 +294,8 @@ def train_evidential(
     Features are raw: ``standardizer``, fitted on the training split, scales
     both splits and stays on the returned model. Without one, a pass-through
     standardizer (offset 0, scale 1) is kept and the features are used as
-    given. Returns the weights snapshot with the best validation MAE and the
+    given. Returns the weights snapshot with the best validation MAE, with
+    its validation pass's ``NIGParams`` as ``validation_params``, and the
     per-epoch metric log.
     """
     config.validate()
@@ -315,8 +322,7 @@ def train_evidential(
     batch = min(config.batch_size, n)
     val_target_sd = float(np.std(y_val))
     best_mae = np.inf
-    best_weights = model.copy()
-    best_epoch = 0
+    best_weights, best_params = model.copy(), None
     stall = 0
     warned_inflated = False
     log: list[EpochStats] = []
@@ -349,8 +355,7 @@ def train_evidential(
 
         if val_mae < best_mae:
             best_mae = val_mae
-            best_weights = model.copy()
-            best_epoch = epoch
+            best_weights, best_params = model.copy(), val_params
             stall = 0
         else:
             stall += 1
@@ -362,5 +367,6 @@ def train_evidential(
         train_config=config,
         feature_names=feature_names,
         standardizer=standardizer,
+        validation_params=best_params,
     )
     return trained, log

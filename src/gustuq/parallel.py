@@ -1,12 +1,14 @@
 """The one way gustuq spreads work over CPUs: worker processes forked from
 the caller, one per task.
 
-``tune`` runs each trial in one, and the CSV reader and writer each row
-range but the first. A worker is started with POSIX ``fork``, so the job and
-its data reach it without pickling; only the worker's result, or the
-exception it raised, is pickled and sent back through a pipe. A worker
-holds each loaded OpenBLAS to one thread, so a result computed in a worker
-does not depend on the BLAS thread count.
+``tune`` runs each trial in one; the CSV reader and writer each row range
+but the first, and ``explain`` each range of its model evaluations but the
+first. A worker is started with POSIX ``fork``, so the job and its data
+reach it without pickling; only the worker's result, or the exception it
+raised, is pickled and sent back through a pipe, together with the warnings
+it issued, which the caller issues again. A worker holds each loaded
+OpenBLAS to one thread, so a result computed in a worker does not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import select
 import signal
 import sys
 import threading
+import warnings
 
 from .errors import WorkerDied
 
@@ -98,13 +101,22 @@ def cut(n: int, least: int, step: int = 1) -> list[int]:
     return [n * k // pieces // step * step for k in range(pieces)] + [n]
 
 
+def _warn_again(caught: list) -> None:
+    """Issue each warning a worker recorded, as ``(message, category,
+    filename, lineno)``, in the caller, where its filters and
+    ``catch_warnings`` see it."""
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+
+
 class ForkPool:
     """Runs ``job(arg)`` for each submitted ``arg`` in a worker forked for
     it, at most ``workers`` at a time, in the order submitted. Each worker
     first holds the OpenBLAS of ``setters`` (by default every one loaded)
-    to one thread. Leaving the ``with`` block ends every worker, so none
-    outlives the pool; a worker that dies raises ``WorkerDied`` naming
-    ``label``."""
+    to one thread. The warnings a job issues are recorded under the
+    caller's filters and sent back with its outcome. Leaving the ``with``
+    block ends every worker, so none outlives the pool; a worker that dies
+    is a ``WorkerDied`` naming ``label``."""
 
     def __init__(self, workers: int, job, label: str, setters=None):
         self._workers, self._job, self._label = workers, job, label
@@ -146,15 +158,17 @@ class ForkPool:
         code = 1
         try:
             hold_blas_to_one_thread(self._setters)
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    outcome = (True, self._job(arg))
+                except BaseException as exc:  # raised again in the caller
+                    outcome = (False, exc)
+            issued = [(w.message, w.category, w.filename, w.lineno) for w in caught]
             try:
-                outcome = (True, self._job(arg))
-            except BaseException as exc:  # raised again in the caller
-                outcome = (False, exc)
-            try:
-                sent = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:  # a result or an exception that does not pickle
+                sent = pickle.dumps((*outcome, issued), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # a result, exception or warning that does not pickle
                 sent = pickle.dumps((False, TypeError(
-                    f"{self._label}: a worker's outcome cannot be sent back: {exc}")))
+                    f"{self._label}: a worker's outcome cannot be sent back: {exc}"), []))
             with open(pipe, "wb") as out:
                 out.write(sent)
             code = 0
@@ -165,10 +179,11 @@ class ForkPool:
             finally:
                 os._exit(code)
 
-    def completed(self):
-        """Yield ``(arg, result)`` for each submitted ``arg`` as its worker
-        ends, starting the queued ones as workers free up. Raise what a job
-        raised, or ``WorkerDied`` for a worker that ended without a result."""
+    def outcomes(self):
+        """Yield ``(arg, ok, value, caught)`` for each running worker as it
+        ends: its job's result (``ok``) or exception, or a ``WorkerDied``
+        for a worker that ended without an outcome, and the warnings it
+        recorded. Starts no queued task."""
         while self._running:
             ready, _, _ = select.select(list(self._running), [], [])
             for pipe in ready:
@@ -177,12 +192,21 @@ class ForkPool:
                     sent = fh.read()
                 os.waitpid(pid, 0)
                 if not sent:
-                    raise WorkerDied(f"{self._label}: a worker process died")
-                ok, value = pickle.loads(sent)
-                if not ok:
-                    raise value
-                self._start()
-                yield arg, value
+                    yield arg, False, WorkerDied(f"{self._label}: a worker process died"), []
+                else:
+                    yield arg, *pickle.loads(sent)
+
+    def completed(self):
+        """Yield ``(arg, result)`` for each submitted ``arg`` as its worker
+        ends, after issuing its warnings again, and start the queued ones
+        as workers free up. Raise what a job raised, or ``WorkerDied`` for a
+        worker that ended without a result."""
+        for arg, ok, value, caught in self.outcomes():
+            _warn_again(caught)
+            if not ok:
+                raise value
+            self._start()
+            yield arg, value
 
     def close(self) -> None:
         """Drop the queued tasks, and kill and reap the running workers."""
@@ -197,13 +221,17 @@ class ForkPool:
 def map_pieces(job, pieces: int, label: str) -> list:
     """``[job(0), ..., job(pieces - 1)]``: the caller runs ``job(0)`` while
     ``pieces - 1`` forked workers run the others; one piece forks nothing.
-    An exception of any piece is raised here, the caller's own first, and
-    no worker is left running.
+    The workers' warnings are issued again here in piece order, after the
+    caller's own. If pieces fail, the exception of the first failing piece
+    is raised here, as a serial run over the pieces would raise it, and the
+    warnings of the pieces after it are dropped. No worker is left running.
 
     Piece ``k`` runs on the ``k``-th available CPU: left to itself, the
     scheduler may keep a new worker on its parent's CPU for longer than a
     piece takes. The caller's CPUs are given back on return. The workers
-    leave OpenBLAS alone, as the pieces do no matrix products.
+    leave OpenBLAS as the caller set it: ``cli.main`` holds it to one
+    thread before any fork, so a worker's matrix products sum as the
+    caller's do.
     """
     if pieces == 1:
         return [job(0)]
@@ -217,8 +245,14 @@ def map_pieces(job, pieces: int, label: str) -> list:
         with ForkPool(pieces - 1, pinned, label, setters=[]) as pool:
             for k in range(1, pieces):
                 pool.submit(k)
-            first = pinned(0)
-            rest = dict(pool.completed())
-            return [first, *(rest[k] for k in range(1, pieces))]
+            results = [pinned(0)]
+            rest = {k: outcome for k, *outcome in pool.outcomes()}
     finally:
         os.sched_setaffinity(0, cpus)
+    for k in range(1, pieces):
+        ok, value, caught = rest[k]
+        _warn_again(caught)
+        if not ok:
+            raise value
+        results.append(value)
+    return results

@@ -292,7 +292,8 @@ def search(
     (``parallel.ForkPool``), as many at a time as there are available CPUs,
     widest network first. ``objective`` reaches the workers through the
     fork, so it need not be picklable, but its side effects stay in the
-    worker. Each worker holds every loaded OpenBLAS to one thread, so a
+    worker; the warnings it issues are issued again in the caller as each
+    result arrives. Each worker holds every loaded OpenBLAS to one thread, so a
     trial's result does not depend on the BLAS thread count or the CPU
     count; where no OpenBLAS is found, one worker runs at a time. The log
     is rewritten in ``trial_id`` order as each result arrives. A worker
@@ -351,7 +352,7 @@ def make_evidential_objective(
 ) -> Objective:
     """Objective that trains an evidential model and scores it on validation.
     Features are raw; each trial's model applies ``standardizer`` itself."""
-    from .evidential import train_evidential
+    from .evidential import decompose, train_evidential
 
     y_val = np.asarray(val_targets, dtype=float)
 
@@ -376,7 +377,7 @@ def make_evidential_objective(
             l2=config.l2,
             standardizer=standardizer,
         )
-        dec = model.predict(val_features)
+        dec = decompose(model.validation_params)
         mae = float(np.mean(np.abs(dec.mean - y_val)))
         r2 = spread_skill(dec.total_sd, dec.mean - y_val).r_squared
         skill = pitd(pit_values(dec.mean, dec.total_sd, y_val)).skill

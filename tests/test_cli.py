@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gustuq import artifact, cli, metrics, tune
+from gustuq import artifact, cli, evidential, metrics, nncore, parallel, tune, xai
 from gustuq.cli import main
 from gustuq.errors import DegenerateInputWarning
 from gustuq.evidential import train_evidential
@@ -109,6 +109,24 @@ def test_library_model_saves_a_pass_through_standardizer(tmp_path):
     assert loaded.predict(x).mean.tobytes() == model.predict(x).mean.tobytes()
     artifact.save_model(loaded, tmp_path / "resaved.json")
     assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
+
+
+def test_train_runs_one_validation_pass_per_epoch(pipeline, tmp_path, monkeypatch):
+    # the validation files are scored from the kept epoch's own pass
+    forward = nncore.forward
+    nograd = []
+
+    def spy(model, batch, train_mode=False, *args, **kwargs):
+        if not train_mode:
+            nograd.append(len(batch))
+        return forward(model, batch, train_mode, *args, **kwargs)
+
+    monkeypatch.setattr(nncore, "forward", spy)
+    out = tmp_path / "train"
+    assert run("train", "--data", pipeline["station_csv"], "--out", out, "--split", "3,1,1",
+               "--hidden-neurons", "8", "--max-epochs", "6", "--patience", "2") == 0
+    epochs = len(read_rows(out / "epoch_log.csv"))
+    assert nograd == [24] * epochs  # one storm of 3 stations x 8 hours
 
 
 def test_train_same_seed_identical_artifacts(pipeline, tmp_path):
@@ -636,6 +654,90 @@ def test_explain_outputs(pipeline, tmp_path):
     ws_rows = [r for r in pdp if r["feature"] == "WS_10m"]
     grid_values = np.array([float(r["grid_value"]) for r in ws_rows])
     assert np.all(np.diff(grid_values) > 0)
+
+
+needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
+                                    reason="needs two CPUs to fork a worker")
+
+# explain's run in EXPLAIN_SPLIT makes 1 + 11 x 2 + 11 x 20 = 243 evaluations
+EXPLAIN_SPLIT = ("--n-shuffles", "2", "--pdp-grid", "20", "--seed", "6")
+
+
+@pytest.fixture(scope="module")
+def split_station_csv(tmp_path_factory):
+    """A station file big enough that explain cuts its evaluations in two:
+    2,160 rows x 243 evaluations is over twice ``xai.MIN_PIECE_ROW_EVALS``."""
+    path = tmp_path_factory.mktemp("split") / "stations.csv"
+    write_station_file(path, n_storms=12, n_stations=15, n_hours=12, seed=9)
+    assert 2160 * 243 >= 2 * xai.MIN_PIECE_ROW_EVALS
+    return path
+
+
+# Runs the CLI on argv and prints how many times it forked.
+COUNTING_CLI = """
+import os, sys
+from gustuq import cli
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+code = cli.main(sys.argv[1:])
+print(len(forks))
+sys.exit(code)
+"""
+
+
+def test_explain_bytes_do_not_depend_on_cpus(pipeline, split_station_csv, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    first_cpu = min(os.sched_getaffinity(0))
+
+    def explain(name, one_cpu):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-c", COUNTING_CLI, "explain", "--model", str(pipeline["model"]),
+             "--data", str(split_station_csv), "--out", str(out), *EXPLAIN_SPLIT],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {first_cpu})) if one_cpu else None)
+        assert done.returncode == 0, done.stderr
+        forks = int(done.stdout.splitlines()[-1])
+        return forks, [(out / f).read_bytes() for f in ("pfi.csv", "pdp.csv")]
+
+    forks, files = explain("cpus", one_cpu=False)
+    one_forks, one_files = explain("cpu1", one_cpu=True)
+    assert files == one_files
+    assert one_forks == 0 and forks == (1 if parallel.available_cpus() > 1 else 0)
+
+
+@needs_two_cpus
+def test_explain_worker_death_is_one_line_and_leaves_nothing(
+        pipeline, split_station_csv, tmp_path, capsys, monkeypatch):
+    caller = os.getpid()
+    mean_and_total_sd = evidential.EvidentialModel.mean_and_total_sd
+
+    def dying(model, features):
+        if os.getpid() != caller:
+            os._exit(1)
+        return mean_and_total_sd(model, features)
+
+    monkeypatch.setattr(evidential.EvidentialModel, "mean_and_total_sd", dying)
+    out = tmp_path / "xai"
+    code = run("explain", "--model", pipeline["model"], "--data", split_station_csv,
+               "--out", out, *EXPLAIN_SPLIT)
+    assert code == 2
+    assert capsys.readouterr().err == "worker-died: explain: a worker process died\n"
+    assert not (out / "pfi.csv").exists() and not (out / "pdp.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_explain_of_a_small_input_forks_nothing(pipeline, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("explain forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run("explain", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+               "--out", tmp_path / "xai", *EXPLAIN_SPLIT) == 0
+    assert len(read_rows(tmp_path / "xai" / "pdp.csv")) == 11 * 20
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,24 @@ def test_train_deterministic_per_seed():
         assert np.array_equal(la.bias, lb.bias)
 
 
+def test_validation_params_are_the_kept_weights_prediction():
+    # the validation pass of the best epoch is handed back with its weights,
+    # so callers need not run it again: same bits as predicting anew
+    x, y = raw_features_xy(600, seed=6)
+    std = Standardizer.fit(x[:450])
+    model, log = train_evidential(
+        x[:450], y[:450], x[450:], y[450:], hidden_sizes=[16], standardizer=std,
+        config=TrainConfig(learning_rate=2e-2, batch_size=64, max_epochs=40, patience=3,
+                           evidential_coef=0.1, seed=2),
+    )
+    best = min(range(len(log)), key=lambda i: log[i].val_mae)
+    assert best < len(log) - 1  # training went on past the kept weights
+    got, want = evidential.decompose(model.validation_params), model.predict(x[450:])
+    for name in ("mean", "aleatoric_var", "epistemic_var", "total_sd"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert float(np.mean(np.abs(got.mean - y[450:]))) == log[best].val_mae
+
+
 def raw_features_xy(n: int, seed: int):
     """Three raw feature columns on very different scales, y linear in them."""
     rng = np.random.default_rng(seed)

@@ -1,13 +1,14 @@
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gustuq import tune
+from gustuq import nncore, tune
 from gustuq.data import Standardizer
-from gustuq.errors import IngestError, SearchFailure, UsageError
+from gustuq.errors import CalibrationWarning, IngestError, SearchFailure, UsageError
 from gustuq.tune import (
     HyperSpace,
     TrialConfig,
@@ -520,3 +521,34 @@ def test_objective_error_that_does_not_pickle_is_named():
     with pytest.raises(TypeError, match="tune: a worker's outcome cannot be sent back"):
         search(ONE_CONFIG, 2, raising, seed=0)
     assert child_pids() == before
+
+
+def test_trial_warnings_are_issued_in_the_caller():
+    def warning_objective(config, rng):
+        warnings.warn(f"trial {trial_id_of(rng)}", CalibrationWarning)
+        return synthetic_objective(config, rng)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        search(ONE_CONFIG, 3, warning_objective, seed=0)
+    assert sorted(str(w.message) for w in caught) == ["trial 0", "trial 1", "trial 2"]
+    assert {w.category for w in caught} == {CalibrationWarning}
+
+
+def test_objective_runs_one_validation_pass_per_epoch(monkeypatch):
+    forward = nncore.forward
+    nograd = []
+
+    def spy(model, batch, train_mode=False, *args, **kwargs):
+        if not train_mode:
+            nograd.append(len(batch))
+        return forward(model, batch, train_mode, *args, **kwargs)
+
+    monkeypatch.setattr(nncore, "forward", spy)
+    x, y, _ = heteroscedastic_xy(300, seed=4)
+    objective = make_evidential_objective(x[:200], y[:200], x[200:], y[200:],
+                                          max_epochs=6, patience=2)
+    config = TrialConfig(learning_rate=3e-3, dropout=0.0, hidden_layers=1, hidden_neurons=8,
+                         batch_size=64, evidential_coef=0.05, l1=1e-6, l2=1e-6)
+    *_, epochs = objective(config, np.random.default_rng(0))
+    assert nograd == [100] * epochs

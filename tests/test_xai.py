@@ -1,8 +1,12 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
+from gustuq import parallel, xai
 from gustuq.errors import DegenerateInputWarning, UsageError
-from gustuq.xai import partial_dependence, permutation_importance
+from gustuq.xai import explain, partial_dependence, permutation_importance
 
 
 def linear_predictor(weights, noise_in_sd=0.0):
@@ -177,3 +181,85 @@ def test_pdp_empty_grid_rejected(n_grid):
     for feature in (0, 1):  # zero-range and ordinary column alike
         with pytest.raises(UsageError, match="at least one grid point"):
             partial_dependence(linear_predictor([1.0, 1.0]), x, feature, n_grid=n_grid)
+
+
+# ---------------------------------------------------------------------------
+# explain: every evaluation of one call, cut over the usable CPUs
+
+needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
+                                    reason="needs two CPUs to fork a worker")
+
+
+def quirky_predictor(matrix):
+    mean = np.tanh(matrix[:, 0]) + matrix[:, 1] ** 2 - 0.3 * matrix[:, 2]
+    return mean, np.exp(0.1 * matrix[:, 0]) + 0.5 + 0.1 * np.abs(mean)
+
+
+def split_inputs():
+    """2,000 rows x (1 + 3 x 3 + 3 x 100) evaluations: two pieces on two CPUs."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2000, 3))
+    return x, quirky_predictor(x)[0] + rng.normal(0, 0.3, size=2000)
+
+
+def counted_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_explain_gives_the_bits_of_one_piece_and_of_the_separate_calls(monkeypatch):
+    x, y = split_inputs()
+    assert x.shape[0] * (1 + 3 * 3 + 3 * 100) >= 2 * xai.MIN_PIECE_ROW_EVALS
+    forks = counted_forks(monkeypatch)
+    pfi, curves = explain(quirky_predictor, x, y, n_shuffles=3, seed=4)
+    assert len(forks) == (1 if parallel.usable_cpus() > 1 else 0)
+
+    monkeypatch.setattr(xai, "MIN_PIECE_ROW_EVALS", 10**9)
+    one_pfi, one_curves = explain(quirky_predictor, x, y, n_shuffles=3, seed=4)
+    separate = [partial_dependence(quirky_predictor, x, j) for j in range(3)]
+    assert len(forks) == (1 if parallel.usable_cpus() > 1 else 0)
+    assert pfi == one_pfi == permutation_importance(quirky_predictor, x, y, n_shuffles=3, seed=4)
+    for curve, *others in zip(curves, one_curves, separate):
+        for other in others:
+            assert curve.feature == other.feature
+            for name in ("grid", "pred_mean", "pred_sd", "uncertainty_mean", "uncertainty_sd"):
+                assert getattr(curve, name).tobytes() == getattr(other, name).tobytes(), name
+
+
+@needs_two_cpus
+def test_predict_fn_failing_in_a_worker_range_raises_in_the_caller():
+    x, y = split_inputs()
+    caller = os.getpid()
+
+    def failing(matrix):
+        if os.getpid() != caller:
+            raise ValueError("bad matrix in a worker")
+        return quirky_predictor(matrix)
+
+    with pytest.raises(ValueError, match="^bad matrix in a worker$"):
+        explain(failing, x, y, n_shuffles=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_warning_in_a_worker_range_reaches_the_caller():
+    x, y = split_inputs()
+    caller = os.getpid()
+
+    def warning(matrix):
+        if os.getpid() != caller and matrix[0, 2] == x[:, 2].max():  # the last grid value
+            warnings.warn("the last grid value", DegenerateInputWarning)
+        return quirky_predictor(matrix)
+
+    with pytest.warns(DegenerateInputWarning, match="the last grid value"):
+        explain(warning, x, y, n_shuffles=3)
+
+
+def test_explain_of_a_small_input_forks_nothing(monkeypatch):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(120, 3))
+    forks = counted_forks(monkeypatch)
+    pfi, curves = explain(quirky_predictor, x, x[:, 0], n_shuffles=4, n_grid=20)
+    assert forks == [] and len(pfi.features) == len(curves) == 3
