@@ -18,7 +18,7 @@ import numpy as np
 from .data import Standardizer
 from .errors import UsageError
 from .evidential import EvidentialModel
-from .fileio import atomic_open
+from .fileio import write_json
 from .nncore import MLP, Layer, TrainConfig
 
 FORMAT_NAME = "gustuq-evidential-model"
@@ -111,9 +111,7 @@ def save_model(model: EvidentialModel, path) -> None:
             "passthrough": model.standardizer.passthrough.astype(bool).tolist(),
         },
     }
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> EvidentialModel:

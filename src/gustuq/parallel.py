@@ -1,14 +1,15 @@
-"""The one way gustuq spreads work over CPUs: worker processes forked from
-the caller, one per task.
+"""The one way gustuq spreads work over CPUs: ``ForkPool``, worker
+processes forked from the caller, one per task, each on a CPU of its own.
 
 ``tune`` runs each trial in one; the CSV reader and writer each row range
 but the first, and ``explain`` each range of its model evaluations but the
-first. A worker is started with POSIX ``fork``, so the job and its data
-reach it without pickling; only the worker's result, or the exception it
-raised, is pickled and sent back through a pipe, together with the warnings
-it issued, which the caller issues again. A worker holds each loaded
-OpenBLAS to one thread, so a result computed in a worker does not depend on
-the BLAS thread count.
+first (``map_pieces``). A worker is started with POSIX ``fork``, so the job
+and its data reach it without pickling; only the worker's result, or the
+exception it raised, is pickled and sent back through a pipe, together with
+the warnings it issued, which the caller issues again. A worker keeps the
+caller's BLAS thread count; ``tune``'s trial job holds each loaded OpenBLAS
+to one thread itself (``hold_blas_to_one_thread``), so a trial's result
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def cut(n: int, least: int, step: int = 1) -> list[int]:
     return [n * k // pieces // step * step for k in range(pieces)] + [n]
 
 
-def _warn_again(caught: list) -> None:
+def warn_again(caught: list) -> None:
     """Issue each warning a worker recorded, as ``(message, category,
     filename, lineno)``, in the caller, where its filters and
     ``catch_warnings`` see it."""
@@ -111,18 +112,21 @@ def _warn_again(caught: list) -> None:
 
 class ForkPool:
     """Runs ``job(arg)`` for each submitted ``arg`` in a worker forked for
-    it, at most ``workers`` at a time, in the order submitted. Each worker
-    first holds the OpenBLAS of ``setters`` (by default every one loaded)
-    to one thread. The warnings a job issues are recorded under the
-    caller's filters and sent back with its outcome. Leaving the ``with``
-    block ends every worker, so none outlives the pool; a worker that dies
-    is a ``WorkerDied`` naming ``label``."""
+    it, in the order submitted, one worker per CPU of ``cpus`` at a time:
+    each worker pins itself to a CPU that no running worker holds, and a
+    finished worker's CPU goes to the next queued task. Left to itself, the
+    scheduler may keep a new worker on its parent's CPU for longer than a
+    task takes. The warnings a job issues are recorded under the caller's
+    filters and sent back with its outcome. Leaving the ``with`` block ends
+    every worker, so none outlives the pool; a worker that dies is a
+    ``WorkerDied`` naming ``label``. Workers inherit the caller's BLAS
+    thread count; a job that needs another sets it itself."""
 
-    def __init__(self, workers: int, job, label: str, setters=None):
-        self._workers, self._job, self._label = workers, job, label
-        self._setters = blas_thread_setters() if setters is None else setters
+    def __init__(self, job, cpus, label: str):
+        self._job, self._label = job, label
+        self._free = list(cpus)
         self._queued: list = []
-        self._running: dict[int, tuple[int, object]] = {}  # pipe -> (pid, arg)
+        self._running: dict[int, tuple[int, object, int]] = {}  # pipe -> (pid, arg, cpu)
 
     def __enter__(self) -> "ForkPool":
         return self
@@ -135,8 +139,8 @@ class ForkPool:
         self._start()
 
     def _start(self) -> None:
-        while self._queued and len(self._running) < self._workers:
-            arg = self._queued.pop(0)
+        while self._queued and self._free:
+            arg, cpu = self._queued.pop(0), self._free.pop(0)
             read, write = os.pipe()
             for stream in (sys.stdout, sys.stderr):  # else the worker writes them again
                 stream.flush()
@@ -148,16 +152,16 @@ class ForkPool:
                 raise
             if pid == 0:
                 os.close(read)
-                self._serve(arg, write)
+                self._serve(arg, cpu, write)
             os.close(write)
-            self._running[read] = (pid, arg)
+            self._running[read] = (pid, arg, cpu)
 
-    def _serve(self, arg, pipe: int) -> None:
-        """The worker: send back the outcome of ``job(arg)`` and exit,
-        without returning into the caller's stack."""
+    def _serve(self, arg, cpu: int, pipe: int) -> None:
+        """The worker: pin itself to ``cpu``, send back the outcome of
+        ``job(arg)`` and exit, without returning into the caller's stack."""
         code = 1
         try:
-            hold_blas_to_one_thread(self._setters)
+            os.sched_setaffinity(0, {cpu})
             with warnings.catch_warnings(record=True) as caught:
                 try:
                     outcome = (True, self._job(arg))
@@ -180,38 +184,30 @@ class ForkPool:
                 os._exit(code)
 
     def outcomes(self):
-        """Yield ``(arg, ok, value, caught)`` for each running worker as it
-        ends: its job's result (``ok``) or exception, or a ``WorkerDied``
-        for a worker that ended without an outcome, and the warnings it
-        recorded. Starts no queued task."""
+        """Yield ``(arg, ok, value, caught)`` for each submitted ``arg`` as
+        its worker ends: its job's result (``ok``) or exception, or a
+        ``WorkerDied`` for a worker that did not exit cleanly, whatever it
+        sent, and the warnings it recorded. A queued task starts when the
+        consumer asks for the next outcome, so a consumer that raises
+        starts nothing new."""
         while self._running:
             ready, _, _ = select.select(list(self._running), [], [])
             for pipe in ready:
-                pid, arg = self._running.pop(pipe)
+                pid, arg, cpu = self._running.pop(pipe)
                 with open(pipe, "rb") as fh:
                     sent = fh.read()
-                os.waitpid(pid, 0)
-                if not sent:
+                _, status = os.waitpid(pid, 0)
+                self._free.append(cpu)
+                if status or not sent:  # killed, perhaps in the middle of sending
                     yield arg, False, WorkerDied(f"{self._label}: a worker process died"), []
                 else:
                     yield arg, *pickle.loads(sent)
-
-    def completed(self):
-        """Yield ``(arg, result)`` for each submitted ``arg`` as its worker
-        ends, after issuing its warnings again, and start the queued ones
-        as workers free up. Raise what a job raised, or ``WorkerDied`` for a
-        worker that ended without a result."""
-        for arg, ok, value, caught in self.outcomes():
-            _warn_again(caught)
-            if not ok:
-                raise value
-            self._start()
-            yield arg, value
+                self._start()
 
     def close(self) -> None:
         """Drop the queued tasks, and kill and reap the running workers."""
         self._queued.clear()
-        for pipe, (pid, _) in self._running.items():
+        for pipe, (pid, *_) in self._running.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(pipe)
@@ -219,39 +215,35 @@ class ForkPool:
 
 
 def map_pieces(job, pieces: int, label: str) -> list:
-    """``[job(0), ..., job(pieces - 1)]``: the caller runs ``job(0)`` while
-    ``pieces - 1`` forked workers run the others; one piece forks nothing.
-    The workers' warnings are issued again here in piece order, after the
-    caller's own. If pieces fail, the exception of the first failing piece
-    is raised here, as a serial run over the pieces would raise it, and the
-    warnings of the pieces after it are dropped. No worker is left running.
+    """``[job(0), ..., job(pieces - 1)]``: the caller runs ``job(0)`` on the
+    first available CPU while a ``ForkPool`` runs the others, piece ``k`` on
+    the ``k``-th CPU; one piece forks nothing. The caller's CPUs are given
+    back on return. The workers' warnings are issued again here in piece
+    order, after the caller's own. If pieces fail, the exception of the
+    first failing piece is raised here, as a serial run over the pieces
+    would raise it, and the warnings of the pieces after it are dropped. No
+    worker is left running.
 
-    Piece ``k`` runs on the ``k``-th available CPU: left to itself, the
-    scheduler may keep a new worker on its parent's CPU for longer than a
-    piece takes. The caller's CPUs are given back on return. The workers
-    leave OpenBLAS as the caller set it: ``cli.main`` holds it to one
-    thread before any fork, so a worker's matrix products sum as the
-    caller's do.
+    The workers leave OpenBLAS as the caller set it: ``cli.main`` holds it
+    to one thread before any fork, so a worker's matrix products sum as the
+    caller's do, and a library caller's piece 0 and its workers share one
+    thread count.
     """
     if pieces == 1:
         return [job(0)]
     cpus = sorted(os.sched_getaffinity(0))
-
-    def pinned(k: int):
-        os.sched_setaffinity(0, {cpus[k]})
-        return job(k)
-
     try:
-        with ForkPool(pieces - 1, pinned, label, setters=[]) as pool:
+        with ForkPool(job, cpus[1:pieces], label) as pool:
             for k in range(1, pieces):
                 pool.submit(k)
-            results = [pinned(0)]
+            os.sched_setaffinity(0, {cpus[0]})
+            results = [job(0)]
             rest = {k: outcome for k, *outcome in pool.outcomes()}
     finally:
         os.sched_setaffinity(0, cpus)
     for k in range(1, pieces):
         ok, value, caught = rest[k]
-        _warn_again(caught)
+        warn_again(caught)
         if not ok:
             raise value
         results.append(value)

@@ -7,25 +7,24 @@ binned RMSE and total uncertainty (maximize), and the PITD skill score
 one scalarized recommendation. Trials derive their RNG streams from the
 master seed and their index, so a search is reproducible and resumable from
 its log, which is rewritten whole after each trial. Trials run in forked
-worker processes, each held to one BLAS thread, so the results do not depend
-on the BLAS thread count or the number of CPUs.
+worker processes, each on a CPU of its own and held to one BLAS thread, so
+the results do not depend on the BLAS thread count or the number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import data
+from . import data, parallel
 from .errors import GustUQError, SearchFailure, UsageError, WorkerDied
 from .fileio import write_csv
 from .metrics import pit_values, pitd, spread_skill
 from .nncore import TrainConfig
-from .parallel import ForkPool, available_cpus
-from .parallel import blas_thread_setters as _blas_thread_setters
 
 
 @dataclass
@@ -289,17 +288,17 @@ def search(
     ``UsageError``, raised before any trial runs.
 
     Each pending trial runs in a worker process forked for it
-    (``parallel.ForkPool``), as many at a time as there are available CPUs,
-    widest network first. ``objective`` reaches the workers through the
-    fork, so it need not be picklable, but its side effects stay in the
-    worker; the warnings it issues are issued again in the caller as each
-    result arrives. Each worker holds every loaded OpenBLAS to one thread, so a
-    trial's result does not depend on the BLAS thread count or the CPU
-    count; where no OpenBLAS is found, one worker runs at a time. The log
-    is rewritten in ``trial_id`` order as each result arrives. A worker
-    that dies is a ``SearchFailure``; the trials that finished before it
-    stay in the log. When a worker dies or the objective raises, the
-    trials still running are stopped.
+    (``parallel.ForkPool``), widest network first, each worker on an
+    available CPU that no other worker holds. ``objective`` reaches the
+    workers through the fork, so it need not be picklable, but its side
+    effects stay in the worker; the warnings it issues are issued again in
+    the caller as each result arrives. Each trial first holds every loaded
+    OpenBLAS to one thread, so its result does not depend on the BLAS thread
+    count or the CPU count; where no OpenBLAS is found, one worker runs at a
+    time. The log is rewritten in ``trial_id`` order as each result arrives.
+    A worker that dies is a ``SearchFailure``; the trials that finished
+    before it stay in the log. When a worker dies or the objective raises,
+    the trials still running are stopped.
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")
@@ -316,15 +315,21 @@ def search(
         # the most weights first, so the longest trials do not start last
         configs = {t: sample(space, _trial_rng(seed, t)) for t in pending}
         pending.sort(key=lambda t: (-configs[t].hidden_layers * configs[t].hidden_neurons**2, t))
-        setters = _blas_thread_setters()
-        workers = min(len(pending), available_cpus()) if setters else 1
-        # fork, so the objective and its data reach the workers unpickled
-        job = lambda trial_id: _run_trial(space, objective, seed, trial_id)
+        setters = parallel.blas_thread_setters()
+        cpus = sorted(os.sched_getaffinity(0))
+
+        def job(trial_id: int) -> TrialResult:  # forked, so the objective need not pickle
+            parallel.hold_blas_to_one_thread(setters)
+            return _run_trial(space, objective, seed, trial_id)
+
         try:
-            with ForkPool(workers, job, "tune", setters) as pool:
+            with parallel.ForkPool(job, cpus if setters else cpus[:1], "tune") as pool:
                 for trial_id in pending:
                     pool.submit(trial_id)
-                for trial_id, result in pool.completed():
+                for trial_id, ok, result, caught in pool.outcomes():
+                    parallel.warn_again(caught)
+                    if not ok:
+                        raise result
                     done[trial_id] = result
                     if log_path is not None:  # every known trial, the loaded ones included
                         _write_log(log_path, sorted(done.values(), key=lambda t: t.trial_id))

@@ -14,6 +14,7 @@ from gustuq.errors import DegenerateInputWarning
 from gustuq.evidential import train_evidential
 from gustuq.nncore import TrainConfig
 
+from markers import needs_two_cpus
 from synth import grid_rows, station_rows, write_grid_file, write_station_file
 
 
@@ -655,9 +656,6 @@ def test_explain_outputs(pipeline, tmp_path):
     grid_values = np.array([float(r["grid_value"]) for r in ws_rows])
     assert np.all(np.diff(grid_values) > 0)
 
-
-needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
-                                    reason="needs two CPUs to fork a worker")
 
 # explain's run in EXPLAIN_SPLIT makes 1 + 11 x 2 + 11 x 20 = 243 evaluations
 EXPLAIN_SPLIT = ("--n-shuffles", "2", "--pdp-grid", "20", "--seed", "6")

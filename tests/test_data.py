@@ -28,6 +28,7 @@ from gustuq.data import (
 from gustuq.errors import DegenerateInputWarning, IngestError, UsageError, WorkerDied
 from gustuq.tune import TRIALS_LOG_COLUMNS, load_trials_log
 
+from markers import needs_two_cpus
 from synth import (
     GRID_HEADER,
     RAW_HEADER,
@@ -322,10 +323,6 @@ def one_cpu():
         yield
     finally:
         os.sched_setaffinity(0, cpus)
-
-
-needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
-                                    reason="needs two CPUs to fork a worker")
 
 
 @pytest.mark.parametrize("problem", ["bad rows", "duplicate"])

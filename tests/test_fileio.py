@@ -14,6 +14,8 @@ from gustuq.data import format_timestamp
 from gustuq.errors import UsageError, WorkerDied
 from gustuq.fileio import BLOCK_ROWS, fmt, write_csv
 
+from markers import needs_two_cpus
+
 ROW_COUNTS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
 SPECIAL_FLOATS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2e-308, 1e16, 0.1, -1.5e300]
 # Text that needs no quoting, and text that does.
@@ -221,10 +223,6 @@ def test_split_write_and_read_give_the_bytes_and_arrays_of_one_cpu(tmp_path):
         assert array.dtype == one_arrays[name].dtype, name
         assert array.tobytes() == one_arrays[name].tobytes(), name  # float bits too
     assert np.isnan(arrays["plain.gap"]).any()
-
-
-needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
-                                    reason="needs two CPUs to fork a worker")
 
 
 def write_three_blocks(path) -> None:

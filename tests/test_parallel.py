@@ -1,13 +1,16 @@
+import ast
 import os
+import signal
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 from gustuq import parallel
 from gustuq.errors import CalibrationWarning, WorkerDied
 
-needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
-                                    reason="needs two CPUs to fork a worker")
+from markers import needs_two_cpus
 
 
 @needs_two_cpus
@@ -67,3 +70,38 @@ def test_dead_worker_warnings_are_dropped_and_it_is_worker_died():
         parallel.map_pieces(job, 2, "test")
     assert str(err.value) == "test: a worker process died"
     assert [str(w.message) for w in caught] == ["piece 0"]
+
+
+@needs_two_cpus
+def test_worker_killed_while_sending_its_outcome_is_worker_died(tmp_path):
+    # an outcome larger than a pipe holds keeps the worker in its write until
+    # the caller reads, which the caller does only after its own piece
+    sending = tmp_path / "pid"
+
+    def job(k: int):
+        if k == 1:
+            sending.write_text(str(os.getpid()))
+            return b"x" * (10 << 20)
+        deadline = time.monotonic() + 30
+        while not (sending.exists() and sending.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)
+        os.kill(int(sending.read_text()), signal.SIGKILL)
+
+    with pytest.raises(WorkerDied, match="^test: a worker process died$"):
+        parallel.map_pieces(job, 2, "test")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_only_parallel_forks_or_pins_cpus():
+    # one fork mechanism: every worker comes from parallel.ForkPool
+    names = {"fork", "sched_setaffinity"}
+    users = set()
+    for path in Path(parallel.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.ImportFrom)
+                    and names & {alias.name for alias in node.names}):
+                users.add(path.name)
+    assert users == {"parallel.py"}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gustuq import nncore, tune
+from gustuq import nncore, parallel
 from gustuq.data import Standardizer
 from gustuq.errors import CalibrationWarning, IngestError, SearchFailure, UsageError
 from gustuq.tune import (
@@ -416,7 +416,7 @@ def test_objective_bug_propagates_and_leaves_no_process():
 def test_widest_trials_are_handed_out_first(tmp_path, monkeypatch):
     # with no OpenBLAS to hold to one thread, one worker runs the trials in
     # the order they are handed out
-    monkeypatch.setattr(tune, "_blas_thread_setters", lambda: [])
+    monkeypatch.setattr(parallel, "blas_thread_setters", lambda: [])
     calls = FileCalls(tmp_path / "calls.txt")
 
     def recording_objective(config, rng):
@@ -428,6 +428,26 @@ def test_widest_trials_are_handed_out_first(tmp_path, monkeypatch):
     widths = {t.trial_id: t.config.hidden_layers * t.config.hidden_neurons**2
               for t in result.trials}
     assert calls == sorted(widths, key=lambda t: (-widths[t], t))
+
+
+def test_each_trial_worker_runs_on_a_cpu_of_its_own(tmp_path, monkeypatch):
+    # a stand-in OpenBLAS setter, so the trials get every CPU with or
+    # without an OpenBLAS in this build
+    monkeypatch.setattr(parallel, "blas_thread_setters", lambda: [lambda n: None])
+    seen = tmp_path / "affinity.txt"
+
+    def recording_objective(config, rng):
+        with open(seen, "a") as fh:
+            fh.write(" ".join(map(str, [trial_id_of(rng), *os.sched_getaffinity(0)])) + "\n")
+        return synthetic_objective(config, rng)
+
+    search(ONE_CONFIG, 4, recording_objective, seed=0)
+    cpus = {int(trial): set(map(int, rest))
+            for trial, *rest in map(str.split, seen.read_text().splitlines())}
+    assert sorted(cpus) == [0, 1, 2, 3]
+    assert all(len(seen_cpus) == 1 for seen_cpus in cpus.values())
+    if parallel.available_cpus() > 1:  # all trials are as wide, so 0 and 1 go first
+        assert cpus[0] != cpus[1]
 
 
 def test_log_with_repeated_trial_is_ingest_error(tmp_path):

@@ -8,6 +8,8 @@ from gustuq import parallel, xai
 from gustuq.errors import DegenerateInputWarning, UsageError
 from gustuq.xai import explain, partial_dependence, permutation_importance
 
+from markers import needs_two_cpus
+
 
 def linear_predictor(weights, noise_in_sd=0.0):
     """Deterministic fake model: mean = X @ w, total sd = 1 + |mean|/10."""
@@ -185,9 +187,6 @@ def test_pdp_empty_grid_rejected(n_grid):
 
 # ---------------------------------------------------------------------------
 # explain: every evaluation of one call, cut over the usable CPUs
-
-needs_two_cpus = pytest.mark.skipif(parallel.available_cpus() < 2,
-                                    reason="needs two CPUs to fork a worker")
 
 
 def quirky_predictor(matrix):
