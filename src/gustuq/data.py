@@ -19,7 +19,7 @@ import numpy as np
 
 from . import parallel
 from .errors import ConfigError, DegenerateInputWarning, IngestError, UsageError
-from .fileio import BLOCK_ROWS, write_csv
+from .fileio import BLOCK_ROWS, gc_paused, write_csv
 
 # Derived feature vector, in model-input order.
 FEATURE_NAMES = [
@@ -220,7 +220,8 @@ def time_column(texts) -> np.ndarray:
 
 
 def float_column(texts) -> np.ndarray:
-    return np.fromiter(map(float, texts), float, len(texts))
+    """Python's ``float`` of each text, as numpy applies it to ``str``."""
+    return np.array(texts, dtype=float)
 
 
 def index_column(texts) -> np.ndarray:
@@ -334,11 +335,12 @@ def _reject_duplicates(path, names, keys: list[np.ndarray], lines: np.ndarray) -
     )
 
 
+@gc_paused()
 def _read_rows(reader, line: int, limit, columns: dict, where: dict, width: int):
     """Convert the next ``limit`` records of ``reader`` (all that are left for
     None), the first of them on file line ``line``, ``BLOCK_ROWS`` records at
     a time: the arrays of each column, one per block, the bad rows as
-    ``(line, reason)`` and the file line of each row."""
+    ``(line, reason)`` and the file line of each row. The GC is paused."""
     parts = {name: [convert([])] for name, convert in columns.items()}
     row_errors: list[tuple[int, str]] = []
     row_lines: list[int] = []
@@ -378,6 +380,9 @@ def _read_rows(reader, line: int, limit, columns: dict, where: dict, width: int)
                 errors.setdefault(k, reason)
         row_errors += [(lines[k], reason) for k, reason in sorted(errors.items())]
         row_lines += lines
+        # with ``block`` rebound at the top of the loop, this frees the block's
+        # text before the next block is read: one block's text at a time
+        del fields, texts
     return parts, row_errors, np.asarray(row_lines, dtype=np.int64)
 
 

@@ -6,13 +6,17 @@ target. Closed-form moments split the predictive variance into an aleatoric
 part beta/(alpha-1) and an epistemic part beta/(nu*(alpha-1)); their sum is
 the total predictive variance (law of total variance). The training loss is
 the negative log of the Student-t marginal plus an evidence regularizer
-|y - gamma| * (2*nu + alpha) weighted by the evidential coefficient.
+|y - gamma| * (2*nu + alpha) weighted by the evidential coefficient. The
+loss, its parts and its gradient with respect to the raw outputs are all
+computed from one set of shared terms (``_terms``), so each formula is
+written once and a training block computes each term once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
@@ -24,6 +28,8 @@ from .nncore import MLP, Adam, TrainConfig
 
 # Floor keeping nu, beta strictly positive and alpha strictly above 1.
 PARAM_FLOOR = 1e-6
+
+_LOG_PI = np.log(np.pi)
 
 
 @dataclass
@@ -38,13 +44,13 @@ class NIGParams:
     def validate(self) -> None:
         for name, arr in (("gamma", self.gamma), ("nu", self.nu),
                           ("alpha", self.alpha), ("beta", self.beta)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NumericError(f"NIG parameter {name} contains non-finite values")
-        if np.any(self.nu <= 0):
+        if (self.nu <= 0).any():
             raise DomainError("NIG parameter nu must be > 0")
-        if np.any(self.alpha <= 1):
+        if (self.alpha <= 1).any():
             raise DomainError("NIG parameter alpha must be > 1")
-        if np.any(self.beta <= 0):
+        if (self.beta <= 0).any():
             raise DomainError("NIG parameter beta must be > 0")
 
 
@@ -85,7 +91,7 @@ def head_transform(raw: np.ndarray) -> NIGParams:
     raw = np.asarray(raw, dtype=float)
     if raw.shape[-1] != 4:
         raise DomainError(f"evidential head expects width-4 outputs, got {raw.shape}")
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise NumericError("raw head outputs contain non-finite values")
     return NIGParams(
         gamma=raw[..., 0],
@@ -108,6 +114,50 @@ def decompose(params: NIGParams) -> UncertaintyDecomposition:
     )
 
 
+class _Terms(NamedTuple):
+    """The terms that the loss and its raw-output gradient share, each
+    computed once per set of parameters and targets ``y``."""
+
+    d: np.ndarray  # y - gamma
+    d2: np.ndarray  # d**2
+    two_beta: np.ndarray  # 2*beta
+    one_nu: np.ndarray  # 1 + nu
+    omega: np.ndarray  # 2*beta*(1 + nu)
+    s: np.ndarray  # nu*d**2 + omega
+    a_half: np.ndarray  # alpha + 0.5
+    log_omega: np.ndarray
+    log_s: np.ndarray
+    abs_d: np.ndarray  # |d|
+    evidence: np.ndarray  # 2*nu + alpha
+
+
+def _terms(params: NIGParams, y: np.ndarray) -> _Terms:
+    d = np.asarray(y, dtype=float) - params.gamma
+    d2 = d**2
+    two_beta = 2.0 * params.beta
+    one_nu = 1.0 + params.nu
+    omega = two_beta * one_nu
+    s = params.nu * d2 + omega
+    return _Terms(
+        d, d2, two_beta, one_nu, omega, s, params.alpha + 0.5, np.log(omega), np.log(s),
+        np.abs(d), 2.0 * params.nu + params.alpha,
+    )
+
+
+def _nll(params: NIGParams, t: _Terms) -> np.ndarray:
+    return (
+        0.5 * (_LOG_PI - np.log(params.nu))
+        - params.alpha * t.log_omega
+        + t.a_half * t.log_s
+        + gammaln(params.alpha)
+        - gammaln(t.a_half)
+    )
+
+
+def _regularizer(t: _Terms) -> np.ndarray:
+    return t.abs_d * t.evidence
+
+
 def nig_nll(params: NIGParams, y: np.ndarray) -> np.ndarray:
     """Negative log of the Student-t marginal likelihood, elementwise.
 
@@ -115,25 +165,38 @@ def nig_nll(params: NIGParams, y: np.ndarray) -> np.ndarray:
         0.5*log(pi/nu) - alpha*log(omega)
         + (alpha + 0.5)*log(nu*(y - gamma)^2 + omega)
         + lgamma(alpha) - lgamma(alpha + 0.5)
+
+    It is computed from the terms the training step's loss and gradient
+    share, so it is bit for bit the loss's NLL.
     """
     params.validate()
-    y = np.asarray(y, dtype=float)
-    d = y - params.gamma
-    omega = 2.0 * params.beta * (1.0 + params.nu)
-    s = params.nu * d**2 + omega
-    return (
-        0.5 * (np.log(np.pi) - np.log(params.nu))
-        - params.alpha * np.log(omega)
-        + (params.alpha + 0.5) * np.log(s)
-        + gammaln(params.alpha)
-        - gammaln(params.alpha + 0.5)
-    )
+    return _nll(params, _terms(params, y))
 
 
 def evidence_regularizer(params: NIGParams, y: np.ndarray) -> np.ndarray:
-    """Evidence penalty |y - gamma| * (2*nu + alpha), elementwise."""
-    y = np.asarray(y, dtype=float)
-    return np.abs(y - params.gamma) * (2.0 * params.nu + params.alpha)
+    """Evidence penalty |y - gamma| * (2*nu + alpha), elementwise, from the
+    same shared terms as :func:`nig_nll` (so ``params`` must be valid)."""
+    params.validate()
+    return _regularizer(_terms(params, y))
+
+
+def _loss_and_terms(params: NIGParams, y: np.ndarray, lam: float, first_row: int = 0):
+    """Per-sample dual-objective loss nll + lam*reg, not averaged yet, and
+    the shared terms it was computed from.
+
+    A non-finite loss is an error naming its sample index, counted from
+    ``first_row``.
+    """
+    if lam < 0:
+        raise ConfigError(f"evidential coefficient must be >= 0, got {lam}")
+    params.validate()
+    t = _terms(params, y)
+    nll = _nll(params, t)
+    per_sample = nll + lam * _regularizer(t) if lam > 0 else nll
+    if not np.isfinite(per_sample).all():
+        bad = first_row + int(np.flatnonzero(~np.isfinite(per_sample))[0])
+        raise NumericError(f"non-finite evidential loss at sample index {bad}")
+    return per_sample, t
 
 
 def _sample_loss(params: NIGParams, y: np.ndarray, lam: float, first_row: int = 0):
@@ -142,14 +205,32 @@ def _sample_loss(params: NIGParams, y: np.ndarray, lam: float, first_row: int = 
     A non-finite loss is an error naming its sample index, counted from
     ``first_row``.
     """
-    if lam < 0:
-        raise ConfigError(f"evidential coefficient must be >= 0, got {lam}")
-    nll = nig_nll(params, y)
-    per_sample = nll + lam * evidence_regularizer(params, y) if lam > 0 else nll
-    if not np.all(np.isfinite(per_sample)):
-        bad = first_row + int(np.flatnonzero(~np.isfinite(per_sample))[0])
-        raise NumericError(f"non-finite evidential loss at sample index {bad}")
-    return per_sample
+    return _loss_and_terms(params, y, lam, first_row)[0]
+
+
+def _grad_from_terms(raw: np.ndarray, params: NIGParams, t: _Terms, lam: float) -> np.ndarray:
+    """:func:`_raw_grad` from the shared terms of ``params`` and the targets."""
+    dg = t.a_half * (-2.0 * params.nu * t.d) / t.s
+    dn = (
+        -0.5 / params.nu
+        - params.alpha * t.two_beta / t.omega
+        + t.a_half * (t.d2 + t.two_beta) / t.s
+    )
+    da = -t.log_omega + t.log_s + digamma(params.alpha) - digamma(t.a_half)
+    db = 2.0 * t.one_nu * (-params.alpha / t.omega + t.a_half / t.s)
+
+    if lam > 0:
+        dg = dg - lam * np.sign(t.d) * t.evidence
+        dn = dn + lam * 2.0 * t.abs_d
+        da = da + lam * t.abs_d
+
+    grad = np.empty_like(raw)
+    grad[:, 0] = dg
+    grad[:, 1] = dn
+    grad[:, 2] = da
+    grad[:, 3] = db
+    grad[:, 1:] *= expit(raw[:, 1:])  # d softplus = sigmoid
+    return grad
 
 
 def _raw_grad(raw: np.ndarray, params: NIGParams, y: np.ndarray, lam: float) -> np.ndarray:
@@ -158,32 +239,7 @@ def _raw_grad(raw: np.ndarray, params: NIGParams, y: np.ndarray, lam: float) -> 
     ``params`` is ``head_transform(raw)``; the result has the [B x 4] shape
     of ``raw`` and is not divided by the sample count.
     """
-    d = y - params.gamma
-    omega = 2.0 * params.beta * (1.0 + params.nu)
-    s = params.nu * d**2 + omega
-    a_half = params.alpha + 0.5
-
-    dg = a_half * (-2.0 * params.nu * d) / s
-    dn = (
-        -0.5 / params.nu
-        - params.alpha * (2.0 * params.beta) / omega
-        + a_half * (d**2 + 2.0 * params.beta) / s
-    )
-    da = -np.log(omega) + np.log(s) + digamma(params.alpha) - digamma(a_half)
-    db = 2.0 * (1.0 + params.nu) * (-params.alpha / omega + a_half / s)
-
-    if lam > 0:
-        abs_d = np.abs(d)
-        dg = dg - lam * np.sign(d) * (2.0 * params.nu + params.alpha)
-        dn = dn + lam * 2.0 * abs_d
-        da = da + lam * abs_d
-
-    grad = np.empty_like(raw)
-    grad[:, 0] = dg
-    grad[:, 1] = dn * expit(raw[:, 1])  # d softplus = sigmoid
-    grad[:, 2] = da * expit(raw[:, 2])
-    grad[:, 3] = db * expit(raw[:, 3])
-    return grad
+    return _grad_from_terms(raw, params, _terms(params, y), lam)
 
 
 def total_loss(model: MLP, params: NIGParams, y: np.ndarray, lam: float) -> float:
@@ -205,9 +261,11 @@ def step_gradients(
     The loss is :func:`total_loss` over the whole batch, and the gradients
     are its derivatives, computed in blocks of ``nncore.BLOCK_ROWS`` rows:
     each block runs forward, ``head_transform``, loss and backward, and its
-    gradients are added into the step's. The loss is a mean over samples,
-    so each block's loss gradient is divided by the batch's row count; the
-    penalty and its gradient enter once. ``nncore.draw_keeps`` draws each
+    gradients are added into the step's. A block's loss and loss gradient
+    come from one set of shared terms, bit for bit :func:`_sample_loss` and
+    :func:`_raw_grad`. The loss is a mean over samples, so each block's loss
+    gradient is divided by the batch's row count; the penalty and its
+    gradient enter once. ``nncore.draw_keeps`` draws each
     block's dropout keep-masks from ``rng`` when the block runs, and leaves
     ``rng`` as many doubles on as one draw for the whole batch would. Every
     array of a step is one block's or weight-sized; only the batch's own
@@ -224,9 +282,9 @@ def step_gradients(
             model, features[block], train_mode=True, keeps=keeps, first_row=block.start
         )
         params = head_transform(out)
-        y = targets[block]
-        data_sum += _sample_loss(params, y, lam, first_row=block.start).sum()
-        grad = _raw_grad(out, params, y, lam)
+        per_sample, terms = _loss_and_terms(params, targets[block], lam, block.start)
+        data_sum += per_sample.sum()
+        grad = _grad_from_terms(out, params, terms, lam)
         grad /= rows
         grads = nncore.backward(model, cache, grad, into=grads)
     # For one block, sum / rows is bit for bit the mean that total_loss takes.

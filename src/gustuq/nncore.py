@@ -24,10 +24,11 @@ block's cache keeps only what :func:`backward` reads: per hidden layer one
 float activation, one one-byte mask (``z > 0``) and its one-byte keep-mask.
 :func:`backward` releases each layer's entries as soon as it has used them,
 so a cache holds nothing once its gradients exist. Only the batch's own rows
-grow with the batch. :class:`Adam` holds two moments per parameter and
-computes each update in chunks of :data:`ADAM_CHUNK` elements through one
-shared scratch pair, so the rest of training state is weight-sized: the
-weights, their gradients, the two moments and the best-weights copy.
+grow with the batch. :class:`Adam` holds the two moments of every parameter
+in two flat buffers and updates them per chunk of :data:`ADAM_CHUNK`
+elements through the same scratch pair, small parameters sharing a chunk,
+so the rest of training state is weight-sized: the weights, their
+gradients, the two moments and the best-weights copy.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ LEAKY_SLOPE = 0.1
 BLOCK_ROWS = 1024
 
 # Parameter elements per chunk of an Adam update. A constant, not an option:
-# the update of every parameter runs through one scratch pair of this size
-# (or of the largest parameter, if smaller), not through two scratch arrays
-# per parameter. Chunking cannot move a bit: every operation is elementwise.
+# the update of every parameter runs through one scratch pair of at most
+# this size, not through two scratch arrays per parameter. Chunking cannot
+# move a bit: every operation is elementwise.
 ADAM_CHUNK = 1 << 16
 
 ADAM_BETA1 = 0.9
@@ -253,9 +254,8 @@ def forward(
         out, cache = _forward_train(model, batch, keeps)
     else:
         out, cache = _forward_nograd(model, batch), None
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        bad = first_row + int(np.flatnonzero(~finite)[0])
+    if not np.isfinite(out).all():
+        bad = first_row + int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise NumericError(f"forward pass produced non-finite outputs at sample index {bad}")
     return out, cache
 
@@ -423,13 +423,42 @@ def _chunks(shape: tuple[int, ...]) -> Iterator:
             yield (*index, slice(start, start + ADAM_CHUNK))
 
 
+def _pack(params: list[np.ndarray]) -> list[tuple[int, int, list]]:
+    """The chunks of an Adam update over ``params``.
+
+    Each parameter is cut into views as :func:`_chunks` cuts it, and the
+    views are packed in order into chunks of at most :data:`ADAM_CHUNK`
+    elements, so small parameters share one. Per chunk: the range
+    ``[lo, hi)`` it takes of a flat buffer holding every parameter element
+    once, and per view ``(k, index, start, stop, shape)``: ``params[k][index]``
+    has ``shape`` and fills ``[start, stop)`` of the chunk.
+    """
+    plan: list[tuple[int, int, list]] = []
+    pieces: list = []
+    lo = used = 0
+    for k, param in enumerate(params):
+        for index in _chunks(param.shape):
+            shape = param[index].shape
+            size = math.prod(shape)
+            if used + size > ADAM_CHUNK:
+                plan.append((lo, lo + used, pieces))
+                pieces, lo, used = [], lo + used, 0
+            pieces.append((k, index, used, used + size, shape))
+            used += size
+    plan.append((lo, lo + used, pieces))
+    return plan
+
+
 class Adam:
     """Adam optimizer with bias correction, updating an MLP in place.
 
-    It keeps the first and second moments of each parameter and one scratch
-    pair shared by all of them: each update is computed in chunks of
-    :data:`ADAM_CHUNK` elements, taken as views, so a parameter that is not
-    contiguous is still updated in place.
+    It keeps the first and second moments of every parameter in two flat
+    buffers, and one scratch pair. A step runs per chunk of at most
+    :data:`ADAM_CHUNK` elements (see :func:`_pack`): the chunk's gradients
+    are gathered into the scratch through views of each parameter, the
+    update is computed there with one array operation per term, and it is
+    subtracted from the same views, so a parameter that is not contiguous
+    is still updated in place.
     """
 
     def __init__(self, learning_rate: float):
@@ -437,58 +466,72 @@ class Adam:
             raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
         self.learning_rate = learning_rate
         self.step_count = 0
-        self._moments: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._plan: list[tuple[int, int, list]] | None = None
+        self._moments: tuple[np.ndarray, np.ndarray] | None = None
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _init_state(self, model: MLP) -> None:
-        # Per parameter, in layer order (weights, bias): the first and second
-        # moments.
-        params = [p for layer in model.layers for p in (layer.weights, layer.bias)]
-        self._moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-        size = min(ADAM_CHUNK, max(p.size for p in params))
-        self._scratch = (np.empty(size), np.empty(size))
+    def _init_state(self, params: list[np.ndarray]) -> None:
+        self._plan = _pack(params)
+        size = self._plan[-1][1]
+        self._moments = (np.zeros(size), np.zeros(size))
+        widest = max(hi - lo for lo, hi, _ in self._plan)
+        self._scratch = (np.empty(widest), np.empty(widest))
 
     def step(self, model: MLP, grads: ParamGrads) -> None:
-        if self._moments is None:
-            self._init_state(model)
         if len(grads.weights) != len(model.layers):
             raise DimensionError("gradient layer count does not match model")
-        for i, (dw, db) in enumerate(zip(grads.weights, grads.biases)):
-            if not np.all(np.isfinite(dw)):
-                raise NumericError(f"non-finite weight gradient in layer {i}")
-            if not np.all(np.isfinite(db)):
-                raise NumericError(f"non-finite bias gradient in layer {i}")
+        params = [p for layer in model.layers for p in (layer.weights, layer.bias)]
+        gradients = [g for pair in zip(grads.weights, grads.biases) for g in pair]
+        if [g.shape for g in gradients] != [p.shape for p in params]:
+            raise DimensionError("gradient shapes do not match the model's parameters")
+        if self._plan is None:
+            self._init_state(params)
+        update, denom = self._scratch
+
+        def gather(pieces) -> None:
+            for k, index, start, stop, shape in pieces:
+                np.copyto(update[start:stop].reshape(shape), gradients[k][index])
+
+        # Every gradient is checked before any parameter moves. The chunks
+        # are checked last to first, so chunk 0's gradients are still in the
+        # scratch when the update starts.
+        for lo, hi, pieces in reversed(self._plan):
+            gather(pieces)
+            if not np.isfinite(update[: hi - lo]).all():
+                for i, (dw, db) in enumerate(zip(grads.weights, grads.biases)):
+                    if not np.isfinite(dw).all():
+                        raise NumericError(f"non-finite weight gradient in layer {i}")
+                    if not np.isfinite(db).all():
+                        raise NumericError(f"non-finite bias gradient in layer {i}")
 
         self.step_count += 1
         t = self.step_count
         correct1 = 1.0 - ADAM_BETA1**t
         correct2 = 1.0 - ADAM_BETA2**t
         lr = self.learning_rate
-        scratch_update, scratch_denom = self._scratch
+        m_all, v_all = self._moments
+        for n, (lo, hi, pieces) in enumerate(self._plan):
+            if n:
+                gather(pieces)
+            g, d, m, v = update[: hi - lo], denom[: hi - lo], m_all[lo:hi], v_all[lo:hi]
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=d)
+            m += d
+            v *= ADAM_BETA2
+            np.square(g, out=g)
+            np.multiply(1.0 - ADAM_BETA2, g, out=g)
+            v += g
+            # g = (lr * (m / correct1)) / (sqrt(v / correct2) + eps)
+            np.divide(m, correct1, out=g)
+            np.multiply(lr, g, out=g)
+            np.divide(v, correct2, out=d)
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            g /= d
+            for k, index, start, stop, shape in pieces:
+                p = params[k][index]
+                p -= g[start:stop].reshape(shape)
         for i, layer in enumerate(model.layers):
-            pairs = ((layer.weights, grads.weights[i]), (layer.bias, grads.biases[i]))
-            for (param, grad), (m_all, v_all) in zip(pairs, self._moments[2 * i : 2 * i + 2]):
-                for index in _chunks(param.shape):
-                    p, g, m, v = param[index], grad[index], m_all[index], v_all[index]
-                    update = scratch_update[: p.size].reshape(p.shape)
-                    denom = scratch_denom[: p.size].reshape(p.shape)
-                    m *= ADAM_BETA1
-                    np.multiply(1.0 - ADAM_BETA1, g, out=update)
-                    m += update
-                    v *= ADAM_BETA2
-                    np.square(g, out=update)
-                    np.multiply(1.0 - ADAM_BETA2, update, out=update)
-                    v += update
-                    # update = (lr * (m / correct1)) / (sqrt(v / correct2) + eps)
-                    np.divide(m, correct1, out=update)
-                    np.multiply(lr, update, out=update)
-                    np.divide(v, correct2, out=denom)
-                    np.sqrt(denom, out=denom)
-                    denom += ADAM_EPS
-                    update /= denom
-                    p -= update
-            if not np.all(np.isfinite(layer.weights)) or not np.all(
-                np.isfinite(layer.bias)
-            ):
+            if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
                 raise NumericError(f"non-finite parameters in layer {i} after step")
         model.version += 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import digamma
+from scipy.special import digamma, expit, gammaln
 
 from gustuq import evidential, nncore
 from gustuq.data import Standardizer
@@ -337,6 +337,65 @@ def test_loss_nonfinite_reports_sample_index():
     y = np.array([0.0, 0.0, np.inf, 0.0])
     with pytest.raises(NumericError, match="sample index 2"):
         evidential._sample_loss(head_transform(raw), y, lam=0.0)
+
+
+def separate_loss_and_grad(raw, y, lam):
+    """Per-sample loss and raw-output gradient, each formula written out in
+    full and on its own: the shared terms of the training step must give
+    these bits."""
+    p = head_transform(raw)
+    d = y - p.gamma
+    omega = 2.0 * p.beta * (1.0 + p.nu)
+    s = p.nu * d**2 + omega
+    nll = (
+        0.5 * (np.log(np.pi) - np.log(p.nu))
+        - p.alpha * np.log(omega)
+        + (p.alpha + 0.5) * np.log(s)
+        + gammaln(p.alpha)
+        - gammaln(p.alpha + 0.5)
+    )
+    reg = np.abs(y - p.gamma) * (2.0 * p.nu + p.alpha)
+    a_half = p.alpha + 0.5
+    dg = a_half * (-2.0 * p.nu * d) / s
+    dn = -0.5 / p.nu - p.alpha * (2.0 * p.beta) / omega + a_half * (d**2 + 2.0 * p.beta) / s
+    da = -np.log(omega) + np.log(s) + digamma(p.alpha) - digamma(a_half)
+    db = 2.0 * (1.0 + p.nu) * (-p.alpha / omega + a_half / s)
+    if lam > 0:
+        dg = dg - lam * np.sign(d) * (2.0 * p.nu + p.alpha)
+        dn = dn + lam * 2.0 * np.abs(d)
+        da = da + lam * np.abs(d)
+    grad = np.stack([dg, dn * expit(raw[:, 1]), da * expit(raw[:, 2]), db * expit(raw[:, 3])], 1)
+    return nll, reg, (nll + lam * reg if lam > 0 else nll), grad
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.59])
+def test_shared_terms_give_the_separate_formulas_bit_for_bit(lam):
+    # raw outputs from near 0 to far into both softplus tails, targets near
+    # and far from gamma, one of them exactly at gamma (d == 0)
+    rng = np.random.default_rng(21)
+    raw = rng.normal(size=(600, 4)) * np.repeat([0.3, 3.0, 30.0], 200)[:, None]
+    y = raw[:, 0] + rng.normal(size=600) * np.tile([0.01, 1.0, 100.0], 200)
+    y[7] = raw[7, 0]
+    nll, reg, loss, grad = separate_loss_and_grad(raw, y, lam)
+    p = head_transform(raw)
+    per_sample, terms = evidential._loss_and_terms(p, y, lam)
+    assert np.array_equal(per_sample, loss)
+    assert np.array_equal(evidential._grad_from_terms(raw, p, terms, lam), grad)
+    assert np.array_equal(evidential._sample_loss(p, y, lam), loss)
+    assert np.array_equal(evidential._raw_grad(raw, p, y, lam), grad)
+    assert np.array_equal(nig_nll(p, y), nll)
+    assert np.array_equal(evidence_regularizer(p, y), reg)
+
+
+def test_shared_term_loss_names_the_sample_index_from_first_row():
+    raw = np.zeros((6, 4))
+    y = np.zeros(6)
+    y[4] = np.nan
+    for lam in (0.0, 0.59):
+        with pytest.raises(NumericError, match=r"sample index 1028$"):
+            evidential._loss_and_terms(head_transform(raw), y, lam, first_row=1024)
+        with pytest.raises(NumericError, match=r"sample index 1028$"):
+            evidential._sample_loss(head_transform(raw), y, lam, first_row=1024)
 
 
 def test_first_step_does_not_increase_loss_for_small_lr():

@@ -1,4 +1,6 @@
+import ast
 import csv
+import gc
 import os
 import subprocess
 import sys
@@ -9,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gustuq import fileio, parallel
+from gustuq import data, fileio, parallel
 from gustuq.data import format_timestamp
-from gustuq.errors import UsageError, WorkerDied
+from gustuq.errors import IngestError, UsageError, WorkerDied
 from gustuq.fileio import BLOCK_ROWS, fmt, write_csv
 
 from markers import needs_two_cpus
@@ -158,6 +160,101 @@ def test_write_csv_refuses_mismatched_shapes(tmp_path):
     with pytest.raises(UsageError, match="differ in length"):
         write_csv(tmp_path / "out.csv", ["a", "b"], np.arange(2), np.arange(3.0))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_setting(request):
+    """The cyclic GC turned on or off for the test, and restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("outcome", ["read", "malformed row", "not utf-8"])
+def test_read_csv_leaves_the_gc_setting_as_it_found_it(tmp_path, gc_setting, outcome):
+    # The undecodable byte sits past the reader's first 8 KiB of text, so
+    # that it is met inside the row loop, not while the header is read.
+    last = {"read": b"1.5", "malformed row": b"fast", "not utf-8": b"\xff"}[outcome]
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"id,x\r\n" + b"".join(b"r%d,2.5\r\n" % i for i in range(2000))
+                     + b"last," + last + b"\r\n")
+    kinds = {"id": data.id_column, "x": data.float_column}
+    if outcome == "read":
+        assert len(data.read_csv(path, kinds)["x"]) == 2001
+    else:
+        with pytest.raises(IngestError, match="malformed rows" if outcome != "not utf-8"
+                           else "not UTF-8"):
+            data.read_csv(path, kinds)
+    assert gc.isenabled() is gc_setting
+
+
+@pytest.mark.parametrize("outcome", ["written", "failed write"])
+def test_write_csv_leaves_the_gc_setting_as_it_found_it(tmp_path, gc_setting, outcome):
+    texts = [f"t{i}" for i in range(3 * BLOCK_ROWS)]
+    if outcome == "written":
+        write_csv(tmp_path / "out.csv", ["t"], texts)
+    else:
+        texts[BLOCK_ROWS + 5] = 7  # met in the caller's range, after its first block
+        with pytest.raises(UsageError, match="only str"):
+            write_csv(tmp_path / "out.csv", ["t"], texts)
+    assert gc.isenabled() is gc_setting
+
+
+def gc_passes(run) -> list[int]:
+    """The generations of the collections that ran during ``run()``, with the
+    GC on and its counts reset before it."""
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(record)
+        if not was:
+            gc.disable()
+    return passes
+
+
+def test_row_loops_run_no_gc_pass(tmp_path, monkeypatch):
+    # On one CPU the whole file goes through the caller's row loops: 20,000
+    # rows allocate as many lists and tuples, none of which a GC pass can
+    # free.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    n = 20_000
+    path = tmp_path / "rows.csv"
+    ids = np.array([f"id{i}" for i in range(n)])
+    x = np.arange(n) / 7
+    assert gc_passes(lambda: write_csv(path, ["id", "x"], ids, x)) == []
+    table = {}
+    kinds = {"id": data.id_column, "x": data.float_column}
+    assert gc_passes(lambda: table.update(data.read_csv(path, kinds))) == []
+    assert table["x"].tobytes() == x.tobytes()
+
+
+def test_only_gc_paused_toggles_the_gc():
+    # one switch for the cyclic GC: fileio.gc_paused, which restores it
+    names = {"disable", "enable", "freeze"}
+    users = set()
+    for path in Path(fileio.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.ImportFrom)
+                    and names & {alias.name for alias in node.names}):
+                users.add((path.name, owner.get(node)))
+    assert users == {("fileio.py", "gc_paused")}
 
 
 # Writes two files of 3 blocks and more with write_csv, reads them back with

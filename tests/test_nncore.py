@@ -629,6 +629,80 @@ def test_adam_updates_a_transposed_weight_array_in_place_bit_for_bit():
         assert np.array_equal(a.bias, b.bias) and np.array_equal(a.bias, r.bias)
 
 
+def shared_chunk_network(rng):
+    # 3 -> 5 -> 14,000 -> 2: the first layer's weights and bias share a
+    # chunk with 4 rows of the second weight, a weight larger than a chunk;
+    # its last row, its bias, the transposed third weight and its bias share
+    # the next chunk.
+    wide = 14_000
+    assert 5 * wide > nncore.ADAM_CHUNK
+    third = rng.normal(size=(2, wide)).T
+    assert not third.flags.c_contiguous
+    return MLP(layers=[
+        Layer(weights=rng.normal(size=(3, 5)), bias=rng.normal(size=5)),
+        Layer(weights=rng.normal(size=(5, wide)), bias=rng.normal(size=wide)),
+        Layer(weights=third, bias=rng.normal(size=2)),
+    ])
+
+
+def random_grads(rng, model):
+    return nncore.ParamGrads(
+        weights=[rng.normal(size=l.weights.shape) for l in model.layers],
+        biases=[rng.normal(size=l.bias.shape) for l in model.layers],
+    )
+
+
+def test_adam_with_parameters_sharing_chunks_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(15)
+    model = shared_chunk_network(rng)
+    ref = model.copy()
+    weights = [layer.weights for layer in model.layers]
+    ref_m = [np.zeros_like(p) for l in ref.layers for p in (l.weights, l.bias)]
+    ref_v = [np.zeros_like(p) for p in ref_m]
+    lr = 1e-2
+    opt = Adam(lr)
+    for t in range(1, 4):
+        grads = random_grads(rng, model)
+        opt.step(model, grads)
+        k = 0
+        for layer, dw, db in zip(ref.layers, grads.weights, grads.biases):
+            layer.weights, ref_m[k], ref_v[k] = reference_adam(
+                layer.weights, dw, ref_m[k], ref_v[k], t, lr
+            )
+            layer.bias, ref_m[k + 1], ref_v[k + 1] = reference_adam(
+                layer.bias, db, ref_m[k + 1], ref_v[k + 1], t, lr
+            )
+            k += 2
+        for got, want in zip(model.layers, ref.layers):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+    assert all(got is was for got, was in zip((l.weights for l in model.layers), weights))
+
+
+def test_adam_nonfinite_gradient_in_a_later_chunk_moves_nothing():
+    # Every chunk's gradients are checked before any parameter or moment
+    # moves: after the refused step, the optimizer goes on as its twin that
+    # never saw it.
+    rng = np.random.default_rng(16)
+    model = shared_chunk_network(rng)
+    twin = model.copy()
+    opt, twin_opt = Adam(1e-2), Adam(1e-2)
+    first = random_grads(rng, model)
+    opt.step(model, first)
+    twin_opt.step(twin, first)
+    grads = random_grads(rng, model)
+    bad = nncore.ParamGrads(weights=grads.weights, biases=[b.copy() for b in grads.biases])
+    bad.biases[2][1] = np.inf  # in the second chunk
+    with pytest.raises(NumericError, match="non-finite bias gradient in layer 2"):
+        opt.step(model, bad)
+    for got, want in zip(model.layers, twin.layers):
+        assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
+    opt.step(model, grads)
+    twin_opt.step(twin, grads)
+    for got, want in zip(model.layers, twin.layers):
+        assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
+
+
 def test_adam_nonfinite_gradient_names_layer():
     rng = np.random.default_rng(12)
     model = small_model(rng, hidden=(4, 4))
