@@ -148,10 +148,13 @@ def load_model(path) -> EvidentialModel:
                for k in ("batch_size", "max_epochs", "patience", "seed")},
         )
         std = _field(payload, "standardizer", dict)
+        passthrough = _field(payload, "standardizer.passthrough", list)
+        if not all(isinstance(p, bool) for p in passthrough):
+            raise UsageError("artifact field standardizer.passthrough must hold only true or false")
         standardizer = Standardizer(
             offset=_decode_array(std, "offset", "standardizer.offset"),
             scale=_decode_array(std, "scale", "standardizer.scale"),
-            passthrough=np.asarray(_field(payload, "standardizer.passthrough", list), dtype=bool),
+            passthrough=np.array(passthrough, dtype=bool),
         )
         _check_standardizer(standardizer, mlp.input_dim)
         names = payload.get("feature_names")

@@ -744,15 +744,21 @@ def main(argv=None) -> int:
         handler(merge_options(args, options))
         return 0
     except GustUQError as exc:
-        print(f"{exc.error_class}: {exc}", file=sys.stderr)
+        _report(exc.error_class, exc)
         return 2
     except OSError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
+        _report("io-error", exc)
         return 2
     except Exception as exc:  # keep the one-line contract even for bugs
-        message = " ".join(str(exc).splitlines())
-        print(f"internal-error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _report(f"internal-error: {type(exc).__name__}", exc)
         return 3
+
+
+def _report(label: str, exc: Exception) -> None:
+    """``<label>: <message>`` on stderr as one line, whatever text the
+    message quotes from the input."""
+    message = " ".join(str(exc).splitlines())
+    print(f"{label}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import parallel
 from .errors import ConfigError, DegenerateInputWarning, IngestError, UsageError
-from .fileio import BLOCK_ROWS, gc_paused, write_csv
+from .fileio import BLOCK_ROWS, RANGE_ROWS, gc_paused, write_csv
 
 # Derived feature vector, in model-input order.
 FEATURE_NAMES = [
@@ -141,24 +141,26 @@ def wind_direction_components(direction_deg: np.ndarray) -> tuple[np.ndarray, np
     return np.sin(theta), np.cos(theta)
 
 
-def _derive_features(raw: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
-    """Assemble the model feature matrix from raw columns + timestamps."""
-    sin_d, cos_d = wind_direction_components(raw[:, 5])
-    out = np.column_stack(
-        [
-            raw[:, 0],  # WS_10m
-            raw[:, 1],  # WS_850mb
-            raw[:, 2],  # WS_950mb
-            raw[:, 3],  # PBLH
-            raw[:, 4],  # Ustar
-            sin_d,
-            cos_d,
-            raw[:, 6],  # terrain height
-            raw[:, 7],  # lapse rate sfc-1km
-            raw[:, 8],  # lapse rate sfc-2km
-            day_of_year_cos(timestamps),
-        ]
-    )
+def _derive_features(raw, timestamps: np.ndarray) -> np.ndarray:
+    """The [n x 11] model feature matrix from the nine raw columns, in
+    ``RAW_FEATURE_COLUMNS`` order, and the timestamps.
+
+    ``raw`` is the [n x 9] raw matrix or an iterable of its columns. Each
+    column is copied into place as it comes, so an iterator that hands over
+    the last reference to each column frees it before the next one.
+    """
+    out = np.empty((len(timestamps), len(FEATURE_NAMES)))
+    k = 0
+    columns = raw.T if isinstance(raw, np.ndarray) else raw
+    for name, column in zip(RAW_FEATURE_COLUMNS, columns, strict=True):
+        if name == "wind_dir_deg":  # becomes WindDC_sin and WindDC_cos
+            out[:, k], out[:, k + 1] = wind_direction_components(column)
+            k += 2
+        else:
+            out[:, k] = column
+            k += 1
+    del column
+    out[:, k] = day_of_year_cos(timestamps)
     return out
 
 
@@ -224,8 +226,16 @@ def float_column(texts) -> np.ndarray:
     return np.array(texts, dtype=float)
 
 
+def int_column(texts) -> np.ndarray:
+    """Python's ``int`` of each text, which must fit a 64-bit integer."""
+    try:
+        return np.fromiter(map(int, texts), np.int64, len(texts))
+    except OverflowError:
+        raise ValueError("outside the 64-bit integer range") from None
+
+
 def index_column(texts) -> np.ndarray:
-    out = np.fromiter(map(int, texts), np.int64, len(texts))
+    out = int_column(texts)
     if np.any(bad := out < 0):
         raise ValueError(f"must be >= 0, got {_first(out, bad)}")
     return out
@@ -343,7 +353,7 @@ def _read_rows(reader, line: int, limit, columns: dict, where: dict, width: int)
     ``(line, reason)`` and the file line of each row. The GC is paused."""
     parts = {name: [convert([])] for name, convert in columns.items()}
     row_errors: list[tuple[int, str]] = []
-    row_lines: list[int] = []
+    row_lines = [np.empty(0, np.int64)]
     base = line - reader.line_num - 1  # a record's file line is base + its csv line
     records = itertools.islice(reader, limit)
     while True:
@@ -379,11 +389,11 @@ def _read_rows(reader, line: int, limit, columns: dict, where: dict, width: int)
             for k, reason in found.items():
                 errors.setdefault(k, reason)
         row_errors += [(lines[k], reason) for k, reason in sorted(errors.items())]
-        row_lines += lines
+        row_lines.append(np.array(lines, dtype=np.int64))
         # with ``block`` rebound at the top of the loop, this frees the block's
         # text before the next block is read: one block's text at a time
         del fields, texts
-    return parts, row_errors, np.asarray(row_lines, dtype=np.int64)
+    return parts, row_errors, np.concatenate(row_lines)
 
 
 # Bytes the reader's scan for line starts reads at a time, and the lines
@@ -436,7 +446,7 @@ def _read_pieces(path, columns: dict, optional, exact: bool) -> list:
         bounds, starts = [0, None], []
         if parallel.usable_cpus() > 1 and (scan := _line_starts(path, _SCAN_STRIDE)):
             starts, n_lines = scan
-            bounds = parallel.cut(n_lines, BLOCK_ROWS, _SCAN_STRIDE)
+            bounds = parallel.cut(n_lines, RANGE_ROWS, _SCAN_STRIDE)
 
         def read_range(k: int):
             limit = bounds[k + 1] - bounds[k] if k + 2 < len(bounds) else None
@@ -470,10 +480,11 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     file that the row starts on, counting every line break: those of blank
     lines and those inside a quoted field too.
 
-    The lines after the header are cut into ranges as ``parallel.cut`` cuts
-    them, at line starts found by one scan of the file's bytes. The caller
-    converts the first range while forked workers convert the others, and
-    the results are joined in file order. The file is read as one range
+    The lines after the header are cut into ranges of at least
+    ``RANGE_ROWS`` as ``parallel.cut`` cuts them, at line starts found by
+    one scan of the file's bytes. The caller converts the first range while
+    forked workers convert the others, and the results are joined in file
+    order, one column at a time. The file is read as one range
     where a line may not be one row: where a ``"`` follows the first line
     break, or the file holds a lone ``\\r``.
     """
@@ -484,7 +495,8 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     row_errors = [error for _, errors, _ in pieces for error in errors]
     if row_errors:
         raise IngestError(f"{path}: {len(row_errors)} malformed rows", row_errors)
-    table = {name: np.concatenate([a for parts, _, _ in pieces for a in parts[name]])
+    # one column at a time, each column's blocks dropped once joined
+    table = {name: np.concatenate([a for parts, _, _ in pieces for a in parts.pop(name)])
              for name in columns}
     if key:
         lines = np.concatenate([lines for _, _, lines in pieces])
@@ -531,15 +543,16 @@ def load_features_csv(path) -> Dataset:
 
 
 def _dataset(table: dict, **extra) -> Dataset:
+    """The dataset of a table read by ``read_csv``; the raw feature columns
+    leave ``table`` one at a time as they are copied into the features."""
     storm_ids, timestamps = table["storm_id"], table["timestamp_utc"]
     _check_storm_windows(storm_ids, timestamps)
-    raw = np.column_stack([table[c] for c in RAW_FEATURE_COLUMNS])
     return Dataset(
         storm_ids=storm_ids,
         timestamps=timestamps,
         lats=table["lat"],
         lons=table["lon"],
-        features=_derive_features(raw, timestamps),
+        features=_derive_features((table.pop(c) for c in RAW_FEATURE_COLUMNS), timestamps),
         **extra,
     )
 

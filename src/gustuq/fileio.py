@@ -21,8 +21,11 @@ from .errors import UsageError
 
 # Rows the CSV reader converts, and the writer formats, per numpy call per
 # column: large enough that the per-block cost vanishes, small enough that a
-# block's strings stay a few MB.
-BLOCK_ROWS = 4096
+# block's text stays well under the arrays of a bench-size file.
+BLOCK_ROWS = 1024
+# The fewest rows of a range that the reader or writer hands to a forked
+# worker: a file forks only from twice as many rows.
+RANGE_ROWS = 4096
 
 _NEEDS_QUOTES = (",", '"', "\r", "\n")
 
@@ -164,10 +167,11 @@ def write_csv(path, header: list[str], *columns) -> None:
     value needs it. Rows are formatted and written ``BLOCK_ROWS`` at
     a time, with ``\\r\\n`` line ends: the same bytes as ``csv.writer``.
 
-    The rows are cut into ranges as ``parallel.cut`` cuts them. The caller
-    writes the first range into the output's temp file while forked workers
-    each write one of the others into a temp file of their own, and the
-    caller appends those files in order before the rename. A row's text
+    The rows are cut into ranges of at least ``RANGE_ROWS`` as
+    ``parallel.cut`` cuts them. The caller writes the first range into the
+    output's temp file while forked workers each write one of the others
+    into a temp file of their own, and the caller appends those files in
+    order before the rename. A row's text
     depends on its values alone, so the bytes do not depend on the cut.
     """
     if len(columns) != len(header):
@@ -177,7 +181,7 @@ def write_csv(path, header: list[str], *columns) -> None:
         raise UsageError("write_csv: columns differ in length")
     renderers = [_renderer(c) for c in columns]
     lone = len(columns) == 1
-    bounds = parallel.cut(n_rows, BLOCK_ROWS)
+    bounds = parallel.cut(n_rows, RANGE_ROWS)
     path = Path(path)
     with atomic_open(path) as fh, _sibling_temps(path, len(bounds) - 2) as parts:
         fh.write(",".join(_quoted(list(header), lone)) + "\r\n")

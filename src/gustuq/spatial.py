@@ -169,13 +169,15 @@ def track_spatial_max(times, field: GridField) -> Track:
     return Track(times[hours], field.values[hours, rows, cols], rows, cols)
 
 
-def _axis(index: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The coordinate of each raster row (col) index: that of its first cell
-    row, NaN for an index no row has."""
-    axis = np.full(int(index.max()) + 1, np.nan)
+def _axis(index: np.ndarray, coords: np.ndarray):
+    """The coordinate of each raster row (col) index, that of its first cell
+    row; None unless the indices run from 0 to the largest with none
+    missing and each coordinate is a number."""
     present, first = np.unique(index, return_index=True)
-    axis[present] = coords[first]
-    return axis
+    if present[0] != 0 or present[-1] != len(present) - 1:
+        return None
+    axis = coords[first].astype(float, copy=False)
+    return None if np.isnan(axis).any() else axis
 
 
 def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
@@ -183,9 +185,11 @@ def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
 
     Returns ``{storm: (times, field)}`` in storm order, with ``times`` the
     storm's distinct hours in order and ``field`` the [T, rows, cols] cube
-    of ``values``; cells without a row stay masked. Each cell must appear at
-    most once per hour, and every row of a storm with the same grid row
-    (col) index must carry the same lat (lon). The arrays are taken to be in
+    of ``values``; cells without a row stay masked. A storm's row (col)
+    indices must each appear from 0 to the largest, which is checked before
+    any raster is allocated. Each cell must appear at most once per hour,
+    and every row of a storm with the same grid row (col) index must carry
+    the same lat (lon). The arrays are taken to be in
     file order, so a coordinate that differs is reported at line index + 2.
     """
     cubes = {}
@@ -194,7 +198,7 @@ def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
         r, c = rows[sel], cols[sel]
         lat_axis = _axis(r, lats[sel])
         lon_axis = _axis(c, lons[sel])
-        if np.any(np.isnan(lat_axis)) or np.any(np.isnan(lon_axis)):
+        if lat_axis is None or lon_axis is None:
             raise IngestError(
                 f"storm {storm}: some grid row/col indices never appear, "
                 "cannot reconstruct the raster axes"

@@ -155,10 +155,6 @@ class SearchResult:
     n_failed: int
 
 
-def _count_column(texts) -> np.ndarray:
-    return np.fromiter(map(int, texts), np.int64, len(texts))
-
-
 def _objective_column(texts) -> np.ndarray:
     """A failed trial leaves its objectives blank; they read back as NaN."""
     return np.fromiter((np.nan if t == "" else float(t) for t in texts), float, len(texts))
@@ -174,19 +170,19 @@ def _status_column(texts) -> np.ndarray:
 # Every column is a deterministic function of the seed and the data, so two
 # identical searches write identical logs.
 _LOG_KINDS = {
-    "trial_id": _count_column,
+    "trial_id": data.int_column,
     "learning_rate": data.float_column,
     "dropout": data.float_column,
-    "hidden_layers": _count_column,
-    "hidden_neurons": _count_column,
-    "batch_size": _count_column,
+    "hidden_layers": data.int_column,
+    "hidden_neurons": data.int_column,
+    "batch_size": data.int_column,
     "evidential_coef": data.float_column,
     "l1": data.float_column,
     "l2": data.float_column,
     "val_mae": _objective_column,
     "val_r2_rmse_sigma_total": _objective_column,
     "val_pitd_skill": _objective_column,
-    "n_epochs": _count_column,
+    "n_epochs": data.int_column,
     "status": _status_column,
 }
 TRIALS_LOG_COLUMNS = list(_LOG_KINDS)

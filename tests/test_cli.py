@@ -346,6 +346,10 @@ def _set_first(value):
                  id="zero-scale"),
     pytest.param("scale", _set_first(-1.0), "standardizer.scale must be finite and > 0",
                  id="negative-scale"),
+    pytest.param("passthrough", _set_first([]),
+                 "standardizer.passthrough must hold only true or false", id="list-passthrough"),
+    pytest.param("passthrough", _set_first(1),
+                 "standardizer.passthrough must hold only true or false", id="integer-passthrough"),
 ])
 def test_predict_artifact_bad_standardizer_is_usage_error(
     pipeline, tmp_path, capsys, field, edit, message
@@ -1217,6 +1221,20 @@ def test_handler_bug_is_one_internal_error_line(pipeline, tmp_path, capsys, monk
     assert code == 3
     err = capsys.readouterr().err
     assert err == "internal-error: RuntimeError: boom second line of a bug\n"
+
+
+def test_input_text_quoted_in_a_refusal_stays_on_one_line(pipeline, tmp_path, capsys):
+    # a lone " for the last header name opens a quoted name that runs to the
+    # end of the file, so the unknown column the refusal names holds every
+    # line break of the file
+    lines = Path(pipeline["station_csv"]).read_text().splitlines()
+    bad = tmp_path / "stations.csv"
+    bad.write_text("\n".join([lines[0].replace("gust_obs", '"'), *lines[1:]]) + "\n")
+    code = run("train", "--data", bad, "--out", tmp_path / "o", "--split", "3,1,1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingest-error: unknown columns:  S00,")
+    assert err.count("\n") == 1
 
 
 def test_no_temp_files_left_behind(pipeline):

@@ -2,6 +2,7 @@ import csv
 import functools
 import os
 import re
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 
@@ -14,6 +15,7 @@ from gustuq import cli, data, parallel
 from gustuq.data import (
     BLOCK_ROWS,
     FEATURE_NAMES,
+    RANGE_ROWS,
     Dataset,
     Standardizer,
     chronological_split,
@@ -325,6 +327,24 @@ def one_cpu():
         os.sched_setaffinity(0, cpus)
 
 
+def test_grid_ingest_peak_stays_near_the_arrays_it_returns(tmp_path):
+    # 24,000 rows: the read holds one block of text and one copy of each
+    # column, and the features are written into one matrix, so the traced
+    # peak is about 1.53 times the arrays returned
+    path = tmp_path / "grid.csv"
+    write_grid_file(path, n_storms=2, n_rows=20, n_cols=25, n_hours=24)
+    with one_cpu():
+        tracemalloc.start()
+        try:
+            ds = load_grid_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(ds) == 24_000
+    returned = sum(a.nbytes for a in vars(ds).values() if a is not None)
+    assert peak < 1.8 * returned
+
+
 @pytest.mark.parametrize("problem", ["bad rows", "duplicate"])
 def test_problems_in_the_last_piece_read_as_on_one_cpu(tmp_path, problem):
     rows = [list(r) for r in _three_block_rows()]
@@ -336,7 +356,7 @@ def test_problems_in_the_last_piece_read_as_on_one_cpu(tmp_path, problem):
         rows.append(list(rows[5]))
     path = tmp_path / "stations.csv"
     write_station_file(path, rows=rows)
-    assert len(parallel.cut(len(rows), BLOCK_ROWS)) == min(parallel.available_cpus(), 2) + 1
+    assert len(parallel.cut(len(rows), RANGE_ROWS)) == min(parallel.available_cpus(), 2) + 1
     with pytest.raises(IngestError) as split:
         load_station_csv(path)
     with one_cpu(), pytest.raises(IngestError) as whole:
@@ -456,6 +476,10 @@ MALFORMED_CELLS = [
     ("grid", "lon", "nan", "lon: must be finite, got nan"),
     ("station", "timestamp_utc", "2020-01-01T00:00:00.5Z",
      "timestamp_utc: invalid timestamp '2020-01-01T00:00:00.5Z'"),
+    ("grid", "row", "99999999999999999999", "row: outside the 64-bit integer range"),
+    ("grid", "col", "-99999999999999999999", "col: outside the 64-bit integer range"),
+    ("trials", "trial_id", "99999999999999999999", "trial_id: outside the 64-bit integer range"),
+    ("trials", "n_epochs", "99999999999999999999", "n_epochs: outside the 64-bit integer range"),
 ]
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from gustuq import data, fileio, parallel
 from gustuq.data import format_timestamp
 from gustuq.errors import IngestError, UsageError, WorkerDied
-from gustuq.fileio import BLOCK_ROWS, fmt, write_csv
+from gustuq.fileio import BLOCK_ROWS, RANGE_ROWS, fmt, write_csv
 
 from markers import needs_two_cpus
 
@@ -257,7 +257,7 @@ def test_only_gc_paused_toggles_the_gc():
     assert users == {("fileio.py", "gc_paused")}
 
 
-# Writes two files of 3 blocks and more with write_csv, reads them back with
+# Writes two files of 3 ranges and more with write_csv, reads them back with
 # read_csv, and saves the arrays read; prints how many times it forked.
 SPLIT_SCRIPT = """
 import os, sys
@@ -268,7 +268,7 @@ forks = []
 os.register_at_fork(before=lambda: forks.append(1))
 out = sys.argv[1]
 rng = np.random.default_rng(5)
-n = 3 * fileio.BLOCK_ROWS + 17
+n = 3 * fileio.RANGE_ROWS + 17
 ids = np.array([f"id{i}" for i in range(n)])
 floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
 floats[::97] = np.nan
@@ -322,8 +322,8 @@ def test_split_write_and_read_give_the_bytes_and_arrays_of_one_cpu(tmp_path):
     assert np.isnan(arrays["plain.gap"]).any()
 
 
-def write_three_blocks(path) -> None:
-    n = 3 * BLOCK_ROWS
+def write_three_ranges(path) -> None:
+    n = 3 * RANGE_ROWS
     write_csv(path, ["k", "x"], np.arange(n), np.arange(n) / 7)
 
 
@@ -344,11 +344,11 @@ def test_failed_piece_leaves_no_file_and_no_process(tmp_path, monkeypatch, who):
     path = tmp_path / "out.csv"
     if who == "worker":
         with pytest.raises(WorkerDied) as err:
-            write_three_blocks(path)
+            write_three_ranges(path)
         assert str(err.value) == f"{path}: a worker process died"
     else:
         with pytest.raises(RuntimeError, match="the caller's piece failed"):
-            write_three_blocks(path)
+            write_three_ranges(path)
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -424,6 +425,22 @@ def test_storm_cubes_need_every_axis_index():
     columns[2] = columns[2] + 1  # row 0 now never appears
     with pytest.raises(IngestError, match="never appear"):
         storm_cubes(*columns)
+
+
+def test_storm_cubes_refuse_a_sparse_index_before_allocating_its_axis():
+    # three cells, one at grid row 10**6: an axis as long as that is 8 MB
+    storms = np.array(["A"] * 3)
+    times = np.full(3, np.datetime64("2020-01-01T00:00:00", "s"))
+    rows, cols = np.array([0, 1, 10**6]), np.zeros(3, dtype=np.int64)
+    lats, lons = 41.0 + 0.25 * np.minimum(rows, 2), np.full(3, -74.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngestError, match="never appear"):
+            storm_cubes(storms, times, rows, cols, lats, lons, np.zeros(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_storm_cubes_refuse_cells_whose_coordinates_disagree():
