@@ -11,18 +11,21 @@ model was trained without scaling); a file without it is refused.
 from __future__ import annotations
 
 import base64
-import json
+from dataclasses import fields
 
 import numpy as np
 
 from .data import Standardizer
 from .errors import UsageError
 from .evidential import EvidentialModel
-from .fileio import write_json
+from .fileio import read_json, write_json
 from .nncore import MLP, Layer, TrainConfig
 
 FORMAT_NAME = "gustuq-evidential-model"
 FORMAT_VERSION = 1
+
+# The MLP settings an artifact stores under "network", beside its layers.
+_NETWORK_KEYS = ("dropout", "l1", "l2", "leaky_slope")
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -87,18 +90,10 @@ def save_model(model: EvidentialModel, path) -> None:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "train_config": {
-            "learning_rate": model.train_config.learning_rate,
-            "batch_size": model.train_config.batch_size,
-            "max_epochs": model.train_config.max_epochs,
-            "patience": model.train_config.patience,
-            "evidential_coef": model.train_config.evidential_coef,
-            "seed": model.train_config.seed,
+            f.name: getattr(model.train_config, f.name) for f in fields(TrainConfig)
         },
         "network": {
-            "dropout": model.mlp.dropout,
-            "l1": model.mlp.l1,
-            "l2": model.mlp.l2,
-            "leaky_slope": model.mlp.leaky_slope,
+            **{k: getattr(model.mlp, k) for k in _NETWORK_KEYS},
             "layers": [
                 {"weights": _encode_array(l.weights), "bias": _encode_array(l.bias)}
                 for l in model.mlp.layers
@@ -115,13 +110,10 @@ def save_model(model: EvidentialModel, path) -> None:
 
 
 def load_model(path) -> EvidentialModel:
-    """Read an artifact; a missing or mistyped field is a usage error that
-    names it."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: artifact is not valid JSON ({exc})") from None
+    """Read an artifact; a missing or mistyped field, or a repeated key, is a
+    usage error that names it. Each ``train_config`` field must have the
+    JSON type of its ``TrainConfig`` default."""
+    payload = read_json(path, f"artifact {path}")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise UsageError(f"{path}: not a {FORMAT_NAME} artifact")
     if payload.get("version") != FORMAT_VERSION:
@@ -136,17 +128,12 @@ def load_model(path) -> EvidentialModel:
             )
             for i, layer in enumerate(_field(payload, "network.layers", list))
         ]
-        network = {
-            k: _field(payload, f"network.{k}", float)
-            for k in ("dropout", "l1", "l2", "leaky_slope")
-        }
+        network = {k: _field(payload, f"network.{k}", float) for k in _NETWORK_KEYS}
         mlp = MLP(layers=layers, **network)
-        config = TrainConfig(
-            **{k: _field(payload, f"train_config.{k}", float)
-               for k in ("learning_rate", "evidential_coef")},
-            **{k: _field(payload, f"train_config.{k}", int)
-               for k in ("batch_size", "max_epochs", "patience", "seed")},
-        )
+        config = TrainConfig(**{
+            f.name: _field(payload, f"train_config.{f.name}", type(f.default))
+            for f in fields(TrainConfig)
+        })
         std = _field(payload, "standardizer", dict)
         passthrough = _field(payload, "standardizer.passthrough", list)
         if not all(isinstance(p, bool) for p in passthrough):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import math
 import sys
 import warnings
@@ -29,7 +28,7 @@ from . import artifact, data, evidential, metrics, parallel, spatial, tune, xai
 from .errors import DegenerateInputWarning, GustUQError, UsageError
 # ``fmt`` is not called here; it stays importable as ``cli.fmt``, the name
 # bench/tracer.py times.
-from .fileio import fmt, write_csv, write_json
+from .fileio import fmt, read_json, write_csv, write_json
 from .nncore import TrainConfig
 
 
@@ -89,6 +88,14 @@ def _distinct(kind: Kind):
     return check
 
 
+def _levels(value) -> list:
+    """Check of distinct levels whose column labels and report keys differ too."""
+    levels = _distinct(LEVEL)(value)
+    for label in (_level_label, metrics.level_key):
+        _expect(len(set(map(label, levels))) == len(levels), "levels with distinct labels", value)
+    return levels
+
+
 def _split(value) -> tuple:
     counts = _items(value, INTEGER)
     ok = len(counts) in (2, 3) and min(counts) >= 0
@@ -117,16 +124,20 @@ class Option(NamedTuple):
     help: str
 
 
+def _default(function, name: str):
+    return inspect.signature(function).parameters[name].default
+
+
 # Every option of every command; the flag is "--" and the name with dashes.
-# Paths have no default and are required. COMMANDS lists the options each
-# command reads.
+# Paths have no default and are required. A default the library defines is
+# read from it. COMMANDS lists the options each command reads.
 OPTIONS = {
     "data": Option(None, PATH, "input CSV"),
     "model": Option(None, PATH, "model artifact written by train"),
     "out": Option(None, PATH, "output directory"),
     "pred": Option(None, PATH, "predictions CSV written by predict"),
-    "seed": Option(0, NON_NEGATIVE, "master RNG seed"),
-    "levels": Option(list(metrics.DEFAULT_CONFIDENCE_LEVELS), Kind(str, _distinct(LEVEL)),
+    "seed": Option(TrainConfig.seed, NON_NEGATIVE, "master RNG seed"),
+    "levels": Option(list(metrics.DEFAULT_CONFIDENCE_LEVELS), Kind(str, _levels),
                      "comma-separated confidence levels"),
     "mask_percentile": Option(metrics.DEFAULT_MASK_PERCENTILE, PERCENTILE,
                               "total-sd percentile above which predictions are flagged"),
@@ -135,20 +146,24 @@ OPTIONS = {
     "hidden_layers": Option(1, COUNT, "number of hidden layers"),
     "hidden_neurons": Option(64, COUNT, "neurons per hidden layer"),
     "dropout": Option(0.15, NUMBER, "dropout rate"),
-    "l1": Option(0.0, NUMBER, "L1 weight penalty"),
-    "l2": Option(0.0, NUMBER, "L2 weight penalty"),
-    "learning_rate": Option(1e-3, NUMBER, "Adam learning rate"),
-    "batch_size": Option(256, COUNT, "minibatch size"),
-    "max_epochs": Option(200, COUNT, "maximum training epochs"),
-    "patience": Option(10, COUNT, "early-stopping patience in epochs"),
-    "evidential_coef": Option(0.59, NUMBER, "weight of the evidence regularizer"),
-    "exclude_flagged": Option(True, SWITCH, "keep highly uncertain predictions in PICP"),
-    "n_shuffles": Option(10, COUNT, "permutations per feature"),
-    "pdp_grid": Option(100, COUNT, "partial-dependence grid points per feature"),
+    "l1": Option(_default(evidential.train_evidential, "l1"), NUMBER, "L1 weight penalty"),
+    "l2": Option(_default(evidential.train_evidential, "l2"), NUMBER, "L2 weight penalty"),
+    "learning_rate": Option(TrainConfig.learning_rate, NUMBER, "Adam learning rate"),
+    "batch_size": Option(TrainConfig.batch_size, COUNT, "minibatch size"),
+    "max_epochs": Option(TrainConfig.max_epochs, COUNT, "maximum training epochs"),
+    "patience": Option(TrainConfig.patience, COUNT, "early-stopping patience in epochs"),
+    "evidential_coef": Option(TrainConfig.evidential_coef, NUMBER,
+                              "weight of the evidence regularizer"),
+    "exclude_flagged": Option(_default(metrics.evaluate_predictions, "exclude_flagged"), SWITCH,
+                              "keep highly uncertain predictions in PICP"),
+    "n_shuffles": Option(xai.DEFAULT_N_SHUFFLES, COUNT, "permutations per feature"),
+    "pdp_grid": Option(xai.DEFAULT_PDP_GRID, COUNT,
+                       "partial-dependence grid points per feature"),
     "align_k": Option([0, 1, 2, 3], Kind(str, _distinct(NON_NEGATIVE)),
                       "comma-separated cell distances for the alignment statistic"),
     "trials": Option(500, COUNT, "number of trials"),
-    "scalarization_weight": Option(0.5, NUMBER, "weight of R^2 + PITD skill in the pick"),
+    "scalarization_weight": Option(tune.SCALARIZATION_WEIGHT, NUMBER,
+                                   "weight of R^2 + PITD skill in the pick"),
     "space": Option({}, Kind(None, _space), "hyperparameter bounds (config file only)"),
 }
 
@@ -190,11 +205,7 @@ def merge_options(args: argparse.Namespace, names) -> dict:
     opts = {name: OPTIONS[name].default for name in names}
     config_path = args.config
     if config_path:
-        try:
-            with open(config_path) as fh:
-                file_opts = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {config_path}: invalid JSON ({exc})")
+        file_opts = read_json(config_path, f"config file {config_path}")
         if not isinstance(file_opts, dict):
             raise UsageError(f"config file {config_path}: expected a JSON object")
         unknown = sorted(set(file_opts) - set(names))
@@ -220,7 +231,7 @@ def _out_dir(opts: dict) -> Path:
 
 
 def _level_label(level: float) -> str:
-    return f"{level * 100:g}"
+    return f"{level * 100:.12g}"
 
 
 def _training_split(opts: dict):
@@ -302,26 +313,9 @@ def cmd_train(opts: dict) -> None:
     """Fit an evidential model on station data."""
     out = _out_dir(opts)
     spec, train_ds, val_ds, standardizer = _training_split(opts)
-    config = TrainConfig(
-        learning_rate=opts["learning_rate"],
-        batch_size=opts["batch_size"],
-        max_epochs=opts["max_epochs"],
-        patience=opts["patience"],
-        evidential_coef=opts["evidential_coef"],
-        seed=opts["seed"],
-    )
-    model, log = evidential.train_evidential(
-        train_ds.features,
-        train_ds.gust,
-        val_ds.features,
-        val_ds.gust,
-        hidden_sizes=[opts["hidden_neurons"]] * opts["hidden_layers"],
-        config=config,
-        dropout=opts["dropout"],
-        l1=opts["l1"],
-        l2=opts["l2"],
-        feature_names=train_ds.feature_names,
-        standardizer=standardizer,
+    model, log = evidential.train_with_settings(
+        opts, train_ds.features, train_ds.gust, val_ds.features, val_ds.gust,
+        feature_names=train_ds.feature_names, standardizer=standardizer,
     )
 
     artifact.save_model(model, out / "model.json")
@@ -688,14 +682,9 @@ def cmd_tune(opts: dict) -> None:
     )
 
     def trial_dict(t: tune.TrialResult) -> dict:
-        return {
-            "trial_id": t.trial_id,
-            "config": vars(t.config),
-            "val_mae": t.val_mae,
-            "val_r2_rmse_sigma_total": t.val_r2_rmse_sigma_total,
-            "val_pitd_skill": t.val_pitd_skill,
-            "n_epochs": t.n_epochs,
-        }
+        fields = dataclasses.asdict(t)
+        del fields["status"], fields["message"]  # every trial listed succeeded
+        return fields
 
     write_json(
         out / "pareto.json",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import parallel
 from .errors import ConfigError, DegenerateInputWarning, IngestError, UsageError
-from .fileio import BLOCK_ROWS, RANGE_ROWS, gc_paused, write_csv
+from .fileio import BLOCK_ROWS, RANGE_ROWS, gc_paused
 
 # Derived feature vector, in model-input order.
 FEATURE_NAMES = [
@@ -554,30 +554,6 @@ def _dataset(table: dict, **extra) -> Dataset:
         lons=table["lon"],
         features=_derive_features((table.pop(c) for c in RAW_FEATURE_COLUMNS), timestamps),
         **extra,
-    )
-
-
-def write_station_csv(dataset: Dataset, path, raw_features: np.ndarray | None = None) -> None:
-    """Write a station CSV in the ingest schema.
-
-    ``raw_features`` must be the [n x 9] raw column matrix (the derived
-    feature matrix is not invertible back to wind direction degrees).
-    """
-    if dataset.station_ids is None:
-        raise UsageError("write_station_csv needs a station dataset")
-    if raw_features is None:
-        raise UsageError("write_station_csv needs the raw feature columns")
-    gust = np.full(len(dataset), np.nan) if dataset.gust is None else dataset.gust
-    write_csv(
-        path,
-        [*_STATION_KINDS, TARGET_COLUMN],
-        dataset.storm_ids,
-        dataset.timestamps,
-        dataset.station_ids,
-        dataset.lats,
-        dataset.lons,
-        *np.asarray(raw_features, dtype=float).T,
-        np.ma.masked_invalid(gust),
     )
 
 

@@ -15,7 +15,8 @@ written once and a training block computes each term once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -199,17 +200,13 @@ def _loss_and_terms(params: NIGParams, y: np.ndarray, lam: float, first_row: int
     return per_sample, t
 
 
-def _sample_loss(params: NIGParams, y: np.ndarray, lam: float, first_row: int = 0):
-    """Per-sample dual-objective loss nll + lam*reg, not averaged yet.
-
-    A non-finite loss is an error naming its sample index, counted from
-    ``first_row``.
-    """
-    return _loss_and_terms(params, y, lam, first_row)[0]
-
-
 def _grad_from_terms(raw: np.ndarray, params: NIGParams, t: _Terms, lam: float) -> np.ndarray:
-    """:func:`_raw_grad` from the shared terms of ``params`` and the targets."""
+    """Per-sample gradient of the loss of :func:`_loss_and_terms` wrt the raw
+    outputs, from the shared terms of ``params`` and the targets.
+
+    ``params`` is ``head_transform(raw)``; the result has the [B x 4] shape
+    of ``raw`` and is not divided by the sample count.
+    """
     dg = t.a_half * (-2.0 * params.nu * t.d) / t.s
     dn = (
         -0.5 / params.nu
@@ -233,20 +230,11 @@ def _grad_from_terms(raw: np.ndarray, params: NIGParams, t: _Terms, lam: float) 
     return grad
 
 
-def _raw_grad(raw: np.ndarray, params: NIGParams, y: np.ndarray, lam: float) -> np.ndarray:
-    """Per-sample gradient of :func:`_sample_loss` wrt the raw outputs.
-
-    ``params`` is ``head_transform(raw)``; the result has the [B x 4] shape
-    of ``raw`` and is not divided by the sample count.
-    """
-    return _grad_from_terms(raw, params, _terms(params, y), lam)
-
-
 def total_loss(model: MLP, params: NIGParams, y: np.ndarray, lam: float) -> float:
     """Full training objective of ``params``: the mean evidential loss plus
     the model's L1/L2 penalties. The mean makes the evidential coefficient
     batch-size invariant."""
-    return float(_sample_loss(params, y, lam).mean()) + nncore.penalty_loss(model)
+    return float(_loss_and_terms(params, y, lam)[0].mean()) + nncore.penalty_loss(model)
 
 
 def step_gradients(
@@ -262,8 +250,8 @@ def step_gradients(
     are its derivatives, computed in blocks of ``nncore.BLOCK_ROWS`` rows:
     each block runs forward, ``head_transform``, loss and backward, and its
     gradients are added into the step's. A block's loss and loss gradient
-    come from one set of shared terms, bit for bit :func:`_sample_loss` and
-    :func:`_raw_grad`. The loss is a mean over samples, so each block's loss
+    come from one set of shared terms (:func:`_loss_and_terms` and
+    :func:`_grad_from_terms`). The loss is a mean over samples, so each block's loss
     gradient is divided by the batch's row count; the penalty and its
     gradient enter once. ``nncore.draw_keeps`` draws each
     block's dropout keep-masks from ``rng`` when the block runs, and leaves
@@ -428,3 +416,16 @@ def train_evidential(
         validation_params=best_params,
     )
     return trained, log
+
+
+def train_with_settings(settings: Mapping, train_features, train_targets, val_features,
+                        val_targets, **kwargs) -> tuple[EvidentialModel, list[EpochStats]]:
+    """:func:`train_evidential` with the network and the run read from the
+    flat mapping ``settings``: ``hidden_layers`` layers of ``hidden_neurons``
+    units, ``dropout``, ``l1``, ``l2`` and each :class:`TrainConfig` field
+    by name. Other keys are ignored; ``kwargs`` pass through."""
+    config = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig)})
+    return train_evidential(
+        train_features, train_targets, val_features, val_targets,
+        hidden_sizes=[settings["hidden_neurons"]] * settings["hidden_layers"], config=config,
+        dropout=settings["dropout"], l1=settings["l1"], l2=settings["l2"], **kwargs)

@@ -1,4 +1,4 @@
-"""Atomic file writing helpers and the one CSV writer.
+"""Atomic file writing helpers, the one CSV writer and the one JSON reader.
 
 All pipeline outputs go through a temp-file-plus-rename so a crashed run
 never leaves a partially written file behind.
@@ -72,6 +72,26 @@ def write_json(path, payload) -> None:
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def read_json(path, what: str):
+    """The JSON value in ``path``. Invalid JSON, or a key repeated within one
+    object (``json`` would keep its last value), is a one-line ``UsageError``
+    that starts with ``what``."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise UsageError(f"{what}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
+    with open(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{what}: invalid JSON ({exc})") from None
 
 
 def fmt(value) -> str:

@@ -389,6 +389,11 @@ def _nan_to_none(x: float) -> float | None:
     return None if x is None or (isinstance(x, float) and np.isnan(x)) else float(x)
 
 
+def level_key(level: float) -> str:
+    """A confidence level as the ``picp`` keys of a report dict name it."""
+    return f"{level:.12g}"
+
+
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-ready key/value view of a report, curves included."""
     return {
@@ -398,7 +403,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "rmse": report.rmse,
         "crmse": report.crmse,
         "pearson_r": _nan_to_none(report.pearson_r),
-        "picp": {f"{level:g}": _nan_to_none(v) for level, v in report.picp.items()},
+        "picp": {level_key(level): _nan_to_none(v) for level, v in report.picp.items()},
         "pitd": {
             kind: {
                 "pitd": res.pitd,

@@ -169,6 +169,13 @@ def track_spatial_max(times, field: GridField) -> Track:
     return Track(times[hours], field.values[hours, rows, cols], rows, cols)
 
 
+# Most raster cells a storm's cube may hold per cell row it has. A dense grid
+# has one row per cell, and a grid with up to 63 of every 64 cells missing
+# (ocean, say) still fits; past that, a few rows would ask for a cube far
+# larger than the input.
+MAX_CELLS_PER_ROW = 64
+
+
 def _axis(index: np.ndarray, coords: np.ndarray):
     """The coordinate of each raster row (col) index, that of its first cell
     row; None unless the indices run from 0 to the largest with none
@@ -186,11 +193,12 @@ def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
     Returns ``{storm: (times, field)}`` in storm order, with ``times`` the
     storm's distinct hours in order and ``field`` the [T, rows, cols] cube
     of ``values``; cells without a row stay masked. A storm's row (col)
-    indices must each appear from 0 to the largest, which is checked before
-    any raster is allocated. Each cell must appear at most once per hour,
-    and every row of a storm with the same grid row (col) index must carry
-    the same lat (lon). The arrays are taken to be in
-    file order, so a coordinate that differs is reported at line index + 2.
+    indices must each appear from 0 to the largest, and its cube may hold at
+    most :data:`MAX_CELLS_PER_ROW` cells per row; both are checked before any
+    raster is allocated. Each cell must appear at most once per hour, and
+    every row of a storm with the same grid row (col) index must carry the
+    same lat (lon). The arrays are taken to be in file order, so a repeated
+    cell or a coordinate that differs is reported at line index + 2.
     """
     cubes = {}
     for storm in sorted(set(storm_ids.tolist())):
@@ -216,7 +224,21 @@ def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
                 sorted(errors),
             )
         times, t = np.unique(timestamps[sel], return_inverse=True)
-        cube = np.full((times.size, lat_axis.size, lon_axis.size), np.nan)
+        shape = (times.size, lat_axis.size, lon_axis.size)
+        if np.prod(shape, dtype=float) > MAX_CELLS_PER_ROW * sel.size:
+            raise IngestError(f"storm {storm}: {sel.size} rows span a {' x '.join(map(str, shape))}"
+                              f" raster, more than {MAX_CELLS_PER_ROW} cells per row")
+        cell = np.ravel_multi_index((t, r, c), shape)
+        order = np.argsort(cell, kind="stable")  # file order within a cell
+        repeat = np.flatnonzero(np.diff(cell[order]) == 0)
+        if repeat.size:
+            lines = sel[order] + 2
+            raise IngestError(
+                f"storm {storm}: {repeat.size} rows repeat the hour and cell of another",
+                sorted((int(lines[k + 1]), f"same hour, row and col as line {lines[k]}")
+                       for k in repeat.tolist()),
+            )
+        cube = np.full(shape, np.nan)
         valid = np.zeros(cube.shape, dtype=bool)
         cube[t, r, c] = values[sel]
         valid[t, r, c] = True

@@ -14,9 +14,10 @@ the results do not depend on the BLAS thread count or the number of CPUs.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -136,8 +137,12 @@ def pareto_front(trials: list[TrialResult]) -> list[TrialResult]:
     return sorted(front, key=lambda t: t.trial_id)
 
 
+# Weight of R^2 + PITD skill against MAE in the single recommendation.
+SCALARIZATION_WEIGHT = 0.5
+
+
 def scalarized_best(
-    trials: list[TrialResult], weight: float = 0.5
+    trials: list[TrialResult], weight: float = SCALARIZATION_WEIGHT
 ) -> TrialResult:
     """Single recommendation: minimize MAE - weight*(R^2 + PITD skill)."""
     ok = [t for t in trials if t.ok]
@@ -171,14 +176,8 @@ def _status_column(texts) -> np.ndarray:
 # identical searches write identical logs.
 _LOG_KINDS = {
     "trial_id": data.int_column,
-    "learning_rate": data.float_column,
-    "dropout": data.float_column,
-    "hidden_layers": data.int_column,
-    "hidden_neurons": data.int_column,
-    "batch_size": data.int_column,
-    "evidential_coef": data.float_column,
-    "l1": data.float_column,
-    "l2": data.float_column,
+    **{name: {int: data.int_column, float: data.float_column}[kind]
+       for name, kind in get_type_hints(TrialConfig).items()},
     "val_mae": _objective_column,
     "val_r2_rmse_sigma_total": _objective_column,
     "val_pitd_skill": _objective_column,
@@ -273,7 +272,7 @@ def search(
     objective: Objective,
     seed: int = 0,
     log_path=None,
-    scalarization_weight: float = 0.5,
+    scalarization_weight: float = SCALARIZATION_WEIGHT,
 ) -> SearchResult:
     """Run (or resume) a seeded random search and filter the Pareto set.
 
@@ -294,7 +293,9 @@ def search(
     time. The log is rewritten in ``trial_id`` order as each result arrives.
     A worker that dies is a ``SearchFailure``; the trials that finished
     before it stay in the log. When a worker dies or the objective raises,
-    the trials still running are stopped.
+    the trials still running are stopped. Each trial that fails here issues
+    one warning with its ``trial_id`` and reason; when every trial failed,
+    the ``SearchFailure`` quotes the first reason (a log keeps no reasons).
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")
@@ -327,6 +328,8 @@ def search(
                     if not ok:
                         raise result
                     done[trial_id] = result
+                    if not result.ok:
+                        warnings.warn(f"trial {trial_id} failed: {result.message}")
                     if log_path is not None:  # every known trial, the loaded ones included
                         _write_log(log_path, sorted(done.values(), key=lambda t: t.trial_id))
         except WorkerDied:
@@ -336,7 +339,8 @@ def search(
     results = [done[trial_id] for trial_id in range(n_trials)]
     n_failed = sum(1 for r in results if not r.ok)
     if n_failed == len(results):
-        raise SearchFailure(f"all {len(results)} trials failed")
+        reason = next((f"; trial {r.trial_id}: {r.message}" for r in results if r.message), "")
+        raise SearchFailure(f"all {len(results)} trials failed{reason}")
     front = pareto_front(results)
     best = scalarized_best(results, weight=scalarization_weight)
     return SearchResult(trials=results, pareto=front, best=best, n_failed=n_failed)
@@ -347,35 +351,21 @@ def make_evidential_objective(
     train_targets: np.ndarray,
     val_features: np.ndarray,
     val_targets: np.ndarray,
-    max_epochs: int = 200,
-    patience: int = 10,
+    max_epochs: int = TrainConfig.max_epochs,
+    patience: int = TrainConfig.patience,
     standardizer: data.Standardizer | None = None,
 ) -> Objective:
     """Objective that trains an evidential model and scores it on validation.
     Features are raw; each trial's model applies ``standardizer`` itself."""
-    from .evidential import decompose, train_evidential
+    from .evidential import decompose, train_with_settings
 
     y_val = np.asarray(val_targets, dtype=float)
 
     def objective(config: TrialConfig, rng: np.random.Generator):
-        train_config = TrainConfig(
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            max_epochs=max_epochs,
-            patience=patience,
-            evidential_coef=config.evidential_coef,
-            seed=int(rng.integers(2**31)),
-        )
-        model, log = train_evidential(
-            train_features,
-            train_targets,
-            val_features,
-            val_targets,
-            hidden_sizes=[config.hidden_neurons] * config.hidden_layers,
-            config=train_config,
-            dropout=config.dropout,
-            l1=config.l1,
-            l2=config.l2,
+        settings = {**vars(config), "max_epochs": max_epochs, "patience": patience,
+                    "seed": int(rng.integers(2**31))}
+        model, log = train_with_settings(
+            settings, train_features, train_targets, val_features, val_targets,
             standardizer=standardizer,
         )
         dec = decompose(model.validation_params)

@@ -197,6 +197,22 @@ def test_predict_station_mode(pipeline, tmp_path):
     assert flagged.mean() <= 0.05 + 1.0 / len(rows)
 
 
+def test_close_levels_get_distinct_labels(pipeline, tmp_path):
+    levels = "0.7,0.70000001,0.9999999"
+    pred = tmp_path / "pred"
+    assert run("predict", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+               "--out", pred, "--levels", levels) == 0
+    header = read_rows(pred / "predictions.csv")[0]
+    assert [c for c in header if c.startswith("lower_")] == [
+        "lower_70", "lower_70.000001", "lower_99.99999"]
+    assert run("evaluate", "--pred", pred / "predictions.csv", "--data",
+               pipeline["station_csv"], "--out", tmp_path / "eval", "--levels", levels) == 0
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert list(report["picp"]) == ["0.7", "0.70000001", "0.9999999"]
+    per_station = read_rows(tmp_path / "eval" / "picp_stations.csv")
+    assert [r["level"] for r in per_station[:3]] == ["70", "70.000001", "99.99999"]
+
+
 def test_predict_feature_mismatch_reports_diff(pipeline, tmp_path, capsys):
     # an artifact trained on a single anonymous feature cannot serve the
     # station schema
@@ -315,6 +331,16 @@ def test_predict_artifact_wrong_type_is_usage_error(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("usage-error:")
     assert "artifact field network.leaky_slope must be a number, got str" in err
+
+
+def test_predict_artifact_repeated_key_is_usage_error(pipeline, tmp_path, capsys):
+    text = Path(pipeline["model"]).read_text()
+    edited = tmp_path / "model.json"
+    edited.write_text(text.replace('"version": 1,', '"version": 1,\n  "version": 1,', 1))
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code == 2
+    assert capsys.readouterr().err == f"usage-error: artifact {edited}: repeated key 'version'\n"
 
 
 def _shorten(values):
@@ -1013,6 +1039,23 @@ def test_tune_cli(pipeline, tmp_path, capsys):
     assert read_rows(out / "trials_log.csv") == log2
 
 
+def test_tune_recommendation_is_a_train_config_file(pipeline, tmp_path):
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({"space": {"hidden_neurons": [2, 4], "hidden_layers": [1, 2],
+                                            "batch_size": [16, 64]}}))
+    assert run("tune", "--config", config, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "tune", "--split", "3,1,1", "--trials", "2",
+               "--max-epochs", "2") == 0
+    pareto = json.loads((tmp_path / "tune" / "pareto.json").read_text())
+    recommended = tmp_path / "recommended.json"
+    recommended.write_text(json.dumps(pareto["recommended"]["config"]))
+    assert run("train", "--config", recommended, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "train", "--split", "3,1,1", "--max-epochs", "2") == 0
+    trained = json.loads((tmp_path / "train" / "model.json").read_text())
+    for name in ("learning_rate", "batch_size", "evidential_coef"):
+        assert trained["train_config"][name] == pareto["recommended"]["config"][name]
+
+
 # ---------------------------------------------------------------------------
 # config precedence, errors, hygiene
 
@@ -1027,6 +1070,17 @@ def test_config_file_and_flag_precedence(pipeline, tmp_path):
     rows = read_rows(out / "predictions.csv")
     assert "lower_99" in rows[0]       # flag wins over config file
     assert "lower_90" not in rows[0]
+
+
+def test_config_file_repeated_key_is_usage_error(pipeline, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"mask_percentile": 90, "levels": [0.9], "mask_percentile": 80}')
+    code = run("predict", "--config", config, "--model", pipeline["model"],
+               "--data", pipeline["station_csv"], "--out", tmp_path / "o")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage-error: config file {config}: repeated key 'mask_percentile'\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_retired_threads_config_key_rejected(pipeline, tmp_path, capsys):
@@ -1100,6 +1154,8 @@ BAD_OPTIONS = [
     # dropout bounds lie in [0, 0.5], the rates the network accepts
     *(("tune", ["--trials", "1", "--max-epochs", "1"], {"space": {"dropout": bounds}}, "dropout")
       for bounds in ([1.0, 2.0], [-0.5, -0.1])),
+    # distinct levels whose labels coincide in 12 significant digits
+    ("predict", ["--levels", "0.7,0.7000000000001"], None, "--levels"),
 ]
 
 

@@ -25,9 +25,9 @@ from gustuq.data import (
     load_station_csv,
     parse_timestamp,
     wind_direction_components,
-    write_station_csv,
 )
 from gustuq.errors import DegenerateInputWarning, IngestError, UsageError, WorkerDied
+from gustuq.fileio import write_csv
 from gustuq.tune import TRIALS_LOG_COLUMNS, load_trials_log
 
 from markers import needs_two_cpus
@@ -39,6 +39,16 @@ from synth import (
     write_grid_file,
     write_station_file,
 )
+
+
+def write_station_dataset(path, dataset, raw) -> None:
+    """A station file of ``dataset`` and its [n x 9] raw feature columns
+    ``raw`` (the derived features cannot be inverted back to wind direction
+    degrees); a NaN gust is a blank cell."""
+    gust = np.full(len(dataset), np.nan) if dataset.gust is None else dataset.gust
+    write_csv(path, RAW_HEADER, dataset.storm_ids, dataset.timestamps, dataset.station_ids,
+              dataset.lats, dataset.lons, *np.asarray(raw, dtype=float).T,
+              np.ma.masked_invalid(gust))
 
 
 @pytest.fixture
@@ -169,35 +179,13 @@ def test_round_trip_is_bitwise(tmp_path, station_file):
             [[float(row[c]) for c in data.RAW_FEATURE_COLUMNS] for row in reader]
         )
     out = tmp_path / "rewritten.csv"
-    write_station_csv(ds, out, raw_features=raw)
+    write_station_dataset(out, ds, raw)
     ds2 = load_station_csv(out)
     assert np.array_equal(ds.features, ds2.features)
     assert np.array_equal(ds.gust, ds2.gust)
     assert np.array_equal(ds.timestamps, ds2.timestamps)
     assert ds.storm_ids.tolist() == ds2.storm_ids.tolist()
     assert ds.station_ids.tolist() == ds2.station_ids.tolist()
-
-
-def test_write_station_csv_writes_missing_gust_blank(tmp_path):
-    ds = Dataset(
-        storm_ids=np.array(["S00", "S00"]),
-        timestamps=np.array(["2020-01-01T00:00:00", "2020-01-01T01:00:00"],
-                            dtype="datetime64[s]"),
-        lats=np.array([41.0, 41.5]),
-        lons=np.array([-73.0, -72.5]),
-        features=np.zeros((2, len(FEATURE_NAMES))),
-        gust=np.array([np.nan, 7.25]),
-        station_ids=np.array(["ST00", "ST01"]),
-    )
-    raw = np.arange(18.0).reshape(2, 9) / 4
-    write_station_csv(ds, tmp_path / "out.csv", raw_features=raw)
-    assert (tmp_path / "out.csv").read_bytes() == (
-        b"storm_id,timestamp_utc,station_id,lat,lon,WS_10m,WS_850mb,WS_950mb,PBLH,Ustar,"
-        b"wind_dir_deg,terrain_height_m,lapse_sfc_1km,lapse_sfc_2km,gust_obs\r\n"
-        b"S00,2020-01-01T00:00:00Z,ST00,41.0,-73.0,0.0,0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,\r\n"
-        b"S00,2020-01-01T01:00:00Z,ST01,41.5,-72.5,2.25,2.5,2.75,3.0,3.25,3.5,3.75,4.0,4.25,"
-        b"7.25\r\n"
-    )
 
 
 def test_very_short_row_reported_as_ingest_error(tmp_path):
@@ -618,7 +606,7 @@ def synthetic_stations(n: int, seed: int) -> tuple[Dataset, np.ndarray]:
 def test_ingest_round_trip_across_block_sizes(tmp_path_factory, n, seed):
     ds, raw = synthetic_stations(n, seed)
     path = tmp_path_factory.mktemp("rt") / "stations.csv"
-    write_station_csv(ds, path, raw_features=raw)
+    write_station_dataset(path, ds, raw)
     back = load_station_csv(path, require_target=False)
     assert len(back) == n
     assert back.storm_ids.tolist() == ds.storm_ids.tolist()
@@ -628,7 +616,7 @@ def test_ingest_round_trip_across_block_sizes(tmp_path_factory, n, seed):
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.gust, ds.gust, equal_nan=True)
     again = path.with_name("again.csv")
-    write_station_csv(back, again, raw_features=raw)
+    write_station_dataset(again, back, raw)
     assert again.read_bytes() == path.read_bytes()
 
 

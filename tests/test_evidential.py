@@ -217,9 +217,10 @@ def test_regularizer_linear_in_distance():
 def batch_loss(raw, y, lam):
     """Mean dual-objective loss of raw outputs and its gradient wrt them."""
     params = head_transform(raw)
-    grad = evidential._raw_grad(raw, params, y, lam)
+    per_sample, terms = evidential._loss_and_terms(params, y, lam)
+    grad = evidential._grad_from_terms(raw, params, terms, lam)
     grad /= len(y)
-    return float(evidential._sample_loss(params, y, lam).mean()), grad
+    return float(per_sample.mean()), grad
 
 
 def test_loss_lambda_zero_equals_mean_nll():
@@ -242,7 +243,7 @@ def test_loss_with_tuned_coefficient_exceeds_nll():
 
 def test_loss_negative_lambda_rejected():
     with pytest.raises(ConfigError):
-        evidential._sample_loss(head_transform(np.zeros((2, 4))), np.zeros(2), lam=-1.0)
+        evidential._loss_and_terms(head_transform(np.zeros((2, 4))), np.zeros(2), lam=-1.0)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -336,7 +337,7 @@ def test_loss_nonfinite_reports_sample_index():
     raw = np.zeros((4, 4))
     y = np.array([0.0, 0.0, np.inf, 0.0])
     with pytest.raises(NumericError, match="sample index 2"):
-        evidential._sample_loss(head_transform(raw), y, lam=0.0)
+        evidential._loss_and_terms(head_transform(raw), y, lam=0.0)
 
 
 def separate_loss_and_grad(raw, y, lam):
@@ -381,8 +382,6 @@ def test_shared_terms_give_the_separate_formulas_bit_for_bit(lam):
     per_sample, terms = evidential._loss_and_terms(p, y, lam)
     assert np.array_equal(per_sample, loss)
     assert np.array_equal(evidential._grad_from_terms(raw, p, terms, lam), grad)
-    assert np.array_equal(evidential._sample_loss(p, y, lam), loss)
-    assert np.array_equal(evidential._raw_grad(raw, p, y, lam), grad)
     assert np.array_equal(nig_nll(p, y), nll)
     assert np.array_equal(evidence_regularizer(p, y), reg)
 
@@ -394,8 +393,6 @@ def test_shared_term_loss_names_the_sample_index_from_first_row():
     for lam in (0.0, 0.59):
         with pytest.raises(NumericError, match=r"sample index 1028$"):
             evidential._loss_and_terms(head_transform(raw), y, lam, first_row=1024)
-        with pytest.raises(NumericError, match=r"sample index 1028$"):
-            evidential._sample_loss(head_transform(raw), y, lam, first_row=1024)
 
 
 def test_first_step_does_not_increase_loss_for_small_lr():

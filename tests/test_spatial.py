@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gustuq.errors import DegenerateInputWarning, DomainError, IngestError, UsageError
 from gustuq.spatial import (
+    MAX_CELLS_PER_ROW,
     GridField,
     StationSet,
     alignment_fraction,
@@ -441,6 +442,34 @@ def test_storm_cubes_refuse_a_sparse_index_before_allocating_its_axis():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_storm_cubes_refuse_a_raster_far_larger_than_its_rows_before_allocating_it():
+    # 100 rows on the diagonal of 100 hours x 100 rows x 100 cols: every axis
+    # index appears, but the cube and its mask would take 9 MB
+    n = 100
+    index = np.arange(n)
+    times = np.datetime64("2020-01-01T00:00:00", "s") + index.astype("timedelta64[h]")
+    lats, lons = 41.0 + 0.25 * index, -74.0 + 0.25 * index
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngestError, match=f"more than {MAX_CELLS_PER_ROW} cells per row"):
+            storm_cubes(np.array(["A"] * n), times, index, index, lats, lons, np.zeros(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_storm_cubes_refuse_a_repeated_cell_naming_its_lines():
+    # one hour of a 2x2 raster whose first cell comes again on the last line:
+    # its 2.0 must not silently replace the 1.0
+    rows, cols = np.array([0, 0, 1, 1, 0]), np.array([0, 1, 0, 1, 0])
+    times = np.full(5, np.datetime64("2020-01-01T00:00:00", "s"))
+    with pytest.raises(IngestError, match="storm A: 1 rows repeat") as err:
+        storm_cubes(np.array(["A"] * 5), times, rows, cols, 41.0 + 0.25 * rows,
+                    -74.0 + 0.25 * cols, np.array([1.0, 0.0, 0.0, 0.0, 2.0]))
+    assert err.value.row_errors == [(6, "same hour, row and col as line 2")]
 
 
 def test_storm_cubes_refuse_cells_whose_coordinates_disagree():

@@ -465,8 +465,13 @@ def test_search_records_failures():
             raise UsageError("boom")
         return 1.0, 0.5, 0.5, 3
 
-    result = search(HyperSpace(), 30, sometimes_fails, seed=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = search(HyperSpace(), 30, sometimes_fails, seed=5)
     assert result.n_failed > 0
+    failed = [t.trial_id for t in result.trials if not t.ok]
+    assert sorted(str(w.message) for w in caught) == sorted(
+        f"trial {k} failed: boom" for k in failed)
     assert all(not t.ok for t in result.trials if t.status == "failed")
     assert all(t.ok for t in result.pareto)
 
@@ -475,7 +480,7 @@ def test_search_all_failed_raises():
     def always_fails(config, rng):
         raise UsageError("nope")
 
-    with pytest.raises(SearchFailure):
+    with pytest.raises(SearchFailure, match=r"^all 5 trials failed; trial 0: nope$"):
         search(HyperSpace(), 5, always_fails, seed=0)
 
 
@@ -483,7 +488,7 @@ def test_search_nonfinite_objective_marks_failed():
     def nan_objective(config, rng):
         return float("nan"), 0.5, 0.5, 1
 
-    with pytest.raises(SearchFailure):
+    with pytest.raises(SearchFailure, match="trial 0: non-finite objective$"):
         search(HyperSpace(), 3, nan_objective, seed=0)
 
 
