@@ -8,7 +8,8 @@ identical invocations on identical inputs produce byte-identical outputs
 on the same machine with the same numpy/BLAS build. ``main`` holds every
 loaded OpenBLAS to one thread before a command runs, so the outputs do not
 depend on ``OPENBLAS_NUM_THREADS`` either. Failures exit nonzero with a
-one-line ``<error-class>: <message>`` diagnostic on stderr.
+one-line ``<error-class>: <message>`` diagnostic on stderr, and each
+warning shown prints as one ``<Category>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
 from . import artifact, data, evidential, metrics, parallel, spatial, tune, xai
-from .errors import DegenerateInputWarning, GustUQError, UsageError
+from .errors import DegenerateInputWarning, GustUQError, IngestError, UsageError
 # ``fmt`` is not called here; it stays importable as ``cli.fmt``, the name
 # bench/tracer.py times.
 from .fileio import fmt, read_json, write_csv, write_json
@@ -269,15 +270,14 @@ def _check_feature_names(model: evidential.EvidentialModel, names: list[str]) ->
 # train
 
 
-def _write_epoch_log(path, log) -> None:
-    write_csv(
-        path,
-        ["epoch", "train_loss", "val_loss", "val_mae"],
-        np.asarray([e.epoch for e in log]),
-        np.asarray([e.train_loss for e in log], float),
-        np.asarray([e.val_loss for e in log], float),
-        np.asarray([e.val_mae for e in log], float),
-    )
+def _write_records(path, record_type, records) -> None:
+    """One row per ``record_type`` dataclass of ``records``, one column per
+    field, headed by its name: text as is, numbers as arrays of its type."""
+    kinds = get_type_hints(record_type)
+    write_csv(path, list(kinds), *(
+        [getattr(r, name) for r in records] if kind is str
+        else np.array([getattr(r, name) for r in records], kind)
+        for name, kind in kinds.items()))
 
 
 def _write_report_files(out: Path, prefix: str, report: metrics.EvalReport) -> None:
@@ -319,7 +319,7 @@ def cmd_train(opts: dict) -> None:
     )
 
     artifact.save_model(model, out / "model.json")
-    _write_epoch_log(out / "epoch_log.csv", log)
+    _write_records(out / "epoch_log.csv", evidential.EpochStats, log)
     write_json(
         out / "split.json",
         {
@@ -373,44 +373,41 @@ def cmd_predict(opts: dict) -> None:
         return
 
     # the cubes check the cell coordinates, so a bad grid leaves no file behind
-    cells = (ds.storm_ids, ds.timestamps, ds.grid_rows, ds.grid_cols, ds.lats, ds.lons)
-    mean_cubes = spatial.storm_cubes(*cells, pset.mean)
+    cubes = spatial.storm_cubes(ds.storm_ids, ds.timestamps, ds.grid_rows, ds.grid_cols,
+                                ds.lats, ds.lons, pset.mean, pset.total_sd)
     ids = {"storm_id": ds.storm_ids, "timestamp_utc": ds.timestamps,
            "row": ds.grid_rows, "col": ds.grid_cols, **coords}
     _write_predictions(out / "grid_predictions.csv", ids, pset, levels)
 
-    # hourly spatial gradient of the mean prediction field; cells in (t, r, c) order
-    parts = []
-    for storm, (hours, field) in mean_cubes.items():
-        gradient = spatial.spatial_gradient(field)
+    # per storm: the hourly spatial gradient of the mean field, cells in
+    # (t, r, c) order, and the storm-duration cell averages of mean and
+    # total sd, min-max normalized
+    gradients, normalized = [], []
+    for storm, (hours, mean, total_sd) in cubes.items():
+        gradient = spatial.spatial_gradient(mean)
         t, r, c = np.nonzero(gradient.valid)
-        parts.append((np.full(len(t), storm), hours[t], *_cell_coords(gradient, r, c),
-                      gradient.values[t, r, c]))
-    write_csv(
-        out / "gradient_mean.csv",
-        ["storm_id", "time", "lat", "lon", "gradient"],
-        *map(np.concatenate, zip(*parts)),
-    )
-
-    # storm-duration cell averages of mean and total sd, min-max normalized
-    sd_cubes = spatial.storm_cubes(*cells, pset.total_sd)
-    parts = []
-    for storm, (_, field) in mean_cubes.items():
-        mean_avg = _average_fields(field)
-        sd_avg = _average_fields(sd_cubes[storm][1])
+        gradients.append((np.full(len(t), storm), hours[t], *_cell_coords(gradient, r, c),
+                          gradient.values[t, r, c]))
+        mean_avg = _average_fields(mean)
         norm_mean = _safe_normalize(mean_avg, f"storm {storm} mean field")
-        norm_sd = _safe_normalize(sd_avg, f"storm {storm} total-sd field")
+        norm_sd = _safe_normalize(_average_fields(total_sd), f"storm {storm} total-sd field")
         r, c = np.nonzero(mean_avg.valid)
         blank = np.ma.masked_all(len(r))
-        parts.append((
+        normalized.append((
             np.full(len(r), storm), *_cell_coords(mean_avg, r, c),
             blank if norm_mean is None else norm_mean.values[r, c],
             blank if norm_sd is None else norm_sd.values[r, c],
         ))
+    del cubes, mean, total_sd  # the writes format their text without the rasters
+    write_csv(
+        out / "gradient_mean.csv",
+        ["storm_id", "time", "lat", "lon", "gradient"],
+        *map(np.concatenate, zip(*gradients)),
+    )
     write_csv(
         out / "normalized_fields.csv",
         ["storm_id", "lat", "lon", "mean_norm", "total_sd_norm"],
-        *map(np.ma.concatenate, zip(*parts)),
+        *map(np.ma.concatenate, zip(*normalized)),
     )
     print(f"wrote {out / 'grid_predictions.csv'}")
 
@@ -451,15 +448,11 @@ def cmd_evaluate(opts: dict) -> None:
     """Score predictions against observations."""
     out = _out_dir(opts)
     levels = opts["levels"]
-    names = ("station_id", "timestamp_utc", "mean", "aleatoric_sd", "epistemic_sd", "total_sd")
-    pred = data.read_csv(
+    pred = data.read_predictions(
         opts["pred"],
-        {c: data.PREDICTION_KINDS[c] for c in names},
+        ("station_id", "timestamp_utc", "mean", "aleatoric_sd", "epistemic_sd", "total_sd"),
         key=("station_id", "timestamp_utc"),
-        exact=False,
     )
-    if len(pred["mean"]) == 0:
-        raise UsageError(f"{opts['pred']}: no prediction rows")
     obs_ds = data.load_station_csv(opts["data"], require_target=True)
     obs_index = {
         key: i
@@ -542,23 +535,7 @@ def cmd_explain(opts: dict) -> None:
         seed=opts["seed"],
         n_grid=opts["pdp_grid"],
     )
-    write_csv(
-        out / "pfi.csv",
-        [
-            "feature",
-            "delta_rmse_mean",
-            "delta_rmse_sd",
-            "delta_r2_mean",
-            "delta_r2_sd",
-            "n_shuffles",
-            "note",
-        ],
-        [f.feature for f in pfi.features],
-        *(np.asarray([getattr(f, name) for f in pfi.features], float) for name in (
-            "delta_rmse_mean", "delta_rmse_sd", "delta_r2_mean", "delta_r2_sd")),
-        np.asarray([f.n_shuffles for f in pfi.features]),
-        [f.note for f in pfi.features],
-    )
+    _write_records(out / "pfi.csv", xai.FeatureImportance, pfi.features)
     write_csv(
         out / "pdp.csv",
         [
@@ -586,12 +563,7 @@ def cmd_spatial(opts: dict) -> None:
     """Spatial-max tracking and alignment on grid predictions."""
     out = _out_dir(opts)
     names = ("storm_id", "timestamp_utc", "row", "col", "lat", "lon", "total_sd")
-    pred = data.read_csv(
-        opts["pred"], {c: data.PREDICTION_KINDS[c] for c in names},
-        key=("storm_id", "timestamp_utc", "row", "col"), exact=False,
-    )
-    if len(pred["total_sd"]) == 0:
-        raise UsageError(f"{opts['pred']}: no prediction rows")
+    pred = data.read_predictions(opts["pred"], names, key=names[:4])
     feature_ds = data.load_grid_csv(opts["data"])
     ws_index = feature_ds.feature_names.index("WS_10m")
 
@@ -605,6 +577,20 @@ def cmd_spatial(opts: dict) -> None:
     storms = sorted(set(uq_cubes) & set(ws_cubes))
     if not storms:
         raise UsageError("prediction and feature files share no storms")
+    only = [f"{storm} (only in {opts['pred'] if storm in uq_cubes else opts['data']})"
+            for storm in sorted(set(uq_cubes) ^ set(ws_cubes))]
+    if only:
+        warnings.warn(f"{len(only)} of {len(storms) + len(only)} storms are in one file only "
+                      f"and are not tracked: {', '.join(only[:10])}", DegenerateInputWarning)
+    # the tracks are compared by row and col, so both files must grid a
+    # storm alike where their rasters overlap
+    for storm in storms:
+        for name, coord, axis in (("row", "lat", "lats"), ("col", "lon", "lons")):
+            axes = (getattr(cubes[storm][1], axis).tolist() for cubes in (ws_cubes, uq_cubes))
+            for k, (ws_value, uq_value) in enumerate(zip(*axes)):
+                if ws_value != uq_value:
+                    raise IngestError(f"storm {storm}: grid {name} {k} has {coord} {ws_value!r} "
+                                      f"in {opts['data']} but {uq_value!r} in {opts['pred']}")
 
     # one row per hour of each storm's wind track; the uq track's maximum of
     # the same hour, if any, beside it
@@ -726,6 +712,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # only the text changes: filters and ``catch_warnings`` see each warning as before
+    format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)
         handler, options = COMMANDS[args.command]
@@ -741,6 +729,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # keep the one-line contract even for bugs
         _report(f"internal-error: {type(exc).__name__}", exc)
         return 3
+    finally:
+        warnings.formatwarning = format_warning
 
 
 def _report(label: str, exc: Exception) -> None:
@@ -748,6 +738,12 @@ def _report(label: str, exc: Exception) -> None:
     message quotes from the input."""
     message = " ".join(str(exc).splitlines())
     print(f"{label}: {message}", file=sys.stderr)
+
+
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as ``<Category>: <message>`` on one line, like an error."""
+    text = " ".join(str(message).splitlines())
+    return f"{category.__name__}: {text}\n"
 
 
 if __name__ == "__main__":

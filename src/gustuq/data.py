@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +78,8 @@ class Dataset:
         return list(FEATURE_NAMES)
 
     def subset(self, index: np.ndarray) -> "Dataset":
-        pick = lambda a: None if a is None else a[index]
-        return Dataset(
-            storm_ids=self.storm_ids[index],
-            timestamps=self.timestamps[index],
-            lats=self.lats[index],
-            lons=self.lons[index],
-            features=self.features[index],
-            gust=pick(self.gust),
-            station_ids=pick(self.station_ids),
-            grid_rows=pick(self.grid_rows),
-            grid_cols=pick(self.grid_cols),
-        )
+        return Dataset(**{name: None if column is None else column[index]
+                          for name, column in vars(self).items()})
 
     def storm_start_times(self) -> dict[str, np.datetime64]:
         storms, starts, _ = _storm_spans(self.storm_ids, self.timestamps)
@@ -173,8 +164,9 @@ def _check_header(path, header: list[str], required: list[str], optional, exact:
     unknown = [c for c in header if c not in required and c not in optional]
     if exact and unknown:
         raise IngestError(f"unknown columns: {', '.join(unknown)}")
-    if exact and len(set(header)) != len(header):
-        raise IngestError("duplicate column names in header")
+    repeated = [c for c, n in Counter(header).items() if n > 1]
+    if repeated:  # a dict of the columns would keep the last of each silently
+        raise IngestError(f"{path}: repeated column names {', '.join(repeated)}")
 
 
 def _storm_spans(storm_ids: np.ndarray, timestamps: np.ndarray):
@@ -467,7 +459,8 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     ``columns`` maps each column to its kind (see ``id_column``); a column in
     ``optional`` that the header lacks reads as empty strings. With ``exact``
     the header holds exactly these columns, otherwise other columns may be
-    present and a missing one is a usage error. Rows are converted in blocks
+    present and a missing one is a usage error. A column name repeated in the
+    header is an ``IngestError`` either way. Rows are converted in blocks
     of ``BLOCK_ROWS``, one numpy conversion per column per block. In a block
     that fails, each column is re-checked with its own kind, halving the
     failing parts down to single values, and every bad row is reported with
@@ -501,6 +494,17 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     if key:
         lines = np.concatenate([lines for _, _, lines in pieces])
         _reject_duplicates(path, key, [table[k] for k in key], lines)
+    return table
+
+
+def read_predictions(path, columns, key) -> dict:
+    """The named ``columns`` of a file that ``predict`` wrote, as
+    ``PREDICTION_KINDS`` reads them. Other columns may be present; a missing
+    one, or a file without rows, is a usage error, and a repeated ``key`` an
+    ``IngestError``."""
+    table = read_csv(path, {c: PREDICTION_KINDS[c] for c in columns}, key=key, exact=False)
+    if len(table[key[0]]) == 0:
+        raise UsageError(f"{path}: no prediction rows")
     return table
 
 

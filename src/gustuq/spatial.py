@@ -12,7 +12,7 @@ than on geodesic distance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -63,12 +63,7 @@ class GridField:
         return self.values.shape
 
     def with_values(self, values: np.ndarray, valid: np.ndarray | None = None) -> "GridField":
-        return GridField(
-            lats=self.lats,
-            lons=self.lons,
-            values=values,
-            valid=self.valid if valid is None else valid,
-        )
+        return replace(self, values=values, valid=self.valid if valid is None else valid)
 
 
 def spatial_gradient(grid: GridField) -> GridField:
@@ -187,18 +182,21 @@ def _axis(index: np.ndarray, coords: np.ndarray):
     return None if np.isnan(axis).any() else axis
 
 
-def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
-    """Scatter long-format cell rows into one cube per storm.
+def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, *values):
+    """Scatter long-format cell rows into one cube per storm and value column.
 
-    Returns ``{storm: (times, field)}`` in storm order, with ``times`` the
-    storm's distinct hours in order and ``field`` the [T, rows, cols] cube
-    of ``values``; cells without a row stay masked. A storm's row (col)
-    indices must each appear from 0 to the largest, and its cube may hold at
-    most :data:`MAX_CELLS_PER_ROW` cells per row; both are checked before any
-    raster is allocated. Each cell must appear at most once per hour, and
-    every row of a storm with the same grid row (col) index must carry the
-    same lat (lon). The arrays are taken to be in file order, so a repeated
-    cell or a coordinate that differs is reported at line index + 2.
+    Returns ``{storm: (times, field, ...)}`` in storm order, with ``times``
+    the storm's distinct hours in order and one [T, rows, cols] cube field
+    per column of ``values``, in their order; cells without a row stay
+    masked. A storm's fields share its axes and one validity mask: every
+    column is scattered through one cell index, built and checked once per
+    storm. A storm's row (col) indices must each appear from 0 to the
+    largest, and its cube may hold at most :data:`MAX_CELLS_PER_ROW` cells
+    per row; both are checked before any raster is allocated. Each cell must
+    appear at most once per hour, and every row of a storm with the same
+    grid row (col) index must carry the same lat (lon). The arrays are taken
+    to be in file order, so a repeated cell or a coordinate that differs is
+    reported at line index + 2.
     """
     cubes = {}
     for storm in sorted(set(storm_ids.tolist())):
@@ -238,11 +236,14 @@ def storm_cubes(storm_ids, timestamps, rows, cols, lats, lons, values):
                 sorted((int(lines[k + 1]), f"same hour, row and col as line {lines[k]}")
                        for k in repeat.tolist()),
             )
-        cube = np.full(shape, np.nan)
-        valid = np.zeros(cube.shape, dtype=bool)
-        cube[t, r, c] = values[sel]
-        valid[t, r, c] = True
-        cubes[storm] = (times, GridField(lats=lat_axis, lons=lon_axis, values=cube, valid=valid))
+        valid = np.zeros(shape, dtype=bool)
+        valid.reshape(-1)[cell] = True  # a fresh array's reshape is a view
+        fields = []
+        for column in values:
+            cube = np.full(shape, np.nan)
+            cube.reshape(-1)[cell] = column[sel]
+            fields.append(GridField(lats=lat_axis, lons=lon_axis, values=cube, valid=valid))
+        cubes[storm] = (times, *fields)
     return cubes
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -101,27 +101,23 @@ class TrialResult:
     val_pitd_skill: float = float("nan")
     n_epochs: int = 0
     status: str = "ok"
-    message: str = ""
+    message: str = field(default="", metadata={"logged": False})  # a log keeps no reasons
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
 
+def _gains(t: TrialResult) -> tuple[float, float, float]:
+    """The three objectives of a trial, each signed so that more is better."""
+    return -t.val_mae, t.val_r2_rmse_sigma_total, t.val_pitd_skill
+
+
 def dominates(a: TrialResult, b: TrialResult) -> bool:
     """True when ``a`` is at least as good on all three objectives and
     strictly better on at least one (MAE down, R^2 up, PITD skill up)."""
-    at_least = (
-        a.val_mae <= b.val_mae
-        and a.val_r2_rmse_sigma_total >= b.val_r2_rmse_sigma_total
-        and a.val_pitd_skill >= b.val_pitd_skill
-    )
-    strictly = (
-        a.val_mae < b.val_mae
-        or a.val_r2_rmse_sigma_total > b.val_r2_rmse_sigma_total
-        or a.val_pitd_skill > b.val_pitd_skill
-    )
-    return at_least and strictly
+    pairs = list(zip(_gains(a), _gains(b)))
+    return all(x >= y for x, y in pairs) and any(x > y for x, y in pairs)
 
 
 def pareto_front(trials: list[TrialResult]) -> list[TrialResult]:
@@ -172,18 +168,24 @@ def _status_column(texts) -> np.ndarray:
     return status
 
 
+def _log_kinds() -> dict:
+    """The trials log's column kinds: one per ``TrialResult`` field that is
+    logged, by its type, with the ``TrialConfig`` fields in place of its config."""
+    config = {name: {int: data.int_column, float: data.float_column}[kind]
+              for name, kind in get_type_hints(TrialConfig).items()}
+    result = {int: data.int_column, float: _objective_column, str: _status_column}
+    kinds = {}
+    for f, kind in zip(dc_fields(TrialResult), get_type_hints(TrialResult).values()):
+        if kind is TrialConfig:
+            kinds.update(config)
+        elif f.metadata.get("logged", True):
+            kinds[f.name] = result[kind]
+    return kinds
+
+
 # Every column is a deterministic function of the seed and the data, so two
 # identical searches write identical logs.
-_LOG_KINDS = {
-    "trial_id": data.int_column,
-    **{name: {int: data.int_column, float: data.float_column}[kind]
-       for name, kind in get_type_hints(TrialConfig).items()},
-    "val_mae": _objective_column,
-    "val_r2_rmse_sigma_total": _objective_column,
-    "val_pitd_skill": _objective_column,
-    "n_epochs": data.int_column,
-    "status": _status_column,
-}
+_LOG_KINDS = _log_kinds()
 TRIALS_LOG_COLUMNS = list(_LOG_KINDS)
 
 
@@ -256,11 +258,7 @@ def _run_trial(space: HyperSpace, objective: Objective, seed: int, trial_id: int
         val_pitd_skill=float(skill),
         n_epochs=int(n_epochs),
     )
-    if not (
-        np.isfinite(result.val_mae)
-        and np.isfinite(result.val_r2_rmse_sigma_total)
-        and np.isfinite(result.val_pitd_skill)
-    ):
+    if not np.all(np.isfinite(_gains(result))):
         result.status = "failed"
         result.message = "non-finite objective"
     return result

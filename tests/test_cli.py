@@ -912,6 +912,47 @@ def test_spatial_refuses_bad_total_sd(pipeline, tmp_path, capsys):
     assert not (out / "max_tracks.csv").exists()
 
 
+def test_spatial_refuses_predictions_made_on_another_grid(pipeline, tmp_path, capsys):
+    # the pipeline's grid moved 2 degrees north: its grid row 0 is another
+    # place than the feature file's
+    rows = grid_rows(n_storms=1, n_rows=5, n_cols=6, n_hours=4, seed=2)
+    for row in rows:
+        row[4] = repr(float(row[4]) + 2.0)
+    write_grid_file(tmp_path / "north.csv", rows=rows)
+    assert run("predict", "--model", pipeline["model"], "--data", tmp_path / "north.csv",
+               "--out", tmp_path / "pred") == 0
+    pred = tmp_path / "pred" / "grid_predictions.csv"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run("spatial", "--pred", pred, "--data", pipeline["grid_csv"], "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"ingest-error: storm G00: grid row 0 has lat 41.0 in {pipeline['grid_csv']} "
+        f"but 43.0 in {pred}\n"
+    )
+    assert not out.exists()
+
+
+def test_spatial_warns_of_storms_in_one_file_only(pipeline, tmp_path):
+    pred_csv = tmp_path / "gp.csv"
+    make_grid_predictions_csv(pred_csv, pipeline["grid_csv"])
+    # G01, a copy of G00's rows, is a storm that the feature file lacks
+    lines = pred_csv.read_text().splitlines(keepends=True)
+    extra = tmp_path / "extra.csv"
+    extra.write_text("".join(lines + [line.replace("G00", "G01", 1) for line in lines[1:]]))
+    out = tmp_path / "spatial"
+    with pytest.warns(DegenerateInputWarning) as caught:
+        assert run("spatial", "--pred", extra, "--data", pipeline["grid_csv"], "--out", out) == 0
+    assert [str(w.message) for w in caught] == [
+        f"1 of 2 storms are in one file only and are not tracked: G01 (only in {extra})"
+    ]
+    assert list(json.loads((out / "alignment.json").read_text())) == ["G00"]
+    # G00's track as without G01
+    ref = tmp_path / "reference"
+    assert run("spatial", "--pred", pred_csv, "--data", pipeline["grid_csv"], "--out", ref) == 0
+    assert (out / "max_tracks.csv").read_bytes() == (ref / "max_tracks.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # blank cells, byte for byte as csv.writer wrote them
 
@@ -975,11 +1016,16 @@ def test_spatial_constant_wind_max_series_is_blank(tmp_path):
     )
 
 
-def test_predict_constant_storm_normalized_fields_are_blank(pipeline, tmp_path):
+def write_constant_grid(path) -> None:
+    """One storm of 2 x 3 cells over 2 hours, every cell with the same features."""
     rows = grid_rows(n_storms=1, n_rows=2, n_cols=3, n_hours=2, seed=0)
     for row in rows:
         row[6:] = ["8.0", "10.0", "9.0", "1.0", "0.5", "180.0", "100.0", "1.0", "2.0"]
-    write_grid_file(tmp_path / "grid.csv", rows=rows)
+    write_grid_file(path, rows=rows)
+
+
+def test_predict_constant_storm_normalized_fields_are_blank(pipeline, tmp_path):
+    write_constant_grid(tmp_path / "grid.csv")
     out = tmp_path / "out"
     with pytest.warns(DegenerateInputWarning, match="is constant"):
         assert run("predict", "--model", pipeline["model"], "--data", tmp_path / "grid.csv",
@@ -989,6 +1035,28 @@ def test_predict_constant_storm_normalized_fields_are_blank(pipeline, tmp_path):
         b"G00,41.0,-74.0,,\r\nG00,41.0,-73.75,,\r\nG00,41.0,-73.5,,\r\n"
         b"G00,41.25,-74.0,,\r\nG00,41.25,-73.75,,\r\nG00,41.25,-73.5,,\r\n"
     )
+
+
+def test_command_warnings_print_as_one_line(pipeline, tmp_path):
+    write_constant_grid(tmp_path / "grid.csv")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def predict_stderr(*python_options) -> str:
+        done = subprocess.run(
+            [sys.executable, *python_options, "-m", "gustuq.cli", "predict", "--model",
+             str(pipeline["model"]), "--data", str(tmp_path / "grid.csv"),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stderr
+
+    assert predict_stderr() == (
+        "DegenerateInputWarning: storm G00 mean field is constant; normalization skipped\n"
+        "DegenerateInputWarning: storm G00 total-sd field is constant; normalization skipped\n"
+    )
+    assert predict_stderr("-W", "ignore") == ""  # the filters still apply
 
 
 # ---------------------------------------------------------------------------

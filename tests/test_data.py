@@ -93,6 +93,27 @@ def test_unknown_column_rejected(tmp_path):
         load_station_csv(path)
 
 
+def test_repeated_column_rejected_naming_file_and_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RAW_HEADER + ["lat"])
+        writer.writerows([*row, "0.0"] for row in station_rows(n_storms=1, n_stations=1))
+    with pytest.raises(IngestError) as refused:
+        load_station_csv(path)
+    assert str(refused.value) == f"{path}: repeated column names lat"
+
+
+def test_repeated_column_rejected_where_other_columns_may_be_present(tmp_path):
+    # the last of the two would win: the mean read back would be 99.0
+    path = tmp_path / "pred.csv"
+    path.write_text("station_id,mean,total_sd,mean\r\nS00,1.0,0.5,99.0\r\n")
+    with pytest.raises(IngestError) as refused:
+        data.read_csv(path, {"station_id": data.id_column, "mean": data.float_column},
+                      exact=False)
+    assert str(refused.value) == f"{path}: repeated column names mean"
+
+
 def test_missing_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(RAW_HEADER[:-2]) + "\n")

@@ -419,6 +419,15 @@ def test_storm_cubes_match_per_hour_reference(seed, n_storms):
             assert np.array_equal(cube.lats, grid.lats) and np.array_equal(cube.lons, grid.lons)
             assert np.array_equal(cube.valid[k], grid.valid)
             assert np.array_equal(cube.values[k], grid.values, equal_nan=True)
+    # a second value column in the same call: the bits of a call of its own
+    other = np.random.default_rng([seed, 1]).normal(size=len(columns[-1]))
+    both, alone = storm_cubes(*columns, other), storm_cubes(*columns[:-1], other)
+    assert list(both) == list(cubes)
+    for storm, (times, *fields) in both.items():
+        assert times.tobytes() == cubes[storm][0].tobytes()
+        for field, single in zip(fields, (cubes[storm][1], alone[storm][1]), strict=True):
+            for name in ("lats", "lons", "values", "valid"):
+                assert getattr(field, name).tobytes() == getattr(single, name).tobytes()
 
 
 def test_storm_cubes_need_every_axis_index():
