@@ -30,7 +30,7 @@ from .errors import DegenerateInputWarning, GustUQError, IngestError, UsageError
 # ``fmt`` is not called here; it stays importable as ``cli.fmt``, the name
 # bench/tracer.py times.
 from .fileio import fmt, read_json, write_csv, write_json
-from .nncore import TrainConfig
+from .nncore import SETTING_RULES, TrainConfig
 
 
 class Kind(NamedTuple):
@@ -68,6 +68,14 @@ PERCENTILE = _scalar(float, "a number in (0, 100)",
                      lambda v: type(v) in (int, float) and 0 < v < 100)
 PATH = _scalar(str, "a path", lambda v: isinstance(v, str) and v != "")
 SWITCH = _scalar(bool, "true or false", lambda v: isinstance(v, bool))  # --no-<name> stores False
+
+
+def _setting(name: str) -> Kind:
+    """A number that training accepts for setting ``name``, by its rule in
+    ``nncore.SETTING_RULES``."""
+    ok, wording = SETTING_RULES[name]
+    return _scalar(float, f"a number that is {wording}",
+                   lambda v: type(v) in (int, float) and ok(v))
 
 
 def _items(value, kind: Kind) -> list:
@@ -146,14 +154,15 @@ OPTIONS = {
                     "chronological storm counts train,val[,test] (default 60/20/20)"),
     "hidden_layers": Option(1, COUNT, "number of hidden layers"),
     "hidden_neurons": Option(64, COUNT, "neurons per hidden layer"),
-    "dropout": Option(0.15, NUMBER, "dropout rate"),
-    "l1": Option(_default(evidential.train_evidential, "l1"), NUMBER, "L1 weight penalty"),
-    "l2": Option(_default(evidential.train_evidential, "l2"), NUMBER, "L2 weight penalty"),
-    "learning_rate": Option(TrainConfig.learning_rate, NUMBER, "Adam learning rate"),
+    "dropout": Option(0.15, _setting("dropout"), "dropout rate"),
+    "l1": Option(_default(evidential.train_evidential, "l1"), _setting("l1"), "L1 weight penalty"),
+    "l2": Option(_default(evidential.train_evidential, "l2"), _setting("l2"), "L2 weight penalty"),
+    "learning_rate": Option(TrainConfig.learning_rate, _setting("learning_rate"),
+                            "Adam learning rate"),
     "batch_size": Option(TrainConfig.batch_size, COUNT, "minibatch size"),
     "max_epochs": Option(TrainConfig.max_epochs, COUNT, "maximum training epochs"),
     "patience": Option(TrainConfig.patience, COUNT, "early-stopping patience in epochs"),
-    "evidential_coef": Option(TrainConfig.evidential_coef, NUMBER,
+    "evidential_coef": Option(TrainConfig.evidential_coef, _setting("evidential_coef"),
                               "weight of the evidence regularizer"),
     "exclude_flagged": Option(_default(metrics.evaluate_predictions, "exclude_flagged"), SWITCH,
                               "keep highly uncertain predictions in PICP"),
@@ -386,7 +395,7 @@ def cmd_predict(opts: dict) -> None:
     for storm, (hours, mean, total_sd) in cubes.items():
         gradient = spatial.spatial_gradient(mean)
         t, r, c = np.nonzero(gradient.valid)
-        gradients.append((np.full(len(t), storm), hours[t], *_cell_coords(gradient, r, c),
+        gradients.append((np.full(len(t), storm), hours[t], gradient.lats[r], gradient.lons[c],
                           gradient.values[t, r, c]))
         mean_avg = _average_fields(mean)
         norm_mean = _safe_normalize(mean_avg, f"storm {storm} mean field")
@@ -394,7 +403,7 @@ def cmd_predict(opts: dict) -> None:
         r, c = np.nonzero(mean_avg.valid)
         blank = np.ma.masked_all(len(r))
         normalized.append((
-            np.full(len(r), storm), *_cell_coords(mean_avg, r, c),
+            np.full(len(r), storm), mean_avg.lats[r], mean_avg.lons[c],
             blank if norm_mean is None else norm_mean.values[r, c],
             blank if norm_sd is None else norm_sd.values[r, c],
         ))
@@ -410,14 +419,6 @@ def cmd_predict(opts: dict) -> None:
         *map(np.ma.concatenate, zip(*normalized)),
     )
     print(f"wrote {out / 'grid_predictions.csv'}")
-
-
-def _cell_coords(field: spatial.GridField, r: np.ndarray, c: np.ndarray) -> tuple:
-    """The lat and lon text of cells (r, c): each axis formatted once, as
-    ``write_csv`` formats floats."""
-    lats, lons = (np.array(list(map(repr, axis.tolist())), dtype=str)
-                  for axis in (field.lats, field.lons))
-    return lats[r], lons[c]
 
 
 def _average_fields(field: spatial.GridField) -> spatial.GridField:

@@ -136,14 +136,13 @@ def _derive_features(raw, timestamps: np.ndarray) -> np.ndarray:
     """The [n x 11] model feature matrix from the nine raw columns, in
     ``RAW_FEATURE_COLUMNS`` order, and the timestamps.
 
-    ``raw`` is the [n x 9] raw matrix or an iterable of its columns. Each
-    column is copied into place as it comes, so an iterator that hands over
-    the last reference to each column frees it before the next one.
+    ``raw`` is an iterable of the raw columns. Each column is copied into
+    place as it comes, so an iterator that hands over the last reference to
+    each column frees it before the next one.
     """
     out = np.empty((len(timestamps), len(FEATURE_NAMES)))
     k = 0
-    columns = raw.T if isinstance(raw, np.ndarray) else raw
-    for name, column in zip(RAW_FEATURE_COLUMNS, columns, strict=True):
+    for name, column in zip(RAW_FEATURE_COLUMNS, raw, strict=True):
         if name == "wind_dir_deg":  # becomes WindDC_sin and WindDC_cos
             out[:, k], out[:, k + 1] = wind_direction_components(column)
             k += 2
@@ -293,30 +292,19 @@ PREDICTION_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "statio
                     **dict.fromkeys(["aleatoric_sd", "epistemic_sd", "total_sd"], _sd_column)}
 
 
-def _bad_values(convert, texts, error: Exception, offset: int = 0) -> list:
-    """(index, error) of each value that ``convert`` refuses, given that all of
-    ``texts`` fails with ``error``: a failing part is split in half until it is
-    one value, so a few bad values cost a few conversions of the whole."""
-    if len(texts) == 1:
-        return [(offset, error)]
-    found = []
-    half = len(texts) // 2
-    for start, part in ((0, texts[:half]), (half, texts[half:])):
-        try:
-            convert(part)
-        except ValueError as exc:
-            found += _bad_values(convert, part, exc, offset + start)
-    return found
-
-
-def _row_errors(columns: dict, texts: dict, failed: dict) -> dict[int, str]:
-    """The bad rows of a block whose ``failed`` columns (in schema order) raised
-    the given errors, each row with its first failing column as ``<column>:
-    <reason>``."""
+def _row_errors(columns: dict, texts: dict, failed) -> dict[int, str]:
+    """The bad rows of a block whose ``failed`` columns (in schema order)
+    refused it, each row with its first failing column as ``<column>:
+    <reason>``: each value of a failed column is converted on its own."""
     first: dict[int, str] = {}
-    for name, error in failed.items():
-        for k, exc in _bad_values(columns[name], texts[name], error):
-            first.setdefault(k, f"{name}: {exc}")
+    for name in failed:
+        convert = columns[name]
+        for k, text in enumerate(texts[name]):
+            if k not in first:
+                try:
+                    convert([text])
+                except ValueError as exc:
+                    first[k] = f"{name}: {exc}"
     return first
 
 
@@ -462,16 +450,16 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     present and a missing one is a usage error. A column name repeated in the
     header is an ``IngestError`` either way. Rows are converted in blocks
     of ``BLOCK_ROWS``, one numpy conversion per column per block. In a block
-    that fails, each column is re-checked with its own kind, halving the
-    failing parts down to single values, and every bad row is reported with
-    its first failing column in ``columns`` order: the ``IngestError`` names
-    the first 10 lines as ``line N: <column>: <reason>``. A row with fewer or
-    more fields than the header reads ``line N: missing fields`` or ``line N:
-    extra fields``. Rows whose ``key`` columns repeat an earlier row are
-    rejected the same way, and a file that is not UTF-8 text is an
-    ``IngestError`` too. Blank lines hold no row. ``N`` is the line of the
-    file that the row starts on, counting every line break: those of blank
-    lines and those inside a quoted field too.
+    that fails, each value of a failing column is converted on its own, and
+    every bad row is reported with its first failing column in ``columns``
+    order: the ``IngestError`` names the first 10 lines as ``line N:
+    <column>: <reason>``. A row with fewer or more fields than the header
+    reads ``line N: missing fields`` or ``line N: extra fields``. Rows whose
+    ``key`` columns repeat an earlier row are rejected the same way, and a
+    file that is not UTF-8 text is an ``IngestError`` too. Blank lines hold
+    no row. ``N`` is the line of the file that the row starts on, counting
+    every line break: those of blank lines and those inside a quoted field
+    too.
 
     The lines after the header are cut into ranges of at least
     ``RANGE_ROWS`` as ``parallel.cut`` cuts them, at line starts found by

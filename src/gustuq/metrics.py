@@ -10,7 +10,7 @@ immutable arrays.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -147,8 +147,8 @@ def pit_values(mean: np.ndarray, sd: np.ndarray, obs: np.ndarray) -> np.ndarray:
 class PitdResult:
     pitd: float
     skill: float
-    bin_counts: np.ndarray
     n_bins: int
+    bin_counts: np.ndarray
 
 
 def pitd(pit: np.ndarray, n_bins: int = DEFAULT_PIT_BINS) -> PitdResult:
@@ -171,8 +171,8 @@ def pitd(pit: np.ndarray, n_bins: int = DEFAULT_PIT_BINS) -> PitdResult:
     return PitdResult(
         pitd=value,
         skill=float(1.0 - value / worst),
-        bin_counts=counts,
         n_bins=n_bins,
+        bin_counts=counts,
     )
 
 
@@ -385,49 +385,32 @@ def evaluate_predictions(
     )
 
 
-def _nan_to_none(x: float) -> float | None:
-    return None if x is None or (isinstance(x, float) and np.isnan(x)) else float(x)
-
-
 def level_key(level: float) -> str:
     """A confidence level as the ``picp`` keys of a report dict name it."""
     return f"{level:.12g}"
 
 
+# The fields of ``EvalReport`` that the report dict names otherwise.
+_REPORT_KEYS = {"pitd_by_kind": "pitd", "discard": "discard_fraction", "spread": "spread_skill"}
+
+
+def _jsonable(value):
+    """``value`` as JSON holds it: a record as an object of its fields in
+    order, a float key as ``level_key`` names it, an array as a list and a
+    NaN as None."""
+    if is_dataclass(value):
+        return {_REPORT_KEYS.get(f.name, f.name): _jsonable(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, dict):
+        return {level_key(k) if isinstance(k, float) else k: _jsonable(v)
+                for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, float) and np.isnan(value):
+        return None
+    return value
+
+
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-ready key/value view of a report, curves included."""
-    return {
-        "n_samples": report.n_samples,
-        "bias": report.bias,
-        "mae": report.mae,
-        "rmse": report.rmse,
-        "crmse": report.crmse,
-        "pearson_r": _nan_to_none(report.pearson_r),
-        "picp": {level_key(level): _nan_to_none(v) for level, v in report.picp.items()},
-        "pitd": {
-            kind: {
-                "pitd": res.pitd,
-                "skill": res.skill,
-                "n_bins": res.n_bins,
-                "bin_counts": res.bin_counts.tolist(),
-            }
-            for kind, res in report.pitd_by_kind.items()
-        },
-        "discard_fraction": {
-            "fractions": report.discard.fractions.tolist(),
-            "rmse": report.discard.rmse.tolist(),
-            "n_retained": report.discard.n_retained.tolist(),
-        },
-        "spread_skill": {
-            "bin_mean_sd": report.spread.bin_mean_sd.tolist(),
-            "bin_rmse": report.spread.bin_rmse.tolist(),
-            "bin_counts": report.spread.bin_counts.tolist(),
-            "slope": _nan_to_none(report.spread.slope),
-            "intercept": _nan_to_none(report.spread.intercept),
-            "r_squared": _nan_to_none(report.spread.r_squared),
-        },
-        "r2_rmse_sigma_total": _nan_to_none(report.r2_rmse_sigma_total),
-        "n_flagged": report.n_flagged,
-        "mask_threshold": _nan_to_none(report.mask_threshold),
-        "flagged_excluded_from_picp": report.flagged_excluded_from_picp,
-    }
+    return _jsonable(report)

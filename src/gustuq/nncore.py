@@ -59,6 +59,26 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# The values that each real-valued training setting may take, as a test and
+# its wording: the network, Adam and TrainConfig apply them through
+# ``check_setting``, and the CLI and tune's search space read them here.
+_FINITE_AT_LEAST_0 = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+SETTING_RULES = {
+    "learning_rate": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "evidential_coef": _FINITE_AT_LEAST_0,
+    "dropout": (lambda v: 0.0 <= v <= 0.5, "in [0, 0.5]"),
+    "l1": _FINITE_AT_LEAST_0,
+    "l2": _FINITE_AT_LEAST_0,
+}
+
+
+def check_setting(name: str, value: float) -> None:
+    """Raise ConfigError unless ``value`` is a value of setting ``name`` that
+    ``SETTING_RULES`` allows."""
+    ok, wording = SETTING_RULES[name]
+    if not ok(value):
+        raise ConfigError(f"{name} must be {wording}, got {value}")
+
 
 @dataclass
 class TrainConfig:
@@ -72,16 +92,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
+        check_setting("learning_rate", self.learning_rate)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.evidential_coef) and self.evidential_coef >= 0):
-            raise ConfigError(
-                f"evidential_coef must be finite and >= 0, got {self.evidential_coef}"
-            )
+        check_setting("evidential_coef", self.evidential_coef)
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -112,12 +126,10 @@ class MLP:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ConfigError("MLP needs at least one layer")
-        if not 0.0 <= self.dropout <= 0.5:
-            raise ConfigError(f"dropout must be in [0, 0.5], got {self.dropout}")
+        for name in ("dropout", "l1", "l2"):
+            check_setting(name, getattr(self, name))
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
-        if self.l1 < 0 or self.l2 < 0:
-            raise ConfigError("l1 and l2 penalties must be >= 0")
         for i, layer in enumerate(self.layers):
             if layer.weights.ndim != 2 or layer.bias.ndim != 1:
                 raise DimensionError(f"layer {i}: weights must be 2-D and bias 1-D")
@@ -462,8 +474,7 @@ class Adam:
     """
 
     def __init__(self, learning_rate: float):
-        if not (math.isfinite(learning_rate) and learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
+        check_setting("learning_rate", learning_rate)
         self.learning_rate = learning_rate
         self.step_count = 0
         self._plan: list[tuple[int, int, list]] | None = None
@@ -486,23 +497,12 @@ class Adam:
             raise DimensionError("gradient shapes do not match the model's parameters")
         if self._plan is None:
             self._init_state(params)
-        update, denom = self._scratch
-
-        def gather(pieces) -> None:
-            for k, index, start, stop, shape in pieces:
-                np.copyto(update[start:stop].reshape(shape), gradients[k][index])
-
-        # Every gradient is checked before any parameter moves. The chunks
-        # are checked last to first, so chunk 0's gradients are still in the
-        # scratch when the update starts.
-        for lo, hi, pieces in reversed(self._plan):
-            gather(pieces)
-            if not np.isfinite(update[: hi - lo]).all():
-                for i, (dw, db) in enumerate(zip(grads.weights, grads.biases)):
-                    if not np.isfinite(dw).all():
-                        raise NumericError(f"non-finite weight gradient in layer {i}")
-                    if not np.isfinite(db).all():
-                        raise NumericError(f"non-finite bias gradient in layer {i}")
+        # Every gradient is checked before any parameter moves.
+        for i, (dw, db) in enumerate(zip(grads.weights, grads.biases)):
+            if not np.isfinite(dw).all():
+                raise NumericError(f"non-finite weight gradient in layer {i}")
+            if not np.isfinite(db).all():
+                raise NumericError(f"non-finite bias gradient in layer {i}")
 
         self.step_count += 1
         t = self.step_count
@@ -510,9 +510,10 @@ class Adam:
         correct2 = 1.0 - ADAM_BETA2**t
         lr = self.learning_rate
         m_all, v_all = self._moments
-        for n, (lo, hi, pieces) in enumerate(self._plan):
-            if n:
-                gather(pieces)
+        update, denom = self._scratch
+        for lo, hi, pieces in self._plan:
+            for k, index, start, stop, shape in pieces:
+                np.copyto(update[start:stop].reshape(shape), gradients[k][index])
             g, d, m, v = update[: hi - lo], denom[: hi - lo], m_all[lo:hi], v_all[lo:hi]
             m *= ADAM_BETA1
             np.multiply(1.0 - ADAM_BETA1, g, out=d)

@@ -25,7 +25,7 @@ from . import data, parallel
 from .errors import GustUQError, SearchFailure, UsageError, WorkerDied
 from .fileio import write_csv
 from .metrics import pit_values, pitd, spread_skill
-from .nncore import TrainConfig
+from .nncore import SETTING_RULES, TrainConfig
 
 
 @dataclass
@@ -53,9 +53,10 @@ class HyperSpace:
         for name in ("learning_rate", "batch_size", "evidential_coef", "l1", "l2"):
             if getattr(self, name)[0] <= 0:
                 raise UsageError(f"{name} is log-scaled and needs positive bounds")
-        for bound in self.dropout:
-            if not 0.0 <= bound <= 0.5:  # the range MLP accepts
-                raise UsageError(f"dropout: bounds must be in [0, 0.5], got {bound!r}")
+        for name, (ok, wording) in SETTING_RULES.items():  # values that training accepts
+            for bound in getattr(self, name):
+                if not ok(bound):
+                    raise UsageError(f"{name}: bounds must be {wording}, got {bound!r}")
 
 
 @dataclass

@@ -106,9 +106,9 @@ def _resolve_names(n_features: int, feature_names: Sequence[str] | None) -> list
     return list(feature_names)
 
 
-def _pfi_inputs(features, targets, feature_names, n_shuffles, seed, permutations):
-    """Checked ``(x, y, names, permutations)``: the seeded draws, unless
-    ``permutations`` overrides them."""
+def _pfi_inputs(features, targets, feature_names, n_shuffles, seed):
+    """Checked ``(x, y, names, permutations)``, the permutations being the
+    seeded draws."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -116,14 +116,10 @@ def _pfi_inputs(features, targets, feature_names, n_shuffles, seed, permutations
     if y.shape != (x.shape[0],):
         raise UsageError("target length does not match feature rows")
     names = _resolve_names(x.shape[1], feature_names)
-    if permutations is None:
-        rng = np.random.default_rng(seed)
-        permutations = [rng.permutation(x.shape[0]) for _ in range(n_shuffles)]
-    else:
-        permutations = [np.asarray(p, dtype=int) for p in permutations]
-    if len(permutations) < 1:
+    if n_shuffles < 1:
         raise UsageError("need at least one shuffle")
-    return x, y, names, permutations
+    rng = np.random.default_rng(seed)
+    return x, y, names, [rng.permutation(x.shape[0]) for _ in range(n_shuffles)]
 
 
 def _shuffle_evaluations(x: np.ndarray, y: np.ndarray, permutations: list) -> list:
@@ -173,17 +169,14 @@ def permutation_importance(
     feature_names: Sequence[str] | None = None,
     n_shuffles: int = DEFAULT_N_SHUFFLES,
     seed: int = 0,
-    permutations: Sequence[np.ndarray] | None = None,
 ) -> PFIResult:
     """Shuffle each column ``n_shuffles`` times and measure metric changes.
 
     The same permutations are applied to every column, which makes the
-    per-feature results independent of column order. ``permutations``
-    overrides the seeded draws (test hook). The evaluations run on every
-    usable CPU, as the module docstring says.
+    per-feature results independent of column order. The evaluations run on
+    every usable CPU, as the module docstring says.
     """
-    x, y, names, perms = _pfi_inputs(
-        features, targets, feature_names, n_shuffles, seed, permutations)
+    x, y, names, perms = _pfi_inputs(features, targets, feature_names, n_shuffles, seed)
     scores = _summaries(predict_fn, x, _shuffle_evaluations(x, y, perms))
     return _importance(scores, x, names, len(perms))
 
@@ -279,7 +272,7 @@ def explain(
     column, in column order, with one cut of all their evaluations over the
     usable CPUs: a single fork per worker for the whole call. The results
     are those of the separate calls, bit for bit."""
-    x, y, names, perms = _pfi_inputs(features, targets, feature_names, n_shuffles, seed, None)
+    x, y, names, perms = _pfi_inputs(features, targets, feature_names, n_shuffles, seed)
     if n_grid < 1:
         raise UsageError("need at least one grid point")
     grids = [_grid(x, j, name, n_grid) for j, name in enumerate(names)]

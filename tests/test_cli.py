@@ -1224,6 +1224,14 @@ BAD_OPTIONS = [
       for bounds in ([1.0, 2.0], [-0.5, -0.1])),
     # distinct levels whose labels coincide in 12 significant digits
     ("predict", ["--levels", "0.7,0.7000000000001"], None, "--levels"),
+    # training settings that the network, the optimizer or the loss would
+    # refuse, refused before the station file is read
+    *(("train", [flag, str(value)], None, flag)
+      for flag, value in (("--dropout", 0.9), ("--learning-rate", -1),
+                          ("--evidential-coef", -1), ("--l1", -1), ("--l2", -1))),
+    *(("train", [], {name: value}, name)
+      for name, value in (("dropout", 0.9), ("learning_rate", -1),
+                          ("evidential_coef", -1), ("l1", -1), ("l2", -1))),
 ]
 
 

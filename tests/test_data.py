@@ -612,7 +612,7 @@ def synthetic_stations(n: int, seed: int) -> tuple[Dataset, np.ndarray]:
         timestamps=timestamps,
         lats=rng.uniform(40.0, 43.0, size=n),
         lons=rng.uniform(-75.0, -71.0, size=n),
-        features=data._derive_features(raw, timestamps),
+        features=data._derive_features(raw.T, timestamps),
         gust=gust,
         station_ids=np.array([f"ST{i % 50:02d}" for i in range(n)], dtype=str),
     )

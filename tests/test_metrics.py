@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,3 +431,39 @@ def test_evaluate_predictions_full_report():
     d = metrics.report_to_dict(report)
     assert d["n_samples"] == 2000
     assert "0.95" in d["picp"]
+
+
+def test_report_dict_layout():
+    # report.json's keys in file order, its three renamed fields, "0.7" for a
+    # level, null for every NaN and for an empty PICP, lists for the arrays
+    nan = float("nan")
+    pit = metrics.PitdResult(pitd=0.125, skill=0.5, bin_counts=np.array([3, 1]), n_bins=2)
+    report = metrics.EvalReport(
+        n_samples=4, bias=-0.5, mae=1.0, rmse=1.5, crmse=1.25, pearson_r=nan,
+        picp={0.7: 0.75, 0.95: None},
+        pitd_by_kind={"aleatoric": pit, "total": pit},
+        discard=metrics.DiscardCurve(
+            fractions=np.array([0.0, 0.5]), rmse=np.array([1.5, 0.5]),
+            n_retained=np.array([4, 2])),
+        spread=metrics.SpreadSkillResult(
+            bin_mean_sd=np.array([2.0]), bin_rmse=np.array([1.5]), bin_counts=np.array([4]),
+            slope=nan, intercept=nan, r_squared=nan),
+        r2_rmse_sigma_total=nan, n_flagged=0, mask_threshold=2.0,
+        flagged_excluded_from_picp=True,
+    )
+    pit_dict = {"pitd": 0.125, "skill": 0.5, "n_bins": 2, "bin_counts": [3, 1]}
+    expected = {
+        "n_samples": 4, "bias": -0.5, "mae": 1.0, "rmse": 1.5, "crmse": 1.25,
+        "pearson_r": None,
+        "picp": {"0.7": 0.75, "0.95": None},
+        "pitd": {"aleatoric": pit_dict, "total": pit_dict},
+        "discard_fraction": {"fractions": [0.0, 0.5], "rmse": [1.5, 0.5], "n_retained": [4, 2]},
+        "spread_skill": {"bin_mean_sd": [2.0], "bin_rmse": [1.5], "bin_counts": [4],
+                         "slope": None, "intercept": None, "r_squared": None},
+        "r2_rmse_sigma_total": None, "n_flagged": 0, "mask_threshold": 2.0,
+        "flagged_excluded_from_picp": True,
+    }
+    d = metrics.report_to_dict(report)
+    assert d == expected
+    # the same text: key order, and ints apart from floats
+    assert json.dumps(d) == json.dumps(expected)

@@ -109,6 +109,19 @@ def test_dropout_rate_bounds():
         small_model(np.random.default_rng(0), dropout=0.6)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("dropout", float("nan"), "dropout must be in [0, 0.5], got nan"),
+    ("l1", -1.0, "l1 must be finite and >= 0, got -1.0"),
+    ("l2", float("inf"), "l2 must be finite and >= 0, got inf"),
+    ("l1", float("nan"), "l1 must be finite and >= 0, got nan"),
+])
+def test_network_refuses_settings_outside_their_rules(name, value, message):
+    # a NaN or infinite penalty would reach the weights, not the check
+    with pytest.raises(ConfigError) as err:
+        small_model(np.random.default_rng(0), **{name: value})
+    assert str(err.value) == message
+
+
 CHUNK = nncore.BLOCK_ROWS
 
 

@@ -118,11 +118,14 @@ def test_space_validation():
         HyperSpace(learning_rate=(0.1, 0.01)).validate()
     with pytest.raises(UsageError):
         HyperSpace(l1=(0.0, 0.01)).validate()  # log-scaled needs positive low
-    # integer dimensions take integers >= 1, dropout bounds lie in [0, 0.5]
+    # integer dimensions take integers >= 1, and the bounds of a real-valued
+    # setting values that training accepts: dropout in [0, 0.5], the others finite
     for name, bounds in (("hidden_neurons", (-5, 3)), ("hidden_layers", (1.5, 3)),
                          ("batch_size", (0, 0)), ("hidden_layers", (True, 2)),
                          ("dropout", (1.0, 2.0)), ("dropout", (-0.5, -0.1)),
-                         ("dropout", (0.2, 0.6)), ("dropout", (float("nan"), 0.1))):
+                         ("dropout", (0.2, 0.6)), ("dropout", (float("nan"), 0.1)),
+                         ("l2", (1e-6, float("inf"))),
+                         ("learning_rate", (1e-3, float("inf")))):
         with pytest.raises(UsageError, match=name):
             HyperSpace(**{name: bounds}).validate()
     HyperSpace(hidden_neurons=(np.int64(2), 4)).validate()

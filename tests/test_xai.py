@@ -45,17 +45,18 @@ def test_pfi_dominant_feature_ranks_first():
     assert res.ranked_by_rmse()[0].feature == "feature_1"
 
 
-def test_pfi_identity_permutation_hook_gives_exact_zero():
+def test_pfi_shuffle_of_constant_column_gives_exact_zero():
+    # shuffling a constant column leaves the matrix, and so every score, as
+    # it was; the target varies apart from the prediction, so r2 is finite
     rng = np.random.default_rng(2)
     x = rng.normal(size=(50, 3))
-    y = rng.normal(size=50)
-    predict = linear_predictor([1.0, -2.0, 0.5])
-    identity = [np.arange(50)] * 4
-    res = permutation_importance(predict, x, y, permutations=identity)
-    for f in res.features:
-        assert f.delta_rmse_mean == 0.0
-        assert f.delta_rmse_sd == 0.0
-        assert f.delta_r2_mean == 0.0
+    x[:, 1] = -1.5
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=50)
+    res = permutation_importance(linear_predictor([1.0, -2.0, 0.5]), x, y, n_shuffles=4, seed=3)
+    assert np.isfinite(res.baseline_r2)
+    f = res.features[1]
+    assert (f.delta_rmse_mean, f.delta_rmse_sd, f.delta_r2_mean, f.delta_r2_sd) == (0, 0, 0, 0)
+    assert res.features[0].delta_rmse_mean > 0
 
 
 def test_pfi_constant_feature_noted():
