@@ -659,6 +659,10 @@ def cmd_tune(opts: dict) -> None:
         patience=opts["patience"],
         standardizer=standardizer,
     )
+    # The objective loaded scipy.special and with it scipy's OpenBLAS, after
+    # ``main`` held the others. Held here, it is already at one thread in each
+    # trial, and no trial starts its threads by setting it.
+    parallel.hold_blas_to_one_thread()
     result = tune.search(
         tune.HyperSpace(**opts["space"]),
         opts["trials"],

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
 
 from . import nncore
 from .data import Standardizer
@@ -31,6 +30,27 @@ from .nncore import MLP, Adam, TrainConfig
 PARAM_FLOOR = 1e-6
 
 _LOG_PI = np.log(np.pi)
+
+
+# scipy.special's three functions, imported at their first call: importing
+# scipy.special costs about 0.3 s, which commands that never train (predict,
+# spatial, explain) need not pay.
+def digamma(x):
+    from scipy.special import digamma
+
+    return digamma(x)
+
+
+def expit(x):
+    from scipy.special import expit
+
+    return expit(x)
+
+
+def gammaln(x):
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 @dataclass

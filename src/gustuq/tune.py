@@ -286,10 +286,12 @@ def search(
     available CPU that no other worker holds. ``objective`` reaches the
     workers through the fork, so it need not be picklable, but its side
     effects stay in the worker; the warnings it issues are issued again in
-    the caller as each result arrives. Each trial first holds every loaded
-    OpenBLAS to one thread, so its result does not depend on the BLAS thread
-    count or the CPU count; where no OpenBLAS is found, one worker runs at a
-    time. The log is rewritten in ``trial_id`` order as each result arrives.
+    the caller as each result arrives. Each trial first holds every OpenBLAS
+    loaded before the fork to one thread, so its result does not depend on
+    the BLAS thread count or the CPU count; with
+    :func:`make_evidential_objective` that includes scipy's own OpenBLAS,
+    since the objective imports ``scipy.special`` before the trials fork.
+    Where no OpenBLAS is found, one worker runs at a time. The log is rewritten in ``trial_id`` order as each result arrives.
     A worker that dies is a ``SearchFailure``; the trials that finished
     before it stay in the log. When a worker dies or the objective raises,
     the trials still running are stopped. Each trial that fails here issues
@@ -355,7 +357,14 @@ def make_evidential_objective(
     standardizer: data.Standardizer | None = None,
 ) -> Objective:
     """Objective that trains an evidential model and scores it on validation.
-    Features are raw; each trial's model applies ``standardizer`` itself."""
+    Features are raw; each trial's model applies ``standardizer`` itself.
+
+    It imports ``scipy.special``, which the loss and PIT evaluate, here in
+    the caller: then ``search`` finds scipy's OpenBLAS among the loaded ones
+    and holds it to one thread in every trial, and no forked trial pays the
+    import again."""
+    import scipy.special  # noqa: F401
+
     from .evidential import decompose, train_with_settings
 
     y_val = np.asarray(val_targets, dtype=float)

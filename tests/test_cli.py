@@ -1455,6 +1455,72 @@ def test_cli_import_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def fresh_python(code: str, *args) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Runs the CLI on argv, then prints whether scipy.special was imported.
+SCIPY_SPECIAL_CLI = """
+import sys
+from gustuq import cli
+assert cli.main(sys.argv[1:]) == 0
+print("scipy.special" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("predict-station", False), ("predict-grid", False), ("spatial", False),
+    ("explain", False), ("train", True), ("evaluate", True),
+    ("predict-station-level-0.8", True),
+])
+def test_scipy_special_is_imported_only_by_commands_that_call_it(
+        pipeline, tmp_path, command, loads):
+    # importing scipy.special costs about 0.3 s; predict at the named levels,
+    # spatial and explain never evaluate it
+    station, grid, model = pipeline["station_csv"], pipeline["grid_csv"], pipeline["model"]
+    assert run("predict", "--model", model, "--data", grid, "--out", tmp_path / "grid") == 0
+    assert run("predict", "--model", model, "--data", station, "--out", tmp_path / "pred") == 0
+    argv = {
+        "predict-station": ["predict", "--model", model, "--data", station],
+        "predict-grid": ["predict", "--model", model, "--data", grid],
+        "spatial": ["spatial", "--pred", tmp_path / "grid" / "grid_predictions.csv",
+                    "--data", grid],
+        "explain": ["explain", "--model", model, "--data", station, "--n-shuffles", "1",
+                    "--pdp-grid", "3"],
+        "train": ["train", "--data", station, "--split", "3,1,1", "--max-epochs", "1"],
+        "evaluate": ["evaluate", "--pred", tmp_path / "pred" / "predictions.csv",
+                     "--data", station],
+        "predict-station-level-0.8": ["predict", "--model", model, "--data", station,
+                                      "--levels", "0.8"],
+    }[command]
+    stdout = fresh_python(SCIPY_SPECIAL_CLI, *argv, "--out", tmp_path / "out")
+    assert stdout.splitlines()[-1] == str(loads)
+
+
+def test_evidential_objective_loads_scipy_openblas_before_trials_fork():
+    # tune's trials hold every OpenBLAS the parent has loaded to one thread,
+    # so the objective must load scipy's before the fork
+    stdout = fresh_python("""
+import sys
+import numpy as np
+from gustuq import parallel, tune
+x, y = np.zeros((2, 11)), np.zeros(2)
+tune.make_evidential_objective(x, y, x, y)
+after_objective = len(parallel.blas_thread_setters())
+loaded = "scipy.special" in sys.modules
+import scipy.special
+print(loaded, after_objective == len(parallel.blas_thread_setters()))
+""")
+    assert stdout.split() == ["True", "True"]
+
+
 def test_tune_worker_death_is_one_line_exit_2(pipeline, tmp_path, capsys, monkeypatch):
     def dying_objective(*args, **kwargs):
         def objective(config, rng):
