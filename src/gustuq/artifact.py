@@ -4,8 +4,9 @@ Arrays are stored as base64-encoded little-endian float64 bytes, so a
 save/load round trip reproduces every parameter and standardization
 statistic exactly. The file embeds the training configuration (including the
 evidential coefficient) alongside the layer shapes and the feature pipeline.
-Every artifact holds the model's standardizer (a pass-through one when the
-model was trained without scaling); a file without it is refused.
+Every artifact holds the model's feature standardizer and its one-column
+target scale (pass-through ones when the model was trained without
+scaling); a file without either is refused.
 """
 
 from __future__ import annotations
@@ -69,20 +70,36 @@ def _field(payload: dict, where: str, kind):
     return value
 
 
-def _check_standardizer(standardizer: Standardizer, width: int) -> None:
-    """Each standardizer field holds one entry per network input, and the
-    offsets and scales are finite with positive scales."""
+def _encode_standardizer(standardizer: Standardizer) -> dict:
+    return {
+        "offset": _encode_array(standardizer.offset),
+        "scale": _encode_array(standardizer.scale),
+        "passthrough": standardizer.passthrough.astype(bool).tolist(),
+    }
+
+
+def _decode_standardizer(payload: dict, key: str, width: int, columns: str) -> Standardizer:
+    """The standardizer at ``key``. Each of its fields must hold ``width``
+    entries, one per column of ``columns``, and its offsets and scales must
+    be finite with positive scales."""
+    std = _field(payload, key, dict)
+    passthrough = _field(payload, f"{key}.passthrough", list)
+    if not all(isinstance(p, bool) for p in passthrough):
+        raise UsageError(f"artifact field {key}.passthrough must hold only true or false")
+    standardizer = Standardizer(
+        offset=_decode_array(std, "offset", f"{key}.offset"),
+        scale=_decode_array(std, "scale", f"{key}.scale"),
+        passthrough=np.array(passthrough, dtype=bool),
+    )
     for name in ("offset", "scale", "passthrough"):
         shape = getattr(standardizer, name).shape
         if shape != (width,):
-            raise UsageError(
-                f"artifact field standardizer.{name} has shape {shape}, but the "
-                f"first layer takes {width} inputs"
-            )
+            raise UsageError(f"artifact field {key}.{name} has shape {shape}, but {columns}")
     if not np.all(np.isfinite(standardizer.offset)):
-        raise UsageError("artifact field standardizer.offset must be finite")
+        raise UsageError(f"artifact field {key}.offset must be finite")
     if not np.all(np.isfinite(standardizer.scale) & (standardizer.scale > 0)):
-        raise UsageError("artifact field standardizer.scale must be finite and > 0")
+        raise UsageError(f"artifact field {key}.scale must be finite and > 0")
+    return standardizer
 
 
 def save_model(model: EvidentialModel, path) -> None:
@@ -100,11 +117,8 @@ def save_model(model: EvidentialModel, path) -> None:
             ],
         },
         "feature_names": model.feature_names,
-        "standardizer": {
-            "offset": _encode_array(model.standardizer.offset),
-            "scale": _encode_array(model.standardizer.scale),
-            "passthrough": model.standardizer.passthrough.astype(bool).tolist(),
-        },
+        "standardizer": _encode_standardizer(model.standardizer),
+        "target_scale": _encode_standardizer(model.target_scale),
     }
     write_json(path, payload)
 
@@ -134,16 +148,10 @@ def load_model(path) -> EvidentialModel:
             f.name: _field(payload, f"train_config.{f.name}", type(f.default))
             for f in fields(TrainConfig)
         })
-        std = _field(payload, "standardizer", dict)
-        passthrough = _field(payload, "standardizer.passthrough", list)
-        if not all(isinstance(p, bool) for p in passthrough):
-            raise UsageError("artifact field standardizer.passthrough must hold only true or false")
-        standardizer = Standardizer(
-            offset=_decode_array(std, "offset", "standardizer.offset"),
-            scale=_decode_array(std, "scale", "standardizer.scale"),
-            passthrough=np.array(passthrough, dtype=bool),
-        )
-        _check_standardizer(standardizer, mlp.input_dim)
+        standardizer = _decode_standardizer(
+            payload, "standardizer", mlp.input_dim,
+            f"the first layer takes {mlp.input_dim} inputs")
+        target_scale = _decode_standardizer(payload, "target_scale", 1, "the target is 1 column")
         names = payload.get("feature_names")
         if names is not None and not (
             isinstance(names, list) and all(isinstance(n, str) for n in names)
@@ -156,4 +164,5 @@ def load_model(path) -> EvidentialModel:
         train_config=config,
         feature_names=names,
         standardizer=standardizer,
+        target_scale=target_scale,
     )

@@ -247,9 +247,10 @@ def _level_label(level: float) -> str:
 def _training_split(opts: dict):
     """The prelude of ``train`` and ``tune``: load the station CSV, split it
     by storm (``--split``, or about 60/20/20 of the storms), and fit the
-    standardizer on the training storms.
+    feature standardizer and the one-column target scale on the training
+    storms.
 
-    Returns ``(spec, train, val, standardizer)``.
+    Returns ``(spec, train, val, standardizer, target_scale)``.
     """
     ds = data.load_station_csv(opts["data"], require_target=True)
     if len(ds) == 0:
@@ -263,7 +264,8 @@ def _training_split(opts: dict):
             raise UsageError(f"cannot auto-split {n_storms} storms; pass --split")
         counts = (n_storms - val_n - test_n, val_n, test_n)
     spec, train_ds, val_ds, _test_ds = data.chronological_split(ds, *counts)
-    return spec, train_ds, val_ds, data.Standardizer.fit(train_ds.features)
+    return (spec, train_ds, val_ds, data.Standardizer.fit(train_ds.features),
+            data.Standardizer.fit(train_ds.gust))
 
 
 def _check_feature_names(model: evidential.EvidentialModel, names: list[str]) -> None:
@@ -321,10 +323,11 @@ def _write_report_files(out: Path, prefix: str, report: metrics.EvalReport) -> N
 def cmd_train(opts: dict) -> None:
     """Fit an evidential model on station data."""
     out = _out_dir(opts)
-    spec, train_ds, val_ds, standardizer = _training_split(opts)
+    spec, train_ds, val_ds, standardizer, target_scale = _training_split(opts)
     model, log = evidential.train_with_settings(
         opts, train_ds.features, train_ds.gust, val_ds.features, val_ds.gust,
         feature_names=train_ds.feature_names, standardizer=standardizer,
+        target_scale=target_scale,
     )
 
     artifact.save_model(model, out / "model.json")
@@ -649,7 +652,7 @@ def cmd_spatial(opts: dict) -> None:
 def cmd_tune(opts: dict) -> None:
     """Multi-objective random hyperparameter search, one forked worker per CPU."""
     out = _out_dir(opts)
-    _spec, train_ds, val_ds, standardizer = _training_split(opts)
+    _spec, train_ds, val_ds, standardizer, target_scale = _training_split(opts)
     objective = tune.make_evidential_objective(
         train_ds.features,
         train_ds.gust,
@@ -658,6 +661,7 @@ def cmd_tune(opts: dict) -> None:
         max_epochs=opts["max_epochs"],
         patience=opts["patience"],
         standardizer=standardizer,
+        target_scale=target_scale,
     )
     # The objective loaded scipy.special and with it scipy's OpenBLAS, after
     # ``main`` held the others. Held here, it is already at one thread in each

@@ -122,6 +122,21 @@ def head_transform(raw: np.ndarray) -> NIGParams:
     )
 
 
+def to_target_units(params: NIGParams, target_scale: Standardizer) -> NIGParams:
+    """The NIG of ``y = scale * z + offset`` from the NIG of the scaled target
+    ``z``: gamma -> ``target_scale.inverse_column(0, gamma)`` and beta ->
+    scale**2 * beta, with nu and alpha unchanged. The NIG family is closed
+    under this map, so it is exact. A pass-through ``target_scale`` (offset
+    0, scale 1) returns the same values."""
+    scale = target_scale.scale[0]
+    return NIGParams(
+        gamma=target_scale.inverse_column(0, params.gamma),
+        nu=params.nu,
+        alpha=params.alpha,
+        beta=scale * scale * params.beta,
+    )
+
+
 def decompose(params: NIGParams) -> UncertaintyDecomposition:
     """Closed-form mean and aleatoric/epistemic/total variances."""
     params.validate()
@@ -310,22 +325,26 @@ class EpochStats:
 @dataclass
 class EvidentialModel:
     """A trained network plus everything needed to predict from raw features:
-    each prediction applies ``standardizer``, the scaling it was trained behind.
+    each prediction applies ``standardizer``, the scaling of the features it
+    was trained behind, and maps the head back to target units with
+    ``target_scale``, the scaling of the targets (:func:`to_target_units`).
 
     ``validation_params`` is the head's output on the validation split for
-    these weights, as ``train_evidential`` computed it at the best epoch:
-    ``decompose(validation_params)`` is ``predict(val_features)`` bit for
-    bit. It is None on a model read from an artifact."""
+    these weights, in target units, as ``train_evidential`` computed it at
+    the best epoch: ``decompose(validation_params)`` is
+    ``predict(val_features)`` bit for bit. It is None on a model read from
+    an artifact."""
 
     mlp: MLP
     train_config: TrainConfig
     standardizer: Standardizer
+    target_scale: Standardizer
     feature_names: list[str] | None = None
     validation_params: NIGParams | None = None
 
     def predict_params(self, features: np.ndarray) -> NIGParams:
         out, _ = nncore.forward(self.mlp, self.standardizer.apply(features), train_mode=False)
-        return head_transform(out)
+        return to_target_units(head_transform(out), self.target_scale)
 
     def predict(self, features: np.ndarray) -> UncertaintyDecomposition:
         return decompose(self.predict_params(features))
@@ -335,6 +354,11 @@ class EvidentialModel:
         :mod:`gustuq.xai` explains."""
         dec = self.predict(features)
         return dec.mean, dec.total_sd
+
+
+def _pass_through(width: int) -> Standardizer:
+    """A standardizer of ``width`` columns that leaves every value as it is."""
+    return Standardizer(np.zeros(width), np.ones(width), np.ones(width, bool))
 
 
 # Validation mean total sd above this multiple of the target sd triggers a
@@ -354,24 +378,33 @@ def train_evidential(
     l2: float = 0.0,
     feature_names: list[str] | None = None,
     standardizer: Standardizer | None = None,
+    target_scale: Standardizer | None = None,
 ) -> tuple[EvidentialModel, list[EpochStats]]:
     """Train the evidential network with Adam and early stopping.
 
-    Features are raw: ``standardizer``, fitted on the training split, scales
-    both splits and stays on the returned model. Without one, a pass-through
-    standardizer (offset 0, scale 1) is kept and the features are used as
-    given. Returns the weights snapshot with the best validation MAE, with
-    its validation pass's ``NIGParams`` as ``validation_params``, and the
-    per-epoch metric log.
+    Features and targets are raw: ``standardizer``, fitted on the training
+    features, scales both splits' features, and ``target_scale``, a
+    one-column standardizer fitted on the training targets, scales both
+    splits' targets; the network learns the scaled targets, and both stay on
+    the returned model. Without one, a pass-through one (offset 0, scale 1)
+    is kept, and the values are used as given. The training and validation
+    losses are in scaled units; each epoch's validation params are mapped
+    back to target units (:func:`to_target_units`), and the validation MAE
+    and the inflation guard are taken there. Returns the weights snapshot
+    with the best validation MAE, with its validation pass's ``NIGParams``
+    in target units as ``validation_params``, and the per-epoch metric log.
     """
     config.validate()
     if standardizer is None:
-        width = np.shape(train_features)[1] if np.ndim(train_features) > 1 else 1
-        standardizer = Standardizer(np.zeros(width), np.ones(width), np.ones(width, bool))
+        standardizer = _pass_through(np.shape(train_features)[1] if np.ndim(train_features) > 1
+                                     else 1)
+    if target_scale is None:
+        target_scale = _pass_through(1)
     x_train = standardizer.apply(train_features)
-    y_train = np.asarray(train_targets, dtype=float)
+    y_train = target_scale.apply(train_targets)[:, 0]
     x_val = standardizer.apply(val_features)
     y_val = np.asarray(val_targets, dtype=float)
+    y_val_scaled = target_scale.apply(y_val)[:, 0]
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ConfigError("training and validation splits must be nonempty")
     if x_train.shape[0] != y_train.shape[0] or x_val.shape[0] != y_val.shape[0]:
@@ -405,7 +438,8 @@ def train_evidential(
 
         val_out, _ = nncore.forward(model, x_val, train_mode=False)
         val_params = head_transform(val_out)
-        val_loss = total_loss(model, val_params, y_val, lam)
+        val_loss = total_loss(model, val_params, y_val_scaled, lam)
+        val_params = to_target_units(val_params, target_scale)
         val_mae = float(np.mean(np.abs(val_params.gamma - y_val)))
         log.append(EpochStats(epoch, train_loss, val_loss, val_mae))
 
@@ -433,6 +467,7 @@ def train_evidential(
         train_config=config,
         feature_names=feature_names,
         standardizer=standardizer,
+        target_scale=target_scale,
         validation_params=best_params,
     )
     return trained, log

@@ -355,9 +355,11 @@ def make_evidential_objective(
     max_epochs: int = TrainConfig.max_epochs,
     patience: int = TrainConfig.patience,
     standardizer: data.Standardizer | None = None,
+    target_scale: data.Standardizer | None = None,
 ) -> Objective:
     """Objective that trains an evidential model and scores it on validation.
-    Features are raw; each trial's model applies ``standardizer`` itself.
+    Features and targets are raw; each trial's model applies ``standardizer``
+    and ``target_scale`` itself, and is scored in target units.
 
     It imports ``scipy.special``, which the loss and PIT evaluate, here in
     the caller: then ``search`` finds scipy's OpenBLAS among the loaded ones
@@ -374,7 +376,7 @@ def make_evidential_objective(
                     "seed": int(rng.integers(2**31))}
         model, log = train_with_settings(
             settings, train_features, train_targets, val_features, val_targets,
-            standardizer=standardizer,
+            standardizer=standardizer, target_scale=target_scale,
         )
         dec = decompose(model.validation_params)
         mae = float(np.mean(np.abs(dec.mean - y_val)))

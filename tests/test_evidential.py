@@ -568,3 +568,59 @@ def test_inflated_uncertainty_warning(monkeypatch):
             config=TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=2,
                                patience=5, evidential_coef=0.1, seed=0),
         )
+
+
+def test_to_target_units_is_the_affine_map_bit_for_bit():
+    # y = scale * z + offset takes NIG(gamma, nu, alpha, beta) of z to
+    # NIG(scale * gamma + offset, nu, alpha, scale**2 * beta) of y
+    rng = np.random.default_rng(8)
+    params = head_transform(rng.normal(size=(50, 4)))
+    offset, scale = 7.25, 3.1
+    mapped = evidential.to_target_units(
+        params, Standardizer(np.array([offset]), np.array([scale]), np.array([False])))
+    assert mapped.gamma.tobytes() == (params.gamma * scale + offset).tobytes()
+    assert mapped.beta.tobytes() == (scale * scale * params.beta).tobytes()
+    assert mapped.nu.tobytes() == params.nu.tobytes()
+    assert mapped.alpha.tobytes() == params.alpha.tobytes()
+
+
+def test_train_with_a_target_scale_is_training_on_scaled_targets():
+    # the network learns the scaled targets bit for bit as if they were
+    # scaled by hand; the validation MAE and params come back in target units
+    x, y = raw_features_xy(600, seed=4)
+    y = 12.0 + 4.0 * y
+    std, target_scale = Standardizer.fit(x[:450]), Standardizer.fit(y[:450])
+    kwargs = dict(
+        hidden_sizes=[16], dropout=0.1, standardizer=std,
+        config=TrainConfig(learning_rate=5e-3, batch_size=64, max_epochs=6,
+                           patience=6, evidential_coef=0.1, seed=2),
+    )
+    owned, log_owned = train_evidential(x[:450], y[:450], x[450:], y[450:],
+                                        target_scale=target_scale, **kwargs)
+    z = target_scale.apply(y)[:, 0]
+    by_hand, log_by_hand = train_evidential(x[:450], z[:450], x[450:], z[450:], **kwargs)
+    for a, b in zip(owned.mlp.layers, by_hand.mlp.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+    assert [e.train_loss for e in log_owned] == [e.train_loss for e in log_by_hand]
+    assert [e.val_loss for e in log_owned] == [e.val_loss for e in log_by_hand]
+    assert owned.target_scale is target_scale
+    got = owned.predict_params(x[450:])
+    want = evidential.to_target_units(by_hand.predict_params(x[450:]), target_scale)
+    for name in ("gamma", "nu", "alpha", "beta"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    best = min(range(len(log_owned)), key=lambda i: log_owned[i].val_mae)
+    val = evidential.decompose(owned.validation_params)
+    assert val.mean.tobytes() == owned.predict(x[450:]).mean.tobytes()
+    assert float(np.mean(np.abs(val.mean - y[450:]))) == log_owned[best].val_mae
+
+
+def test_library_default_target_scale_is_a_pass_through():
+    x, y = raw_features_xy(200, seed=5)
+    config = TrainConfig(learning_rate=5e-3, batch_size=64, max_epochs=3, seed=1)
+    model, _ = train_evidential(x[:150], y[:150], x[150:], y[150:], hidden_sizes=[8],
+                                config=config)
+    scale = model.target_scale
+    assert (scale.offset.tolist(), scale.scale.tolist(), scale.passthrough.tolist()) == (
+        [0.0], [1.0], [True])
+    assert scale.apply(y)[:, 0].tobytes() == y.tobytes()
