@@ -107,8 +107,9 @@ def _levels(value) -> list:
 
 def _split(value) -> tuple:
     counts = _items(value, INTEGER)
-    ok = len(counts) in (2, 3) and min(counts) >= 0
-    _expect(ok, "2 or 3 storm counts train,val[,test]", value)
+    # no run trains or validates on zero storms, so refuse that before ingest
+    ok = len(counts) in (2, 3) and min(counts[:2]) >= 1 and min(counts) >= 0
+    _expect(ok, "2 or 3 storm counts train,val[,test], train and val >= 1, test >= 0", value)
     return (*counts, 0)[:3]  # an omitted test count is 0
 
 

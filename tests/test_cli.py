@@ -187,10 +187,10 @@ def test_train_missing_target_column_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "tune"])
-@pytest.mark.parametrize("split", [[], ["--split", "0,0"]], ids=["auto-split", "split-0-0"])
+@pytest.mark.parametrize("split", [[], ["--split", "1,1"]], ids=["auto-split", "split-1-1"])
 def test_header_only_station_file_is_empty_training_data(tmp_path, capsys, command, split):
     # train and tune share one prelude, so they refuse a station file with
-    # no rows alike, whatever the split.
+    # no rows alike, whatever valid split is given.
     empty = tmp_path / "empty.csv"
     write_station_file(empty, rows=[])
     out = tmp_path / "out"
@@ -1317,6 +1317,13 @@ BAD_OPTIONS = [
     *(("train", [], {name: value}, name)
       for name, value in (("dropout", 0.9), ("learning_rate", -1),
                           ("evidential_coef", -1), ("l1", -1), ("l2", -1))),
+    # no run trains or validates on zero storms: refused before the station
+    # file is read, by flag and by config key
+    ("train", ["--split", "0,20,20"], None, "--split"),
+    ("train", ["--split", "39,0,1"], None, "--split"),
+    ("tune", ["--split", "0,3"], None, "--split"),
+    ("tune", [], {"split": [3, 0, 2]}, "split"),
+    ("train", [], {"split": "0,4,1"}, "split"),
 ]
 
 
