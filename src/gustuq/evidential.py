@@ -396,8 +396,8 @@ def train_evidential(
     """
     config.validate()
     if standardizer is None:
-        standardizer = _pass_through(np.shape(train_features)[1] if np.ndim(train_features) > 1
-                                     else 1)
+        width = np.shape(train_features)[1] if np.ndim(train_features) > 1 else 1
+        standardizer = _pass_through(width)
     if target_scale is None:
         target_scale = _pass_through(1)
     x_train = standardizer.apply(train_features)

@@ -291,12 +291,13 @@ def search(
     the BLAS thread count or the CPU count; with
     :func:`make_evidential_objective` that includes scipy's own OpenBLAS,
     since the objective imports ``scipy.special`` before the trials fork.
-    Where no OpenBLAS is found, one worker runs at a time. The log is rewritten in ``trial_id`` order as each result arrives.
-    A worker that dies is a ``SearchFailure``; the trials that finished
-    before it stay in the log. When a worker dies or the objective raises,
-    the trials still running are stopped. Each trial that fails here issues
-    one warning with its ``trial_id`` and reason; when every trial failed,
-    the ``SearchFailure`` quotes the first reason (a log keeps no reasons).
+    Where no OpenBLAS is found, one worker runs at a time. The log is
+    rewritten in ``trial_id`` order as each result arrives. A worker that
+    dies is a ``SearchFailure``; the trials that finished before it stay in
+    the log. When a worker dies or the objective raises, the trials still
+    running are stopped. Each trial that fails here issues one warning with
+    its ``trial_id`` and reason; when every trial failed, the
+    ``SearchFailure`` quotes the first reason (a log keeps no reasons).
     """
     if n_trials < 1:
         raise UsageError("need at least one trial")

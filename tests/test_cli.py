@@ -91,12 +91,12 @@ def test_train_artifact_keeps_the_target_scale_of_the_training_storms(pipeline):
     ds = data.load_station_csv(pipeline["station_csv"], require_target=True)
     _, train_ds, _, _ = data.chronological_split(ds, 3, 1, 1)
     fitted = data.Standardizer.fit(train_ds.gust)
-    scale = artifact.load_model(pipeline["model"]).target_scale
+    model = artifact.load_model(pipeline["model"])
+    scale = model.target_scale
     assert scale.offset.tobytes() == fitted.offset.tobytes()
     assert scale.scale.tobytes() == fitted.scale.tobytes()
     assert scale.passthrough.tolist() == [False]
     # the predictions are in m/s: the mean is the scaled head's gamma mapped back
-    model = artifact.load_model(pipeline["model"])
     out, _ = nncore.forward(model.mlp, model.standardizer.apply(ds.features))
     gamma = evidential.head_transform(out).gamma
     assert model.predict(ds.features).mean.tobytes() == (
@@ -1533,20 +1533,6 @@ def test_train_and_predict_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert output_bytes(2) == one_thread
 
 
-def test_cli_import_loads_no_process_pool():
-    # multiprocessing and concurrent.futures' process pool cost about 20 ms
-    # of a start; gustuq forks with os.fork and imports neither
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, gustuq.cli; print(sorted(m for m in sys.modules "
-         "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
-
-
 def fresh_python(code: str, *args) -> str:
     """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1556,6 +1542,14 @@ def fresh_python(code: str, *args) -> str:
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    # multiprocessing and concurrent.futures' process pool cost about 20 ms
+    # of a start; gustuq forks with os.fork and imports neither
+    stdout = fresh_python("import sys, gustuq.cli; print(sorted(m for m in sys.modules "
+                          "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    assert stdout.strip() == "[]"
 
 
 # Runs the CLI on argv, then prints whether scipy.special was imported.
