@@ -74,7 +74,6 @@ def _encode_standardizer(standardizer: Standardizer) -> dict:
     return {
         "offset": _encode_array(standardizer.offset),
         "scale": _encode_array(standardizer.scale),
-        "passthrough": standardizer.passthrough.astype(bool).tolist(),
     }
 
 
@@ -83,15 +82,11 @@ def _decode_standardizer(payload: dict, key: str, width: int, columns: str) -> S
     entries, one per column of ``columns``, and its offsets and scales must
     be finite with positive scales."""
     std = _field(payload, key, dict)
-    passthrough = _field(payload, f"{key}.passthrough", list)
-    if not all(isinstance(p, bool) for p in passthrough):
-        raise UsageError(f"artifact field {key}.passthrough must hold only true or false")
     standardizer = Standardizer(
         offset=_decode_array(std, "offset", f"{key}.offset"),
         scale=_decode_array(std, "scale", f"{key}.scale"),
-        passthrough=np.array(passthrough, dtype=bool),
     )
-    for name in ("offset", "scale", "passthrough"):
+    for name in ("offset", "scale"):
         shape = getattr(standardizer, name).shape
         if shape != (width,):
             raise UsageError(f"artifact field {key}.{name} has shape {shape}, but {columns}")

@@ -664,10 +664,6 @@ def cmd_tune(opts: dict) -> None:
         standardizer=standardizer,
         target_scale=target_scale,
     )
-    # The objective loaded scipy.special and with it scipy's OpenBLAS, after
-    # ``main`` held the others. Held here, it is already at one thread in each
-    # trial, and no trial starts its threads by setting it.
-    parallel.hold_blas_to_one_thread()
     result = tune.search(
         tune.HyperSpace(**opts["space"]),
         opts["trials"],

@@ -602,7 +602,6 @@ class Standardizer:
 
     offset: np.ndarray
     scale: np.ndarray
-    passthrough: np.ndarray
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
@@ -616,15 +615,11 @@ class Standardizer:
         constant = sd == 0.0
         if np.any(constant):
             warnings.warn(
-                f"constant feature columns passed through unscaled: "
+                "constant columns passed through unscaled: "
                 f"{np.flatnonzero(constant).tolist()}",
                 DegenerateInputWarning,
             )
-        return cls(
-            offset=np.where(constant, 0.0, mean),
-            scale=np.where(constant, 1.0, sd),
-            passthrough=constant,
-        )
+        return cls(offset=np.where(constant, 0.0, mean), scale=np.where(constant, 1.0, sd))
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=float)

@@ -358,7 +358,7 @@ class EvidentialModel:
 
 def _pass_through(width: int) -> Standardizer:
     """A standardizer of ``width`` columns that leaves every value as it is."""
-    return Standardizer(np.zeros(width), np.ones(width), np.ones(width, bool))
+    return Standardizer(np.zeros(width), np.ones(width))
 
 
 # Validation mean total sd above this multiple of the target sd triggers a

@@ -6,10 +6,16 @@ but the first, and ``explain`` each range of its model evaluations but the
 first (``map_pieces``). A worker is started with POSIX ``fork``, so the job
 and its data reach it without pickling; only the worker's result, or the
 exception it raised, is pickled and sent back through a pipe, together with
-the warnings it issued, which the caller issues again. A worker keeps the
-caller's BLAS thread count; ``tune``'s trial job holds each loaded OpenBLAS
-to one thread itself (``hold_blas_to_one_thread``), so a trial's result
-does not depend on the BLAS thread count.
+the warnings it issued, which the caller issues again.
+
+A worker keeps the caller's BLAS thread count and sets none itself: in a
+forked process, setting an OpenBLAS count starts that library's threads,
+which then spin for about 0.1 s. ``hold_blas_to_one_thread`` holds every
+loaded OpenBLAS to one thread, so that a matrix product sums in the same
+order at any ``OPENBLAS_NUM_THREADS``. It has two callers, each in the
+process that forks: ``cli.main``, before any command runs, and
+``tune.search``, while its trials run, after which each OpenBLAS gets its
+count back.
 """
 
 from __future__ import annotations
@@ -36,11 +42,13 @@ _BLAS_THREAD_FUNCTIONS = (
 )
 
 
-def _set_threads(get, set_, n: int) -> None:
-    # a library already at n is left alone: setting the count in a forked
-    # process starts the library's threads, which then spin for about 0.1 s
-    if get() != n:
+def _set_threads(get, set_, n: int) -> int:
+    """Set the count to ``n`` and return the count found; a library already
+    at ``n`` is left alone."""
+    found = get()
+    if found != n:
         set_(n)
+    return found
 
 
 def blas_thread_setters() -> list:
@@ -67,12 +75,10 @@ def blas_thread_setters() -> list:
     return setters
 
 
-def hold_blas_to_one_thread(setters=None) -> None:
-    """Hold every OpenBLAS in ``setters`` (by default, every one loaded) to
-    one thread, so that a matrix product sums in the same order at any
-    ``OPENBLAS_NUM_THREADS``."""
-    for set_threads in blas_thread_setters() if setters is None else setters:
-        set_threads(1)
+def hold_blas_to_one_thread() -> list:
+    """Hold every loaded OpenBLAS to one thread; return a ``(setter,
+    previous count)`` pair for each, so that the caller can give it back."""
+    return [(set_threads, set_threads(1)) for set_threads in blas_thread_setters()]
 
 
 def available_cpus() -> int:
@@ -119,8 +125,7 @@ class ForkPool:
     task takes. The warnings a job issues are recorded under the caller's
     filters and sent back with its outcome. Leaving the ``with`` block ends
     every worker, so none outlives the pool; a worker that dies is a
-    ``WorkerDied`` naming ``label``. Workers inherit the caller's BLAS
-    thread count; a job that needs another sets it itself."""
+    ``WorkerDied`` naming ``label``."""
 
     def __init__(self, job, cpus, label: str):
         self._job, self._label = job, label
@@ -222,12 +227,8 @@ def map_pieces(job, pieces: int, label: str) -> list:
     order, after the caller's own. If pieces fail, the exception of the
     first failing piece is raised here, as a serial run over the pieces
     would raise it, and the warnings of the pieces after it are dropped. No
-    worker is left running.
-
-    The workers leave OpenBLAS as the caller set it: ``cli.main`` holds it
-    to one thread before any fork, so a worker's matrix products sum as the
-    caller's do, and a library caller's piece 0 and its workers share one
-    thread count.
+    worker is left running. Piece 0 and the workers share the caller's
+    BLAS thread count.
     """
     if pieces == 1:
         return [job(0)]

@@ -270,7 +270,6 @@ class StationSet:
     ids: np.ndarray
     lats: np.ndarray
     lons: np.ndarray
-    elevations: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.ids = np.asarray(self.ids)

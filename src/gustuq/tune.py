@@ -7,12 +7,12 @@ binned RMSE and total uncertainty (maximize), and the PITD skill score
 one scalarized recommendation. Trials derive their RNG streams from the
 master seed and their index, so a search is reproducible and resumable from
 its log, which is rewritten whole after each trial. Trials run in forked
-worker processes, each on a CPU of its own and held to one BLAS thread, so
-the results do not depend on the BLAS thread count or the number of CPUs.
+worker processes, each on a CPU of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass, field, fields as dc_fields
@@ -286,12 +286,11 @@ def search(
     available CPU that no other worker holds. ``objective`` reaches the
     workers through the fork, so it need not be picklable, but its side
     effects stay in the worker; the warnings it issues are issued again in
-    the caller as each result arrives. Each trial first holds every OpenBLAS
-    loaded before the fork to one thread, so its result does not depend on
-    the BLAS thread count or the CPU count; with
-    :func:`make_evidential_objective` that includes scipy's own OpenBLAS,
-    since the objective imports ``scipy.special`` before the trials fork.
-    Where no OpenBLAS is found, one worker runs at a time. The log is
+    the caller as each result arrives. While the trials run, the caller
+    holds every loaded OpenBLAS to one thread
+    (``parallel.hold_blas_to_one_thread``); where none is found, one worker
+    runs at a time. Without CPU affinity, as on macOS, the search is a
+    ``UsageError`` before anything else is done. The log is
     rewritten in ``trial_id`` order as each result arrives. A worker that
     dies is a ``SearchFailure``; the trials that finished before it stay in
     the log. When a worker dies or the objective raises, the trials still
@@ -299,6 +298,9 @@ def search(
     its ``trial_id`` and reason; when every trial failed, the
     ``SearchFailure`` quotes the first reason (a log keeps no reasons).
     """
+    if not hasattr(os, "sched_getaffinity"):
+        raise UsageError("tune runs each trial on a CPU of its own, but this system has "
+                         "no CPU affinity (os.sched_getaffinity)")
     if n_trials < 1:
         raise UsageError("need at least one trial")
     space.validate()
@@ -314,15 +316,11 @@ def search(
         # the most weights first, so the longest trials do not start last
         configs = {t: sample(space, _trial_rng(seed, t)) for t in pending}
         pending.sort(key=lambda t: (-configs[t].hidden_layers * configs[t].hidden_neurons**2, t))
-        setters = parallel.blas_thread_setters()
         cpus = sorted(os.sched_getaffinity(0))
-
-        def job(trial_id: int) -> TrialResult:  # forked, so the objective need not pickle
-            parallel.hold_blas_to_one_thread(setters)
-            return _run_trial(space, objective, seed, trial_id)
-
+        held = parallel.hold_blas_to_one_thread()
+        job = functools.partial(_run_trial, space, objective, seed)  # forked, need not pickle
         try:
-            with parallel.ForkPool(job, cpus if setters else cpus[:1], "tune") as pool:
+            with parallel.ForkPool(job, cpus if held else cpus[:1], "tune") as pool:
                 for trial_id in pending:
                     pool.submit(trial_id)
                 for trial_id, ok, result, caught in pool.outcomes():
@@ -337,6 +335,9 @@ def search(
         except WorkerDied:
             kept = f"; {log_path} keeps the {len(done)} finished trial(s)" if log_path else ""
             raise SearchFailure(f"a trial's worker process died{kept}") from None
+        finally:
+            for set_threads, count in held:
+                set_threads(count)
 
     results = [done[trial_id] for trial_id in range(n_trials)]
     n_failed = sum(1 for r in results if not r.ok)
@@ -363,9 +364,8 @@ def make_evidential_objective(
     and ``target_scale`` itself, and is scored in target units.
 
     It imports ``scipy.special``, which the loss and PIT evaluate, here in
-    the caller: then ``search`` finds scipy's OpenBLAS among the loaded ones
-    and holds it to one thread in every trial, and no forked trial pays the
-    import again."""
+    the caller, so that no forked trial pays the import and ``search`` finds
+    scipy's own OpenBLAS among the loaded ones."""
     import scipy.special  # noqa: F401
 
     from .evidential import decompose, train_with_settings

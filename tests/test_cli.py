@@ -87,6 +87,22 @@ def test_train_artifact_round_trip(pipeline):
     assert resaved.read_bytes() == Path(pipeline["model"]).read_bytes()
 
 
+def test_artifact_with_passthrough_flags_still_loads(pipeline, tmp_path):
+    # artifacts written before the flags were dropped hold a passthrough
+    # list in each standardizer; the key is ignored
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    payload["standardizer"]["passthrough"] = [False] * 11
+    payload["target_scale"]["passthrough"] = [False]
+    old = tmp_path / "old_model.json"
+    old.write_text(json.dumps(payload))
+    assert run("predict", "--model", old, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "old") == 0
+    assert run("predict", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+               "--out", tmp_path / "new") == 0
+    assert ((tmp_path / "old" / "predictions.csv").read_bytes()
+            == (tmp_path / "new" / "predictions.csv").read_bytes())
+
+
 def test_train_artifact_keeps_the_target_scale_of_the_training_storms(pipeline):
     ds = data.load_station_csv(pipeline["station_csv"], require_target=True)
     _, train_ds, _, _ = data.chronological_split(ds, 3, 1, 1)
@@ -95,7 +111,6 @@ def test_train_artifact_keeps_the_target_scale_of_the_training_storms(pipeline):
     scale = model.target_scale
     assert scale.offset.tobytes() == fitted.offset.tobytes()
     assert scale.scale.tobytes() == fitted.scale.tobytes()
-    assert scale.passthrough.tolist() == [False]
     # the predictions are in m/s: the mean is the scaled head's gamma mapped back
     out, _ = nncore.forward(model.mlp, model.standardizer.apply(ds.features))
     gamma = evidential.head_transform(out).gamma
@@ -133,7 +148,6 @@ def test_library_model_saves_a_pass_through_standardizer(tmp_path):
     std = json.loads(path.read_text())["standardizer"]
     assert artifact._decode_array(std, "offset", "offset").tolist() == [0.0, 0.0]
     assert artifact._decode_array(std, "scale", "scale").tolist() == [1.0, 1.0]
-    assert std["passthrough"] == [True, True]
     assert model.standardizer.apply(x).tobytes() == x.tobytes()  # features as given
     loaded = artifact.load_model(path)
     for a, b in zip(loaded.mlp.layers, model.mlp.layers):
@@ -393,9 +407,6 @@ def _set_first(value):
     pytest.param("scale", _shorten,
                  "standardizer.scale has shape (10,), but the first layer takes 11",
                  id="short-scale"),
-    pytest.param("passthrough", _shorten,
-                 "standardizer.passthrough has shape (10,), but the first layer takes 11",
-                 id="short-passthrough"),
     pytest.param("offset", _set_first(np.nan), "standardizer.offset must be finite",
                  id="nan-offset"),
     pytest.param("scale", _set_first(np.inf), "standardizer.scale must be finite and > 0",
@@ -404,21 +415,14 @@ def _set_first(value):
                  id="zero-scale"),
     pytest.param("scale", _set_first(-1.0), "standardizer.scale must be finite and > 0",
                  id="negative-scale"),
-    pytest.param("passthrough", _set_first([]),
-                 "standardizer.passthrough must hold only true or false", id="list-passthrough"),
-    pytest.param("passthrough", _set_first(1),
-                 "standardizer.passthrough must hold only true or false", id="integer-passthrough"),
 ])
 def test_predict_artifact_bad_standardizer_is_usage_error(
     pipeline, tmp_path, capsys, field, edit, message
 ):
     payload = json.loads(Path(pipeline["model"]).read_text())
     std = payload["standardizer"]
-    if field == "passthrough":
-        std[field] = edit(std[field])
-    else:
-        values = artifact._decode_array(std, field, field)
-        std[field] = artifact._encode_array(edit(values))
+    values = artifact._decode_array(std, field, field)
+    std[field] = artifact._encode_array(edit(values))
     edited = tmp_path / "model.json"
     edited.write_text(json.dumps(payload))
     code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
@@ -442,32 +446,19 @@ def _target_array(field, value):
     return edit
 
 
-def _target_passthrough(value):
-    def edit(payload):
-        payload["target_scale"]["passthrough"] = value
-    return edit
-
-
 @pytest.mark.parametrize("edit, message", [
     pytest.param(_without("target_scale"), "target_scale is missing", id="missing"),
-    pytest.param(_target_passthrough(None), "target_scale.passthrough must be a list, got NoneType",
-                 id="null-passthrough"),
     pytest.param(_target_array("offset", [1.0, 2.0]),
                  "target_scale.offset has shape (2,), but the target is 1 column",
                  id="two-offsets"),
     pytest.param(_target_array("scale", []),
                  "target_scale.scale has shape (0,), but the target is 1 column", id="no-scale"),
-    pytest.param(_target_passthrough([False, False]),
-                 "target_scale.passthrough has shape (2,), but the target is 1 column",
-                 id="two-passthrough"),
     pytest.param(_target_array("offset", [np.nan]), "target_scale.offset must be finite",
                  id="nan-offset"),
     pytest.param(_target_array("scale", [0.0]), "target_scale.scale must be finite and > 0",
                  id="zero-scale"),
     pytest.param(_target_array("scale", [-2.0]), "target_scale.scale must be finite and > 0",
                  id="negative-scale"),
-    pytest.param(_target_passthrough([0]), "target_scale.passthrough must hold only true or false",
-                 id="integer-passthrough"),
 ])
 def test_predict_artifact_bad_target_scale_is_usage_error(
     pipeline, tmp_path, capsys, edit, message
@@ -1620,6 +1611,19 @@ def test_tune_worker_death_is_one_line_exit_2(pipeline, tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("search-failure: a trial's worker process died")
+
+
+def test_tune_without_cpu_affinity_is_one_line_exit_2(pipeline, tmp_path, capsys, monkeypatch):
+    # as on macOS, where CPython has no CPU affinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity")
+    code = run("tune", "--data", pipeline["station_csv"], "--out", tmp_path / "tune",
+               "--split", "3,1,1", "--trials", "2", "--max-epochs", "1")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage-error: tune runs each trial on a CPU of its own, but this system has no "
+        "CPU affinity (os.sched_getaffinity)\n")
+    assert not (tmp_path / "tune").exists()
 
 
 def test_end_to_end_determinism(pipeline, tmp_path):

@@ -749,13 +749,22 @@ def test_standardizer_constant_column_passthrough():
     assert z[:, 1].std() == pytest.approx(1.0)
 
 
+def test_standardizer_constant_target_warning_names_no_feature():
+    # the one-column target scale is fitted with the same class, so the
+    # warning must not call its column a feature
+    with pytest.warns(DegenerateInputWarning) as caught:
+        std = Standardizer.fit(np.full(10, 5.0))
+    assert [str(w.message) for w in caught] == ["constant columns passed through unscaled: [0]"]
+    assert (std.offset.tolist(), std.scale.tolist()) == ([0.0], [1.0])
+
+
 def test_standardizer_has_no_unfitted_state():
-    # offset, scale and passthrough are required: there is no standardizer
-    # to apply before it is fitted or loaded.
+    # offset and scale are required: there is no standardizer to apply
+    # before it is fitted or loaded.
     with pytest.raises(TypeError):
         Standardizer()
     with pytest.raises(TypeError):
-        Standardizer(offset=np.zeros(2), scale=np.ones(2))
+        Standardizer(offset=np.zeros(2))
 
 
 def test_standardizer_ignores_other_splits():

@@ -577,7 +577,7 @@ def test_to_target_units_is_the_affine_map_bit_for_bit():
     params = head_transform(rng.normal(size=(50, 4)))
     offset, scale = 7.25, 3.1
     mapped = evidential.to_target_units(
-        params, Standardizer(np.array([offset]), np.array([scale]), np.array([False])))
+        params, Standardizer(np.array([offset]), np.array([scale])))
     assert mapped.gamma.tobytes() == (params.gamma * scale + offset).tobytes()
     assert mapped.beta.tobytes() == (scale * scale * params.beta).tobytes()
     assert mapped.nu.tobytes() == params.nu.tobytes()
@@ -621,6 +621,5 @@ def test_library_default_target_scale_is_a_pass_through():
     model, _ = train_evidential(x[:150], y[:150], x[150:], y[150:], hidden_sizes=[8],
                                 config=config)
     scale = model.target_scale
-    assert (scale.offset.tolist(), scale.scale.tolist(), scale.passthrough.tolist()) == (
-        [0.0], [1.0], [True])
+    assert (scale.offset.tolist(), scale.scale.tolist()) == ([0.0], [1.0])
     assert scale.apply(y)[:, 0].tobytes() == y.tobytes()

@@ -122,7 +122,7 @@ def _fields(value, path=()):
 def _mutate_model(text: str, draw) -> str:
     model = json.loads(text)
     # list entries past the second are left out, so that the 11 feature names
-    # and passthrough flags do not crowd out the other fields
+    # do not crowd out the other fields
     paths = [p for p in _fields(model) if not any(type(k) is int and k > 1 for k in p)]
     path = draw(st.sampled_from(paths[1:]))
     *parent, last = path

@@ -1,4 +1,7 @@
+import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -451,6 +454,102 @@ def test_each_trial_worker_runs_on_a_cpu_of_its_own(tmp_path, monkeypatch):
     assert all(len(seen_cpus) == 1 for seen_cpus in cpus.values())
     if parallel.available_cpus() > 1:  # all trials are as wide, so 0 and 1 go first
         assert cpus[0] != cpus[1]
+
+
+def _raises(config, rng):
+    raise RuntimeError("bug in the objective")
+
+
+def _dies(config, rng):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("objective, raised", [
+    (synthetic_objective, None), (_raises, RuntimeError), (_dies, SearchFailure),
+], ids=["returns", "raises", "worker-dies"])
+def test_only_the_caller_sets_blas_threads_and_gives_them_back(
+    tmp_path, monkeypatch, objective, raised
+):
+    # a stand-in OpenBLAS at 2 threads that records the pid and count of
+    # every call: the caller holds it to one thread and gives it its 2 back,
+    # and no trial worker sets it
+    calls = tmp_path / "calls.txt"
+
+    def set_threads(n):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {n}\n")
+        return 2
+
+    monkeypatch.setattr(parallel, "blas_thread_setters", lambda: [set_threads])
+    if raised is None:
+        search(ONE_CONFIG, 4, objective, seed=0)
+    else:
+        with pytest.raises(raised):
+            search(ONE_CONFIG, 4, objective, seed=0)
+    assert calls.read_text().splitlines() == [f"{os.getpid()} 1", f"{os.getpid()} 2"]
+
+
+LIBRARY_SEARCH = """
+import json
+import numpy as np
+from gustuq import parallel
+from gustuq.tune import HyperSpace, make_evidential_objective, search
+
+def counts():  # each loaded OpenBLAS's thread count, read by holding and giving back
+    held = parallel.hold_blas_to_one_thread()
+    for set_threads, count in held:
+        set_threads(count)
+    return [count for _, count in held]
+
+rng = np.random.default_rng(0)
+x = rng.uniform(-1, 1, (40, 3))
+y = x.sum(axis=1) + 0.3 * rng.standard_normal(40)
+objective = make_evidential_objective(x[:30], y[:30], x[30:], y[30:], max_epochs=1)
+before = counts()
+space = HyperSpace(hidden_layers=(2, 2), hidden_neurons=(500, 700), batch_size=(24, 24))
+trials = search(space, 2, objective, seed=0).trials
+after = counts()
+def bug(config, rng):
+    raise RuntimeError("bug")
+try:
+    search(space, 2, bug, seed=0)
+except RuntimeError:
+    pass
+print(repr(trials))
+print(json.dumps([before, after, counts()]))
+"""
+
+
+def test_library_search_does_not_depend_on_blas_threads(tmp_path):
+    # two 2 x 500-700 trials: wide enough that 1 and 2 OpenBLAS threads sum
+    # a trial's products in another order, unless the search holds OpenBLAS
+    # to one thread; the caller's counts are the same before and after
+    src = str(Path(parallel.__file__).resolve().parents[1])
+
+    def library_search(threads: int) -> list[str]:
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+        done = subprocess.run([sys.executable, "-c", LIBRARY_SEARCH], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    one_thread, two_threads = library_search(1), library_search(2)
+    assert two_threads[0] == one_thread[0]
+    for _, counts in (one_thread, two_threads):
+        before, after, after_raise = json.loads(counts)
+        assert before == after == after_raise
+
+
+def test_search_without_cpu_affinity_is_a_usage_error(monkeypatch):
+    # as on macOS: refused before any trial, with the cause named
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity")
+    with pytest.raises(UsageError, match=r"^tune runs each trial on a CPU of its own, but "
+                                         r"this system has no CPU affinity"):
+        search(ONE_CONFIG, 2, synthetic_objective, seed=0)
 
 
 def test_log_with_repeated_trial_is_ingest_error(tmp_path):
