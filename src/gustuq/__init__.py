@@ -1,6 +1,6 @@
 """Evidential wind-gust prediction with calibrated uncertainty.
 
-A numpy/scipy library (plus a thin CLI) for training a small evidential
+A numpy library (plus a thin CLI) for training a small evidential
 network whose Normal-Inverse-Gamma head yields aleatoric, epistemic, and
 total uncertainty per prediction, together with the evaluation suite
 (prediction intervals, PICP, PIT/PITD, spread-skill, discard fraction),

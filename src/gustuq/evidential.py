@@ -32,25 +32,55 @@ PARAM_FLOOR = 1e-6
 _LOG_PI = np.log(np.pi)
 
 
-# scipy.special's three functions, imported at their first call: importing
-# scipy.special costs about 0.3 s, which commands that never train (predict,
-# spatial, explain) need not pay.
-def digamma(x):
-    from scipy.special import digamma
+# The three special functions the loss and its gradient need, in numpy.
+# gammaln and digamma shift x up by 8, where their asymptotic series in 1/x
+# reach double precision, and undo the shift with lgamma(x + 1) =
+# lgamma(x) + log(x) and psi(x + 1) = psi(x) + 1/x. The series coefficients
+# are B_2k / (2k (2k - 1)) and B_2k / 2k, k = 1..7, with B_2k the Bernoulli
+# numbers.
+_SHIFT = np.arange(8.0)
+_GAMMALN_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_HALF_LOG_2PI_LESS_HALF = 0.5 * np.log(2.0 * np.pi) - 0.5
+# Past y = 1e10 each series term after the first is far below an ulp of the
+# result; flooring 1/y there keeps (1/y)**2 from underflowing.
+_SERIES_FLOOR = 1e-10
 
-    return digamma(x)
+
+def _shifted(x):
+    """x as floats, y = x + 8, 1/y and the floored (1/y)**2."""
+    x = np.asarray(x, dtype=float)
+    y = x + _SHIFT.size
+    r = 1.0 / y
+    return x, y, r, np.square(np.maximum(r, _SERIES_FLOOR))
 
 
-def expit(x):
-    from scipy.special import expit
-
-    return expit(x)
+def _series(coefs, r2: np.ndarray) -> np.ndarray:
+    """The sum over k of coefs[k] * r2**k, by Horner's rule."""
+    total = np.full_like(r2, coefs[-1])
+    for c in coefs[-2::-1]:
+        total = total * r2 + c
+    return total
 
 
 def gammaln(x):
-    from scipy.special import gammaln
+    """log Gamma(x), elementwise, for x > 0 (Stirling's series)."""
+    x, y, r, r2 = _shifted(x)
+    stirling = ((y - 0.5) * (np.log(y) - 1.0) + _HALF_LOG_2PI_LESS_HALF
+                + r * _series(_GAMMALN_SERIES, r2))
+    return stirling - np.log(x[..., None] + _SHIFT).sum(axis=-1)
 
-    return gammaln(x)
+
+def digamma(x):
+    """psi(x) = d log Gamma(x) / dx, elementwise, for x > 0."""
+    x, y, r, r2 = _shifted(x)
+    asymptotic = np.log(y) - 0.5 * r - r2 * _series(_DIGAMMA_SERIES, r2)
+    return asymptotic - (1.0 / (x[..., None] + _SHIFT)).sum(axis=-1)
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, without overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
 
 
 @dataclass

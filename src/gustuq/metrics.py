@@ -9,6 +9,8 @@ immutable arrays.
 
 from __future__ import annotations
 
+import math
+import statistics
 import warnings
 from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 
@@ -38,9 +40,9 @@ def z_score(level: float) -> float:
     for named, z in NAMED_Z_SCORES.items():
         if abs(level - named) < 1e-9:
             return z
-    from scipy.special import ndtri  # about 0.3 s to import; named levels never need it
-
-    return float(ndtri(0.5 + level / 2.0))
+    # from the lower tail: (1 - level) / 2 is exact, while 0.5 + level / 2
+    # rounds to 1 for the largest levels below 1
+    return -statistics.NormalDist().inv_cdf((1.0 - level) / 2.0)
 
 
 @dataclass
@@ -134,6 +136,9 @@ def mask_highly_uncertain(
     return total_sd > threshold, threshold
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def pit_values(mean: np.ndarray, sd: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Standard-normal CDF of the observation under the predicted distribution."""
     mean = np.asarray(mean, dtype=float)
@@ -141,9 +146,9 @@ def pit_values(mean: np.ndarray, sd: np.ndarray, obs: np.ndarray) -> np.ndarray:
     obs = np.asarray(obs, dtype=float)
     if np.any(sd <= 0):
         raise DomainError("PIT requires strictly positive standard deviations")
-    from scipy.special import ndtr  # about 0.3 s to import, so only where PIT is taken
-
-    return ndtr((obs - mean) / sd)
+    # past about 26.5, erfc rightly underflows to a subnormal number or 0
+    with np.errstate(under="ignore"):
+        return 0.5 * _erfc(-((obs - mean) / sd) / math.sqrt(2.0))
 
 
 @dataclass

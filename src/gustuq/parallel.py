@@ -54,7 +54,9 @@ def _set_threads(get, set_, n: int) -> int:
 def blas_thread_setters() -> list:
     """A thread-count setter for every OpenBLAS mapped into this process,
     found through ``/proc/self/maps``; empty where there is none or no
-    ``/proc``."""
+    ``/proc``. gustuq itself loads only numpy's OpenBLAS; scipy's is held
+    too, because a program that calls the library may have imported scipy,
+    and its OpenBLAS would otherwise keep its own thread count."""
     import ctypes
 
     try:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import data, parallel
 from .errors import GustUQError, SearchFailure, UsageError, WorkerDied
+from .evidential import decompose, train_with_settings
 from .fileio import write_csv
 from .metrics import pit_values, pitd, spread_skill
 from .nncore import SETTING_RULES, TrainConfig
@@ -361,15 +362,7 @@ def make_evidential_objective(
 ) -> Objective:
     """Objective that trains an evidential model and scores it on validation.
     Features and targets are raw; each trial's model applies ``standardizer``
-    and ``target_scale`` itself, and is scored in target units.
-
-    It imports ``scipy.special``, which the loss and PIT evaluate, here in
-    the caller, so that no forked trial pays the import and ``search`` finds
-    scipy's own OpenBLAS among the loaded ones."""
-    import scipy.special  # noqa: F401
-
-    from .evidential import decompose, train_with_settings
-
+    and ``target_scale`` itself, and is scored in target units."""
     y_val = np.asarray(val_targets, dtype=float)
 
     def objective(config: TrialConfig, rng: np.random.Generator):

@@ -1543,24 +1543,22 @@ def test_cli_import_loads_no_process_pool():
     assert stdout.strip() == "[]"
 
 
-# Runs the CLI on argv, then prints whether scipy.special was imported.
-SCIPY_SPECIAL_CLI = """
+# Runs the CLI on argv, then prints the scipy modules it loaded.
+SCIPY_CLI = """
 import sys
 from gustuq import cli
 assert cli.main(sys.argv[1:]) == 0
-print("scipy.special" in sys.modules)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-@pytest.mark.parametrize("command, loads", [
-    ("predict-station", False), ("predict-grid", False), ("spatial", False),
-    ("explain", False), ("train", True), ("evaluate", True),
-    ("predict-station-level-0.8", True),
+@pytest.mark.parametrize("command", [
+    "predict-station", "predict-grid", "spatial", "explain", "train", "evaluate",
+    "predict-station-unnamed-level", "tune",
 ])
-def test_scipy_special_is_imported_only_by_commands_that_call_it(
-        pipeline, tmp_path, command, loads):
-    # importing scipy.special costs about 0.3 s; predict at the named levels,
-    # spatial and explain never evaluate it
+def test_no_command_loads_scipy(pipeline, tmp_path, command):
+    # the loss and the PIT compute their special functions in numpy, so
+    # scipy is a test-only dependency
     station, grid, model = pipeline["station_csv"], pipeline["grid_csv"], pipeline["model"]
     assert run("predict", "--model", model, "--data", grid, "--out", tmp_path / "grid") == 0
     assert run("predict", "--model", model, "--data", station, "--out", tmp_path / "pred") == 0
@@ -1574,28 +1572,46 @@ def test_scipy_special_is_imported_only_by_commands_that_call_it(
         "train": ["train", "--data", station, "--split", "3,1,1", "--max-epochs", "1"],
         "evaluate": ["evaluate", "--pred", tmp_path / "pred" / "predictions.csv",
                      "--data", station],
-        "predict-station-level-0.8": ["predict", "--model", model, "--data", station,
-                                      "--levels", "0.8"],
+        "predict-station-unnamed-level": ["predict", "--model", model, "--data", station,
+                                          "--levels", "0.8"],
+        "tune": ["tune", "--data", station, "--split", "3,1,1", "--trials", "2",
+                 "--max-epochs", "1"],
     }[command]
-    stdout = fresh_python(SCIPY_SPECIAL_CLI, *argv, "--out", tmp_path / "out")
-    assert stdout.splitlines()[-1] == str(loads)
+    stdout = fresh_python(SCIPY_CLI, *argv, "--out", tmp_path / "out")
+    assert stdout.splitlines()[-1] == "[]"
 
 
-def test_evidential_objective_loads_scipy_openblas_before_trials_fork():
-    # tune's trials hold every OpenBLAS the parent has loaded to one thread,
-    # so the objective must load scipy's before the fork
+def test_forked_trial_maps_no_openblas_its_parent_had_not():
+    # search holds each OpenBLAS the caller has mapped to one thread before
+    # its trials fork; one that a trial maps itself would run at its own count
     stdout = fresh_python("""
-import sys
 import numpy as np
-from gustuq import parallel, tune
-x, y = np.zeros((2, 11)), np.zeros(2)
-tune.make_evidential_objective(x, y, x, y)
-after_objective = len(parallel.blas_thread_setters())
-loaded = "scipy.special" in sys.modules
-import scipy.special
-print(loaded, after_objective == len(parallel.blas_thread_setters()))
+from gustuq import tune
+from gustuq.errors import GustUQError
+
+
+def openblas():
+    with open("/proc/self/maps") as fh:
+        return {line.split()[-1] for line in fh if "openblas" in line.lower()}
+
+
+rng = np.random.default_rng(0)
+x, y = rng.normal(size=(40, 11)), rng.normal(size=40)
+trial = tune.make_evidential_objective(x[:30], y[:30], x[30:], y[30:], max_epochs=2)
+mapped = openblas()
+
+
+def objective(config, rng):
+    scores = trial(config, rng)
+    if openblas() - mapped:
+        raise GustUQError(f"the trial mapped {sorted(openblas() - mapped)}")
+    return scores
+
+
+result = tune.search(tune.HyperSpace(), 2, objective)
+print(bool(mapped), [t.message for t in result.trials])
 """)
-    assert stdout.split() == ["True", "True"]
+    assert stdout.splitlines()[-1] == "True ['', '']"
 
 
 def test_tune_worker_death_is_one_line_exit_2(pipeline, tmp_path, capsys, monkeypatch):

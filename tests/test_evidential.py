@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
-from scipy.special import digamma, expit, gammaln
+from scipy import integrate, special, stats
 
 from gustuq import evidential, nncore
 from gustuq.data import Standardizer
@@ -151,6 +150,41 @@ def test_decompose_monotone_in_nu():
 def test_decompose_rejects_alpha_at_most_one():
     with pytest.raises(DomainError):
         decompose(params(0.0, 1.0, 1.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# special functions, against scipy.special
+
+
+def special_inputs():
+    """x over (1, 1e300]: dense on (1, 11], where the shifted series and the
+    sum that undoes the shift nearly cancel, log-uniform above, and both ends."""
+    rng = np.random.default_rng(3)
+    return np.concatenate([
+        1.0 + 10.0 * rng.random(200_000), 1.0 + 1e-3 * rng.random(20_000),
+        np.exp(rng.uniform(0.0, np.log(1e300), 100_000)), [np.nextafter(1.0, 2.0), 1e300],
+    ])
+
+
+# error relative to max(1, |scipy|) (8.4e-15 and 1.3e-15 seen): near x = 1
+# the result is a difference of terms near 16 (gammaln) or 2.7 (digamma),
+# so a few of their ulps
+@pytest.mark.parametrize("name, bound", [("gammaln", 1e-14), ("digamma", 2e-15)])
+def test_gammaln_and_digamma_match_scipy(name, bound):
+    x = special_inputs()
+    with np.errstate(all="raise"):
+        got = getattr(evidential, name)(x)
+    ref = getattr(special, name)(x)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= bound
+
+
+def test_expit_matches_scipy():
+    # within two ulps of 1, absolute, from -40 to 40 and at +-1e300
+    x = np.concatenate([np.linspace(-40.0, 40.0, 100_001), [-1e300, 1e300]])
+    with np.errstate(all="raise"):
+        got = evidential.expit(x)
+    assert np.max(np.abs(got - special.expit(x))) <= 2 * np.finfo(float).eps
+    assert got[-2:].tolist() == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +376,8 @@ def test_loss_nonfinite_reports_sample_index():
 
 def separate_loss_and_grad(raw, y, lam):
     """Per-sample loss and raw-output gradient, each formula written out in
-    full and on its own: the shared terms of the training step must give
-    these bits."""
+    full and on its own, with the module's own special functions: the shared
+    terms of the training step must give these bits."""
     p = head_transform(raw)
     d = y - p.gamma
     omega = 2.0 * p.beta * (1.0 + p.nu)
@@ -352,19 +386,20 @@ def separate_loss_and_grad(raw, y, lam):
         0.5 * (np.log(np.pi) - np.log(p.nu))
         - p.alpha * np.log(omega)
         + (p.alpha + 0.5) * np.log(s)
-        + gammaln(p.alpha)
-        - gammaln(p.alpha + 0.5)
+        + evidential.gammaln(p.alpha)
+        - evidential.gammaln(p.alpha + 0.5)
     )
     reg = np.abs(y - p.gamma) * (2.0 * p.nu + p.alpha)
     a_half = p.alpha + 0.5
     dg = a_half * (-2.0 * p.nu * d) / s
     dn = -0.5 / p.nu - p.alpha * (2.0 * p.beta) / omega + a_half * (d**2 + 2.0 * p.beta) / s
-    da = -np.log(omega) + np.log(s) + digamma(p.alpha) - digamma(a_half)
+    da = -np.log(omega) + np.log(s) + evidential.digamma(p.alpha) - evidential.digamma(a_half)
     db = 2.0 * (1.0 + p.nu) * (-p.alpha / omega + a_half / s)
     if lam > 0:
         dg = dg - lam * np.sign(d) * (2.0 * p.nu + p.alpha)
         dn = dn + lam * 2.0 * np.abs(d)
         da = da + lam * np.abs(d)
+    expit = evidential.expit
     grad = np.stack([dg, dn * expit(raw[:, 1]), da * expit(raw[:, 2]), db * expit(raw[:, 3])], 1)
     return nll, reg, (nll + lam * reg if lam > 0 else nll), grad
 
@@ -418,6 +453,7 @@ def test_validation_pass_computes_no_gradient(monkeypatch):
     # block, never in the validation pass. 2,100 rows in batches of 1,500
     # are steps of 1,500 and 600 rows, so three blocks per epoch.
     calls = []
+    digamma = evidential.digamma
 
     def counting(x):
         calls.append(len(x))

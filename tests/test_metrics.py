@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from gustuq import metrics
 from gustuq.errors import DegenerateInputWarning, DomainError, UsageError
@@ -127,6 +127,13 @@ def test_interval_bad_level():
 
 def test_unnamed_level_uses_exact_quantile():
     assert z_score(0.5) == pytest.approx(stats.norm.ppf(0.75))
+    # to 8 ulps of scipy's quantile of the same lower tail (3.4 seen), up to
+    # the largest level below 1, where 0.5 + level / 2 rounds to 1
+    levels = np.concatenate([np.linspace(0.001, 0.999, 999), [1e-300, np.nextafter(1.0, 0.0)]])
+    levels = levels[~np.isin(np.round(levels, 9), list(metrics.NAMED_Z_SCORES))]
+    z = np.array([z_score(level) for level in levels])
+    np.testing.assert_allclose(z, -special.ndtri((1.0 - levels) / 2.0),
+                               rtol=8 * np.finfo(float).eps, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +228,15 @@ def test_pit_at_mean_is_half():
 def test_pit_quantile_value():
     v = pit_values(np.array([0.0]), np.array([2.0]), np.array([2.0 * 1.96]))[0]
     assert v == pytest.approx(0.975, abs=1e-4)
+
+
+def test_pit_matches_scipy_ndtr():
+    # within two ulps of 1, absolute, from -40 to 40 sds and at +-1e300
+    z = np.concatenate([np.linspace(-40.0, 40.0, 100_001), [-1e300, 1e300]])
+    with np.errstate(all="raise"):
+        pit = pit_values(np.zeros_like(z), np.ones_like(z), z)
+    assert np.max(np.abs(pit - special.ndtr(z))) <= 2 * np.finfo(float).eps
+    assert pit[-2:].tolist() == [0.0, 1.0]
 
 
 def test_pit_uniform_for_calibrated_samples():
