@@ -57,7 +57,7 @@ def _shifted(x):
 
 def _series(coefs, r2: np.ndarray) -> np.ndarray:
     """The sum over k of coefs[k] * r2**k, by Horner's rule."""
-    total = np.full_like(r2, coefs[-1])
+    total = coefs[-1]
     for c in coefs[-2::-1]:
         total = total * r2 + c
     return total

@@ -146,7 +146,7 @@ def pit_values(mean: np.ndarray, sd: np.ndarray, obs: np.ndarray) -> np.ndarray:
     obs = np.asarray(obs, dtype=float)
     if np.any(sd <= 0):
         raise DomainError("PIT requires strictly positive standard deviations")
-    # past about 26.5, erfc rightly underflows to a subnormal number or 0
+    # erfc of more than about 26.5 rightly underflows to a subnormal or 0
     with np.errstate(under="ignore"):
         return 0.5 * _erfc(-((obs - mean) / sd) / math.sqrt(2.0))
 
