@@ -32,27 +32,20 @@ PARAM_FLOOR = 1e-6
 _LOG_PI = np.log(np.pi)
 
 
-# The three special functions the loss and its gradient need, in numpy.
-# gammaln and digamma shift x up by 8, where their asymptotic series in 1/x
-# reach double precision, and undo the shift with lgamma(x + 1) =
-# lgamma(x) + log(x) and psi(x + 1) = psi(x) + 1/x. The series coefficients
-# are B_2k / (2k (2k - 1)) and B_2k / 2k, k = 1..7, with B_2k the Bernoulli
-# numbers.
+# The loss needs lgamma only in the gap lgamma(alpha) - lgamma(alpha + 1/2),
+# and its gradient psi only in the gap's derivative psi(alpha) - psi(alpha + 1/2);
+# both are computed in numpy, as is expit. _terms shifts alpha up by 8 to
+# y = alpha + 8, where S(y) = lgamma(y + 1/2) - lgamma(y) = log(y)/2 +
+# sum_k c_k y**(1 - 2k), k = 1..7, reaches double precision; c_k =
+# (2**(1 - 2k) - 2) B_2k / (2k (2k - 1)), with B_2k the Bernoulli numbers, and
+# S'(y)'s coefficients are (1 - 2k) c_k. lgamma(x + 1) = lgamma(x) + log(x)
+# undoes the shift: the gap is log prod_k (alpha + k + 1/2)/(alpha + k) - S(y),
+# k = 0..7, and its derivative -S'(y) - sum_k 1/2 / ((alpha + k)(alpha + k + 1/2)).
+# Past alpha ~ 1e150 the 1/y**2 terms underflow to 0, their value to double
+# precision, so the underflow is not an error.
 _SHIFT = np.arange(8.0)
-_GAMMALN_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
-_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
-_HALF_LOG_2PI_LESS_HALF = 0.5 * np.log(2.0 * np.pi) - 0.5
-# Past y = 1e10 each series term after the first is far below an ulp of the
-# result; flooring 1/y there keeps (1/y)**2 from underflowing.
-_SERIES_FLOOR = 1e-10
-
-
-def _shifted(x):
-    """x as floats, y = x + 8, 1/y and the floored (1/y)**2."""
-    x = np.asarray(x, dtype=float)
-    y = x + _SHIFT.size
-    r = 1.0 / y
-    return x, y, r, np.square(np.maximum(r, _SERIES_FLOOR))
+_GAP_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224, -5461 / 425984)
+_GAP_SLOPE_SERIES = (1 / 8, -1 / 64, 1 / 128, -17 / 2048, 31 / 2048, -691 / 16384, 5461 / 32768)
 
 
 def _series(coefs, r2: np.ndarray) -> np.ndarray:
@@ -61,21 +54,6 @@ def _series(coefs, r2: np.ndarray) -> np.ndarray:
     for c in coefs[-2::-1]:
         total = total * r2 + c
     return total
-
-
-def gammaln(x):
-    """log Gamma(x), elementwise, for x > 0 (Stirling's series)."""
-    x, y, r, r2 = _shifted(x)
-    stirling = ((y - 0.5) * (np.log(y) - 1.0) + _HALF_LOG_2PI_LESS_HALF
-                + r * _series(_GAMMALN_SERIES, r2))
-    return stirling - np.log(x[..., None] + _SHIFT).sum(axis=-1)
-
-
-def digamma(x):
-    """psi(x) = d log Gamma(x) / dx, elementwise, for x > 0."""
-    x, y, r, r2 = _shifted(x)
-    asymptotic = np.log(y) - 0.5 * r - r2 * _series(_DIGAMMA_SERIES, r2)
-    return asymptotic - (1.0 / (x[..., None] + _SHIFT)).sum(axis=-1)
 
 
 def expit(x):
@@ -195,6 +173,10 @@ class _Terms(NamedTuple):
     log_s: np.ndarray
     abs_d: np.ndarray  # |d|
     evidence: np.ndarray  # 2*nu + alpha
+    a8: np.ndarray  # alpha + 8, where the gap's series is taken
+    r: np.ndarray  # 1/a8
+    r2: np.ndarray  # r**2
+    a_k: np.ndarray  # alpha + k, k = 0..7, one row per sample
 
 
 def _terms(params: NIGParams, y: np.ndarray) -> _Terms:
@@ -204,10 +186,28 @@ def _terms(params: NIGParams, y: np.ndarray) -> _Terms:
     one_nu = 1.0 + params.nu
     omega = two_beta * one_nu
     s = params.nu * d2 + omega
+    a8 = params.alpha + _SHIFT.size
+    r = 1.0 / a8
+    with np.errstate(under="ignore"):
+        r2 = r * r
     return _Terms(
         d, d2, two_beta, one_nu, omega, s, params.alpha + 0.5, np.log(omega), np.log(s),
-        np.abs(d), 2.0 * params.nu + params.alpha,
+        np.abs(d), 2.0 * params.nu + params.alpha, a8, r, r2, params.alpha[..., None] + _SHIFT,
     )
+
+
+def _lgamma_gap(t: _Terms) -> np.ndarray:
+    """lgamma(alpha) - lgamma(alpha + 1/2), from the shifted terms."""
+    undo_shift = np.log(np.prod(1.0 + 0.5 / t.a_k, axis=-1))
+    with np.errstate(under="ignore"):
+        return undo_shift - 0.5 * np.log(t.a8) - t.r * _series(_GAP_SERIES, t.r2)
+
+
+def _digamma_gap(t: _Terms) -> np.ndarray:
+    """psi(alpha) - psi(alpha + 1/2), the derivative of :func:`_lgamma_gap`."""
+    with np.errstate(under="ignore"):
+        undo_shift = (0.5 / t.a_k / (t.a_k + 0.5)).sum(axis=-1)
+        return -0.5 * t.r - t.r2 * _series(_GAP_SLOPE_SERIES, t.r2) - undo_shift
 
 
 def _nll(params: NIGParams, t: _Terms) -> np.ndarray:
@@ -215,8 +215,7 @@ def _nll(params: NIGParams, t: _Terms) -> np.ndarray:
         0.5 * (_LOG_PI - np.log(params.nu))
         - params.alpha * t.log_omega
         + t.a_half * t.log_s
-        + gammaln(params.alpha)
-        - gammaln(t.a_half)
+        + _lgamma_gap(t)
     )
 
 
@@ -278,7 +277,7 @@ def _grad_from_terms(raw: np.ndarray, params: NIGParams, t: _Terms, lam: float) 
         - params.alpha * t.two_beta / t.omega
         + t.a_half * (t.d2 + t.two_beta) / t.s
     )
-    da = -t.log_omega + t.log_s + digamma(params.alpha) - digamma(t.a_half)
+    da = -t.log_omega + t.log_s + _digamma_gap(t)
     db = 2.0 * t.one_nu * (-params.alpha / t.omega + t.a_half / t.s)
 
     if lam > 0:

@@ -1,3 +1,7 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -153,7 +157,7 @@ def test_decompose_rejects_alpha_at_most_one():
 
 
 # ---------------------------------------------------------------------------
-# special functions, against scipy.special
+# special functions, against scipy.special and exact values
 
 
 def special_inputs():
@@ -166,16 +170,61 @@ def special_inputs():
     ])
 
 
-# error relative to max(1, |scipy|) (8.4e-15 and 1.3e-15 seen): near x = 1
-# the result is a difference of terms near 16 (gammaln) or 2.7 (digamma),
-# so a few of their ulps
-@pytest.mark.parametrize("name, bound", [("gammaln", 1e-14), ("digamma", 2e-15)])
-def test_gammaln_and_digamma_match_scipy(name, bound):
+def gap_terms(alpha):
+    """The shared terms of NIG parameters with shape ``alpha`` (the gap and
+    its derivative read only the alpha terms)."""
+    ones = np.ones_like(alpha)
+    return evidential._terms(NIGParams(0 * alpha, ones, alpha, ones), 0 * alpha)
+
+
+GAPS = {"lgamma": (evidential._lgamma_gap, special.gammaln),
+        "digamma": (evidential._digamma_gap, special.digamma)}
+
+
+# error relative to max(1, |scipy f(x)|) (1.3e-15 and 6.7e-16 seen); scipy's
+# difference f(x) - f(x + 1/2) holds a few ulps of f(x), and dropping either
+# series' last term reads 5.7e-15 and 7.1e-15
+@pytest.mark.parametrize("name, bound", [("lgamma", 3e-15), ("digamma", 1.5e-15)])
+def test_gap_and_its_derivative_match_scipy(name, bound):
+    gap, f = GAPS[name]
     x = special_inputs()
     with np.errstate(all="raise"):
-        got = getattr(evidential, name)(x)
-    ref = getattr(special, name)(x)
-    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= bound
+        got = gap(gap_terms(x))
+    ref = f(x) - f(x + 0.5)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(f(x)))) <= bound
+
+
+PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944")
+
+
+def exact_gaps(n_max):
+    """lgamma(n) - lgamma(n + 1/2) and psi(n) - psi(n + 1/2) for n = 1..n_max,
+    to 50 digits: Gamma(n + 1/2)/Gamma(n) = sqrt(pi) (2n)! / (4**n n! (n - 1)!)
+    and psi(n) - psi(n + 1/2) = H(n - 1) + 2 ln 2 - 2 sum_{k<=n} 1/(2k - 1)."""
+    def dec(q):
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lgamma_gaps, digamma_gaps = [], []
+        harmonic, odd = Fraction(0), Fraction(0)
+        for n in range(1, n_max + 1):
+            q = Fraction(factorial(2 * n), 4**n * factorial(n) * factorial(n - 1))
+            lgamma_gaps.append(float(-PI.ln() / 2 - dec(q).ln()))
+            odd += Fraction(1, 2 * n - 1)
+            digamma_gaps.append(float(dec(harmonic) + 2 * Decimal(2).ln() - 2 * dec(odd)))
+            harmonic += Fraction(1, n)
+    return {"lgamma": np.array(lgamma_gaps), "digamma": np.array(digamma_gaps)}
+
+
+# relative error at alpha = 1..300 (2.2e-15 and 4.4e-16 seen); dropping
+# either series' last term reads 4.0e-14 and 1.1e-14
+@pytest.mark.parametrize("name, bound", [("lgamma", 5e-15), ("digamma", 2e-15)])
+def test_gap_and_its_derivative_match_exact_values(name, bound):
+    n = np.arange(1.0, 301.0)
+    with np.errstate(all="raise"):
+        got = GAPS[name][0](gap_terms(n))
+    assert np.max(np.abs(got / exact_gaps(300)[name] - 1.0)) <= bound
 
 
 def test_expit_matches_scipy():
@@ -376,24 +425,24 @@ def test_loss_nonfinite_reports_sample_index():
 
 def separate_loss_and_grad(raw, y, lam):
     """Per-sample loss and raw-output gradient, each formula written out in
-    full and on its own, with the module's own special functions: the shared
-    terms of the training step must give these bits."""
+    full and on its own, with the module's own lgamma gap, digamma gap and
+    expit: the shared terms of the training step must give these bits."""
     p = head_transform(raw)
     d = y - p.gamma
     omega = 2.0 * p.beta * (1.0 + p.nu)
     s = p.nu * d**2 + omega
+    alpha_terms = gap_terms(p.alpha)
     nll = (
         0.5 * (np.log(np.pi) - np.log(p.nu))
         - p.alpha * np.log(omega)
         + (p.alpha + 0.5) * np.log(s)
-        + evidential.gammaln(p.alpha)
-        - evidential.gammaln(p.alpha + 0.5)
+        + evidential._lgamma_gap(alpha_terms)
     )
     reg = np.abs(y - p.gamma) * (2.0 * p.nu + p.alpha)
     a_half = p.alpha + 0.5
     dg = a_half * (-2.0 * p.nu * d) / s
     dn = -0.5 / p.nu - p.alpha * (2.0 * p.beta) / omega + a_half * (d**2 + 2.0 * p.beta) / s
-    da = -np.log(omega) + np.log(s) + evidential.digamma(p.alpha) - evidential.digamma(a_half)
+    da = -np.log(omega) + np.log(s) + evidential._digamma_gap(alpha_terms)
     db = 2.0 * (1.0 + p.nu) * (-p.alpha / omega + a_half / s)
     if lam > 0:
         dg = dg - lam * np.sign(d) * (2.0 * p.nu + p.alpha)
@@ -449,17 +498,17 @@ def test_first_step_does_not_increase_loss_for_small_lr():
 
 
 def test_validation_pass_computes_no_gradient(monkeypatch):
-    # digamma is evaluated only by the loss gradient: twice per training
-    # block, never in the validation pass. 2,100 rows in batches of 1,500
-    # are steps of 1,500 and 600 rows, so three blocks per epoch.
+    # the digamma gap is evaluated only by the loss gradient: once per
+    # training block, never in the validation pass. 2,100 rows in batches of
+    # 1,500 are steps of 1,500 and 600 rows, so three blocks per epoch.
     calls = []
-    digamma = evidential.digamma
+    digamma_gap = evidential._digamma_gap
 
-    def counting(x):
-        calls.append(len(x))
-        return digamma(x)
+    def counting(t):
+        calls.append(len(t.a8))
+        return digamma_gap(t)
 
-    monkeypatch.setattr(evidential, "digamma", counting)
+    monkeypatch.setattr(evidential, "_digamma_gap", counting)
     x, y = linear_noise_xy(2400, seed=4)
     _, log = train_evidential(
         x[:2100], y[:2100], x[2100:], y[2100:],
@@ -467,7 +516,7 @@ def test_validation_pass_computes_no_gradient(monkeypatch):
         config=TrainConfig(learning_rate=1e-3, batch_size=1500, max_epochs=3, patience=10, seed=0),
     )
     assert len(log) == 3
-    assert sorted(calls) == sorted([1024, 1024, 476, 476, 600, 600] * len(log))
+    assert sorted(calls) == sorted([1024, 476, 600] * len(log))
 
 
 @pytest.fixture(scope="module")
