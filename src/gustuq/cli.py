@@ -402,15 +402,11 @@ def cmd_predict(opts: dict) -> None:
         gradients.append((np.full(len(t), storm), hours[t], gradient.lats[r], gradient.lons[c],
                           gradient.values[t, r, c]))
         mean_avg = _average_fields(mean)
-        norm_mean = _safe_normalize(mean_avg, f"storm {storm} mean field")
-        norm_sd = _safe_normalize(_average_fields(total_sd), f"storm {storm} total-sd field")
+        norm_mean = _normalized(mean_avg, f"storm {storm} mean field")
+        norm_sd = _normalized(_average_fields(total_sd), f"storm {storm} total-sd field")
         r, c = np.nonzero(mean_avg.valid)
-        blank = np.ma.masked_all(len(r))
-        normalized.append((
-            np.full(len(r), storm), mean_avg.lats[r], mean_avg.lons[c],
-            blank if norm_mean is None else norm_mean.values[r, c],
-            blank if norm_sd is None else norm_sd.values[r, c],
-        ))
+        normalized.append((np.full(len(r), storm), mean_avg.lats[r], mean_avg.lons[c],
+                           norm_mean[r, c], norm_sd[r, c]))
     del cubes, mean, total_sd  # the writes format their text without the rasters
     write_csv(
         out / "gradient_mean.csv",
@@ -436,13 +432,15 @@ def _average_fields(field: spatial.GridField) -> spatial.GridField:
     return field.with_values(values, valid=out_valid)
 
 
-def _safe_normalize(values, what: str):
-    """``minmax_normalize`` of a field or an array, or None with a warning."""
+def _normalized(values, what: str) -> np.ma.MaskedArray:
+    """``minmax_normalize`` of an array or of a field's values; all masked,
+    with a warning, where it cannot scale them."""
     try:
-        return spatial.minmax_normalize(values)
+        out = spatial.minmax_normalize(values)
     except UsageError:
         warnings.warn(f"{what} is constant; normalization skipped", DegenerateInputWarning)
-        return None
+        return np.ma.masked_all(np.shape(getattr(values, "values", values)))
+    return np.ma.asarray(getattr(out, "values", out))
 
 
 # ---------------------------------------------------------------------------
@@ -612,16 +610,13 @@ def cmd_spatial(opts: dict) -> None:
             joined[at_ws] = column[at_uq]
             return joined
 
-        ws_norm = _safe_normalize(ws.values, f"storm {storm} wind max series")
-        uq_norm = _safe_normalize(uq.values, f"storm {storm} uq max series")
-        blank = np.ma.masked_all(len(ws.times))
         parts.append((
             np.full(len(ws.times), storm), ws.times,
             ws.values, ws_field.lats[ws.rows], ws_field.lons[ws.cols], ws.rows, ws.cols,
             *map(on_wind_hours, (uq.values, uq_field.lats[uq.rows], uq_field.lons[uq.cols],
                                  uq.rows, uq.cols)),
-            blank if ws_norm is None else ws_norm,
-            blank if uq_norm is None else on_wind_hours(uq_norm),
+            _normalized(ws.values, f"storm {storm} wind max series"),
+            on_wind_hours(_normalized(uq.values, f"storm {storm} uq max series")),
         ))
         alignment[storm] = {
             str(k): spatial.alignment_fraction(ws, uq, k) for k in opts["align_k"]

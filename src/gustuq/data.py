@@ -159,10 +159,10 @@ def _check_header(path, header: list[str], required: list[str], optional, exact:
     if missing and not exact:
         raise UsageError(f"{path}: missing columns {', '.join(missing)}")
     if missing:
-        raise IngestError(f"missing required columns: {', '.join(missing)}")
+        raise IngestError(f"{path}: missing required columns: {', '.join(missing)}")
     unknown = [c for c in header if c not in required and c not in optional]
     if exact and unknown:
-        raise IngestError(f"unknown columns: {', '.join(unknown)}")
+        raise IngestError(f"{path}: unknown columns: {', '.join(unknown)}")
     repeated = [c for c, n in Counter(header).items() if n > 1]
     if repeated:  # a dict of the columns would keep the last of each silently
         raise IngestError(f"{path}: repeated column names {', '.join(repeated)}")
@@ -197,6 +197,18 @@ def _first(values: np.ndarray, bad: np.ndarray):
     return values[np.argmax(bad)].item()
 
 
+def checked(parse, ok, message: str):
+    """The kind that parses a column with ``parse`` and refuses it where the
+    array ``ok`` makes of the parsed values is False, raising
+    ``message.format(value)`` for the first such value."""
+    def kind(texts) -> np.ndarray:
+        out = parse(texts)
+        if not np.all(good := ok(out)):
+            raise ValueError(message.format(_first(out, ~good)))
+        return out
+    return kind
+
+
 def id_column(texts) -> np.ndarray:
     ids = [t.strip() for t in texts]
     if not all(ids):
@@ -225,41 +237,6 @@ def int_column(texts) -> np.ndarray:
         raise ValueError("outside the 64-bit integer range") from None
 
 
-def index_column(texts) -> np.ndarray:
-    out = int_column(texts)
-    if np.any(bad := out < 0):
-        raise ValueError(f"must be >= 0, got {_first(out, bad)}")
-    return out
-
-
-def _finite_column(texts) -> np.ndarray:
-    out = float_column(texts)
-    if not np.all(ok := np.isfinite(out)):
-        raise ValueError(f"must be finite, got {_first(out, ~ok)}")
-    return out
-
-
-def _degrees_column(texts) -> np.ndarray:
-    out = _finite_column(texts)
-    if not np.all(ok := (out >= 0.0) & (out <= 360.0)):
-        raise ValueError(f"{_first(out, ~ok)} outside [0, 360]")
-    return out
-
-
-def _latitude_column(texts) -> np.ndarray:
-    out = _finite_column(texts)
-    if not np.all(ok := (out >= -90.0) & (out <= 90.0)):
-        raise ValueError(f"{_first(out, ~ok)} outside [-90, 90]")
-    return out
-
-
-def _sd_column(texts) -> np.ndarray:
-    out = _finite_column(texts)
-    if np.any(bad := out < 0):
-        raise ValueError(f"must be >= 0, got {_first(out, bad)}")
-    return out
-
-
 def _gust_column(texts) -> np.ndarray:
     """Observed gusts, finite and >= 0; a blank value reads as NaN."""
     texts = [t.strip() for t in texts]
@@ -270,26 +247,31 @@ def _gust_column(texts) -> np.ndarray:
     return gust
 
 
-def _observed_gust_column(texts) -> np.ndarray:
-    """``_gust_column`` without blanks: training and scoring need a target."""
-    gust = _gust_column(texts)
-    if np.any(np.isnan(gust)):
-        raise ValueError("missing value")
-    return gust
+index_column = checked(int_column, lambda v: v >= 0, "must be >= 0, got {}")
+_finite_column = checked(float_column, np.isfinite, "must be finite, got {}")
+_degrees_column = checked(_finite_column, lambda v: (v >= 0) & (v <= 360), "{} outside [0, 360]")
+_latitude_column = checked(_finite_column, lambda v: (v >= -90) & (v <= 90),
+                           "{} outside [-90, 90]")
+_sd_column = checked(_finite_column, lambda v: v >= 0, "must be >= 0, got {}")
+# training and scoring need a target in every row
+_observed_gust_column = checked(_gust_column, lambda g: ~np.isnan(g), "missing value")
+
+# The kind of every column that a station, grid or predictions file holds.
+# The target is not here: whether a blank one passes depends on the command.
+COLUMN_KINDS = {
+    "storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
+    "row": index_column, "col": index_column, "lat": _latitude_column, "lon": _finite_column,
+    **dict.fromkeys(RAW_FEATURE_COLUMNS, _finite_column), "wind_dir_deg": _degrees_column,
+    "mean": _finite_column,
+    **dict.fromkeys(["aleatoric_sd", "epistemic_sd", "total_sd"], _sd_column),
+}
+# The schemas in check order: a bad row reports its first failing column.
+_STATION_COLUMNS = ("storm_id", "timestamp_utc", "station_id", "lat", "lon", *RAW_FEATURE_COLUMNS)
+_GRID_COLUMNS = ("storm_id", "timestamp_utc", "row", "col", "lat", "lon", *RAW_FEATURE_COLUMNS)
 
 
-_FEATURE_KINDS = {c: _finite_column for c in RAW_FEATURE_COLUMNS}
-_FEATURE_KINDS["wind_dir_deg"] = _degrees_column
-_STATION_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
-                  "lat": _latitude_column, "lon": _finite_column, **_FEATURE_KINDS}
-_GRID_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "row": index_column,
-               "col": index_column, "lat": _latitude_column, "lon": _finite_column,
-               **_FEATURE_KINDS}
-# The columns of a predictions file that evaluate and spatial read back.
-PREDICTION_KINDS = {"storm_id": id_column, "timestamp_utc": time_column, "station_id": id_column,
-                    "row": index_column, "col": index_column, "lat": _latitude_column,
-                    "lon": _finite_column, "mean": _finite_column,
-                    **dict.fromkeys(["aleatoric_sd", "epistemic_sd", "total_sd"], _sd_column)}
+def _kinds(names) -> dict:
+    return {name: COLUMN_KINDS[name] for name in names}
 
 
 def _row_errors(columns: dict, texts: dict, failed) -> dict[int, str]:
@@ -487,24 +469,25 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
 
 def read_predictions(path, columns, key) -> dict:
     """The named ``columns`` of a file that ``predict`` wrote, as
-    ``PREDICTION_KINDS`` reads them. Other columns may be present; a missing
+    ``COLUMN_KINDS`` reads them. Other columns may be present; a missing
     one, or a file without rows, is a usage error, and a repeated ``key`` an
     ``IngestError``."""
-    table = read_csv(path, {c: PREDICTION_KINDS[c] for c in columns}, key=key, exact=False)
+    table = read_csv(path, _kinds(columns), key=key, exact=False)
     if len(table[key[0]]) == 0:
         raise UsageError(f"{path}: no prediction rows")
     return table
 
 
 def load_station_csv(path, require_target: bool = True) -> Dataset:
-    """Load station records; rows without a gust target are rejected unless
-    ``require_target`` is off (inference mode). A repeated (station_id,
-    timestamp_utc) pair is an error."""
+    """Load station records. With ``require_target`` every row needs a gust
+    target, so the header needs the target column; without it (inference
+    mode) the column, or a row's value, may be absent. A repeated
+    (station_id, timestamp_utc) pair is an error."""
     target = _observed_gust_column if require_target else _gust_column
     table = read_csv(
         path,
-        {**_STATION_KINDS, TARGET_COLUMN: target},
-        optional=[TARGET_COLUMN],
+        {**_kinds(_STATION_COLUMNS), TARGET_COLUMN: target},
+        optional=() if require_target else [TARGET_COLUMN],
         key=("station_id", "timestamp_utc"),
     )
     return _dataset(table, gust=table[TARGET_COLUMN], station_ids=table["station_id"])
@@ -513,7 +496,7 @@ def load_station_csv(path, require_target: bool = True) -> Dataset:
 def load_grid_csv(path) -> Dataset:
     """Load gridded feature rows (one row per cell per hour); a repeated
     (storm_id, timestamp_utc, row, col) cell is an error."""
-    table = read_csv(path, _GRID_KINDS, key=("storm_id", "timestamp_utc", "row", "col"))
+    table = read_csv(path, _kinds(_GRID_COLUMNS), key=_GRID_COLUMNS[:4])
     return _dataset(table, grid_rows=table["row"], grid_cols=table["col"])
 
 

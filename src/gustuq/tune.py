@@ -163,11 +163,8 @@ def _objective_column(texts) -> np.ndarray:
     return np.fromiter((np.nan if t == "" else float(t) for t in texts), float, len(texts))
 
 
-def _status_column(texts) -> np.ndarray:
-    status = data.id_column(texts)
-    if not np.all(ok := np.isin(status, ("ok", "failed"))):
-        raise ValueError(f"must be ok or failed, got {status[np.argmax(~ok)].item()!r}")
-    return status
+_status_column = data.checked(data.id_column, lambda s: np.isin(s, ("ok", "failed")),
+                              "must be ok or failed, got {!r}")
 
 
 def _log_kinds() -> dict:

@@ -566,6 +566,25 @@ def test_predict_duplicate_observation_row_is_ingest_error(pipeline, tmp_path, c
 # evaluate
 
 
+def test_station_file_without_target_is_refused_where_targets_are_needed(
+    pipeline, tmp_path, capsys
+):
+    with open(pipeline["station_csv"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    k = rows[0].index("gust_obs")
+    nogust = tmp_path / "nogust.csv"
+    with open(nogust, "w", newline="") as fh:
+        csv.writer(fh).writerows(row[:k] + row[k + 1:] for row in rows)
+    assert run("predict", "--model", pipeline["model"], "--data", nogust,
+               "--out", tmp_path / "pred") == 0
+    for command, args in (("train", ["--split", "3,1,1"]),
+                          ("evaluate", ["--pred", tmp_path / "pred" / "predictions.csv"])):
+        capsys.readouterr()
+        assert run(command, "--data", nogust, *args, "--out", tmp_path / command) == 2
+        assert capsys.readouterr().err == (
+            f"ingest-error: {nogust}: missing required columns: gust_obs\n")
+
+
 def test_evaluate_report_and_per_station(pipeline, tmp_path):
     pred_out = tmp_path / "pred"
     assert run("predict", "--model", pipeline["model"], "--data",
@@ -986,6 +1005,30 @@ def test_spatial_refuses_bad_total_sd(pipeline, tmp_path, capsys):
     assert "line 5: total_sd: must be finite, got nan" in err
     assert "line 9: total_sd: must be >= 0, got -3.0" in err
     assert not (out / "max_tracks.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate", "spatial"])
+def test_lat_has_one_rule_in_every_file(pipeline, tmp_path, capsys, command):
+    # train and evaluate read lat from a station file, predict from a grid
+    # file and spatial from a grid predictions file; evaluate reads no lat
+    # from its predictions, which it joins to the station file by key
+    station, grid, model = pipeline["station_csv"], pipeline["grid_csv"], pipeline["model"]
+    if command in ("evaluate", "spatial"):
+        source = station if command == "evaluate" else grid
+        assert run("predict", "--model", model, "--data", source, "--out", tmp_path) == 0
+    src = {"train": station, "predict": grid, "evaluate": station,
+           "spatial": tmp_path / "grid_predictions.csv"}[command]
+    bad = tmp_path / "bad.csv"
+    with_cell(src, bad, 4, "lat", "91.0")
+    args = {"train": ["--data", bad, "--split", "3,1,1"],
+            "predict": ["--model", model, "--data", bad],
+            "evaluate": ["--pred", tmp_path / "predictions.csv", "--data", bad],
+            "spatial": ["--pred", bad, "--data", grid]}[command]
+    capsys.readouterr()
+    assert run(command, *args, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ingest-error: {bad}: ") and err.count("\n") == 1
+    assert "[line 4: lat: 91.0 outside [-90, 90]]" in err
 
 
 def test_spatial_refuses_predictions_made_on_another_grid(pipeline, tmp_path, capsys):
@@ -1439,17 +1482,30 @@ def test_handler_bug_is_one_internal_error_line(pipeline, tmp_path, capsys, monk
 
 
 def test_input_text_quoted_in_a_refusal_stays_on_one_line(pipeline, tmp_path, capsys):
-    # a lone " for the last header name opens a quoted name that runs to the
-    # end of the file, so the unknown column the refusal names holds every
-    # line break of the file
+    # a lone " appended as the last header name opens a quoted name that
+    # runs to the end of the file, so the unknown column the refusal names
+    # holds every line break of the file
     lines = Path(pipeline["station_csv"]).read_text().splitlines()
     bad = tmp_path / "stations.csv"
-    bad.write_text("\n".join([lines[0].replace("gust_obs", '"'), *lines[1:]]) + "\n")
+    bad.write_text("\n".join([lines[0] + ',"', *lines[1:]]) + "\n")
     code = run("train", "--data", bad, "--out", tmp_path / "o", "--split", "3,1,1")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("ingest-error: unknown columns:  S00,")
+    assert err.startswith(f"ingest-error: {bad}: unknown columns:  S00,")
     assert err.count("\n") == 1
+
+
+def test_evaluate_header_refusal_names_the_file(pipeline, tmp_path, capsys):
+    assert run("predict", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred") == 0
+    lines = Path(pipeline["station_csv"]).read_text().splitlines()
+    extra = tmp_path / "extra.csv"
+    extra.write_text("\n".join([lines[0] + ",extra", *(line + ",0" for line in lines[1:])]))
+    capsys.readouterr()
+    code = run("evaluate", "--pred", tmp_path / "pred" / "predictions.csv", "--data", extra,
+               "--out", tmp_path / "eval")
+    assert code == 2
+    assert capsys.readouterr().err == f"ingest-error: {extra}: unknown columns: extra\n"
 
 
 def test_no_temp_files_left_behind(pipeline):
