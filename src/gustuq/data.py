@@ -198,9 +198,9 @@ def _first(values: np.ndarray, bad: np.ndarray):
 
 
 def checked(parse, ok, message: str):
-    """The kind that parses a column with ``parse`` and refuses it where the
-    array ``ok`` makes of the parsed values is False, raising
-    ``message.format(value)`` for the first such value."""
+    """The kind that parses a column with ``parse`` and refuses it unless
+    ``ok`` of the parsed array holds everywhere; the ``ValueError`` reads
+    ``message.format(value)`` for the first value that fails."""
     def kind(texts) -> np.ndarray:
         out = parse(texts)
         if not np.all(good := ok(out)):
@@ -426,7 +426,7 @@ def _read_pieces(path, columns: dict, optional, exact: bool) -> list:
 def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     """The one CSV reader: the named columns of a delimited file as arrays.
 
-    ``columns`` maps each column to its kind (see ``id_column``); a column in
+    ``columns`` maps each column to its kind (see ``COLUMN_KINDS``); a column in
     ``optional`` that the header lacks reads as empty strings. With ``exact``
     the header holds exactly these columns, otherwise other columns may be
     present and a missing one is a usage error. A column name repeated in the
