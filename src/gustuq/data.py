@@ -307,25 +307,37 @@ def _reject_duplicates(path, names, keys: list[np.ndarray], lines: np.ndarray) -
     )
 
 
+def _records(path, reader, line: int):
+    """``(line, record)`` for each record of ``reader``, the first on file line
+    ``line``. A record that csv cannot read, or that is not UTF-8, is an ``IngestError``."""
+    base = line - reader.line_num - 1  # a record's file line is base + its csv line
+    try:
+        for record in reader:
+            yield line, record
+            line = base + reader.line_num + 1
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {line}: {exc}") from None
+    except UnicodeDecodeError as exc:  # its position counts from where a range's read began
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 @gc_paused()
-def _read_rows(reader, line: int, limit, columns: dict, where: dict, width: int):
-    """Convert the next ``limit`` records of ``reader`` (all that are left for
-    None), the first of them on file line ``line``, ``BLOCK_ROWS`` records at
-    a time: the arrays of each column, one per block, the bad rows as
-    ``(line, reason)`` and the file line of each row. The GC is paused."""
+def _read_rows(records, limit, columns: dict, where: dict, width: int):
+    """Convert the next ``limit`` of ``records`` (all that are left for None),
+    as :func:`_records` yields them, ``BLOCK_ROWS`` records at a time: the
+    arrays of each column, one per block, the bad rows as ``(line, reason)``
+    and the file line of each row. The GC is paused."""
     parts = {name: [convert([])] for name, convert in columns.items()}
     row_errors: list[tuple[int, str]] = []
     row_lines = [np.empty(0, np.int64)]
-    base = line - reader.line_num - 1  # a record's file line is base + its csv line
-    records = itertools.islice(reader, limit)
+    records = itertools.islice(records, limit)
     while True:
-        block, lines, before = [], [], line
-        for row in itertools.islice(records, BLOCK_ROWS):
+        block, lines, line = [], [], None
+        for line, row in itertools.islice(records, BLOCK_ROWS):
             if row:  # a blank line is counted but holds no row
                 block.append(row)
                 lines.append(line)
-            line = base + reader.line_num + 1
-        if line == before:
+        if line is None:
             break
         if not block:
             continue
@@ -398,8 +410,8 @@ def _read_pieces(path, columns: dict, optional, exact: bool) -> list:
     """``read_csv``'s header check and ``_read_rows`` of each row range."""
     required = [c for c in columns if c not in optional]
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _records(path, csv.reader(fh), 1)
+        _, header = next(records, (1, None))
         if header is None:
             raise IngestError(f"{path}: empty file without header")
         _check_header(path, header, required, optional, exact)
@@ -413,12 +425,13 @@ def _read_pieces(path, columns: dict, optional, exact: bool) -> list:
         def read_range(k: int):
             limit = bounds[k + 1] - bounds[k] if k + 2 < len(bounds) else None
             if k == 0:
-                return _read_rows(reader, reader.line_num + 1, limit, columns, where, width)
+                return _read_rows(records, limit, columns, where, width)
             # after a one-line header, line i of the rest is file line i + 2
             with open(path, "rb") as raw:
                 raw.seek(starts[bounds[k] // _SCAN_STRIDE])
                 text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-                return _read_rows(csv.reader(text), bounds[k] + 2, limit, columns, where, width)
+                return _read_rows(_records(path, csv.reader(text), bounds[k] + 2), limit,
+                                  columns, where, width)
 
         return parallel.map_pieces(read_range, len(bounds) - 1, str(path))
 
@@ -437,11 +450,12 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     order: the ``IngestError`` names the first 10 lines as ``line N:
     <column>: <reason>``. A row with fewer or more fields than the header
     reads ``line N: missing fields`` or ``line N: extra fields``. Rows whose
-    ``key`` columns repeat an earlier row are rejected the same way, and a
-    file that is not UTF-8 text is an ``IngestError`` too. Blank lines hold
-    no row. ``N`` is the line of the file that the row starts on, counting
-    every line break: those of blank lines and those inside a quoted field
-    too.
+    ``key`` columns repeat an earlier row are rejected the same way. A file
+    that is not UTF-8 text is an ``IngestError`` too, and so is a record the
+    csv module cannot read (a field past its limit of 128 KB, such as one a
+    stray ``"`` opens), as ``line N: <reason>``. Blank lines hold no row.
+    ``N`` is the line of the file that the row starts on, counting every
+    line break: those of blank lines and those inside a quoted field too.
 
     The lines after the header are cut into ranges of at least
     ``RANGE_ROWS`` as ``parallel.cut`` cuts them, at line starts found by
@@ -451,10 +465,7 @@ def read_csv(path, columns: dict, *, optional=(), key=(), exact=True):
     where a line may not be one row: where a ``"`` follows the first line
     break, or the file holds a lone ``\\r``.
     """
-    try:
-        pieces = _read_pieces(path, columns, optional, exact)
-    except UnicodeDecodeError as exc:  # its position counts from where a range's read began
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    pieces = _read_pieces(path, columns, optional, exact)
     row_errors = [error for _, errors, _ in pieces for error in errors]
     if row_errors:
         raise IngestError(f"{path}: {len(row_errors)} malformed rows", row_errors)
@@ -503,7 +514,7 @@ def load_grid_csv(path) -> Dataset:
 def read_header(path) -> list[str]:
     """The column names of a CSV file; [] for an empty file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return next(csv.reader(fh), [])
+        return next(_records(path, csv.reader(fh), 1), (1, []))[1]
 
 
 def load_features_csv(path) -> Dataset:

@@ -7,9 +7,10 @@ needs no rescaling. L1/L2 penalties apply to weight matrices only, never to
 biases. Everything is plain float64 numpy. Results are deterministic for a
 fixed seed on the same machine, numpy/BLAS build and BLAS thread count: the
 matrix products may sum in another order under another thread count, which
-moves the last bits. The no-grad pass (``train_mode=False``) is the one
-inference kernel: it walks the batch in blocks of :data:`BLOCK_ROWS` rows and
-keeps no intermediates.
+moves the last bits. One layer loop serves both modes of :func:`forward`.
+The no-grad pass (``train_mode=False``), the one inference kernel, runs it
+per block of :data:`BLOCK_ROWS` rows through one array per hidden layer;
+the train-mode pass runs it once and keeps each layer's input.
 
 A training step (``gustuq.evidential.step_gradients``) runs in blocks of the
 same :data:`BLOCK_ROWS` rows: :func:`draw_keeps` walks the blocks and draws
@@ -21,14 +22,15 @@ hidden layer, the masks are those of one whole-batch draw per layer; a larger
 step through more hidden layers uses the same doubles in block order instead.
 Either way the step leaves the generator where one whole-batch draw would. A
 block's cache keeps only what :func:`backward` reads: per hidden layer one
-float activation, one one-byte mask (``z > 0``) and its one-byte keep-mask.
-:func:`backward` releases each layer's entries as soon as it has used them,
-so a cache holds nothing once its gradients exist. Only the batch's own rows
-grow with the batch. :class:`Adam` holds the two moments of every parameter
-in two flat buffers and updates them per chunk of :data:`ADAM_CHUNK`
-elements through the same scratch pair, small parameters sharing a chunk,
-so the rest of training state is weight-sized: the weights, their
-gradients, the two moments and the best-weights copy.
+float activation and its one-byte keep-mask; the leaky-ReLU derivative is
+read from where that activation is positive. :func:`backward` releases each
+layer's entries as soon as it has used them, so a cache holds nothing once
+its gradients exist. Only the batch's own rows grow with the batch.
+:class:`Adam` holds the two moments of every parameter in two flat buffers
+and updates them per chunk of :data:`ADAM_CHUNK` elements through the same
+scratch pair, small parameters sharing a chunk, so the rest of training
+state is weight-sized: the weights, their gradients, the two moments and
+the best-weights copy.
 """
 
 from __future__ import annotations
@@ -185,8 +187,7 @@ class ForwardCache:
     """What :func:`backward` reads of one train-mode forward pass.
 
     ``inputs`` holds the float input of each layer (the batch, then each
-    hidden layer's activation after dropout); ``positive`` the bool ``z > 0``
-    of each hidden layer's pre-activation; ``keeps`` the bool dropout
+    hidden layer's activation after dropout); ``keeps`` the bool dropout
     keep-mask of each hidden layer, or ``None`` without dropout (kept
     activations are scaled by ``1 / (1 - dropout)``). :func:`backward` pops
     every entry as it goes, so a cache is used up by one backward pass; only
@@ -194,7 +195,6 @@ class ForwardCache:
     """
 
     inputs: list[np.ndarray]
-    positive: list[np.ndarray]
     keeps: list[np.ndarray | None]
     model_version: int
     batch_size: int
@@ -239,8 +239,11 @@ def forward(
     the keep-masks ``keeps`` (as :func:`draw_keeps` yields them for these
     rows; none are needed without dropout), and the intermediates
     :func:`backward` needs are returned in a :class:`ForwardCache`.
-    Otherwise this is the no-grad inference pass: it returns ``(out, None)``
-    and keeps no intermediates. A non-finite output is an error naming its
+    Otherwise this is the no-grad inference pass: it runs the batch in blocks
+    of :data:`BLOCK_ROWS` rows, whose activations stay in cache where a
+    whole-batch pass would stream [B x width] temporaries through memory, and
+    returns ``(out, None)``. Both run the one layer loop of
+    :func:`_forward_block`. A non-finite output is an error naming its
     sample index, counted from ``first_row`` (the index of ``batch``'s first
     row when it is one block of a larger batch).
     """
@@ -251,6 +254,9 @@ def forward(
         raise DimensionError(
             f"batch width {batch.shape[1]} does not match model input width {model.input_dim}"
         )
+    out = np.empty((batch.shape[0], model.output_dim))
+    rows = batch.shape[0] if train_mode else min(batch.shape[0], BLOCK_ROWS)
+    acts = [np.empty((rows, width)) for width in model.hidden_sizes]
     if train_mode:
         if keeps is None:
             if model.dropout > 0.0:
@@ -263,51 +269,37 @@ def forward(
                 f"keep-masks {shapes} do not match a batch of {batch.shape[0]} rows "
                 f"through hidden layers {model.hidden_sizes} at dropout {model.dropout}"
             )
-        out, cache = _forward_train(model, batch, keeps)
+        _forward_block(model, batch, out, keeps, acts)
+        cache = ForwardCache(inputs=[batch, *acts], keeps=list(keeps),
+                             model_version=model.version, batch_size=batch.shape[0])
     else:
-        out, cache = _forward_nograd(model, batch), None
+        cache, keeps = None, [None] * len(acts)
+        for start in range(0, batch.shape[0], BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            _forward_block(model, batch[block], out[block], keeps, acts)
     if not np.isfinite(out).all():
         bad = first_row + int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
         raise NumericError(f"forward pass produced non-finite outputs at sample index {bad}")
     return out, cache
 
 
-def _forward_nograd(model: MLP, batch: np.ndarray) -> np.ndarray:
-    """Inference in blocks of BLOCK_ROWS rows, activations in place.
+def _forward_block(model: MLP, a: np.ndarray, out: np.ndarray, keeps: list,
+                   acts: list[np.ndarray]) -> None:
+    """The one layer loop: run the rows ``a`` through the network into ``out``.
 
-    A block's hidden activations stay in cache, where a full-batch pass
-    would stream [B x width] temporaries through memory. np.maximum(z,
-    slope*z) is leaky-ReLU because 0 < slope < 1 (checked by :class:`MLP`).
+    Hidden layer ``i``'s activation is computed in place in the first rows
+    of ``acts[i]``, so the blocks of a no-grad pass reuse one array per
+    layer; np.maximum(z, slope*z) is leaky-ReLU because 0 < slope < 1
+    (checked by :class:`MLP`). Where a hidden layer has a keep-mask in
+    ``keeps``, its dropped units are zeroed and its kept ones scaled by
+    ``1 / (1 - dropout)``.
     """
     slope = model.leaky_slope
-    last = model.layers[-1]
-    out = np.empty((batch.shape[0], model.output_dim))
-    for start in range(0, batch.shape[0], BLOCK_ROWS):
-        a = batch[start : start + BLOCK_ROWS]
-        for layer in model.layers[:-1]:
-            z = a @ layer.weights
-            z += layer.bias
-            np.maximum(z, slope * z, out=z)
-            a = z
-        block = out[start : start + BLOCK_ROWS]
-        np.matmul(a, last.weights, out=block)
-        block += last.bias
-    return out
-
-
-def _forward_train(
-    model: MLP, batch: np.ndarray, keeps: list[np.ndarray | None]
-) -> tuple[np.ndarray, ForwardCache]:
-    slope = model.leaky_slope
     scale = 1.0 / (1.0 - model.dropout)
-    inputs: list[np.ndarray] = []
-    positive: list[np.ndarray] = []
-    a = batch
-    for layer, keep in zip(model.layers[:-1], keeps):
-        inputs.append(a)
-        z = a @ layer.weights
+    for layer, keep, z in zip(model.layers[:-1], keeps, acts):
+        z = z[: a.shape[0]]
+        np.matmul(a, layer.weights, out=z)
         z += layer.bias
-        positive.append(z > 0)
         np.maximum(z, slope * z, out=z)
         if keep is not None:
             # Bit for bit z * (keep / (1 - dropout)): z * True is z, and a
@@ -315,17 +307,9 @@ def _forward_train(
             z *= keep
             z *= scale
         a = z
-    inputs.append(a)
-    out = a @ model.layers[-1].weights
-    out += model.layers[-1].bias
-    cache = ForwardCache(
-        inputs=inputs,
-        positive=positive,
-        keeps=list(keeps),
-        model_version=model.version,
-        batch_size=batch.shape[0],
-    )
-    return out, cache
+    last = model.layers[-1]
+    np.matmul(a, last.weights, out=out)
+    out += last.bias
 
 
 @dataclass
@@ -379,6 +363,9 @@ def backward(
     scale = 1.0 / (1.0 - model.dropout)
     for i in range(n_layers - 1, -1, -1):
         layer = model.layers[i]
+        # layer i's input is > 0 exactly where layer i - 1 had z > 0 and its
+        # unit was kept; the mask is taken before the input is released
+        positive = cache.inputs[-1] > 0 if i > 0 else None
         dw = cache.inputs.pop().T @ delta
         if into is None:
             if model.l1 > 0:
@@ -402,8 +389,9 @@ def backward(
             # per-element branch of np.where (1.5-4x slower on random signs).
             # It is exactly slope where z <= 0 and exactly 1.0 where z > 0:
             # fl(1 - slope) is within 2**-54 of 1 - slope for 0 < slope < 1,
-            # so adding slope rounds back to 1.
-            factor = np.multiply(cache.positive.pop(), 1.0 - model.leaky_slope)
+            # so adding slope rounds back to 1. A dropped unit's delta is a
+            # signed zero already, which either factor keeps.
+            factor = np.multiply(positive, 1.0 - model.leaky_slope)
             factor += model.leaky_slope
             delta *= factor
     return grads

@@ -150,3 +150,46 @@ def test_mutated_input_exits_0_or_2(fixtures, case, kind, data):
         code, err = _run(_argv(command, files, Path(tmp) / "out"))
     assert code in (0, 2), err
     assert code == 0 or err.count("\n") == 1, err
+
+
+# One changed line of a file past csv's field limit of 128 KB: its index,
+# the change, and the file line the refusal names (None where it names none).
+LARGE_FILE_CHANGES = {
+    "quote in the header": (0, lambda line: line + ',"', 1),
+    "quote opening a field": (1, lambda line: line.replace(",", ',"', 1), 2),
+    # csv rejects a NUL before Python 3.11; from 3.11 on the timestamp parse does
+    "NUL in a row": (8300, lambda line: line.replace(",", ",\0", 1), 8301),
+    # within the first 8 KiB of text, which predict decodes to read the header
+    "byte outside UTF-8": (5, lambda line: line.replace(",", ",\udcff", 1), None),
+    # no quote, so a forked worker reads this row where two CPUs are usable
+    "field past the limit": (8300, lambda line: "x" * (1 << 18) + line, 8301),
+}
+
+
+@pytest.fixture(scope="module")
+def large_station_lines(fixtures, tmp_path_factory):
+    """The lines of a station file of 8,400 rows (1.9 MB) in 5 storms that
+    ``predict`` reads: past csv's field limit, and two row ranges where two
+    CPUs are usable."""
+    root = tmp_path_factory.mktemp("large")
+    files = dict(fixtures, **{"stations.csv": root / "stations.csv"})
+    write_station_file(files["stations.csv"], n_storms=5, n_stations=40, n_hours=42, seed=3)
+    assert _run(_argv("predict", files, root / "out"))[0] == 0
+    return files["stations.csv"].read_bytes().decode("utf-8").split("\r\n")
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("change", LARGE_FILE_CHANGES)
+def test_unreadable_record_in_a_large_file_exits_2(
+    fixtures, large_station_lines, tmp_path, command, change
+):
+    index, edit, line = LARGE_FILE_CHANGES[change]
+    lines = list(large_station_lines)
+    lines[index] = edit(lines[index])
+    files = dict(fixtures, **{"stations.csv": tmp_path / "stations.csv"})
+    files["stations.csv"].write_text("\r\n".join(lines), encoding="utf-8",
+                                     errors="surrogateescape", newline="")
+    code, err = _run(_argv(command, files, tmp_path / "out"))
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith(f"ingest-error: {files['stations.csv']}: "), err
+    assert line is None or f"line {line}: " in err, err

@@ -246,11 +246,9 @@ def test_training_step_bit_exact_against_reference(
         )
         assert np.array_equal(out, r_out)
         assert len(cache.inputs) == len(r_inputs)
-        assert len(cache.positive) == len(cache.keeps) == len(r_pre) == len(r_masks)
+        assert len(cache.keeps) == len(r_pre) == len(r_masks)
         for got, want in zip(cache.inputs, r_inputs):
             assert np.array_equal(got, want)
-        for got, want in zip(cache.positive, r_pre):
-            assert got.dtype == bool and np.array_equal(got, want > 0)
         scale = 1.0 / (1.0 - dropout)
         for got, want in zip(cache.keeps, r_masks):
             if want is None:
@@ -259,7 +257,7 @@ def test_training_step_bit_exact_against_reference(
                 assert got.dtype == bool and np.array_equal(got * scale, want)
 
         grads = nncore.backward(model, cache, grad_out)
-        assert cache.inputs == cache.positive == cache.keeps == []
+        assert cache.inputs == cache.keeps == []
         r_dw, r_db = reference_backward(ref, r_inputs, r_pre, r_masks, grad_out)
         for got, want in zip(grads.weights + grads.biases, r_dw + r_db):
             assert np.array_equal(got, want)
@@ -277,6 +275,48 @@ def test_training_step_bit_exact_against_reference(
         for got, want in zip(model.layers, ref.layers):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.bias, want.bias)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.25])
+def test_backward_reads_the_kink_from_the_kept_activation(dropout):
+    # backward builds the leaky-ReLU factor from where a layer's input is
+    # positive, not from a stored z > 0: on each unit, kept or dropped, at the
+    # kink and next to it, its gradients match the z > 0 reference bit for
+    # bit, signed zeros included (np.array_equal takes -0.0 == 0.0).
+    rng = np.random.default_rng(31)
+    slope = 0.1
+    model = small_model(rng, input_dim=3, hidden=(6, 5), dropout=dropout)
+    model = dataclasses.replace(model, leaky_slope=slope)
+    # In the tiny rows every product of the first layer (|weight| < 0.5)
+    # underflows to a zero, so its pre-activation is its bias: units 0 and 1
+    # have z > 0, unit 2 z = +0, unit 3 (negative weights, bias -0.0) z = -0.0
+    # where the BLAS sums the products in fused multiply-adds (+0 elsewhere),
+    # and unit 4 a negative z whose slope * z underflows to -0.0. Unit 5 and
+    # the other rows are random.
+    batch = rng.normal(size=(8, 3))
+    batch[:4] = 5e-324
+    first = model.layers[0]
+    first.weights *= 0.8
+    first.weights[:, 3] = -np.abs(first.weights[:, 3])
+    first.bias[:] = [2.0, 2.0, 0.0, -0.0, -5e-324, 0.3]
+    keeps = [None, None]
+    if dropout:
+        keeps = [rng.random((8, width)) >= dropout for width in model.hidden_sizes]
+        keeps[0][:4, 1:5] = True
+        keeps[0][:4, 0] = False  # dropped where z > 0
+    grad_out = rng.normal(size=(8, model.output_dim))
+    grad_out[0] = -0.0
+    out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
+    r_out, r_inputs, r_pre, r_masks = reference_forward(model, batch, keeps=keeps)
+    assert np.array_equal(out.view(np.int64), r_out.view(np.int64))
+    z = r_pre[0][:4]
+    assert (z[:, :2] > 0).all() and (z[:, 2:4] == 0).all() and not np.signbit(z[:, 2]).any()
+    assert (z[:, 4] < 0).all() and (slope * z[:, 4] == 0).all()
+
+    grads = nncore.backward(model, cache, grad_out)
+    r_dw, r_db = reference_backward(model, r_inputs, r_pre, r_masks, grad_out)
+    for got, want in zip(grads.weights + grads.biases, r_dw + r_db):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def block_order_keeps(model, rows, rng):
