@@ -49,6 +49,7 @@ from .spatial import (
     StationSet,
     alignment_fraction,
     bilinear_to_stations,
+    hour_mean,
     minmax_normalize,
     spatial_gradient,
     storm_cubes,
@@ -97,6 +98,7 @@ __all__ = [
     "StationSet",
     "alignment_fraction",
     "bilinear_to_stations",
+    "hour_mean",
     "minmax_normalize",
     "spatial_gradient",
     "storm_cubes",

@@ -401,9 +401,9 @@ def cmd_predict(opts: dict) -> None:
         t, r, c = np.nonzero(gradient.valid)
         gradients.append((np.full(len(t), storm), hours[t], gradient.lats[r], gradient.lons[c],
                           gradient.values[t, r, c]))
-        mean_avg = _average_fields(mean)
-        norm_mean = _normalized(mean_avg, f"storm {storm} mean field")
-        norm_sd = _normalized(_average_fields(total_sd), f"storm {storm} total-sd field")
+        mean_avg, sd_avg = spatial.hour_mean(mean), spatial.hour_mean(total_sd)
+        norm_mean = _normalized(mean_avg.values, mean_avg.valid, f"storm {storm} mean field")
+        norm_sd = _normalized(sd_avg.values, sd_avg.valid, f"storm {storm} total-sd field")
         r, c = np.nonzero(mean_avg.valid)
         normalized.append((np.full(len(r), storm), mean_avg.lats[r], mean_avg.lons[c],
                            norm_mean[r, c], norm_sd[r, c]))
@@ -421,26 +421,14 @@ def cmd_predict(opts: dict) -> None:
     print(f"wrote {out / 'grid_predictions.csv'}")
 
 
-def _average_fields(field: spatial.GridField) -> spatial.GridField:
-    """Cell-wise mean over the hours of a cube; a cell is valid if valid in
-    any hour."""
-    count = field.valid.sum(axis=0)
-    total = np.where(field.valid, field.values, 0.0).sum(axis=0)
-    out_valid = count > 0
-    values = np.full(out_valid.shape, np.nan)
-    np.divide(total, count, out=values, where=out_valid)
-    return field.with_values(values, valid=out_valid)
-
-
-def _normalized(values, what: str) -> np.ma.MaskedArray:
-    """``minmax_normalize`` of an array or of a field's values; all masked,
-    with a warning, where it cannot scale them."""
+def _normalized(values, valid, what: str) -> np.ma.MaskedArray:
+    """``minmax_normalize(values, valid)``; all masked, with a warning, where
+    it cannot scale them."""
     try:
-        out = spatial.minmax_normalize(values)
+        return np.ma.asarray(spatial.minmax_normalize(values, valid))
     except UsageError:
         warnings.warn(f"{what} is constant; normalization skipped", DegenerateInputWarning)
-        return np.ma.masked_all(np.shape(getattr(values, "values", values)))
-    return np.ma.asarray(getattr(out, "values", out))
+        return np.ma.masked_all(np.shape(values))
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +603,8 @@ def cmd_spatial(opts: dict) -> None:
             ws.values, ws_field.lats[ws.rows], ws_field.lons[ws.cols], ws.rows, ws.cols,
             *map(on_wind_hours, (uq.values, uq_field.lats[uq.rows], uq_field.lons[uq.cols],
                                  uq.rows, uq.cols)),
-            _normalized(ws.values, f"storm {storm} wind max series"),
-            on_wind_hours(_normalized(uq.values, f"storm {storm} uq max series")),
+            _normalized(ws.values, None, f"storm {storm} wind max series"),
+            on_wind_hours(_normalized(uq.values, None, f"storm {storm} uq max series")),
         ))
         alignment[storm] = {
             str(k): spatial.alignment_fraction(ws, uq, k) for k in opts["align_k"]

@@ -1,5 +1,5 @@
-"""Gridded post-processing: gradients, normalization, max tracking, and
-grid-to-station bilinear interpolation.
+"""Gridded post-processing: gradients, hour means, normalization, max
+tracking, and grid-to-station bilinear interpolation.
 
 Grids are regular lat/lon rasters with strictly monotone axes in degrees and
 an optional validity mask (ocean cells, for instance, are simply marked
@@ -26,7 +26,8 @@ class GridField:
     cube of them, one raster per hour.
 
     ``valid`` is True where the cell participates in statistics; invalid
-    cells are excluded from maxima, normalization, and interpolation.
+    cells are excluded from gradients, hour means, maxima and interpolation,
+    and from normalization when ``valid`` is passed to it.
     """
 
     lats: np.ndarray  # [rows], strictly monotone, degrees
@@ -107,30 +108,34 @@ def spatial_gradient(grid: GridField) -> GridField:
     return grid.with_values(out, valid=out_valid)
 
 
-def minmax_normalize(values):
+def minmax_normalize(values, valid=None):
     """Affine rescale to [0, 1]: (V - Vmin) / (Vmax - Vmin).
 
-    Accepts a plain array or a :class:`GridField`; for a field the extrema
-    come from valid cells only (of every hour, for a cube). A constant input
-    has no well-defined scaling and raises.
+    The extrema come from the entries ``valid`` marks (every hour's valid
+    cells, for a cube), or from every entry without it; unmarked entries come
+    out NaN. An input with no marked entry or a constant one has no
+    well-defined scaling and raises.
     """
-    if isinstance(values, GridField):
-        masked = values.values[values.valid]
-        if masked.size == 0:
-            raise UsageError("cannot normalize a fully masked field")
-        lo, hi = float(masked.min()), float(masked.max())
-        if hi == lo:
-            raise UsageError("cannot min-max normalize a constant field")
-        out = np.full_like(values.values, np.nan)
-        out[values.valid] = (values.values[values.valid] - lo) / (hi - lo)
-        return values.with_values(out)
     x = np.asarray(values, dtype=float)
-    if x.size == 0:
-        raise UsageError("cannot normalize an empty array")
-    lo, hi = float(x.min()), float(x.max())
+    valid = np.ones(x.shape, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    kept = x[valid]
+    if kept.size == 0:
+        raise UsageError("cannot normalize an input with no valid entry")
+    lo, hi = float(kept.min()), float(kept.max())
     if hi == lo:
         raise UsageError("cannot min-max normalize a constant input")
-    return (x - lo) / (hi - lo)
+    return np.where(valid, (x - lo) / (hi - lo), np.nan)
+
+
+def hour_mean(field: GridField) -> GridField:
+    """Cell-wise mean over the hours of a [T, rows, cols] cube; a cell is
+    valid if valid in any hour, and its mean is over those hours only."""
+    count = field.valid.sum(axis=0)
+    total = np.where(field.valid, field.values, 0.0).sum(axis=0)
+    out_valid = count > 0
+    values = np.full(out_valid.shape, np.nan)
+    np.divide(total, count, out=values, where=out_valid)
+    return field.with_values(values, valid=out_valid)
 
 
 class Track(NamedTuple):

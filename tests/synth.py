@@ -41,12 +41,21 @@ def _storm_start(i: int) -> np.datetime64:
     return np.datetime64("2020-01-01T00:00:00", "s") + np.timedelta64(i * 5 * 86400, "s")
 
 
-def station_rows(n_storms=4, n_stations=3, n_hours=8, seed=0):
+def station_rows(n_storms=4, n_stations=3, n_hours=8, seed=0, noise="homo"):
     """Synthetic station rows with a learnable gust signal.
 
     gust = 0.8*WS_10m + 0.1*WS_950mb + 2*Ustar + noise, clipped at zero.
+
+    ``noise="homo"`` draws N(0, 1) noise. ``noise="skew"`` gives the same rows
+    but for ``gust_obs``: its noise is sd*eps with sd = 0.25 + 0.075*WS_10m
+    (see :func:`true_sd`) and eps = (G - 4)/2, G ~ Gamma(4, 1), so eps has
+    mean 0, variance 1 and skewness 1. G is drawn from
+    ``default_rng(10_000 + seed)``, so every other column keeps its draws.
     """
+    if noise not in ("homo", "skew"):
+        raise ValueError(f"unknown noise {noise!r}")
     rng = np.random.default_rng(seed)
+    skew_rng = np.random.default_rng(10_000 + seed)
     rows = []
     for s in range(n_storms):
         storm = f"S{s:02d}"
@@ -65,10 +74,10 @@ def station_rows(n_storms=4, n_stations=3, n_hours=8, seed=0):
                 terrain = rng.uniform(0.0, 1200.0)
                 lapse1 = rng.uniform(-10.0, 10.0)
                 lapse2 = rng.uniform(-10.0, 10.0)
-                gust = max(
-                    0.0,
-                    0.8 * ws10 + 0.1 * ws950 + 2.0 * ustar + rng.normal(0.0, 1.0),
-                )
+                error = rng.normal(0.0, 1.0)
+                if noise == "skew":
+                    error = _skew_sd(ws10) * (skew_rng.gamma(4.0, 1.0) - 4.0) / 2.0
+                gust = max(0.0, 0.8 * ws10 + 0.1 * ws950 + 2.0 * ustar + error)
                 rows.append(
                     [
                         storm,
@@ -89,6 +98,17 @@ def station_rows(n_storms=4, n_stations=3, n_hours=8, seed=0):
                     ]
                 )
     return rows
+
+
+def _skew_sd(ws10):
+    return 0.25 + 0.075 * ws10
+
+
+def true_sd(rows, noise="homo") -> np.ndarray:
+    """Each station row's true noise sd before clipping: 1 for ``"homo"``,
+    0.25 + 0.075*WS_10m (0.40 to 2.125 m/s) for ``"skew"``."""
+    ws10 = np.array([float(row[RAW_HEADER.index("WS_10m")]) for row in rows])
+    return _skew_sd(ws10) if noise == "skew" else np.ones_like(ws10)
 
 
 def write_station_file(path, rows=None, **kwargs) -> None:

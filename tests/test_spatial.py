@@ -13,6 +13,7 @@ from gustuq.spatial import (
     StationSet,
     alignment_fraction,
     bilinear_to_stations,
+    hour_mean,
     minmax_normalize,
     spatial_gradient,
     storm_cubes,
@@ -116,6 +117,8 @@ def test_minmax_idempotent():
 def test_minmax_constant_rejected():
     with pytest.raises(UsageError):
         minmax_normalize(np.full(5, 3.0))
+    with pytest.raises(UsageError, match="constant"):  # constant over the valid entries
+        minmax_normalize(np.array([3.0, 3.0, 8.0]), np.array([True, True, False]))
 
 
 def test_minmax_preserves_argmax():
@@ -127,13 +130,45 @@ def test_minmax_preserves_argmax():
 
 
 def test_minmax_on_field_respects_mask():
-    lats, lons = lonlat_grid(3, 3)
     values = np.arange(9.0).reshape(3, 3)
     valid = np.ones((3, 3), dtype=bool)
     valid[2, 2] = False  # exclude the raw maximum
-    out = minmax_normalize(GridField(lats=lats, lons=lons, values=values, valid=valid))
-    assert out.values[2, 1] == 1.0  # largest valid cell maps to 1
-    assert np.isnan(out.values[2, 2])
+    out = minmax_normalize(values, valid)
+    assert out[2, 1] == 1.0  # largest valid cell maps to 1
+    assert np.isnan(out[2, 2])
+
+
+def test_minmax_on_cube_takes_extrema_over_every_hour():
+    values = np.array([[[5.0, 9.0], [3.0, 4.0]],
+                       [[2.0, 6.0], [7.0, 1.0]]])
+    valid = np.ones(values.shape, dtype=bool)
+    valid[0, 0, 1] = valid[1, 1, 1] = False  # the raw maximum and minimum
+    out = minmax_normalize(values, valid)
+    # the valid minimum is in hour 1, the valid maximum in hour 0
+    assert out[1, 0, 0] == 0.0
+    assert out[1, 1, 0] == 1.0
+    np.testing.assert_array_equal(out[valid], (values[valid] - 2.0) / 5.0)
+    assert np.isnan(out[~valid]).all()
+
+
+def test_minmax_with_no_valid_entry_rejected():
+    with pytest.raises(UsageError, match="no valid entry"):
+        minmax_normalize(np.arange(4.0), np.zeros(4, dtype=bool))
+    with pytest.raises(UsageError, match="no valid entry"):
+        minmax_normalize(np.array([]))
+
+
+def test_hour_mean_averages_each_cell_over_its_valid_hours():
+    lats, lons = lonlat_grid(1, 3)
+    values = np.array([[[1.0, 4.0, 7.0]], [[3.0, 8.0, 9.0]]])
+    valid = np.array([[[True, True, False]], [[True, False, False]]])
+    mean = hour_mean(GridField(lats=lats, lons=lons, values=values, valid=valid))
+    assert mean.shape == (1, 3)
+    assert mean.values[0, 0] == 2.0  # valid in both hours
+    assert mean.values[0, 1] == 4.0  # valid in hour 0 only: that hour's value
+    assert np.isnan(mean.values[0, 2])  # valid in no hour
+    assert mean.valid.tolist() == [[True, True, False]]
+    np.testing.assert_array_equal(mean.lons, lons)
 
 
 # ---------------------------------------------------------------------------
