@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from .data import Standardizer
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .evidential import EvidentialModel
 from .fileio import read_json, write_json
 from .nncore import MLP, Layer, TrainConfig
@@ -39,10 +39,14 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(parent, key: str, where: str) -> np.ndarray:
+    """The float64 array at ``parent[key]``; any stored dtype but ``<f8``,
+    the one that :func:`_encode_array` writes, is refused."""
     try:
         obj = parent[key]
+        if obj["dtype"] != "<f8":
+            raise UsageError(f"artifact field {where} has dtype {obj['dtype']!r}, not '<f8'")
         raw = base64.b64decode(obj["data"])
-        arr = np.frombuffer(raw, dtype=obj["dtype"]).reshape(obj["shape"])
+        arr = np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"artifact field {where} is not an encoded array ({exc!r})") from None
     return arr.astype(float)  # writable copy in native order
@@ -121,7 +125,8 @@ def save_model(model: EvidentialModel, path) -> None:
 def load_model(path) -> EvidentialModel:
     """Read an artifact; a missing or mistyped field, or a repeated key, is a
     usage error that names it. Each ``train_config`` field must have the
-    JSON type of its ``TrainConfig`` default."""
+    JSON type of its ``TrainConfig`` default and a value that
+    ``TrainConfig.validate`` accepts."""
     payload = read_json(path, f"artifact {path}")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise UsageError(f"{path}: not a {FORMAT_NAME} artifact")
@@ -143,6 +148,10 @@ def load_model(path) -> EvidentialModel:
             f.name: _field(payload, f"train_config.{f.name}", type(f.default))
             for f in fields(TrainConfig)
         })
+        try:
+            config.validate()
+        except ConfigError as exc:  # each message starts with the field's name
+            raise UsageError(f"artifact field train_config.{exc}") from None
         standardizer = _decode_standardizer(
             payload, "standardizer", mlp.input_dim,
             f"the first layer takes {mlp.input_dim} inputs")

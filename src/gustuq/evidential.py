@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import nncore
 from .data import Standardizer
 from .errors import CalibrationWarning, ConfigError, DomainError, NumericError
-from .nncore import MLP, Adam, TrainConfig
+from .nncore import MLP, Adam, Layer, TrainConfig
 
 # Floor keeping nu, beta strictly positive and alpha strictly above 1.
 PARAM_FLOOR = 1e-6
@@ -324,7 +324,8 @@ def step_gradients(
     rows grow with the batch. A batch of at most ``BLOCK_ROWS`` rows is one
     block, and its loss is bit for bit :func:`total_loss` of one train-mode
     forward over it. Over more rows the sums run in another order, which
-    moves the last bits.
+    moves the last bits. The network runs in its own dtype; the head, the
+    loss and the loss gradient run in float64 on its [B x 4] output.
     """
     rows = features.shape[0]
     grads = None
@@ -333,6 +334,7 @@ def step_gradients(
         out, cache = nncore.forward(
             model, features[block], train_mode=True, keeps=keeps, first_row=block.start
         )
+        out = np.asarray(out, dtype=float)
         params = head_transform(out)
         per_sample, terms = _loss_and_terms(params, targets[block], lam, block.start)
         data_sum += per_sample.sum()
@@ -408,6 +410,7 @@ def train_evidential(
     feature_names: list[str] | None = None,
     standardizer: Standardizer | None = None,
     target_scale: Standardizer | None = None,
+    dtype=np.float64,
 ) -> tuple[EvidentialModel, list[EpochStats]]:
     """Train the evidential network with Adam and early stopping.
 
@@ -422,6 +425,12 @@ def train_evidential(
     and the inflation guard are taken there. Returns the weights snapshot
     with the best validation MAE, with its validation pass's ``NIGParams``
     in target units as ``validation_params``, and the per-epoch metric log.
+
+    The network trains in ``dtype``, float64 or float32 (see
+    :mod:`gustuq.nncore`). Its initial weights are drawn in float64 and
+    cast, and the features are cast after they are standardized in float64,
+    so both dtypes draw the same batch order and dropout keep-masks; the
+    head, the loss and ``validation_params`` stay float64.
     """
     config.validate()
     if standardizer is None:
@@ -429,9 +438,9 @@ def train_evidential(
         standardizer = _pass_through(width)
     if target_scale is None:
         target_scale = _pass_through(1)
-    x_train = standardizer.apply(train_features)
+    x_train = standardizer.apply(train_features).astype(dtype, copy=False)
     y_train = target_scale.apply(train_targets)[:, 0]
-    x_val = standardizer.apply(val_features)
+    x_val = standardizer.apply(val_features).astype(dtype, copy=False)
     y_val = np.asarray(val_targets, dtype=float)
     y_val_scaled = target_scale.apply(y_val)[:, 0]
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
@@ -443,6 +452,9 @@ def train_evidential(
     model = MLP.create(
         x_train.shape[1], hidden_sizes, rng, dropout=dropout, l1=l1, l2=l2
     )
+    model = replace(model, layers=[
+        Layer(layer.weights.astype(dtype, copy=False), layer.bias.astype(dtype, copy=False))
+        for layer in model.layers])
     optimizer = Adam(config.learning_rate)
     lam = config.evidential_coef
 

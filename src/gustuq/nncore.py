@@ -4,10 +4,16 @@ The network is a stack of linear layers with leaky-ReLU activations on the
 hidden layers and a linear output layer (width 4 by default, feeding the
 evidential head). Training-time dropout uses inverted scaling so inference
 needs no rescaling. L1/L2 penalties apply to weight matrices only, never to
-biases. Everything is plain float64 numpy. Results are deterministic for a
-fixed seed on the same machine, numpy/BLAS build and BLAS thread count: the
-matrix products may sum in another order under another thread count, which
-moves the last bits. One layer loop serves both modes of :func:`forward`.
+biases. Everything is plain numpy, and the arithmetic follows the weights'
+dtype: a network's parameters are all float64 or all float32, and
+:func:`forward`, :func:`backward` and :class:`Adam` compute and hold their
+arrays in that dtype, so one kernel serves both precisions. Artifacts and
+every command but ``tune`` are float64; ``tune`` trains its trials in
+float32, where the matrix products take about half the time. Results are
+deterministic for a fixed seed on the same machine, numpy/BLAS build and BLAS
+thread count: the matrix products may sum in another order under another
+thread count, which moves the last bits. One layer loop serves both modes of
+:func:`forward`.
 The no-grad pass (``train_mode=False``), the one inference kernel, runs it
 per block of :data:`BLOCK_ROWS` rows through one array per hidden layer;
 the train-mode pass runs it once and keeps each layer's input.
@@ -22,7 +28,7 @@ hidden layer, the masks are those of one whole-batch draw per layer; a larger
 step through more hidden layers uses the same doubles in block order instead.
 Either way the step leaves the generator where one whole-batch draw would. A
 block's cache keeps only what :func:`backward` reads: per hidden layer one
-float activation and its one-byte keep-mask; the leaky-ReLU derivative is
+activation and its one-byte keep-mask; the leaky-ReLU derivative is
 read from where that activation is positive. :func:`backward` releases each
 layer's entries as soon as it has used them, so a cache holds nothing once
 its gradients exist. Only the batch's own rows grow with the batch.
@@ -50,6 +56,9 @@ LEAKY_SLOPE = 0.1
 # constant, not an option, so that identical runs stay byte-identical: BLAS
 # results can depend on the block shape in the last bits.
 BLOCK_ROWS = 1024
+
+# The dtypes a network's parameters may have, all of them the same one.
+DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Parameter elements per chunk of an Adam update. A constant, not an option:
 # the update of every parameter runs through one scratch pair of at most
@@ -145,6 +154,16 @@ class MLP:
                     f"layer {i}: fan-in {layer.weights.shape[0]} does not chain with "
                     f"previous fan-out {self.layers[i - 1].weights.shape[1]}"
                 )
+        dtypes = {str(p.dtype) for layer in self.layers for p in (layer.weights, layer.bias)}
+        if len(dtypes) > 1 or self.dtype not in DTYPES:
+            raise ConfigError(
+                f"network parameters must be all float32 or all float64, got {sorted(dtypes)}"
+            )
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, in which the network computes."""
+        return self.layers[0].weights.dtype
 
     @property
     def input_dim(self) -> int:
@@ -186,12 +205,12 @@ class MLP:
 class ForwardCache:
     """What :func:`backward` reads of one train-mode forward pass.
 
-    ``inputs`` holds the float input of each layer (the batch, then each
-    hidden layer's activation after dropout); ``keeps`` the bool dropout
-    keep-mask of each hidden layer, or ``None`` without dropout (kept
-    activations are scaled by ``1 / (1 - dropout)``). :func:`backward` pops
-    every entry as it goes, so a cache is used up by one backward pass; only
-    ``model_version`` and ``batch_size`` remain.
+    ``inputs`` holds the input of each layer in the network's dtype (the
+    batch, then each hidden layer's activation after dropout); ``keeps`` the
+    bool dropout keep-mask of each hidden layer, or ``None`` without dropout
+    (kept activations are scaled by ``1 / (1 - dropout)``). :func:`backward`
+    pops every entry as it goes, so a cache is used up by one backward pass;
+    only ``model_version`` and ``batch_size`` remain.
     """
 
     inputs: list[np.ndarray]
@@ -245,18 +264,19 @@ def forward(
     returns ``(out, None)``. Both run the one layer loop of
     :func:`_forward_block`. A non-finite output is an error naming its
     sample index, counted from ``first_row`` (the index of ``batch``'s first
-    row when it is one block of a larger batch).
+    row when it is one block of a larger batch). The batch is cast to the
+    network's dtype, in which ``out`` and every activation are computed.
     """
-    batch = np.asarray(batch, dtype=float)
+    batch = np.asarray(batch, dtype=model.dtype)
     if batch.ndim != 2:
         raise DimensionError(f"batch must be 2-D, got shape {batch.shape}")
     if batch.shape[1] != model.input_dim:
         raise DimensionError(
             f"batch width {batch.shape[1]} does not match model input width {model.input_dim}"
         )
-    out = np.empty((batch.shape[0], model.output_dim))
+    out = np.empty((batch.shape[0], model.output_dim), model.dtype)
     rows = batch.shape[0] if train_mode else min(batch.shape[0], BLOCK_ROWS)
-    acts = [np.empty((rows, width)) for width in model.hidden_sizes]
+    acts = [np.empty((rows, width), model.dtype) for width in model.hidden_sizes]
     if train_mode:
         if keeps is None:
             if model.dropout > 0.0:
@@ -328,7 +348,8 @@ def backward(
 ) -> ParamGrads:
     """Backpropagate ``grad_output`` [B x out] to parameter gradients.
 
-    ``grad_output`` must already carry any batch-mean normalization. Without
+    ``grad_output`` must already carry any batch-mean normalization; it is
+    cast to the network's dtype, in which the gradients are computed. Without
     ``into`` this returns new gradients of a whole step: the L1 subgradient
     (0 at exactly 0) and the 2*l2*W term are added to every weight gradient;
     biases carry no penalty. With ``into``, the gradients of an earlier block
@@ -346,7 +367,7 @@ def backward(
         )
     if len(cache.inputs) != len(model.layers):
         raise UsageError("forward cache already used")
-    grad_output = np.asarray(grad_output, dtype=float)
+    grad_output = np.asarray(grad_output, dtype=model.dtype)
     if grad_output.shape != (cache.batch_size, model.output_dim):
         raise DimensionError(
             f"grad_output shape {grad_output.shape} does not match "
@@ -389,9 +410,11 @@ def backward(
             # per-element branch of np.where (1.5-4x slower on random signs).
             # It is exactly slope where z <= 0 and exactly 1.0 where z > 0:
             # fl(1 - slope) is within 2**-54 of 1 - slope for 0 < slope < 1,
-            # so adding slope rounds back to 1. A dropped unit's delta is a
-            # signed zero already, which either factor keeps.
-            factor = np.multiply(positive, 1.0 - model.leaky_slope)
+            # so adding slope rounds back to 1. A float32 network's factor is
+            # float32, where the sum came back to 1 for each of a million
+            # uniform slopes in (0, 1). A dropped unit's delta is a signed
+            # zero already, which either factor keeps.
+            factor = np.multiply(positive, 1.0 - model.leaky_slope, dtype=model.dtype)
             factor += model.leaky_slope
             delta *= factor
     return grads
@@ -453,12 +476,12 @@ class Adam:
     """Adam optimizer with bias correction, updating an MLP in place.
 
     It keeps the first and second moments of every parameter in two flat
-    buffers, and one scratch pair. A step runs per chunk of at most
-    :data:`ADAM_CHUNK` elements (see :func:`_pack`): the chunk's gradients
-    are gathered into the scratch through views of each parameter, the
-    update is computed there with one array operation per term, and it is
-    subtracted from the same views, so a parameter that is not contiguous
-    is still updated in place.
+    buffers, and one scratch pair, all in the parameters' dtype. A step runs
+    per chunk of at most :data:`ADAM_CHUNK` elements (see :func:`_pack`):
+    the chunk's gradients are gathered into the scratch through views of
+    each parameter, the update is computed there with one array operation
+    per term, and it is subtracted from the same views, so a parameter that
+    is not contiguous is still updated in place.
     """
 
     def __init__(self, learning_rate: float):
@@ -472,9 +495,10 @@ class Adam:
     def _init_state(self, params: list[np.ndarray]) -> None:
         self._plan = _pack(params)
         size = self._plan[-1][1]
-        self._moments = (np.zeros(size), np.zeros(size))
+        dtype = params[0].dtype
+        self._moments = (np.zeros(size, dtype), np.zeros(size, dtype))
         widest = max(hi - lo for lo, hi, _ in self._plan)
-        self._scratch = (np.empty(widest), np.empty(widest))
+        self._scratch = (np.empty(widest, dtype), np.empty(widest, dtype))
 
     def step(self, model: MLP, grads: ParamGrads) -> None:
         if len(grads.weights) != len(model.layers):

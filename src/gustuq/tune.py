@@ -7,7 +7,9 @@ binned RMSE and total uncertainty (maximize), and the PITD skill score
 one scalarized recommendation. Trials derive their RNG streams from the
 master seed and their index, so a search is reproducible and resumable from
 its log, which is rewritten whole after each trial. Trials run in forked
-worker processes, each on a CPU of its own.
+worker processes, each on a CPU of its own, and train in float32
+(:data:`TRIAL_DTYPE`); the configuration a search recommends is trained
+again by ``train``, in float64.
 """
 
 from __future__ import annotations
@@ -347,6 +349,12 @@ def search(
     return SearchResult(trials=results, pareto=front, best=best, n_failed=n_failed)
 
 
+# The dtype every trial's network trains in: single-precision matrix products
+# take about half the time of double-precision ones, and a trial's
+# objectives only rank configurations.
+TRIAL_DTYPE = np.float32
+
+
 def make_evidential_objective(
     train_features: np.ndarray,
     train_targets: np.ndarray,
@@ -357,9 +365,10 @@ def make_evidential_objective(
     standardizer: data.Standardizer | None = None,
     target_scale: data.Standardizer | None = None,
 ) -> Objective:
-    """Objective that trains an evidential model and scores it on validation.
-    Features and targets are raw; each trial's model applies ``standardizer``
-    and ``target_scale`` itself, and is scored in target units."""
+    """Objective that trains an evidential model in :data:`TRIAL_DTYPE` and
+    scores it on validation. Features and targets are raw; each trial's
+    model applies ``standardizer`` and ``target_scale`` itself, and is
+    scored in target units."""
     y_val = np.asarray(val_targets, dtype=float)
 
     def objective(config: TrialConfig, rng: np.random.Generator):
@@ -367,7 +376,7 @@ def make_evidential_objective(
                     "seed": int(rng.integers(2**31))}
         model, log = train_with_settings(
             settings, train_features, train_targets, val_features, val_targets,
-            standardizer=standardizer, target_scale=target_scale,
+            standardizer=standardizer, target_scale=target_scale, dtype=TRIAL_DTYPE,
         )
         dec = decompose(model.validation_params)
         mae = float(np.mean(np.abs(dec.mean - y_val)))

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -471,6 +472,48 @@ def test_predict_artifact_bad_target_scale_is_usage_error(
                "--out", tmp_path / "pred")
     assert code == 2
     assert capsys.readouterr().err == f"usage-error: {edited}: artifact field {message}\n"
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("dtype", ["<i8", ">f8", "S8", "<f4"])
+def test_predict_artifact_array_of_another_dtype_is_usage_error(
+    pipeline, tmp_path, capsys, dtype
+):
+    # read as its own dtype, such an array would come back reinterpreted or
+    # fail to convert; every artifact array is the "<f8" that saving writes
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    layer = payload["network"]["layers"][0]
+    values = artifact._decode_array(layer, "bias", "bias").astype(dtype)
+    layer["bias"] = {**layer["bias"], "dtype": dtype,
+                     "data": base64.b64encode(values.tobytes()).decode("ascii")}
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(payload))
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage-error: {edited}: artifact field network.layers[0].bias has dtype "
+        f"{dtype!r}, not '<f8'\n")
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("learning_rate", -1, "learning_rate must be finite and > 0, got -1"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("evidential_coef", float("nan"), "evidential_coef must be finite and >= 0, got nan"),
+])
+def test_predict_artifact_train_config_outside_its_rules_is_usage_error(
+    pipeline, tmp_path, capsys, field, value, message
+):
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    payload["train_config"][field] = value
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(payload))  # a NaN is written as the NaN that JSON readers take
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage-error: {edited}: artifact field train_config.{message}\n")
     assert not (tmp_path / "pred").exists()
 
 

@@ -553,6 +553,43 @@ def test_train_deterministic_per_seed():
         assert np.array_equal(la.bias, lb.bias)
 
 
+def test_float32_training_draws_what_float64_training_draws(monkeypatch):
+    # A float32 run casts the float64 initial weights, and the features after
+    # they are standardized in float64, so it trains on the same rows in the
+    # same order through the same keep-masks; its validation params, from the
+    # float64 head, stay float64.
+    forward = nncore.forward
+    runs = []
+
+    def spy(model, batch, train_mode=False, keeps=None, first_row=0):
+        if train_mode:
+            if not runs[-1]:
+                runs[-1].append([layer.weights.copy() for layer in model.layers])
+            runs[-1].append((batch.copy(), [keep.copy() for keep in keeps]))
+        return forward(model, batch, train_mode, keeps, first_row)
+
+    monkeypatch.setattr(nncore, "forward", spy)
+    x, y = raw_features_xy(400, seed=7)
+    std = Standardizer.fit(x[:300])
+    models = {}
+    for dtype in (np.float64, np.float32):
+        runs.append([])
+        models[dtype], _ = train_evidential(
+            x[:300], y[:300], x[300:], y[300:], hidden_sizes=[8, 8], dropout=0.2,
+            standardizer=std, dtype=dtype,
+            config=TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=4))
+    (init64, *steps64), (init32, *steps32) = runs
+    assert [w.astype(np.float32).tobytes() for w in init64] == [w.tobytes() for w in init32]
+    assert len(steps64) == len(steps32) == 2 * 5
+    for (batch64, keeps64), (batch32, keeps32) in zip(steps64, steps32):
+        assert batch32.dtype == np.float32
+        assert batch32.tobytes() == batch64.astype(np.float32).tobytes()
+        assert all(np.array_equal(k64, k32) for k64, k32 in zip(keeps64, keeps32))
+    assert models[np.float32].mlp.dtype == np.float32
+    for name in ("gamma", "nu", "alpha", "beta"):
+        assert getattr(models[np.float32].validation_params, name).dtype == np.float64
+
+
 def test_validation_params_are_the_kept_weights_prediction():
     # the validation pass of the best epoch is handed back with its weights,
     # so callers need not run it again: same bits as predicting anew

@@ -768,6 +768,90 @@ def test_adam_nonfinite_gradient_names_layer():
         Adam(1e-3).step(model, grads)
 
 
+# ---------------------------------------------------------------------------
+# float32: the same kernel, computing in the weights' dtype
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def float32_and_float64_nets(rng, input_dim=11, hidden=(64, 32)):
+    """The same weights, rounded to float32, as a float32 and a float64 net
+    with dropout and L1/L2 penalties."""
+    net = small_model(rng, input_dim, hidden, dropout=0.2, l1=1e-4, l2=2e-4)
+    net32 = dataclasses.replace(net, layers=[
+        Layer(l.weights.astype(np.float32), rng.normal(0.0, 0.1, l.bias.shape).astype(np.float32))
+        for l in net.layers])
+    net64 = dataclasses.replace(net, layers=[
+        Layer(l.weights.astype(float), l.bias.astype(float)) for l in net32.layers])
+    return net32, net64
+
+
+def test_float32_forward_and_step_gradients_match_float64():
+    # A float32 product of n terms is within about n float32 roundings of the
+    # float64 one, relative to the largest magnitude; the tolerance allows
+    # one per term summed on the longest path: the fan-ins in forward, and
+    # the rows besides in the gradients (dW and the bias sums add over rows).
+    rng = np.random.default_rng(41)
+    net32, net64 = float32_and_float64_nets(rng)
+    rows = 300
+    fan_ins = sum(layer.weights.shape[0] for layer in net64.layers)
+    batch = rng.normal(size=(rows, net64.input_dim)).astype(np.float32).astype(float)
+    targets = rng.normal(size=rows)
+
+    out32, _ = nncore.forward(net32, batch)
+    out64, _ = nncore.forward(net64, batch)
+    assert out32.dtype == np.float32
+    assert np.abs(out32 - out64).max() <= fan_ins * EPS32 * np.abs(out64).max()
+
+    loss32, grads32 = evidential.step_gradients(
+        net32, batch, targets, 0.5, np.random.default_rng(5))
+    loss64, grads64 = evidential.step_gradients(
+        net64, batch, targets, 0.5, np.random.default_rng(5))
+    tol = (rows + fan_ins) * EPS32
+    assert abs(loss32 - loss64) <= tol * abs(loss64)
+    for g32, g64 in zip(grads32.weights + grads32.biases, grads64.weights + grads64.biases):
+        assert g32.dtype == np.float32
+        assert np.abs(g32 - g64).max() <= tol * np.abs(g64).max()
+
+
+def test_float32_net_computes_and_holds_only_float32_arrays():
+    rng = np.random.default_rng(43)
+    net, _ = float32_and_float64_nets(rng, input_dim=3, hidden=(6, 5))
+    batch = rng.normal(size=(9, 3))  # float64, cast by forward
+    keeps = batch_keeps(net, 9, rng)
+
+    out, _ = nncore.forward(net, batch)
+    assert out.dtype == np.float32
+    out, cache = nncore.forward(net, batch, train_mode=True, keeps=keeps)
+    assert out.dtype == np.float32
+    assert [a.dtype for a in cache.inputs] == [np.float32] * 3
+    assert [k.dtype for k in cache.keeps] == [bool] * 2
+    grads = nncore.backward(net, cache, rng.normal(size=out.shape))
+    assert {g.dtype for g in grads.weights + grads.biases} == {np.dtype(np.float32)}
+
+    opt = Adam(1e-3)
+    opt.step(net, grads)
+    held = [*opt._moments, *opt._scratch]
+    params = [p for layer in net.layers for p in (layer.weights, layer.bias)]
+    assert {a.dtype for a in held + params} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("dtypes", [
+    pytest.param([(np.float32, np.float64)], id="float32-weights-float64-bias"),
+    pytest.param([(np.float64, np.float32)], id="float64-weights-float32-bias"),
+    pytest.param([(np.float32, np.float32), (np.float64, np.float64)], id="float32-then-float64"),
+    pytest.param([(np.float16, np.float16)], id="float16"),
+    pytest.param([(np.int64, np.int64)], id="int64"),
+    pytest.param([(">f8", ">f8")], id="big-endian-float64"),
+])
+def test_network_refuses_parameters_of_mixed_or_other_dtypes(dtypes):
+    widths = [3, 4, 2][: len(dtypes) + 1]
+    layers = [Layer(np.zeros((fan_in, fan_out), w), np.zeros(fan_out, b))
+              for fan_in, fan_out, (w, b) in zip(widths, widths[1:], dtypes)]
+    with pytest.raises(ConfigError, match="^network parameters must be all float32 or all"):
+        MLP(layers=layers)
+
+
 def test_shape_chain_validation():
     with pytest.raises(DimensionError):
         MLP(

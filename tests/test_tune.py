@@ -12,6 +12,8 @@ import pytest
 from gustuq import nncore, parallel
 from gustuq.data import Standardizer
 from gustuq.errors import CalibrationWarning, IngestError, SearchFailure, UsageError
+from gustuq.evidential import train_evidential
+from gustuq.nncore import TrainConfig
 from gustuq.tune import (
     HyperSpace,
     TrialConfig,
@@ -679,3 +681,31 @@ def test_objective_runs_one_validation_pass_per_epoch(monkeypatch):
                          batch_size=64, evidential_coef=0.05, l1=1e-6, l2=1e-6)
     *_, epochs = objective(config, np.random.default_rng(0))
     assert nograd == [100] * epochs
+
+
+def test_objective_trains_in_float32_and_train_evidential_in_float64(monkeypatch):
+    # every batch of a trial, training and validation, runs the kernel in
+    # float32; a default train_evidential run, the one `train` makes, runs it
+    # in float64
+    forward = nncore.forward
+    seen = set()
+
+    def spy(model, batch, *args, **kwargs):
+        out, cache = forward(model, batch, *args, **kwargs)
+        seen.add((np.asarray(batch).dtype.name, model.dtype.name, out.dtype.name))
+        return out, cache
+
+    monkeypatch.setattr(nncore, "forward", spy)
+    x, y, _ = heteroscedastic_xy(300, seed=4)
+    objective = make_evidential_objective(x[:200], y[:200], x[200:], y[200:],
+                                          max_epochs=3, patience=3)
+    config = TrialConfig(learning_rate=3e-3, dropout=0.1, hidden_layers=2, hidden_neurons=8,
+                         batch_size=64, evidential_coef=0.05, l1=1e-6, l2=1e-6)
+    objective(config, np.random.default_rng(0))
+    assert seen == {("float32", "float32", "float32")}
+
+    seen.clear()
+    model, _ = train_evidential(x[:200], y[:200], x[200:], y[200:], hidden_sizes=[8, 8],
+                                config=TrainConfig(batch_size=64, max_epochs=3), dropout=0.1)
+    assert seen == {("float64", "float64", "float64")}
+    assert model.mlp.dtype == np.float64
