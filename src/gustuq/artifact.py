@@ -126,7 +126,8 @@ def load_model(path) -> EvidentialModel:
     """Read an artifact; a missing or mistyped field, or a repeated key, is a
     usage error that names it. Each ``train_config`` field must have the
     JSON type of its ``TrainConfig`` default and a value that
-    ``TrainConfig.validate`` accepts."""
+    ``TrainConfig.validate`` accepts, and ``feature_names``, where present,
+    must hold one name per network input."""
     payload = read_json(path, f"artifact {path}")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise UsageError(f"{path}: not a {FORMAT_NAME} artifact")
@@ -161,6 +162,9 @@ def load_model(path) -> EvidentialModel:
             isinstance(names, list) and all(isinstance(n, str) for n in names)
         ):
             raise UsageError("artifact field feature_names must be a list of strings")
+        if names is not None and len(names) != mlp.input_dim:
+            raise UsageError(f"artifact field feature_names has {len(names)} names, "
+                             f"but the first layer takes {mlp.input_dim} inputs")
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from None
     return EvidentialModel(

@@ -372,6 +372,8 @@ def cmd_predict(opts: dict) -> None:
     out = _out_dir(opts)
     model = artifact.load_model(opts["model"])
     ds = data.load_features_csv(opts["data"])
+    if len(ds) == 0:
+        raise UsageError(f"{opts['data']}: no rows to predict")
     _check_feature_names(model, ds.feature_names)
     levels = opts["levels"]
     pset = metrics.PredictionSet.from_decomposition(

@@ -317,9 +317,9 @@ def step_gradients(
     come from one set of shared terms (:func:`_loss_and_terms` and
     :func:`_grad_from_terms`). The loss is a mean over samples, so each block's loss
     gradient is divided by the batch's row count; the penalty and its
-    gradient enter once. ``nncore.draw_keeps`` draws each
-    block's dropout keep-masks from ``rng`` when the block runs, and leaves
-    ``rng`` as many doubles on as one draw for the whole batch would. Every
+    gradient enter once. Each block's train-mode ``nncore.forward`` draws
+    its dropout keep-masks from ``rng``, so the step leaves ``rng`` as many
+    doubles on as one draw for the whole batch would. Every
     array of a step is one block's or weight-sized; only the batch's own
     rows grow with the batch. A batch of at most ``BLOCK_ROWS`` rows is one
     block, and its loss is bit for bit :func:`total_loss` of one train-mode
@@ -330,13 +330,14 @@ def step_gradients(
     rows = features.shape[0]
     grads = None
     data_sum = 0.0
-    for block, keeps in nncore.draw_keeps(model, rows, rng):
+    for start in range(0, rows, nncore.BLOCK_ROWS):
+        block = slice(start, start + nncore.BLOCK_ROWS)
         out, cache = nncore.forward(
-            model, features[block], train_mode=True, keeps=keeps, first_row=block.start
+            model, features[block], train_mode=True, rng=rng, first_row=start
         )
         out = np.asarray(out, dtype=float)
         params = head_transform(out)
-        per_sample, terms = _loss_and_terms(params, targets[block], lam, block.start)
+        per_sample, terms = _loss_and_terms(params, targets[block], lam, start)
         data_sum += per_sample.sum()
         grad = _grad_from_terms(out, params, terms, lam)
         grad /= rows

@@ -28,6 +28,12 @@ DEFAULT_CONFIDENCE_LEVELS = (0.70, 0.90, 0.95, 0.99)
 DEFAULT_MASK_PERCENTILE = 95.0
 DEFAULT_PIT_BINS = 10
 DEFAULT_SPREAD_BINS = 20
+# A spread whose range is at most this fraction of its largest value is
+# constant up to rounding, and a line fit to its bins fits noise. It sits
+# far above float32 rounding, where tune's trials compute (a collapsed
+# float32 spread spans about 7e-7 of its value), and far below any trained
+# spread (a standard run's total sd spans about 0.6 of its largest).
+CONSTANT_SPREAD_FRACTION = 1e-4
 DEFAULT_DISCARD_FRACTIONS = tuple(np.round(np.arange(0.0, 1.0, 0.05), 2))
 
 UNCERTAINTY_KINDS = ("aleatoric", "epistemic", "total")
@@ -200,7 +206,9 @@ def spread_skill(
     sd: np.ndarray, errors: np.ndarray, n_bins: int = DEFAULT_SPREAD_BINS
 ) -> SpreadSkillResult:
     """Bin samples by predicted sd (equal counts) and relate binned RMSE to
-    binned mean sd via least squares; a calibrated model tracks the 1:1 line."""
+    binned mean sd via least squares; a calibrated model tracks the 1:1 line.
+    A spread constant up to :data:`CONSTANT_SPREAD_FRACTION` is one bin with
+    no fit."""
     sd = np.asarray(sd, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if sd.shape != errors.shape or sd.ndim != 1:
@@ -215,7 +223,7 @@ def spread_skill(
             DegenerateInputWarning,
         )
         n_bins = sd.size
-    if np.ptp(sd) == 0.0:
+    if np.ptp(sd) <= CONSTANT_SPREAD_FRACTION * np.abs(sd).max():
         # constant spread: a single degenerate bin, no meaningful fit
         return SpreadSkillResult(
             bin_mean_sd=np.array([sd.mean()]),

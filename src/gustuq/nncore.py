@@ -19,19 +19,19 @@ per block of :data:`BLOCK_ROWS` rows through one array per hidden layer;
 the train-mode pass runs it once and keeps each layer's input.
 
 A training step (``gustuq.evidential.step_gradients``) runs in blocks of the
-same :data:`BLOCK_ROWS` rows: :func:`draw_keeps` walks the blocks and draws
-each block's dropout keep-masks from the generator when the block runs, one
-draw per hidden layer in order, and each block does its own train-mode
-:func:`forward` and :func:`backward`, whose gradients are added into the
-step's. For a step of at most :data:`BLOCK_ROWS` rows, or a network with one
-hidden layer, the masks are those of one whole-batch draw per layer; a larger
-step through more hidden layers uses the same doubles in block order instead.
-Either way the step leaves the generator where one whole-batch draw would. A
-block's cache keeps only what :func:`backward` reads: per hidden layer one
-activation and its one-byte keep-mask; the leaky-ReLU derivative is
-read from where that activation is positive. :func:`backward` releases each
-layer's entries as soon as it has used them, so a cache holds nothing once
-its gradients exist. Only the batch's own rows grow with the batch.
+same :data:`BLOCK_ROWS` rows, each its own train-mode :func:`forward` and
+:func:`backward`, whose gradients are added into the step's. The train-mode
+:func:`forward` draws its block's dropout keep-masks from the step's
+generator, one draw per hidden layer in order. For a step of at most
+:data:`BLOCK_ROWS` rows, or a network with one hidden layer, the masks are
+those of one whole-batch draw per layer; a larger step through more hidden
+layers uses the same doubles in block order instead. Either way the step
+leaves the generator where one whole-batch draw would. A block's cache
+keeps only what :func:`backward` reads: per hidden layer one activation and
+its one-byte keep-mask; the leaky-ReLU derivative is read from where that
+activation is positive. :func:`backward` releases each layer's entries as
+soon as it has used them, so a cache holds nothing once its gradients
+exist. Only the batch's own rows grow with the batch.
 :class:`Adam` holds the two moments of every parameter in two flat buffers
 and updates them per chunk of :data:`ADAM_CHUNK` elements through the same
 scratch pair, small parameters sharing a chunk, so the rest of training
@@ -219,45 +219,20 @@ class ForwardCache:
     batch_size: int
 
 
-def draw_keeps(
-    model: MLP, rows: int, rng: np.random.Generator | None
-) -> Iterator[tuple[slice, list[np.ndarray | None]]]:
-    """The blocks of a ``rows``-row training step, each with its keep-masks.
-
-    Yields ``(block, keeps)`` for each block of :data:`BLOCK_ROWS` rows in
-    order: ``block`` slices the step's rows, and ``keeps`` holds one bool
-    ``[block rows x width]`` dropout keep-mask per hidden layer, or ``None``
-    per layer without dropout. A block's masks are drawn from ``rng`` when
-    it is yielded, one ``rng.random((block rows, width)) >= dropout`` per
-    hidden layer in order, so only one block's exist at a time and any
-    generator works. After the last block ``rng`` is ``rows * sum(widths)``
-    doubles on.
-    """
-    if model.dropout > 0.0 and rng is None:
-        raise UsageError("dropout keep-masks need a random generator, got rng=None")
-    widths = model.hidden_sizes
-    for start in range(0, rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, rows)
-        if model.dropout == 0.0:
-            keeps = [None] * len(widths)
-        else:
-            keeps = [rng.random((stop - start, width)) >= model.dropout for width in widths]
-        yield slice(start, stop), keeps
-
-
 def forward(
     model: MLP,
     batch: np.ndarray,
     train_mode: bool = False,
-    keeps: list[np.ndarray | None] | None = None,
+    rng: np.random.Generator | None = None,
     first_row: int = 0,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network on ``batch`` [B x D].
 
-    With ``train_mode`` set, dropout is applied to hidden activations with
-    the keep-masks ``keeps`` (as :func:`draw_keeps` yields them for these
-    rows; none are needed without dropout), and the intermediates
-    :func:`backward` needs are returned in a :class:`ForwardCache`.
+    With ``train_mode`` set, dropout is applied to hidden activations, and
+    the intermediates :func:`backward` needs are returned in a
+    :class:`ForwardCache`. Its keep-masks are drawn from ``rng`` before any
+    layer array exists, one ``rng.random((B, width)) >= dropout`` per hidden
+    layer in order, so any generator works; without dropout none is needed.
     Otherwise this is the no-grad inference pass: it runs the batch in blocks
     of :data:`BLOCK_ROWS` rows, whose activations stay in cache where a
     whole-batch pass would stream [B x width] temporaries through memory, and
@@ -274,26 +249,20 @@ def forward(
         raise DimensionError(
             f"batch width {batch.shape[1]} does not match model input width {model.input_dim}"
         )
+    keeps = [None] * len(model.hidden_sizes)
+    if train_mode and model.dropout > 0.0:
+        if rng is None:
+            raise UsageError("dropout keep-masks need a random generator, got rng=None")
+        keeps = [rng.random((batch.shape[0], width)) >= model.dropout
+                 for width in model.hidden_sizes]
     out = np.empty((batch.shape[0], model.output_dim), model.dtype)
     rows = batch.shape[0] if train_mode else min(batch.shape[0], BLOCK_ROWS)
     acts = [np.empty((rows, width), model.dtype) for width in model.hidden_sizes]
     if train_mode:
-        if keeps is None:
-            if model.dropout > 0.0:
-                raise UsageError("a train-mode forward pass with dropout needs keep-masks")
-            keeps = [None] * len(model.hidden_sizes)
-        shapes = [None if keep is None else keep.shape for keep in keeps]
-        if shapes != [None if model.dropout == 0.0 else (batch.shape[0], width)
-                      for width in model.hidden_sizes]:
-            raise DimensionError(
-                f"keep-masks {shapes} do not match a batch of {batch.shape[0]} rows "
-                f"through hidden layers {model.hidden_sizes} at dropout {model.dropout}"
-            )
         _forward_block(model, batch, out, keeps, acts)
-        cache = ForwardCache(inputs=[batch, *acts], keeps=list(keeps),
-                             model_version=model.version, batch_size=batch.shape[0])
+        cache = ForwardCache([batch, *acts], keeps, model.version, batch.shape[0])
     else:
-        cache, keeps = None, [None] * len(acts)
+        cache = None
         for start in range(0, batch.shape[0], BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             _forward_block(model, batch[block], out[block], keeps, acts)

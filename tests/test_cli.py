@@ -11,7 +11,7 @@ import pytest
 
 from gustuq import artifact, cli, data, evidential, metrics, nncore, parallel, tune, xai
 from gustuq.cli import main
-from gustuq.errors import DegenerateInputWarning
+from gustuq.errors import DegenerateInputWarning, UsageError
 from gustuq.evidential import train_evidential
 from gustuq.nncore import TrainConfig
 
@@ -284,6 +284,47 @@ def test_predict_feature_mismatch_reports_diff(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage-error:")
     assert "WS_10m" in err and "[x]" in err
+
+
+def artifact_with_three_feature_names(pipeline, tmp_path) -> Path:
+    payload = json.loads(Path(pipeline["model"]).read_text())
+    payload["feature_names"] = ["a", "b", "c"]
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(payload))
+    return edited
+
+
+def test_artifact_feature_names_must_match_the_network_inputs(pipeline, tmp_path):
+    # a name count other than the first layer's width is the artifact's
+    # fault, not a mismatch with the data it is later asked to predict
+    edited = artifact_with_three_feature_names(pipeline, tmp_path)
+    with pytest.raises(UsageError) as err:
+        artifact.load_model(edited)
+    assert str(err.value) == (f"{edited}: artifact field feature_names has 3 names, "
+                              "but the first layer takes 11 inputs")
+
+
+def test_predict_artifact_feature_names_count_is_usage_error(pipeline, tmp_path, capsys):
+    edited = artifact_with_three_feature_names(pipeline, tmp_path)
+    code = run("predict", "--model", edited, "--data", pipeline["station_csv"],
+               "--out", tmp_path / "pred")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage-error: {edited}: artifact field feature_names has 3 names, "
+        "but the first layer takes 11 inputs\n")
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("source", ["station_csv", "grid_csv"])
+def test_predict_file_without_rows_names_it(pipeline, tmp_path, capsys, source):
+    header = Path(pipeline[source]).read_text().splitlines(keepends=True)[0]
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header)
+    code = run("predict", "--model", pipeline["model"], "--data", empty,
+               "--out", tmp_path / "pred")
+    assert code == 2
+    assert capsys.readouterr().err == f"usage-error: {empty}: no rows to predict\n"
+    assert not (tmp_path / "pred").exists()
 
 
 def test_predict_grid_mode(pipeline, tmp_path):

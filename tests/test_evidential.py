@@ -561,12 +561,13 @@ def test_float32_training_draws_what_float64_training_draws(monkeypatch):
     forward = nncore.forward
     runs = []
 
-    def spy(model, batch, train_mode=False, keeps=None, first_row=0):
+    def spy(model, batch, train_mode=False, rng=None, first_row=0):
+        if train_mode and not runs[-1]:
+            runs[-1].append([layer.weights.copy() for layer in model.layers])
+        out, cache = forward(model, batch, train_mode, rng, first_row)
         if train_mode:
-            if not runs[-1]:
-                runs[-1].append([layer.weights.copy() for layer in model.layers])
-            runs[-1].append((batch.copy(), [keep.copy() for keep in keeps]))
-        return forward(model, batch, train_mode, keeps, first_row)
+            runs[-1].append((batch.copy(), [keep.copy() for keep in cache.keeps]))
+        return out, cache
 
     monkeypatch.setattr(nncore, "forward", spy)
     x, y = raw_features_xy(400, seed=7)

@@ -327,6 +327,22 @@ def test_spread_skill_constant_sd_degenerate():
     assert np.isnan(res.r_squared)
 
 
+def test_spread_skill_spread_of_rounding_noise_has_no_fit():
+    # A collapsed network predicts one spread up to rounding: in float64 a
+    # relative jitter of about 2e-11, in float32 (tune's trials) a range of a
+    # few float32 ulps. Binning that noise would fit a line to nothing.
+    rng = np.random.default_rng(10)
+    eps = rng.standard_normal(2000)
+    errors = 2.0 * rng.standard_normal(2000)
+    noise64 = 2.0 * (1.0 + 2e-11 * eps)
+    noise32 = (2.0 * (1.0 + 1e-7 * eps)).astype(np.float32)
+    assert 1e-7 < np.ptp(noise32) / noise32.max() < 1e-6
+    for sd in (noise64, noise32):
+        res = spread_skill(sd, errors, n_bins=20)
+        assert np.isnan(res.slope) and np.isnan(res.r_squared)
+        assert len(res.bin_mean_sd) == 1 and res.bin_counts.tolist() == [2000]
+
+
 def test_spread_skill_bin_membership_scale_invariant():
     rng = np.random.default_rng(9)
     sd = rng.uniform(0.1, 2.0, size=200)

@@ -18,10 +18,18 @@ def small_model(rng, input_dim=3, hidden=(4,), dropout=0.0, l1=0.0, l2=0.0):
     return MLP.create(input_dim, list(hidden), rng, dropout=dropout, l1=l1, l2=l2)
 
 
-def batch_keeps(model, rows, rng):
-    """The keep-masks of a whole ``rows``-row step, joined from its blocks."""
-    blocks = [keeps for _, keeps in nncore.draw_keeps(model, rows, rng)]
-    return [None if layer[0] is None else np.concatenate(layer) for layer in zip(*blocks)]
+class MaskGenerator:
+    """A generator stand-in that hands train-mode forward set keep-masks:
+    each ``random(shape)`` returns the next mask of ``keeps`` as 1.0 where a
+    unit is kept and 0.0 where it is dropped."""
+
+    def __init__(self, keeps):
+        self.draws = [np.where(keep, 1.0, 0.0) for keep in keeps]
+
+    def random(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw
 
 
 def quadratic_loss(model, batch):
@@ -85,10 +93,8 @@ def test_forward_train_mode_deterministic_given_rng_state():
     rng = np.random.default_rng(3)
     model = small_model(rng, dropout=0.3)
     batch = rng.normal(size=(5, 3))
-    keeps1 = batch_keeps(model, 5, np.random.default_rng(42))
-    keeps2 = batch_keeps(model, 5, np.random.default_rng(42))
-    out1, _ = nncore.forward(model, batch, train_mode=True, keeps=keeps1)
-    out2, _ = nncore.forward(model, batch, train_mode=True, keeps=keeps2)
+    out1, _ = nncore.forward(model, batch, train_mode=True, rng=np.random.default_rng(42))
+    out2, _ = nncore.forward(model, batch, train_mode=True, rng=np.random.default_rng(42))
     assert np.array_equal(out1, out2)
 
 
@@ -239,8 +245,9 @@ def test_training_step_bit_exact_against_reference(
         grad_out = rng.normal(size=(n_rows, model.output_dim)) / n_rows
         mask_seed = int(rng.integers(2**31))
 
-        keeps = batch_keeps(model, n_rows, np.random.default_rng(mask_seed))
-        out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
+        out, cache = nncore.forward(
+            model, batch, train_mode=True, rng=np.random.default_rng(mask_seed)
+        )
         r_out, r_inputs, r_pre, r_masks = reference_forward(
             ref, batch, np.random.default_rng(mask_seed)
         )
@@ -299,14 +306,15 @@ def test_backward_reads_the_kink_from_the_kept_activation(dropout):
     first.weights *= 0.8
     first.weights[:, 3] = -np.abs(first.weights[:, 3])
     first.bias[:] = [2.0, 2.0, 0.0, -0.0, -5e-324, 0.3]
-    keeps = [None, None]
+    keeps, masks = [None, None], None
     if dropout:
         keeps = [rng.random((8, width)) >= dropout for width in model.hidden_sizes]
         keeps[0][:4, 1:5] = True
         keeps[0][:4, 0] = False  # dropped where z > 0
+        masks = MaskGenerator(keeps)
     grad_out = rng.normal(size=(8, model.output_dim))
     grad_out[0] = -0.0
-    out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
+    out, cache = nncore.forward(model, batch, train_mode=True, rng=masks)
     r_out, r_inputs, r_pre, r_masks = reference_forward(model, batch, keeps=keeps)
     assert np.array_equal(out.view(np.int64), r_out.view(np.int64))
     z = r_pre[0][:4]
@@ -330,7 +338,27 @@ def block_order_keeps(model, rows, rng):
     return [np.concatenate(layer) for layer in zip(*blocks)]
 
 
-def assert_block_keeps_are_next_draws(make):
+def step_blocks(monkeypatch, model, rows, rng):
+    """``(first_row, rows, keep-masks)`` of each train-mode forward pass of a
+    ``rows``-row step drawing from ``rng``, the masks as its cache holds them."""
+    forward = nncore.forward
+    blocks = []
+
+    def spy(model, batch, train_mode=False, rng=None, first_row=0):
+        out, cache = forward(model, batch, train_mode, rng, first_row)
+        blocks.append((first_row, len(batch), list(cache.keeps)))
+        return out, cache
+
+    data = np.random.default_rng(1)
+    batch = data.normal(size=(rows, model.input_dim))
+    target = data.uniform(0.0, 20.0, size=rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(nncore, "forward", spy)
+        evidential.step_gradients(model, batch, target, 0.59, rng)
+    return blocks
+
+
+def assert_block_keeps_are_next_draws(monkeypatch, make):
     # 2,500 rows are three blocks of a step. Each block's keep-masks are the
     # generator's next draws, one rng.random((block rows, w)) per layer, and
     # the step leaves it rows * sum(widths) doubles on, with a float32 half
@@ -345,37 +373,37 @@ def assert_block_keeps_are_next_draws(make):
         assert rng.bit_generator.state["has_uint32"] == 1
     stream = copy.deepcopy(rng)
 
-    blocks = list(nncore.draw_keeps(model, rows, rng))
-    assert [block for block, _ in blocks] == [
-        slice(0, 1024), slice(1024, 2048), slice(2048, 2500)
-    ]
-    for block, keeps in blocks:
-        want = [stream.random((block.stop - block.start, w)) >= dropout for w in hidden]
+    blocks = step_blocks(monkeypatch, model, rows, rng)
+    assert [(first, n) for first, n, _ in blocks] == [(0, 1024), (1024, 1024), (2048, 452)]
+    for _, n, keeps in blocks:
+        want = [stream.random((n, w)) >= dropout for w in hidden]
         assert all(k.dtype == bool and np.array_equal(k, w) for k, w in zip(keeps, want))
     skip.random(rows * sum(hidden))
     np.testing.assert_equal(rng.bit_generator.state, skip.bit_generator.state)
     assert rng.random(dtype=np.float32) == skip.random(dtype=np.float32)
 
 
-def test_block_keeps_are_the_next_draws_of_the_generator():
-    assert_block_keeps_are_next_draws(np.random.PCG64)
+def test_block_keeps_are_the_next_draws_of_the_generator(monkeypatch):
+    assert_block_keeps_are_next_draws(monkeypatch, np.random.PCG64)
 
     # Through one hidden layer, block order is whole-batch order.
     rows, dropout = 2500, 0.25
     one = small_model(np.random.default_rng(31), input_dim=6, hidden=(40,), dropout=dropout)
-    joined = batch_keeps(one, rows, np.random.default_rng(7))
-    assert np.array_equal(joined[0], np.random.default_rng(7).random((rows, 40)) >= dropout)
+    joined = np.concatenate([keeps[0] for *_, keeps in
+                             step_blocks(monkeypatch, one, rows, np.random.default_rng(7))])
+    assert np.array_equal(joined, np.random.default_rng(7).random((rows, 40)) >= dropout)
 
 
-def test_keeps_take_any_generator_and_need_one_only_for_dropout():
+def test_keeps_take_any_generator_and_need_one_only_for_dropout(monkeypatch):
     # Nothing is asked of the bit generator beyond random().
-    assert_block_keeps_are_next_draws(np.random.MT19937)
+    assert_block_keeps_are_next_draws(monkeypatch, np.random.MT19937)
 
     model = small_model(np.random.default_rng(30), input_dim=6, hidden=(32, 24), dropout=0.25)
     with pytest.raises(UsageError, match=r"^dropout keep-masks need a random generator"):
-        next(nncore.draw_keeps(model, 4, None))
+        nncore.forward(model, np.zeros((4, 6)), train_mode=True)
     no_dropout = small_model(np.random.default_rng(0))
-    assert list(nncore.draw_keeps(no_dropout, 4, None)) == [(slice(0, 4), [None])]
+    _, cache = nncore.forward(no_dropout, np.zeros((4, 3)), train_mode=True)
+    assert cache.keeps == [None]
 
 
 def test_multi_block_step_matches_single_pass_reference():
@@ -406,8 +434,7 @@ def test_step_of_one_block_is_the_whole_batch_step():
     batch = rng.normal(size=(CHUNK, 5))
     target = rng.uniform(0.0, 20.0, size=CHUNK)
     loss, grads = evidential.step_gradients(model, batch, target, 0.59, np.random.default_rng(6))
-    keeps = batch_keeps(model, CHUNK, np.random.default_rng(6))
-    out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
+    out, cache = nncore.forward(model, batch, train_mode=True, rng=np.random.default_rng(6))
     r_loss, grad_out = reference_objective(model, out, target, 0.59)
     r_grads = nncore.backward(model, cache, grad_out)
     assert loss == r_loss
@@ -539,8 +566,7 @@ def test_training_step_peak_memory_is_one_float_array_per_hidden_layer():
 
     tracemalloc.start()
     try:
-        keeps = batch_keeps(model, rows, rng)
-        out, cache = nncore.forward(model, batch, train_mode=True, keeps=keeps)
+        out, cache = nncore.forward(model, batch, train_mode=True, rng=rng)
         _, grad_raw = reference_objective(model, out, target, 0.59)
         grads = nncore.backward(model, cache, grad_raw)
         _, peak = tracemalloc.get_traced_memory()
@@ -818,11 +844,10 @@ def test_float32_net_computes_and_holds_only_float32_arrays():
     rng = np.random.default_rng(43)
     net, _ = float32_and_float64_nets(rng, input_dim=3, hidden=(6, 5))
     batch = rng.normal(size=(9, 3))  # float64, cast by forward
-    keeps = batch_keeps(net, 9, rng)
 
     out, _ = nncore.forward(net, batch)
     assert out.dtype == np.float32
-    out, cache = nncore.forward(net, batch, train_mode=True, keeps=keeps)
+    out, cache = nncore.forward(net, batch, train_mode=True, rng=rng)
     assert out.dtype == np.float32
     assert [a.dtype for a in cache.inputs] == [np.float32] * 3
     assert [k.dtype for k in cache.keeps] == [bool] * 2
