@@ -269,12 +269,20 @@ def _training_split(opts: dict):
             data.Standardizer.fit(train_ds.gust))
 
 
-def _check_feature_names(model: evidential.EvidentialModel, names: list[str]) -> None:
-    if model.feature_names is not None and list(model.feature_names) != list(names):
+def _load_rows(load, opts: dict, job: str) -> data.Dataset:
+    """``load(opts["data"])``; a file without rows is a usage error."""
+    ds = load(opts["data"])
+    if len(ds) == 0:
+        raise UsageError(f"{opts['data']}: no rows to {job}")
+    return ds
+
+
+def _check_feature_names(model: evidential.EvidentialModel) -> None:
+    if model.feature_names is not None and list(model.feature_names) != data.FEATURE_NAMES:
         raise UsageError(
             "feature mismatch between artifact and data; "
             f"artifact expects [{', '.join(model.feature_names)}], "
-            f"data provides [{', '.join(names)}]"
+            f"data provides [{', '.join(data.FEATURE_NAMES)}]"
         )
 
 
@@ -327,7 +335,7 @@ def cmd_train(opts: dict) -> None:
     spec, train_ds, val_ds, standardizer, target_scale = _training_split(opts)
     model, log = evidential.train_with_settings(
         opts, train_ds.features, train_ds.gust, val_ds.features, val_ds.gust,
-        feature_names=train_ds.feature_names, standardizer=standardizer,
+        feature_names=data.FEATURE_NAMES, standardizer=standardizer,
         target_scale=target_scale,
     )
 
@@ -371,10 +379,8 @@ def cmd_predict(opts: dict) -> None:
     """Predict with uncertainty on station or grid data."""
     out = _out_dir(opts)
     model = artifact.load_model(opts["model"])
-    ds = data.load_features_csv(opts["data"])
-    if len(ds) == 0:
-        raise UsageError(f"{opts['data']}: no rows to predict")
-    _check_feature_names(model, ds.feature_names)
+    ds = _load_rows(data.load_features_csv, opts, "predict")
+    _check_feature_names(model)
     levels = opts["levels"]
     pset = metrics.PredictionSet.from_decomposition(
         model.predict(ds.features), opts["mask_percentile"]
@@ -446,7 +452,7 @@ def cmd_evaluate(opts: dict) -> None:
         ("station_id", "timestamp_utc", "mean", "aleatoric_sd", "epistemic_sd", "total_sd"),
         key=("station_id", "timestamp_utc"),
     )
-    obs_ds = data.load_station_csv(opts["data"], require_target=True)
+    obs_ds = _load_rows(data.load_station_csv, opts, "evaluate")
     obs_index = {
         key: i
         for i, key in enumerate(
@@ -516,14 +522,14 @@ def cmd_explain(opts: dict) -> None:
     """Permutation importance and partial dependence."""
     out = _out_dir(opts)
     model = artifact.load_model(opts["model"])
-    ds = data.load_station_csv(opts["data"], require_target=True)
-    _check_feature_names(model, ds.feature_names)
+    ds = _load_rows(data.load_station_csv, opts, "explain")
+    _check_feature_names(model)
 
     pfi, curves = xai.explain(
         model.mean_and_total_sd,
         ds.features,
         ds.gust,
-        feature_names=ds.feature_names,
+        feature_names=data.FEATURE_NAMES,
         n_shuffles=opts["n_shuffles"],
         seed=opts["seed"],
         n_grid=opts["pdp_grid"],
@@ -557,8 +563,8 @@ def cmd_spatial(opts: dict) -> None:
     out = _out_dir(opts)
     names = ("storm_id", "timestamp_utc", "row", "col", "lat", "lon", "total_sd")
     pred = data.read_predictions(opts["pred"], names, key=names[:4])
-    feature_ds = data.load_grid_csv(opts["data"])
-    ws_index = feature_ds.feature_names.index("WS_10m")
+    feature_ds = _load_rows(data.load_grid_csv, opts, "track")
+    ws_index = data.FEATURE_NAMES.index("WS_10m")
 
     uq_cubes = spatial.storm_cubes(*(pred[c] for c in names))
     ws_cubes = spatial.storm_cubes(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import ConfigError, DegenerateInputWarning, IngestError, UsageError
+from .errors import DegenerateInputWarning, IngestError, UsageError
 from .fileio import BLOCK_ROWS, RANGE_ROWS, gc_paused
 
 # Derived feature vector, in model-input order.
@@ -72,10 +72,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.storm_ids)
-
-    @property
-    def feature_names(self) -> list[str]:
-        return list(FEATURE_NAMES)
 
     def subset(self, index: np.ndarray) -> "Dataset":
         return Dataset(**{name: None if column is None else column[index]
@@ -552,13 +548,6 @@ class SplitSpec:
     val_storms: list[str]
     test_storms: list[str]
 
-    def validate(self) -> None:
-        union = [*self.train_storms, *self.val_storms, *self.test_storms]
-        if len(set(union)) != len(union):
-            raise ConfigError("splits overlap")
-        if set(union) != set(self.ordered_storms):
-            raise ConfigError("splits do not cover all storms")
-
 
 def chronological_split(
     dataset: Dataset, train_n: int, val_n: int, test_n: int
@@ -577,7 +566,6 @@ def chronological_split(
         val_storms=ordered[train_n : train_n + val_n],
         test_storms=ordered[train_n + val_n :],
     )
-    spec.validate()
 
     def take(storms: list[str]) -> Dataset:
         mask = np.isin(dataset.storm_ids, storms)

@@ -51,13 +51,13 @@ def gc_paused():
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
-    """Open a temp file next to ``path`` and rename it over on clean exit."""
+def atomic_open(path):
+    """Open a text temp file next to ``path`` and rename it over on clean exit."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, mode, newline="" if "b" not in mode else None) as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp_name, path)
     except BaseException:

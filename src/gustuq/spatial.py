@@ -76,34 +76,25 @@ def spatial_gradient(grid: GridField) -> GridField:
     are skipped and a cell with no valid neighbor (or invalid itself) comes
     out masked.
     """
-    rows, cols = grid.shape[-2:]
-    if rows < 2 or cols < 2:
+    if min(grid.shape[-2:]) < 2:
         raise UsageError("spatial gradient needs a grid of at least 2x2 cells")
-    v = grid.values
-    ok = grid.valid
-    total = np.zeros_like(v)
-    count = np.zeros_like(v)
+    total = np.zeros_like(grid.values)
+    count = np.zeros_like(grid.values)
+    arrays = (grid.values, grid.valid, total, count)
+    # the lon pass is the row pass over views with the last two axes swapped
+    for coords, (v, ok, tot, cnt) in ((grid.lats, arrays),
+                                      (grid.lons, [np.swapaxes(a, -1, -2) for a in arrays])):
+        step = np.abs(np.diff(coords))[:, None]  # distance row i <-> i+1
+        pair = np.abs(v[..., 1:, :] - v[..., :-1, :]) / step
+        pair_ok = ok[..., 1:, :] & ok[..., :-1, :]
+        contrib = np.where(pair_ok, pair, 0.0)
+        tot[..., :-1, :] += contrib
+        cnt[..., :-1, :] += pair_ok
+        tot[..., 1:, :] += contrib
+        cnt[..., 1:, :] += pair_ok
 
-    d_lat = np.abs(np.diff(grid.lats))[:, None]  # distance row i <-> i+1
-    pair = np.abs(v[..., 1:, :] - v[..., :-1, :]) / d_lat
-    pair_ok = ok[..., 1:, :] & ok[..., :-1, :]
-    contrib = np.where(pair_ok, pair, 0.0)
-    total[..., :-1, :] += contrib
-    count[..., :-1, :] += pair_ok
-    total[..., 1:, :] += contrib
-    count[..., 1:, :] += pair_ok
-
-    d_lon = np.abs(np.diff(grid.lons))[None, :]  # distance col j <-> j+1
-    pair = np.abs(v[..., 1:] - v[..., :-1]) / d_lon
-    pair_ok = ok[..., 1:] & ok[..., :-1]
-    contrib = np.where(pair_ok, pair, 0.0)
-    total[..., :-1] += contrib
-    count[..., :-1] += pair_ok
-    total[..., 1:] += contrib
-    count[..., 1:] += pair_ok
-
-    out_valid = ok & (count > 0)
-    out = np.full_like(v, np.nan)
+    out_valid = grid.valid & (count > 0)
+    out = np.full_like(grid.values, np.nan)
     np.divide(total, count, out=out, where=out_valid)
     return grid.with_values(out, valid=out_valid)
 

@@ -224,29 +224,10 @@ def load_trials_log(path) -> list[TrialResult]:
 Objective = Callable[[TrialConfig, np.random.Generator], tuple[float, float, float, int]]
 
 
-def _trial_rng(seed: int, trial_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial_id,)))
-
-
-def _check_logged_config(space: HyperSpace, seed: int, result: TrialResult, log_path) -> None:
-    """A logged trial must hold the configuration that ``(seed, trial_id)``
-    draws from ``space``; otherwise the log is another search's."""
-    drawn = sample(space, _trial_rng(seed, result.trial_id))
-    for f in dc_fields(TrialConfig):
-        logged, expected = getattr(result.config, f.name), getattr(drawn, f.name)
-        if logged != expected:
-            raise UsageError(
-                f"{log_path}: trial {result.trial_id} has {f.name} {logged!r}, but seed "
-                f"{seed} and this search space draw {expected!r}; the log is from "
-                "another search"
-            )
-
-
-def _run_trial(space: HyperSpace, objective: Objective, seed: int, trial_id: int) -> TrialResult:
-    """Sample and score trial ``trial_id``; a GustUQError or a non-finite
-    objective makes it a failed trial."""
-    rng = _trial_rng(seed, trial_id)
-    config = sample(space, rng)
+def _run_trial(objective: Objective, draws: dict, trial_id: int) -> TrialResult:
+    """Score trial ``trial_id`` on its drawn ``(config, rng)``; a GustUQError
+    or a non-finite objective makes it a failed trial."""
+    config, rng = draws[trial_id]
     try:
         mae, r2, skill, n_epochs = objective(config, rng)
     except GustUQError as exc:
@@ -277,7 +258,8 @@ def search(
 
     Each trial's RNG stream is derived from ``(seed, trial_id)``, so results
     do not depend on execution order and a partially written log can be
-    resumed without repeating completed trials. A logged trial whose
+    resumed without repeating completed trials. Each trial, pending or
+    logged, is drawn once, before any trial runs. A logged trial whose
     configuration ``(seed, trial_id)`` and ``space`` do not draw is a
     ``UsageError``, raised before any trial runs.
 
@@ -308,17 +290,29 @@ def search(
     done: dict[int, TrialResult] = {}
     if log_path is not None and Path(log_path).exists():
         done = {result.trial_id: result for result in load_trials_log(log_path)}
-        for trial_id in sorted(done):
-            _check_logged_config(space, seed, done[trial_id], log_path)
+    # each trial's (config, rng), drawn once from (seed, trial_id): it checks
+    # the logged trials, orders the pending ones and seeds the workers
+    draws = {}
+    for trial_id in sorted({*range(n_trials), *done}):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial_id,)))
+        draws[trial_id] = sample(space, rng), rng
+    for trial_id in sorted(done):
+        logged = vars(done[trial_id].config)
+        for name, drawn in vars(draws[trial_id][0]).items():
+            if logged[name] != drawn:
+                raise UsageError(
+                    f"{log_path}: trial {trial_id} has {name} {logged[name]!r}, but seed "
+                    f"{seed} and this search space draw {drawn!r}; the log is from "
+                    "another search"
+                )
 
     pending = [trial_id for trial_id in range(n_trials) if trial_id not in done]
     if pending:
         # the most weights first, so the longest trials do not start last
-        configs = {t: sample(space, _trial_rng(seed, t)) for t in pending}
-        pending.sort(key=lambda t: (-configs[t].hidden_layers * configs[t].hidden_neurons**2, t))
+        pending.sort(key=lambda t: (-draws[t][0].hidden_layers * draws[t][0].hidden_neurons**2, t))
         cpus = sorted(os.sched_getaffinity(0))
         held = parallel.hold_blas_to_one_thread()
-        job = functools.partial(_run_trial, space, objective, seed)  # forked, need not pickle
+        job = functools.partial(_run_trial, objective, draws)  # forked, need not pickle
         try:
             with parallel.ForkPool(job, cpus if held else cpus[:1], "tune") as pool:
                 for trial_id in pending:

@@ -327,6 +327,30 @@ def test_predict_file_without_rows_names_it(pipeline, tmp_path, capsys, source):
     assert not (tmp_path / "pred").exists()
 
 
+@pytest.mark.parametrize("command, source, job", [
+    ("explain", "station_csv", "explain"),
+    ("evaluate", "station_csv", "evaluate"),
+    ("spatial", "grid_csv", "track"),
+])
+def test_file_without_rows_is_refused_naming_it(pipeline, tmp_path, capsys, command, source, job):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(Path(pipeline[source]).read_text().splitlines(keepends=True)[0])
+    if command == "explain":
+        given = ("--model", pipeline["model"])
+    elif command == "evaluate":
+        assert run("predict", "--model", pipeline["model"], "--data", pipeline["station_csv"],
+                   "--out", tmp_path / "pred") == 0
+        given = ("--pred", tmp_path / "pred" / "predictions.csv")
+    else:
+        make_grid_predictions_csv(tmp_path / "gp.csv", pipeline["grid_csv"])
+        given = ("--pred", tmp_path / "gp.csv")
+    capsys.readouterr()
+    code = run(command, *given, "--data", empty, "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err == f"usage-error: {empty}: no rows to {job}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_predict_grid_mode(pipeline, tmp_path):
     out = tmp_path / "gridpred"
     code = run(

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gustuq.cli import main
+from gustuq.errors import DegenerateInputWarning
 
 from synth import write_grid_file, write_station_file
 
@@ -82,7 +83,10 @@ def fixtures(tmp_path_factory):
     files["model.json"] = root / "train" / "model.json"
     files["predictions.csv"] = root / "predict" / "predictions.csv"
     files["grid_predictions.csv"] = root / "predict_grid" / "grid_predictions.csv"
-    for command in ("train", "predict", "predict_grid"):
+    # 6 validation rows: too few for 20 spread-skill bins and the top discard fractions
+    with pytest.warns(DegenerateInputWarning, match="spread-skill bins|discard fraction"):
+        assert _run(_argv("train", files, root / "train"))[0] == 0
+    for command in ("predict", "predict_grid"):
         assert _run(_argv(command, files, root / command))[0] == 0
     return files
 
@@ -136,6 +140,9 @@ def _mutate_model(text: str, draw) -> str:
     return json.dumps(model)
 
 
+# a mutated input may be degenerate, so its warnings are expected
+@pytest.mark.filterwarnings("ignore::gustuq.errors.DegenerateInputWarning",
+                            "ignore::gustuq.errors.CalibrationWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.sampled_from(CASES),
        kind=st.sampled_from(["cell", "header", "column", "truncate"]), data=st.data())

@@ -94,6 +94,31 @@ def test_gradient_of_cube_is_gradient_of_each_hour():
         assert np.array_equal(cube.values[k], hour_k.values, equal_nan=True)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 7), (6, 4), (2, 3, 5), (4, 5, 2), (3, 6, 6)])
+def test_gradient_treats_both_axes_alike(shape):
+    # The gradient of a field, transposed, is the gradient of the transposed
+    # field. Values are multiples of 1/8 and axis steps powers of two, so
+    # every quotient and sum is exact and the two orders of adding a cell's
+    # lat and lon terms give the same bits; on other values they may differ
+    # in the last bit only.
+    rng = np.random.default_rng(sum(shape))
+    rows, cols = shape[-2:]
+    lats = np.cumsum(2.0 ** rng.integers(-2, 3, rows)) * rng.choice([-1, 1])
+    lons = np.cumsum(2.0 ** rng.integers(-2, 3, cols)) * rng.choice([-1, 1])
+    valid = rng.uniform(size=shape) > 0.3
+    for values, exact in ((rng.integers(-80, 80, shape) / 8, True), (rng.normal(size=shape), False)):
+        grad = spatial_gradient(GridField(lats=lats, lons=lons, values=values, valid=valid))
+        flipped = spatial_gradient(GridField(lats=lons, lons=lats,
+                                             values=np.swapaxes(values, -1, -2),
+                                             valid=np.swapaxes(valid, -1, -2)))
+        assert np.array_equal(np.swapaxes(flipped.valid, -1, -2), grad.valid)
+        if exact:
+            assert np.swapaxes(flipped.values, -1, -2).tobytes() == grad.values.tobytes()
+        else:
+            np.testing.assert_allclose(np.swapaxes(flipped.values, -1, -2), grad.values,
+                                       rtol=1e-15, atol=0.0, equal_nan=True)
+
+
 def test_gradient_requires_2x2():
     with pytest.raises(UsageError):
         spatial_gradient(GridField(lats=np.array([1.0]), lons=np.array([1.0, 2.0]),

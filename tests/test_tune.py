@@ -298,7 +298,8 @@ def test_log_round_trips_failed_trials_and_types(tmp_path):
         return synthetic_objective(config, rng)
 
     log = tmp_path / "trials.csv"
-    result = search(HyperSpace(), 12, sometimes_fails, seed=5, log_path=log)
+    with pytest.warns(UserWarning, match=r"trial \d+ failed: boom"):
+        result = search(HyperSpace(), 12, sometimes_fails, seed=5, log_path=log)
     loaded = load_trials_log(log)
     assert 0 < sum(not t.ok for t in loaded) < len(loaded)
     for before, after in zip(result.trials, loaded):
@@ -323,7 +324,11 @@ def test_log_bytes_with_failed_trials(tmp_path):
         return outcome
 
     log = tmp_path / "trials.csv"
-    result = search(space, 4, scripted, seed=0, log_path=log)
+    with pytest.warns(UserWarning, match=r"trial \d+ failed") as caught:
+        result = search(space, 4, scripted, seed=0, log_path=log)
+    assert sorted(str(w.message) for w in caught) == [
+        "trial 1 failed: boom", "trial 2 failed: non-finite objective",
+        "trial 3 failed: non-finite objective"]
     assert [t.status for t in result.trials] == ["ok", "failed", "failed", "failed"]
     config = "0.001,0.1,1,8,32,0.5,1e-06,1e-06"
     assert log.read_bytes() == (
@@ -374,6 +379,26 @@ def test_resume_refuses_log_of_another_search(tmp_path, seed, space, field):
     with pytest.raises(UsageError, match=rf"trial 0 has {field} .*, but seed {seed} and this "
                                          "search space draw .*; the log is from another search"):
         search(space, 2, counting_objective, seed=seed, log_path=log)
+    assert calls == [] and log.read_bytes() == before
+
+
+def test_resume_refuses_foreign_trial_at_or_past_the_budget(tmp_path):
+    # Trial 2 of a seed-1 search in a seed-0 log: a budget of 2 runs no trial
+    # 2, but the logged one must still be the trial that seed 0 draws.
+    ours, theirs, log = tmp_path / "ours.csv", tmp_path / "theirs.csv", tmp_path / "trials.csv"
+    search(HyperSpace(), 2, synthetic_objective, seed=0, log_path=ours)
+    search(HyperSpace(), 3, synthetic_objective, seed=1, log_path=theirs)
+    log.write_bytes(ours.read_bytes() + theirs.read_bytes().splitlines(keepends=True)[3])
+    before = log.read_bytes()
+    calls = FileCalls(tmp_path / "calls.txt")
+
+    def counting_objective(config, rng):
+        calls.append(1)
+        return synthetic_objective(config, rng)
+
+    with pytest.raises(UsageError, match=r"trial 2 has learning_rate .*, but seed 0 and this "
+                                         "search space draw .*; the log is from another search"):
+        search(HyperSpace(), 2, counting_objective, seed=0, log_path=log)
     assert calls == [] and log.read_bytes() == before
 
 
@@ -584,7 +609,8 @@ def test_search_all_failed_raises():
     def always_fails(config, rng):
         raise UsageError("nope")
 
-    with pytest.raises(SearchFailure, match=r"^all 5 trials failed; trial 0: nope$"):
+    with pytest.raises(SearchFailure, match=r"^all 5 trials failed; trial 0: nope$"), \
+            pytest.warns(UserWarning, match=r"trial \d+ failed: nope"):
         search(HyperSpace(), 5, always_fails, seed=0)
 
 
@@ -592,7 +618,8 @@ def test_search_nonfinite_objective_marks_failed():
     def nan_objective(config, rng):
         return float("nan"), 0.5, 0.5, 1
 
-    with pytest.raises(SearchFailure, match="trial 0: non-finite objective$"):
+    with pytest.raises(SearchFailure, match="trial 0: non-finite objective$"), \
+            pytest.warns(UserWarning, match=r"trial \d+ failed: non-finite objective"):
         search(HyperSpace(), 3, nan_objective, seed=0)
 
 
